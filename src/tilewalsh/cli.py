@@ -3,8 +3,9 @@
 Every subcommand is deterministic: given the same flags and seed, output
 files are byte-identical.  Numbers are serialized as strings ("num/den"
 for rationals, repr for floats) so reports round-trip without float
-ambiguity.  Exit code 0 means every theorem-backed certificate passed;
-empirical ratios never affect the exit code.
+ambiguity.  Exit code 0 means every theorem-backed certificate passed and
+1 that one failed; empirical ratios never affect the exit code.  Bad
+input (flags, environment, files) exits 2 before any work.
 
 The TILEWALSH_THREADS environment variable caps worker parallelism; the
 library is sequential, so any cap yields identical output.
@@ -29,7 +30,7 @@ from .decompose import (
     size_decompose,
     tile_type_constant,
 )
-from .dyadic import bitile_universe
+from .dyadic import MAX_LEVELS, bitile_universe
 from .gen import (
     SplitMix64,
     gen_dual_function,
@@ -50,18 +51,29 @@ from .signal import (
     nfun_to_json,
     signal_from_json,
     signal_to_json,
+    value_is_zero,
     _num_to_json,
     _value_from_json,
     _value_to_json,
 )
+from .walsh import ifwht
+
+
+class InputError(click.ClickException):
+    """Bad input: exit code 2, which keeps 1 for a failed certificate."""
+
+    exit_code = 2
 
 
 def _threads() -> int:
     raw = os.environ.get("TILEWALSH_THREADS", "1")
     try:
-        return max(1, int(raw))
+        threads = int(raw)
     except ValueError:
-        raise click.ClickException(f"TILEWALSH_THREADS must be an integer, got {raw!r}")
+        threads = 0
+    if threads < 1:
+        raise InputError(f"TILEWALSH_THREADS must be a positive integer, got {raw!r}")
+    return threads
 
 
 def _jsonify(obj):
@@ -108,22 +120,41 @@ def _exit(certs) -> None:
         sys.exit(1)
 
 
-def _load_signal(path: str) -> Signal:
+def _load(path: str, parse, what: str):
     try:
-        return signal_from_json(load_json(path))
-    except (OSError, KeyError, ValueError) as exc:
-        raise click.ClickException(f"malformed signal file {path}: {exc}")
+        return parse(load_json(path))
+    except (OSError, KeyError, TypeError, ValueError) as exc:
+        raise InputError(f"malformed {what} file {path}: {exc}")
+
+
+def _load_signal(path: str) -> Signal:
+    return _load(path, signal_from_json, "signal")
+
+
+def _same_resolution(**inputs) -> None:
+    """All inputs (signals, sets, cutoff choices) share one resolution L."""
+    if len({x.L for x in inputs.values()}) > 1:
+        found = ", ".join(f"{name} L={x.L}" for name, x in inputs.items())
+        raise InputError(f"resolution mismatch: {found}")
+
+
+def _require_nonzero(f: Signal) -> None:
+    if all(value_is_zero(v) for v in f.samples):
+        raise InputError("zero signal: level exponents undefined")
 
 
 def _norm_plugin(norm: str, q) -> NormPlugin:
     try:
         return NormPlugin.parse(norm, q=q)
     except ValueError as exc:
-        raise click.ClickException(str(exc))
+        raise InputError(str(exc))
 
 
-opt_levels = click.option("--levels", type=int, default=4, show_default=True, help="resolution exponent L")
-opt_dim = click.option("--dim", type=int, default=1, show_default=True, help="value dimension d")
+opt_levels = click.option(
+    "--levels", type=click.IntRange(1, MAX_LEVELS), default=4, show_default=True,
+    help="resolution exponent L",
+)
+opt_dim = click.option("--dim", type=click.IntRange(min=1), default=1, show_default=True, help="value dimension d")
 opt_kind = click.option("--kind", type=click.Choice(["vector", "matrix"]), default="vector", show_default=True)
 opt_norm = click.option("--norm", default="euclidean", show_default=True, help="euclidean | lp:<p> | schatten:<p>")
 opt_q = click.option("--q", type=float, default=2.0, show_default=True, help="tile-type exponent q >= 2")
@@ -147,25 +178,8 @@ def main() -> None:
 @opt_out
 def transform(infile, inverse, out):
     """Fast Walsh-Hadamard transform of a signal file; exact rationals."""
-    obj = load_json(infile)
     if inverse:
-        from .walsh import ifwht
-
-        coefs = [
-            [_value_from_json(c) for c in comp] for comp in obj["coefficients"]
-        ]
-        values = list(zip(*[ifwht(comp) for comp in coefs]))
-        g = signal_from_json(
-            {
-                "levels": obj["levels"],
-                "dim": obj["dim"],
-                "kind": obj["kind"],
-                "values": [
-                    _value_to_json(_rebuild_value(flat, int(obj["dim"]), obj["kind"]))
-                    for flat in values
-                ],
-            }
-        )
+        g = _load(infile, _signal_from_coefficients, "coefficient")
         dump_json(signal_to_json(g), out)
         return
     f = _load_signal(infile)
@@ -179,6 +193,24 @@ def transform(infile, inverse, out):
             ],
         },
         out,
+    )
+
+
+def _signal_from_coefficients(obj: dict) -> Signal:
+    coefs = [
+        [_value_from_json(c) for c in comp] for comp in obj["coefficients"]
+    ]
+    values = list(zip(*[ifwht(comp) for comp in coefs]))
+    return signal_from_json(
+        {
+            "levels": obj["levels"],
+            "dim": obj["dim"],
+            "kind": obj["kind"],
+            "values": [
+                _value_to_json(_rebuild_value(flat, int(obj["dim"]), obj["kind"]))
+                for flat in values
+            ],
+        }
     )
 
 
@@ -197,11 +229,8 @@ def carleson(infile, nfun, out):
     """Linearized Carleson operator, direct and bitile forms, with the
     exact-equality oracle flag."""
     f = _load_signal(infile)
-    N = nfun_from_json(load_json(nfun))
-    if N.L != f.L:
-        raise click.ClickException(
-            f"resolution mismatch: signal L={f.L}, cutoff L={N.L}"
-        )
+    N = _load(nfun, nfun_from_json, "frequency choice")
+    _same_resolution(signal=f, cutoff=N)
     direct = carleson_direct(f, N)
     bitile = carleson_bitile(f, N, bitile_universe(f.L))
     identical = direct.samples == bitile.samples
@@ -233,8 +262,9 @@ def decompose(infile, setfile, nfun, norm, q, seed, out):
     yields the sparse-only density split followed by the size split.
     """
     f = _load_signal(infile)
-    E = levelset_from_json(load_json(setfile))
-    N = nfun_from_json(load_json(nfun))
+    E = _load(setfile, levelset_from_json, "level set")
+    N = _load(nfun, nfun_from_json, "frequency choice")
+    _same_resolution(signal=f, set=E, cutoff=N)
     qv = _q_value(q)
     plugin = _norm_plugin(norm, qv)
     config = {
@@ -262,6 +292,7 @@ def decompose(infile, setfile, nfun, norm, q, seed, out):
             "ratios": {"size_mass_constant": sres.stats["mass_constant"]},
         }
     else:
+        _require_nonzero(f)
         forest = full_decompose(
             list(bitile_universe(f.L).items), f, E, N, qv, plugin
         )
@@ -314,13 +345,20 @@ def certify(infile, dualfile, setfile, nfun, levels, dim, kind, norm, q, seed, o
         else gen_dual_function(f.L, f.d, f.kind, plugin, rng)
     )
     E = (
-        levelset_from_json(load_json(setfile))
+        _load(setfile, levelset_from_json, "level set")
         if setfile
         else gen_levelset(f.L, Fraction(1, 2), rng)
     )
-    N = nfun_from_json(load_json(nfun)) if nfun else gen_nfun(f.L, rng)
+    N = _load(nfun, nfun_from_json, "frequency choice") if nfun else gen_nfun(f.L, rng)
+    _same_resolution(signal=f, dual=g, set=E, cutoff=N)
+    if (g.d, g.kind) != (f.d, f.kind):
+        raise InputError(
+            f"shape mismatch: signal is a {f.d}-dimensional {f.kind}, "
+            f"dual a {g.d}-dimensional {g.kind}"
+        )
     if E.count == 0:
-        raise click.ClickException("empty level set: the form bound is void")
+        raise InputError("empty level set: the form bound is void")
+    _require_nonzero(f)
     config = {
         "command": "certify",
         "levels": f.L,
@@ -395,7 +433,7 @@ def tiletype(levels, dim, kind, norm, q, seed, out):
 @opt_kind
 @opt_norm
 @opt_q
-@click.option("--p", type=float, default=2.0, show_default=True, help="Lebesgue exponent p in (1, inf)")
+@click.option("--p", type=click.FloatRange(min=1, min_open=True), default=2.0, show_default=True, help="Lebesgue exponent p in (1, inf)")
 @opt_seed
 @opt_out
 def rwt(levels, dim, kind, norm, q, p, seed, out):
@@ -457,12 +495,18 @@ def gen(levels, dim, kind, norm, measure, seed, out):
     """Deterministic instance files: signal, dual function, level set,
     frequency choice."""
     plugin = _norm_plugin(norm, 2)
+    try:
+        frac = Fraction(measure)
+    except (ValueError, ZeroDivisionError):
+        frac = None
+    if frac is None or not 0 <= frac <= 1:
+        raise InputError(f"--measure must be a rational in [0, 1], got {measure!r}")
     rng = SplitMix64(seed)
     outdir = Path(out)
     outdir.mkdir(parents=True, exist_ok=True)
     f = gen_signal(levels, dim, kind, rng)
     g = gen_dual_function(levels, dim, kind, plugin, rng)
-    E = gen_levelset(levels, Fraction(measure), rng)
+    E = gen_levelset(levels, frac, rng)
     N = gen_nfun(levels, rng)
     dump_json(signal_to_json(f), outdir / "signal.json")
     dump_json(signal_to_json(g), outdir / "dual.json")

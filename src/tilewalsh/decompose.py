@@ -32,8 +32,11 @@ from .signal import (
 )
 from .timefreq import (
     DensityCounter,
+    HilbertWeights,
     Tree,
     TreeFamily,
+    _is_hilbert_case,
+    _pow_gt,
     candidate_tops,
     complete_up_tree,
     density,
@@ -45,7 +48,7 @@ from .timefreq import (
     member_form_products,
     size_pow,
     tree_delta_pow,
-    up_ancestors,
+    up_ancestor_keys,
 )
 from .walsh import haar_pattern
 
@@ -109,12 +112,14 @@ def density_decompose(
     E: LevelSet,
     Nfun: FrequencyChoice,
     q,
+    counter: DensityCounter | None = None,
 ) -> DensityDecomposition:
     """Split a collection into a sparse part whose density drops by 2^-q
     and trees whose top time intervals carry at most 2^q / density |E|
     total length; the constructive greedy from the density lemma."""
     coll = sorted(set(coll), key=Bitile.key)
-    counter = DensityCounter(E, Nfun)
+    if counter is None:
+        counter = DensityCounter(E, Nfun)
     local: dict[Bitile, tuple[Fraction, Bitile]] = {
         P: local_density(P, counter) for P in coll
     }
@@ -167,32 +172,33 @@ def density_decompose(
 # ---------------------------------------------------------------------------
 # size lemma
 
-def _pow_gt(a, b) -> bool:
-    if isinstance(a, Fraction) and isinstance(b, Fraction):
-        return a > b
-    return float(a) > float(b)
-
-
 def size_decompose(
     coll: Sequence[Bitile],
     f: Signal,
     q,
     plugin: NormPlugin,
+    coeffs: dict[Bitile, list[Fraction]] | None = None,
+    weights: HilbertWeights | None = None,
 ) -> SizeDecomposition:
     """Greedy extraction of trees whose up-part mass exceeds half the
     collection size, choosing the qualifying maximal tree with the minimal
-    top frequency center; ties fall back to the canonical bitile order."""
-    coll = sorted(set(coll), key=Bitile.key)
-    coeffs = down_coefficients_inf(f, coll)
-    zero = [P for P in coll if all(c == 0 for c in coeffs[P])]
-    active = [P for P in coll if P not in set(zero)]
+    top frequency center; ties fall back to the canonical bitile order.
 
-    sigma_pow, _ = size_pow(active, f, q, plugin, coeffs=coeffs)
-    threshold_pow = sigma_pow * _two_pow(-q)
+    In the Hilbert case the up-sums of the masses are computed once and
+    decremented as trees are removed; see hilbert_top_sums."""
+    coll = sorted(set(coll), key=Bitile.key)
+    if coeffs is None:
+        coeffs = down_coefficients_inf(f, coll)
+    zero = [P for P in coll if all(c == 0 for c in coeffs[P])]
+    active = [P for P in coll if any(c != 0 for c in coeffs[P])]
 
     hilbert = _is_hilbert_case(q, plugin)
+    if hilbert and weights is None:
+        weights = hilbert_member_weights(coll, coeffs)
+    sigma_pow, _ = size_pow(active, f, q, plugin, coeffs=coeffs, weights=weights)
+    threshold_pow = sigma_pow * _two_pow(-q)
+
     if hilbert:
-        weights = hilbert_member_weights(active, coeffs)
         sums = hilbert_top_sums(active, weights)
     trees: list[Tree] = []
     up_parts: list[tuple[Bitile, ...]] = []
@@ -204,9 +210,9 @@ def size_decompose(
             raise RuntimeError("size split failed to terminate")
         if hilbert:
             qualifying = [
-                T
-                for T in sorted(sums, key=Bitile.key)
-                if sums[T] > 0 and _pow_gt(sums[T] * (1 << T.time.k), threshold_pow)
+                Bitile.from_key(T)
+                for T in sorted(sums)
+                if sums[T] > 0 and weights.exceeds(sums[T] * (1 << T[0]), threshold_pow)
             ]
         else:
             qualifying = []
@@ -230,14 +236,15 @@ def size_decompose(
         removed = set(members)
         if hilbert:
             for P in members:
-                w = weights[P]
+                key = P.key()
+                w = weights.num[key]
                 if w:
-                    for T in up_ancestors(P):
+                    for T in up_ancestor_keys(*key):
                         sums[T] -= w
         remaining = [P for P in remaining if P not in removed]
 
     small = sorted(set(remaining) | set(zero), key=Bitile.key)
-    small_pow, _ = size_pow(small, f, q, plugin, coeffs=coeffs)
+    small_pow, _ = size_pow(small, f, q, plugin, coeffs=coeffs, weights=weights)
 
     certs = [
         Certificate.make(
@@ -289,12 +296,6 @@ def size_decompose(
 # ---------------------------------------------------------------------------
 # full leveled decomposition
 
-def _is_hilbert_case(q, plugin: NormPlugin) -> bool:
-    return q == 2 and (
-        plugin.name == "euclidean" or (plugin.name == "schatten" and plugin.p == 2)
-    )
-
-
 def full_decompose(
     coll: Sequence[Bitile],
     f: Signal,
@@ -302,10 +303,17 @@ def full_decompose(
     Nfun: FrequencyChoice,
     q,
     plugin: NormPlugin,
+    coeffs: dict[Bitile, list[Fraction]] | None = None,
+    counter: DensityCounter | None = None,
+    weights: HilbertWeights | None = None,
 ) -> LeveledForest:
     """Alternate the density and size splits level by level, tagging the
     extracted trees with the level exponent n and emitting the density,
-    size and mass certificates at every level."""
+    size and mass certificates at every level.
+
+    The down coefficients, the density table of (E, N) and, in the
+    Hilbert case, the member masses are computed once over coll (or
+    passed in) and shared by every level."""
     if E.count == 0:
         raise ValueError("empty level set: level exponents undefined")
     fq_pow = lq_norm_pow(f, q, plugin)
@@ -315,9 +323,15 @@ def full_decompose(
         raise ValueError("zero signal: level exponents undefined")
 
     coll = sorted(set(coll), key=Bitile.key)
-    coeffs = down_coefficients_inf(f, coll)
-    dens0 = density(coll, E, Nfun)
-    size0_pow, _ = size_pow(coll, f, q, plugin, coeffs=coeffs)
+    if coeffs is None:
+        coeffs = down_coefficients_inf(f, coll)
+    if counter is None:
+        counter = DensityCounter(E, Nfun)
+    hilbert = _is_hilbert_case(q, plugin)
+    if hilbert and weights is None:
+        weights = hilbert_member_weights(coll, coeffs)
+    dens0 = density(coll, E, Nfun, counter=counter)
+    size0_pow, _ = size_pow(coll, f, q, plugin, coeffs=coeffs, weights=weights)
 
     # smallest integer n with density <= min(1, 2^(nq) |E|)
     # and size^q <= 2^(nq) |f|_q^q
@@ -333,7 +347,6 @@ def full_decompose(
     if n_max is None:
         raise RuntimeError("could not locate a starting level")
 
-    hilbert = _is_hilbert_case(q, plugin)
     levels: list[LevelRecord] = []
     active = list(coll)
     n = n_max
@@ -341,15 +354,15 @@ def full_decompose(
         nonzero = [P for P in active if any(c != 0 for c in coeffs[P])]
         if not nonzero:
             break
-        dres = density_decompose(active, E, Nfun, q)
-        sres = size_decompose(dres.sparse, f, q, plugin)
+        dres = density_decompose(active, E, Nfun, q, counter=counter)
+        sres = size_decompose(dres.sparse, f, q, plugin, coeffs=coeffs, weights=weights)
         level_trees = tuple(dres.trees) + tuple(sres.trees)
         tag = _two_pow(n * q) if isinstance(q, int) else 2.0 ** (n * float(q))
         tag_size = tag * fq_pow
 
         certs: list[Certificate] = list(dres.certificates) + list(sres.certificates)
         members = [P for t in level_trees for P in t.members]
-        level_density = density(members, E, Nfun) if members else Fraction(0)
+        level_density = density(members, E, Nfun, counter=counter)
         certs.append(
             Certificate.make(
                 "level_density",
@@ -361,7 +374,7 @@ def full_decompose(
         )
         level_size_pow = Fraction(0)
         for t in level_trees:
-            v, _ = size_pow(t.members, f, q, plugin, coeffs=coeffs)
+            v, _ = size_pow(t.members, f, q, plugin, coeffs=coeffs, weights=weights)
             if _pow_gt(v, level_size_pow):
                 level_size_pow = v
         certs.append(
@@ -438,10 +451,14 @@ def carleson_form_certificate(
     |E|^(1/q') |f|_q together with per-tree tree-lemma ratios."""
     if any(value_norm(v, plugin.dual()) > 1 + 1e-9 for v in g.samples):
         warnings.warn("dual function exceeds pointwise norm one", stacklevel=2)
-    U = bitile_universe(f.L)
-    coll = list(U.items)
-    forest = full_decompose(coll, f, E, Nfun, q, plugin)
-    products = member_form_products(coll, f, g, E, Nfun)
+    coll = list(bitile_universe(f.L).items)
+    coeffs = down_coefficients_inf(f, coll)
+    counter = DensityCounter(E, Nfun)
+    weights = hilbert_member_weights(coll, coeffs) if _is_hilbert_case(q, plugin) else None
+    forest = full_decompose(
+        coll, f, E, Nfun, q, plugin, coeffs=coeffs, counter=counter, weights=weights
+    )
+    products = member_form_products(coll, f, g, E, Nfun, coeffs=coeffs)
 
     total = sum((abs(v) for v in products.values()), Fraction(0))
     qf = float(q)
@@ -450,7 +467,6 @@ def carleson_form_certificate(
     bound = float(E.measure) ** (1.0 / qprime) * fq
     ratio = float(total) / bound if bound > 0 else 0.0
 
-    counter = DensityCounter(E, Nfun)
     level_rows = []
     majorant = 0.0
     for rec in forest.levels:
@@ -460,7 +476,7 @@ def carleson_form_certificate(
         for tree in rec.trees:
             form = sum((abs(products[P]) for P in tree.members), Fraction(0))
             dens = density(tree.members, E, Nfun, counter=counter)
-            spow, _ = size_pow(tree.members, f, q, plugin)
+            spow, _ = size_pow(tree.members, f, q, plugin, coeffs=coeffs, weights=weights)
             size_val = float(spow) ** (1.0 / qf)
             rhs = size_val * float(dens) * float(tree.time.length)
             tree_rows.append(

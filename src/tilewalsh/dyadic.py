@@ -150,6 +150,11 @@ class Bitile:
         """Canonical total order used for all deterministic tie-breaks."""
         return (self.time.k, self.time.pos, self.m)
 
+    @staticmethod
+    def from_key(key: tuple[int, int, int]) -> "Bitile":
+        k, pos, m = key
+        return Bitile(DyadicInterval(k, pos), m)
+
     def to_json(self) -> dict:
         return {"k": self.time.k, "pos": self.time.pos, "m": self.m}
 
@@ -158,22 +163,34 @@ class Bitile:
         return Bitile(DyadicInterval(int(obj["k"]), int(obj["pos"])), int(obj["m"]))
 
 
+# The orders below compare integer indices.  With d = k_P - k_P2 >= 0 and
+# I_P inside I_P2, the frequency window of P at scale k_P2 is
+# [n 2^d, (n+1) 2^d) for its index n (bitile m, down-tile 2m, up-tile
+# 2m+1); it contains the window of index n2 of P2 iff n2 >> d == n.
+
+def _time_le(P: Bitile, P2: Bitile) -> int | None:
+    """d = k_P - k_P2 when I_P lies inside I_P2, else None."""
+    d = P.time.k - P2.time.k
+    return d if d >= 0 and P.time.pos >> d == P2.time.pos else None
+
+
 def bitile_le(P: Bitile, P2: Bitile) -> bool:
-    return P2.time.contains(P.time) and _freq_superset(
-        P.freq_lo, P.freq_hi, P2.freq_lo, P2.freq_hi
-    )
+    d = _time_le(P, P2)
+    return d is not None and P2.m >> d == P.m
 
 
 def bitile_lt(P: Bitile, P2: Bitile) -> bool:
-    return P != P2 and bitile_le(P, P2)
+    return bitile_le(P, P2) and P != P2
 
 
 def bitile_le_d(P: Bitile, P2: Bitile) -> bool:
-    return tile_le(P.down, P2.down)
+    d = _time_le(P, P2)
+    return d is not None and (2 * P2.m) >> d == 2 * P.m
 
 
 def bitile_le_u(P: Bitile, P2: Bitile) -> bool:
-    return tile_le(P.up, P2.up)
+    d = _time_le(P, P2)
+    return d is not None and (2 * P2.m + 1) >> d == 2 * P.m + 1
 
 
 def bitiles_overlap(P: Bitile, P2: Bitile) -> bool:

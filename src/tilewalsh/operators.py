@@ -13,6 +13,7 @@ from .signal import (
     FrequencyChoice,
     NormPlugin,
     Signal,
+    exact_terms,
     lq_norm,
     maximal_function,
     value_norm,
@@ -43,16 +44,17 @@ def carleson_direct(f: Signal, Nfun: FrequencyChoice) -> Signal:
         raise ValueError("resolution mismatch between signal and cutoff choice")
     out_comps = []
     for coef in walsh_coefficients(f):
+        terms, zero, finish = exact_terms(coef)
         comp = [Fraction(0)] * f.cells
         for j in range(f.cells):
             rj = bit_reverse(j, f.L)
-            acc = Fraction(0)
+            acc = zero
             for n in range(Nfun[j]):
                 if (n & rj).bit_count() & 1:
-                    acc = acc - coef[n]
+                    acc = acc - terms[n]
                 else:
-                    acc = acc + coef[n]
-            comp[j] = acc
+                    acc = acc + terms[n]
+            comp[j] = finish(acc)
         out_comps.append(comp)
     return f.with_components(out_comps)
 
@@ -64,9 +66,12 @@ def carleson_bitile(f: Signal, Nfun: FrequencyChoice, U: BitileUniverse) -> Sign
     if Nfun.L != f.L or U.L != f.L:
         raise ValueError("resolution mismatch between signal, cutoff and universe")
     L = f.L
-    comps = f.components()
-    out_comps = [[Fraction(0)] * f.cells for _ in comps]
-    weight = Fraction(1, f.cells)
+    # sums of signed samples, scaled by 2^k, finished with the 2^-L weight
+    comps, zeros, finishes = zip(
+        *(exact_terms(comp, f.cells) for comp in f.components())
+    )
+    out_comps = [[zero] * f.cells for zero in zeros]
+    cutoffs = Nfun.values
     for P in U.items:
         k = P.time.k
         local_levels = L - k
@@ -82,22 +87,23 @@ def carleson_bitile(f: Signal, Nfun: FrequencyChoice, U: BitileUniverse) -> Sign
             pattern = walsh(n_d, local_levels)
         lo, hi = (2 * P.m + 1) << k, (2 * P.m + 2) << k
         hit = [
-            jl for jl in range(1 << local_levels) if lo <= Nfun[base + jl] < hi
+            jl for jl in range(1 << local_levels) if lo <= cutoffs[base + jl] < hi
         ]
         if not hit:
             continue
-        factor = Fraction(1 << k)
-        for comp, out in zip(comps, out_comps):
-            acc = Fraction(0)
+        for comp, zero, out in zip(comps, zeros, out_comps):
+            acc = zero
             for jl, s in enumerate(pattern):
                 acc = acc + comp[base + jl] if s > 0 else acc - comp[base + jl]
             if acc == 0:
                 continue
-            c = acc * weight * factor
+            c = acc * (1 << k)
             for jl in hit:
                 j = base + jl
                 out[j] = out[j] + (c if pattern[jl] > 0 else -c)
-    return f.with_components(out_comps)
+    return f.with_components(
+        [[finish(x) for x in out] for finish, out in zip(finishes, out_comps)]
+    )
 
 
 def maximal_partial_sum(f: Signal, plugin: NormPlugin) -> Signal:

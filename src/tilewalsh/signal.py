@@ -24,10 +24,6 @@ Number = Fraction  # canonical exact scalar; floats are accepted everywhere
 # ---------------------------------------------------------------------------
 # value helpers (nested tuples)
 
-def vec(*xs) -> tuple:
-    return tuple(Fraction(x) if not isinstance(x, float) else x for x in xs)
-
-
 def value_add(a, b):
     if isinstance(a, tuple):
         return tuple(value_add(x, y) for x, y in zip(a, b))
@@ -56,6 +52,24 @@ def value_is_zero(a) -> bool:
     if isinstance(a, tuple):
         return all(value_is_zero(x) for x in a)
     return a == 0
+
+
+def exact_terms(values: Sequence, scale: int = 1):
+    """(terms, zero, finish) for signed sums of values divided by scale.
+
+    When every value is a Fraction the terms are integer numerators over
+    the lcm of their denominators, sums stay in integers and finish(sum)
+    makes the only Fraction.  Otherwise the terms are the values and
+    finish(sum) = sum / scale.
+    """
+    if all(isinstance(x, Fraction) for x in values):
+        den = math.lcm(*(x.denominator for x in values))
+        terms = [x.numerator * (den // x.denominator) for x in values]
+        return terms, 0, lambda acc: Fraction(acc, den * scale)
+    if scale == 1:
+        return list(values), Fraction(0), lambda acc: acc
+    weight = Fraction(1, scale)
+    return list(values), Fraction(0), lambda acc: acc * weight
 
 
 def flatten_value(a) -> list:
@@ -477,7 +491,23 @@ def signal_from_json(obj: dict) -> Signal:
     kind = obj["kind"]
     values = tuple(_value_from_json(v) for v in obj["values"])
     values = tuple(v if isinstance(v, tuple) else (v,) for v in values)
+    for j, v in enumerate(values):
+        if not _has_shape(v, d, kind):
+            raise ValueError(f"value {j} is not a {d}-dimensional {kind}")
     return Signal(L, d, kind, values)
+
+
+def _has_shape(v: tuple, d: int, kind: str) -> bool:
+    """v is d numbers (vector) or d rows of d numbers (matrix)."""
+
+    def is_row(r) -> bool:
+        return isinstance(r, tuple) and len(r) == d and not any(
+            isinstance(x, tuple) for x in r
+        )
+
+    if kind == "matrix":
+        return len(v) == d and all(is_row(r) for r in v)
+    return is_row(v)
 
 
 def levelset_to_json(E: LevelSet) -> dict:

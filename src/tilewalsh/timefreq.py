@@ -3,6 +3,7 @@ functionals, and the tree-lemma sums with their interval diagnostics."""
 
 from __future__ import annotations
 
+import math
 import warnings
 from dataclasses import dataclass
 from fractions import Fraction
@@ -22,6 +23,7 @@ from .signal import (
     LevelSet,
     NormPlugin,
     Signal,
+    exact_terms,
     value_norm,
     value_norm_pow,
 )
@@ -104,34 +106,25 @@ class TreeFamily:
 # ---------------------------------------------------------------------------
 # ancestor enumeration
 
-def bitile_ancestors(P: Bitile) -> Iterator[Bitile]:
-    """All bitiles above P in the tile order with time interval in [0,1),
-    in a fixed deterministic order (coarser scales first)."""
-    k, pos, m = P.time.k, P.time.pos, P.m
-    for kp in range(k + 1):
-        delta = k - kp
-        posp = pos >> delta
-        # frequency windows [2m' 2^kp, (2m'+2) 2^kp) inside [2m 2^k, (2m+2) 2^k)
-        first = m << delta
-        for mp in range(first, first + (1 << delta)):
-            yield Bitile(DyadicInterval(kp, posp), mp)
+def up_ancestor_keys(k: int, pos: int, m: int) -> Iterator[tuple[int, int, int]]:
+    """Keys (k', pos', m') of all bitiles T with the bitile (k, pos, m)
+    below T in the up-tile order, I_T in [0,1), coarser scales first.
+
+    d scales up, the up-tile windows inside [(2m+1) 2^k, (2m+2) 2^k) are
+    those of m' in [(2m+1) 2^(d-1), (m+1) 2^d): an integer range, so no
+    bitile objects are built.
+    """
+    for d in range(k, 0, -1):
+        posp = pos >> d
+        for mp in range((2 * m + 1) << (d - 1), (m + 1) << d):
+            yield (k - d, posp, mp)
+    yield (k, pos, m)
 
 
 def up_ancestors(P: Bitile) -> Iterator[Bitile]:
     """All bitiles T with P below T in the up-tile order, I_T in [0,1)."""
-    k, pos, m = P.time.k, P.time.pos, P.m
-    for kp in range(k + 1):
-        delta = k - kp
-        posp = pos >> delta
-        if delta == 0:
-            yield Bitile(DyadicInterval(kp, posp), m)
-            continue
-        # odd o = 2m'+1 with (2m+1) 2^delta <= o and o+1 <= (2m+2) 2^delta
-        o = ((2 * m + 1) << delta) + 1
-        end = ((2 * m + 2) << delta) - 1
-        while o <= end:
-            yield Bitile(DyadicInterval(kp, posp), (o - 1) // 2)
-            o += 2
+    for key in up_ancestor_keys(*P.key()):
+        yield Bitile.from_key(key)
 
 
 # ---------------------------------------------------------------------------
@@ -187,11 +180,20 @@ def verify_tree_identity(P: Bitile, T: Bitile, L: int) -> bool:
 # ---------------------------------------------------------------------------
 # wave packet sums over member sets
 
+def _packet_accumulator(f: Signal):
+    """(components, zero, finish) for pairing f with packets: signed sample
+    sums start at zero and finish(sum) is the pairing, sum * 2^-L.  With
+    rational samples the components are integer numerators over their
+    common denominator, and finish makes the only Fraction."""
+    n = f.cells
+    flat, zero, finish = exact_terms([x for comp in f.components() for x in comp], n)
+    return [flat[i : i + n] for i in range(0, len(flat), n)], zero, finish
+
+
 def down_coefficients_inf(f: Signal, members: Sequence[Bitile]) -> dict[Bitile, list[Fraction]]:
     """Sup-normalized pairings of every component of f with each member's
     down packet; exact rationals."""
-    comps = f.components()
-    weight = Fraction(1, f.cells)
+    comps, zero, finish = _packet_accumulator(f)
     out: dict[Bitile, list[Fraction]] = {}
     for P in members:
         k = P.time.k
@@ -200,10 +202,10 @@ def down_coefficients_inf(f: Signal, members: Sequence[Bitile]) -> dict[Bitile, 
         pattern = walsh(2 * P.m, local) if local else (1,)
         coeffs = []
         for comp in comps:
-            acc = Fraction(0)
+            acc = zero
             for jl, s in enumerate(pattern):
                 acc = acc + comp[base + jl] if s > 0 else acc - comp[base + jl]
-            coeffs.append(acc * weight)
+            coeffs.append(finish(acc))
         out[P] = coeffs
     return out
 
@@ -246,63 +248,76 @@ def down_packet_sum(
 # density
 
 class DensityCounter:
-    """Per-interval cumulative histograms of the cutoff values over the
-    cells of a level set; supports O(1) exact window counts."""
+    """Local density of every grid bitile relative to a set E and a cutoff
+    choice N, as a dynamic-programming table built in O(L 2^L).
+
+    The table covers the grid bitiles (k, pos, m) whose window starts at or
+    below the top cutoff, 2m 2^k <= 2^L.  The occupied fraction of a bitile
+    is an integer numerator over 2^L,
+
+        own(k, pos, m) = #{j in E : j >> (L-k) = pos, N(j) >> (k+1) = m} << k,
+
+    filled by one pass over the cells of E per scale.  The ancestors of a
+    bitile are itself and the ancestors of its two coarser parents
+    (k-1, pos>>1, 2m) and (k-1, pos>>1, 2m+1), which split its window in
+    halves; so, scale by scale from the coarsest,
+
+        best(k, pos, m) = max(own(k, pos, m), best of the two parents).
+
+    Entries are tuples (numerator, -k', -m') naming the witness (k', m');
+    its position is pos >> (k - k').  Taking the tuple maximum breaks ties
+    towards the smaller (k', m'), which is the first strict maximum of a
+    walk over the ancestors with coarse scales first and m ascending.
+    """
 
     def __init__(self, E: LevelSet, Nfun: FrequencyChoice) -> None:
         if E.L != Nfun.L:
             raise ValueError("resolution mismatch between set and cutoff choice")
-        self.L = E.L
-        top = (1 << self.L) + 1  # cutoffs live in [0, 2^L]
-        self.top = top
-        cells = 1 << self.L
-        # hist[(k, pos)] = cumulative counts: entry t = #cells in I, in E, N < t
-        self.cum: dict[tuple[int, int], list[int]] = {}
-        level = []
-        for j in range(cells):
-            h = [0] * (top + 1)
-            if j in E:
-                for t in range(Nfun[j] + 1, top + 1):
-                    h[t] = 1
-            level.append(h)
-            self.cum[(self.L, j)] = h
-        k = self.L
-        while k > 0:
-            nxt = []
-            for i in range(len(level) // 2):
-                a, b = level[2 * i], level[2 * i + 1]
-                h = [x + y for x, y in zip(a, b)]
-                nxt.append(h)
-                self.cum[(k - 1, i)] = h
-            level = nxt
-            k -= 1
+        L = self.L = E.L
+        self.E, self.Nfun = E, Nfun
+        cells = E.cells()
+        # scale k holds 2^k rows of width[k] entries, at pos * width[k] + m
+        self.width = [((1 << L) >> (k + 1)) + 1 for k in range(L + 1)]
+        self.table: list[list[tuple[int, int, int]]] = []
+        for k, w in enumerate(self.width):
+            own = [0] * (w << k)
+            for j in cells:
+                own[(j >> (L - k)) * w + (Nfun[j] >> (k + 1))] += 1
+            best = [(c << k, -k, -(i % w)) for i, c in enumerate(own)]
+            if k:
+                above, pw = self.table[-1], self.width[k - 1]
+                for i in range(len(best)):
+                    pos, m = divmod(i, w)
+                    row = (pos >> 1) * pw
+                    for pm in (2 * m, 2 * m + 1):
+                        if pm < pw and above[row + pm] > best[i]:
+                            best[i] = above[row + pm]
+            self.table.append(best)
 
     def count(self, I: DyadicInterval, freq_lo: int, freq_hi: int) -> int:
         """Number of cells of I in E whose cutoff lies in [freq_lo, freq_hi)."""
-        lo = min(freq_lo, self.top)
-        hi = min(freq_hi, self.top)
-        if hi <= lo:
-            return 0
-        h = self.cum[(I.k, I.pos)]
-        return h[hi] - h[lo]
+        E, N = self.E, self.Nfun
+        return sum(1 for j in I.cells(self.L) if j in E and freq_lo <= N[j] < freq_hi)
 
 
 def local_density(
     P: Bitile, counter: DensityCounter
 ) -> tuple[Fraction, Bitile]:
     """Largest occupied fraction over the ancestors of P, with the first
-    maximizing ancestor (deterministic enumeration order) as witness."""
-    best = Fraction(0)
-    witness = P
-    for Pp in bitile_ancestors(P):
-        cnt = counter.count(Pp.time, Pp.freq_lo, Pp.freq_hi)
-        if cnt == 0:
-            continue
-        frac = Fraction(cnt, 1 << (counter.L - Pp.time.k))
-        if frac > best:
-            best = frac
-            witness = Pp
-    return best, witness
+    maximizing ancestor (coarse scales first, then m ascending) as
+    witness; P itself when every ancestor is empty.  A table lookup (see
+    DensityCounter); a bitile outside the table has only empty ancestors,
+    since its window starts above 2^L or its interval lies outside [0,1)."""
+    k, pos, m = P.time.k, P.time.pos, P.m
+    if k > counter.L:
+        raise ValueError(f"bitile finer than the grid: k={k} > L={counter.L}")
+    w = counter.width[k]
+    if pos >> k or m >= w:
+        return Fraction(0), P
+    num, nk, nm = counter.table[k][pos * w + m]
+    if not num:
+        return Fraction(0), P
+    return Fraction(num, 1 << counter.L), Bitile(DyadicInterval(-nk, pos >> (k + nk)), -nm)
 
 
 def density(
@@ -333,6 +348,19 @@ def up_cells(P: Bitile, E: LevelSet, Nfun: FrequencyChoice) -> list[int]:
 # ---------------------------------------------------------------------------
 # size
 
+def _is_hilbert_case(q, plugin: NormPlugin) -> bool:
+    """q = 2 with a Hilbert-space norm: Delta^2 is a coefficient sum."""
+    return q == 2 and (
+        plugin.name == "euclidean" or (plugin.name == "schatten" and plugin.p == 2)
+    )
+
+
+def _pow_gt(a, b) -> bool:
+    if isinstance(a, Fraction) and isinstance(b, Fraction):
+        return a > b
+    return float(a) > float(b)
+
+
 def tree_delta_pow(
     tree: Tree,
     f: Signal,
@@ -347,10 +375,7 @@ def tree_delta_pow(
         return Fraction(0)
     if coeffs is None:
         coeffs = down_coefficients_inf(f, up)
-    is_q2 = (q == 2) and (
-        plugin.name == "euclidean" or (plugin.name == "schatten" and plugin.p == 2)
-    )
-    if is_q2:
+    if _is_hilbert_case(q, plugin):
         # distinct up-tree members carry orthogonal down packets, so the
         # quadratic mass collapses to a coefficient sum
         acc = Fraction(0)
@@ -383,32 +408,68 @@ def tree_delta_pow(
     return total * float(scale)
 
 
-def tree_delta(tree: Tree, f: Signal, q, plugin: NormPlugin) -> float:
-    pow_val = tree_delta_pow(tree, f, q, plugin)
-    return float(pow_val) ** (1.0 / float(q))
+@dataclass(frozen=True)
+class HilbertWeights:
+    """Per-member quadratic masses w_P = 2^k_P sum_i c_i^2 over the down
+    coefficients c_i of P, keyed by (k, pos, m); the building block of the
+    q = 2 Parseval evaluation Delta(T)^2 = 2^k_T sum_{P <=_u T} w_P.
+
+    With exact coefficients each mass is a Python-int numerator over one
+    common denominator den, the squared lcm of the coefficient
+    denominators, so that sums and comparisons stay in integers.  With
+    float coefficients the masses are the plain numbers and den is 1.
+    """
+
+    num: dict[tuple[int, int, int], int | Fraction | float]
+    den: int
+
+    def value(self, x):
+        """x / den; a Fraction for an integer numerator."""
+        return Fraction(x, self.den) if isinstance(x, int) else x
+
+    def exceeds(self, x, bound) -> bool:
+        """x / den > bound, by cross-multiplication when both are exact."""
+        if isinstance(x, int) and isinstance(bound, Fraction):
+            return x * bound.denominator > bound.numerator * self.den
+        return _pow_gt(self.value(x), bound)
 
 
 def hilbert_member_weights(
     coll: Sequence[Bitile], coeffs: dict[Bitile, list[Fraction]]
-) -> dict[Bitile, Fraction]:
-    """Per-member quadratic mass 2^k sum of squared coefficients; the
-    building block of the q = 2 Parseval evaluation of Delta."""
-    return {
-        P: sum((c * c for c in coeffs[P]), Fraction(0)) * (1 << P.time.k)
+) -> HilbertWeights:
+    """The masses w_P of the members of coll (see HilbertWeights)."""
+    if not all(isinstance(c, Fraction) for P in coll for c in coeffs[P]):
+        return HilbertWeights(
+            {
+                P.key(): sum((c * c for c in coeffs[P]), Fraction(0)) * (1 << P.time.k)
+                for P in coll
+            },
+            1,
+        )
+    lcm = math.lcm(*(c.denominator for P in coll for c in coeffs[P]))
+    num = {
+        P.key(): sum((c.numerator * (lcm // c.denominator)) ** 2 for c in coeffs[P])
+        << P.time.k
         for P in coll
     }
+    return HilbertWeights(num, lcm * lcm)
 
 
 def hilbert_top_sums(
-    coll: Sequence[Bitile], weights: dict[Bitile, Fraction]
-) -> dict[Bitile, Fraction]:
-    """For every candidate top, the sum of member weights below it in the
-    up-tile order.  Delta(T)^2 of the complete up-tree is sum * 2^{k_T}."""
-    sums: dict[Bitile, Fraction] = {}
-    for P in sorted(coll, key=Bitile.key):
-        w = weights[P]
-        for T in up_ancestors(P):
-            sums[T] = sums.get(T, Fraction(0)) + w
+    coll: Sequence[Bitile], weights: HilbertWeights
+) -> dict[tuple[int, int, int], int | Fraction | float]:
+    """For every candidate top T, keyed by (k, pos, m), the sum S(T) of the
+    member masses below it in the up-tile order, as a numerator over
+    weights.den.  Delta(T)^2 of the complete up-tree is S(T) 2^k_T / den.
+
+    Members are added in canonical order, each to the integer ranges of
+    up_ancestor_keys, so float masses are summed in a fixed order."""
+    num = weights.num
+    sums: dict[tuple[int, int, int], int | Fraction | float] = {}
+    for key in sorted(P.key() for P in coll):
+        w = num[key]
+        for T in up_ancestor_keys(*key):
+            sums[T] = sums.get(T, 0) + w
     return sums
 
 
@@ -432,6 +493,7 @@ def size_pow(
     plugin: NormPlugin,
     tops: Sequence[Bitile] | None = None,
     coeffs: dict[Bitile, list[Fraction]] | None = None,
+    weights: HilbertWeights | None = None,
 ):
     """(q-th power of size, witness tree).  The size is computed over the
     complete up-tree below every candidate top; for the Hilbert q = 2 case
@@ -439,24 +501,22 @@ def size_pow(
     coll = list(coll)
     if not coll:
         return Fraction(0), None
-    if coeffs is None:
+    parseval = _is_hilbert_case(q, plugin) and tops is None
+    if coeffs is None and not (parseval and weights is not None):
         coeffs = down_coefficients_inf(f, coll)
-    is_q2 = (q == 2) and (
-        plugin.name == "euclidean" or (plugin.name == "schatten" and plugin.p == 2)
-    )
-    if is_q2 and tops is None:
-        # Parseval: Delta^2 of every complete up-tree from one sweep
-        weights = hilbert_member_weights(coll, coeffs)
+    if parseval:
+        # Delta^2 of every complete up-tree from one sweep
+        if weights is None:
+            weights = hilbert_member_weights(coll, coeffs)
         sums = hilbert_top_sums(coll, weights)
-        best = Fraction(0)
-        best_top = None
-        for T in sorted(sums, key=Bitile.key):
-            val = sums[T] * (1 << T.time.k)
+        best, best_top = 0, None
+        for T in sorted(sums):
+            val = sums[T] * (1 << T[0])
             if val > best:
-                best = val
-                best_top = T
-        witness = complete_up_tree(best_top, coll) if best_top is not None else None
-        return best, witness
+                best, best_top = val, T
+        if best_top is None:
+            return Fraction(0), None
+        return weights.value(best), complete_up_tree(Bitile.from_key(best_top), coll)
     if tops is None:
         tops = candidate_tops(coll)
     best = Fraction(0)
@@ -470,12 +530,6 @@ def size_pow(
             best = val
             witness = tree
     return best, witness
-
-
-def _pow_gt(a, b) -> bool:
-    if isinstance(a, Fraction) and isinstance(b, Fraction):
-        return a > b
-    return float(a) > float(b)
 
 
 def size(
@@ -498,13 +552,13 @@ def member_form_products(
     g: Signal,
     E: LevelSet,
     Nfun: FrequencyChoice,
+    coeffs: dict[Bitile, list[Fraction]] | None = None,
 ) -> dict[Bitile, Fraction]:
     """Signed per-member bilinear terms
     < <f, down packet>, <down packet, g restricted to E_{P_u}> >; exact."""
-    fco = down_coefficients_inf(f, tree_members)
+    fco = coeffs if coeffs is not None else down_coefficients_inf(f, tree_members)
     terms: dict[Bitile, Fraction] = {}
-    gcomps = g.components()
-    weight = Fraction(1, g.cells)
+    gcomps, zero, finish = _packet_accumulator(g)
     for P in tree_members:
         k = P.time.k
         local = g.L - k
@@ -513,12 +567,12 @@ def member_form_products(
         lo, hi = P.up.freq_lo, P.up.freq_hi
         gvec = []
         for comp in gcomps:
-            acc = Fraction(0)
+            acc = zero
             for jl, s in enumerate(pattern):
                 j = base + jl
                 if j in E and lo <= Nfun[j] < hi:
                     acc = acc + comp[j] if s > 0 else acc - comp[j]
-            gvec.append(acc * weight)
+            gvec.append(finish(acc))
         fvec = fco[P]
         prod = Fraction(0)
         for a, b in zip(fvec, gvec):

@@ -14,6 +14,7 @@ from functools import lru_cache
 from typing import Sequence
 
 from .dyadic import DyadicInterval, Tile
+from .signal import exact_terms
 
 
 def bit_reverse(x: int, bits: int) -> int:
@@ -155,7 +156,8 @@ def fwht(samples: Sequence, normalize: bool = True) -> list:
     if size == 0 or size & (size - 1):
         raise ValueError(f"sample count {size} is not a power of two")
     L = size.bit_length() - 1
-    buf = [samples[bit_reverse(j, L)] for j in range(size)]
+    terms, _, finish = exact_terms(samples, size if normalize else 1)
+    buf = [terms[bit_reverse(j, L)] for j in range(size)]
     h = 1
     while h < size:
         for start in range(0, size, 2 * h):
@@ -163,10 +165,7 @@ def fwht(samples: Sequence, normalize: bool = True) -> list:
                 a, b = buf[j], buf[j + h]
                 buf[j], buf[j + h] = a + b, a - b
         h *= 2
-    if normalize:
-        w = Fraction(1, size)
-        buf = [x * w for x in buf]
-    return buf
+    return [finish(x) for x in buf]
 
 
 def ifwht(coefficients: Sequence) -> list:
@@ -175,7 +174,7 @@ def ifwht(coefficients: Sequence) -> list:
     if size == 0 or size & (size - 1):
         raise ValueError(f"coefficient count {size} is not a power of two")
     L = size.bit_length() - 1
-    buf = list(coefficients)
+    buf, _, finish = exact_terms(coefficients)
     h = 1
     while h < size:
         for start in range(0, size, 2 * h):
@@ -183,7 +182,7 @@ def ifwht(coefficients: Sequence) -> list:
                 a, b = buf[j], buf[j + h]
                 buf[j], buf[j + h] = a + b, a - b
         h *= 2
-    return [buf[bit_reverse(j, L)] for j in range(size)]
+    return [finish(buf[bit_reverse(j, L)]) for j in range(size)]
 
 
 def pairing_inf(samples: Sequence, P: Tile, L: int):

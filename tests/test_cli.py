@@ -235,3 +235,70 @@ class TestEnvironment:
         r = runner.invoke(main, ["gen", "--levels", "2", "--seed", "0", "--out", "x"],
                           env={"TILEWALSH_THREADS": "many"})
         assert r.exit_code != 0
+
+
+class TestInputErrors:
+    """Bad input exits 2 with a message, before any work; 1 stays reserved
+    for a failed theorem-backed certificate."""
+
+    def test_decompose_resolution_mismatch(self, runner, tmp_path):
+        inst = gen_instance(runner, tmp_path, levels=3)
+        other = gen_instance(runner, tmp_path / "o", levels=2)
+        r = runner.invoke(
+            main,
+            ["decompose", "--in", str(inst / "signal.json"), "--set", str(other / "set.json"),
+             "--nfun", str(inst / "nfun.json"), "--out", str(tmp_path / "x.json")],
+        )
+        assert r.exit_code == 2 and "mismatch" in r.output
+
+    def test_certify_resolution_mismatch(self, runner, tmp_path):
+        inst = gen_instance(runner, tmp_path, levels=3)
+        other = gen_instance(runner, tmp_path / "o", levels=2)
+        r = runner.invoke(
+            main,
+            ["certify", "--in", str(inst / "signal.json"), "--nfun", str(other / "nfun.json"),
+             "--out", str(tmp_path / "x.json")],
+        )
+        assert r.exit_code == 2 and "mismatch" in r.output
+
+    def test_zero_signal(self, runner, tmp_path):
+        inst = gen_instance(runner, tmp_path, levels=2)
+        zero = tmp_path / "zero.json"
+        zero.write_text(json.dumps({"levels": 2, "dim": 1, "kind": "vector", "values": ["0"] * 4}))
+        for command, extra in (("decompose", []), ("certify", ["--dual", str(inst / "dual.json")])):
+            r = runner.invoke(
+                main,
+                [command, "--in", str(zero), "--set", str(inst / "set.json"),
+                 "--nfun", str(inst / "nfun.json"), *extra, "--out", str(tmp_path / "x.json")],
+            )
+            assert r.exit_code == 2 and "zero signal" in r.output
+
+    def test_inverse_without_coefficients(self, runner, tmp_path):
+        empty = tmp_path / "empty.json"
+        empty.write_text("{}")
+        r = runner.invoke(main, ["transform", "--inverse", "--in", str(empty), "--out", str(tmp_path / "x.json")])
+        assert r.exit_code == 2 and "coefficient" in r.output
+
+    @pytest.mark.parametrize(
+        "dim, kind, value",
+        [(2, "vector", ["1/3"]), (1, "vector", ["1", "2"]), (2, "matrix", ["1", "2"]), (1, "vector", [["1"]])],
+    )
+    def test_dim_disagrees_with_values(self, runner, tmp_path, dim, kind, value):
+        sig = tmp_path / "s.json"
+        sig.write_text(json.dumps({"levels": 1, "dim": dim, "kind": kind, "values": [value, value]}))
+        r = runner.invoke(main, ["transform", "--in", str(sig), "--out", str(tmp_path / "x.json")])
+        assert r.exit_code == 2 and "malformed signal" in r.output
+
+    @pytest.mark.parametrize("levels", ["0", "21"])
+    def test_levels_out_of_range(self, runner, tmp_path, levels):
+        for command in ("certify", "rwt"):
+            r = runner.invoke(main, [command, "--levels", levels, "--out", str(tmp_path / "x.json")])
+            assert r.exit_code == 2 and "--levels" in r.output
+        assert not (tmp_path / "x.json").exists()
+
+    @pytest.mark.parametrize("threads", ["0", "-2", "many"])
+    def test_thread_env_must_be_positive(self, runner, tmp_path, threads):
+        r = runner.invoke(main, ["gen", "--levels", "2", "--out", str(tmp_path / "g")],
+                          env={"TILEWALSH_THREADS": threads})
+        assert r.exit_code == 2 and "TILEWALSH_THREADS" in r.output
+        assert not (tmp_path / "g").exists()

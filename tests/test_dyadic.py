@@ -1,5 +1,7 @@
 """Order laws, dichotomy, and universe enumeration for the dyadic layer."""
 
+import itertools
+
 import pytest
 from fractions import Fraction
 from hypothesis import given, strategies as st
@@ -108,6 +110,19 @@ class TestTileOrder:
     def test_down_up_tiles_consistent(self, a, b):
         assert tile_le(a.down, b.down) == bitile_le_d(a, b)
         assert tile_le(a.up, b.up) == bitile_le_u(a, b)
+
+    def test_index_orders_match_windows_exhaustive(self):
+        items = [
+            Bitile(DyadicInterval(k, pos), m)
+            for k in range(4)
+            for pos in range(1 << k)
+            for m in range(20 >> k)
+        ]
+        for a, b in itertools.product(items, items):
+            windows = a.freq_lo <= b.freq_lo and b.freq_hi <= a.freq_hi
+            assert bitile_le(a, b) == (b.time.contains(a.time) and windows)
+            assert bitile_le_d(a, b) == tile_le(a.down, b.down)
+            assert bitile_le_u(a, b) == tile_le(a.up, b.up)
 
     @given(bitiles(), bitiles())
     def test_tiles_disjoint_symmetric(self, a, b):

@@ -26,7 +26,6 @@ from tilewalsh.timefreq import (
     DensityCounter,
     Tree,
     TreeFamily,
-    bitile_ancestors,
     candidate_tops,
     complete_up_tree,
     density,
@@ -46,6 +45,8 @@ from tilewalsh.timefreq import (
     verify_tree_identity,
 )
 from tilewalsh.walsh import pairing_inf
+
+from reference import bitile_ancestors
 
 EUCL = NormPlugin("euclidean")
 
