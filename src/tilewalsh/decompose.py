@@ -78,6 +78,8 @@ class LevelRecord:
     n: int
     trees: tuple[Tree, ...]
     certificates: tuple[Certificate, ...]
+    # q-th power of each tree's size, in the order of trees
+    size_pows: tuple[Fraction | float, ...]
 
 
 @dataclass(frozen=True)
@@ -372,9 +374,12 @@ def full_decompose(
                 context={"n": n},
             )
         )
+        tree_pows = tuple(
+            size_pow(t.members, f, q, plugin, coeffs=coeffs, weights=weights)[0]
+            for t in level_trees
+        )
         level_size_pow = Fraction(0)
-        for t in level_trees:
-            v, _ = size_pow(t.members, f, q, plugin, coeffs=coeffs, weights=weights)
+        for v in tree_pows:
             if _pow_gt(v, level_size_pow):
                 level_size_pow = v
         certs.append(
@@ -396,7 +401,7 @@ def full_decompose(
                 context={"n": n, "mass_constant": float(mass) * float(tag)},
             )
         )
-        levels.append(LevelRecord(n, level_trees, tuple(certs)))
+        levels.append(LevelRecord(n, level_trees, tuple(certs), tree_pows))
         active = list(sres.small)
         n -= 1
 
@@ -473,10 +478,9 @@ def carleson_form_certificate(
         tag = 2.0 ** (rec.n * qf)
         tree_rows = []
         level_mass = 0.0
-        for tree in rec.trees:
+        for tree, spow in zip(rec.trees, rec.size_pows):
             form = sum((abs(products[P]) for P in tree.members), Fraction(0))
             dens = density(tree.members, E, Nfun, counter=counter)
-            spow, _ = size_pow(tree.members, f, q, plugin, coeffs=coeffs, weights=weights)
             size_val = float(spow) ** (1.0 / qf)
             rhs = size_val * float(dens) * float(tree.time.length)
             tree_rows.append(

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 from typing import Iterator
 
 
@@ -231,8 +232,10 @@ class BitileUniverse:
         return cached
 
 
+@lru_cache(maxsize=8)
 def bitile_universe(L: int) -> BitileUniverse:
-    """Enumerate the finite bitile universe at resolution exponent L."""
+    """Enumerate the finite bitile universe at resolution exponent L; one
+    shared immutable instance per L."""
     if not 1 <= L <= MAX_LEVELS:
         raise ValueError(f"resolution exponent L={L} outside [1, {MAX_LEVELS}]")
     items: list[Bitile] = []

@@ -7,8 +7,10 @@ import math
 from fractions import Fraction
 from typing import Iterable, Mapping, Sequence
 
+import numpy as np
+
 from .certificates import Certificate
-from .dyadic import Bitile, BitileUniverse, DyadicInterval, unit_intervals
+from .dyadic import BitileUniverse, DyadicInterval, unit_intervals
 from .signal import (
     FrequencyChoice,
     NormPlugin,
@@ -18,7 +20,7 @@ from .signal import (
     maximal_function,
     value_norm,
 )
-from .walsh import bit_reverse, fwht, ifwht, walsh
+from .walsh import bit_reversal, bit_reverse, fwht, ifwht, packet_rows
 
 
 def walsh_coefficients(f: Signal) -> list[list]:
@@ -39,71 +41,116 @@ def partial_sum(f: Signal, N: int) -> Signal:
 
 def carleson_direct(f: Signal, Nfun: FrequencyChoice) -> Signal:
     """Partial sum with a per-cell cutoff, evaluated coefficient by
-    coefficient: output(cell) = S_{N(cell)} f (cell)."""
+    coefficient: output(cell) = S_{N(cell)} f (cell).
+
+    The oracle for carleson_bitile, so it shares no packet arithmetic with
+    it.  Integer coefficient numerators are summed row by row in int64
+    numpy blocks when |numerator| 2^L stays below 2^62; floats and larger
+    numerators take the Python loop."""
     if Nfun.L != f.L:
         raise ValueError("resolution mismatch between signal and cutoff choice")
-    out_comps = []
-    for coef in walsh_coefficients(f):
-        terms, zero, finish = exact_terms(coef)
-        comp = [Fraction(0)] * f.cells
-        for j in range(f.cells):
-            rj = bit_reverse(j, f.L)
-            acc = zero
-            for n in range(Nfun[j]):
-                if (n & rj).bit_count() & 1:
-                    acc = acc - terms[n]
-                else:
-                    acc = acc + terms[n]
-            comp[j] = finish(acc)
-        out_comps.append(comp)
-    return f.with_components(out_comps)
+    L = f.L
+    coefs = [exact_terms(coef) for coef in walsh_coefficients(f)]
+    columns = [terms for terms, _, _ in coefs]
+    if all(type(c) is int for col in columns for c in col) and (
+        max(abs(c) for col in columns for c in col).bit_length() + L < 62
+    ):
+        sums = _cutoff_row_sums(columns, Nfun.values, L)
+    else:
+        sums = [_cutoff_row_sums_python(terms, zero, Nfun.values, L) for terms, zero, _ in coefs]
+    return f.with_components(
+        [[finish(x) for x in row] for (_, _, finish), row in zip(coefs, sums)]
+    )
+
+
+def _cutoff_row_sums_python(terms: Sequence, zero, cutoffs: Sequence[int], L: int) -> list:
+    """sum_{n < N(j)} terms[n] w_n(j) for every cell j, term by term."""
+    out = []
+    for j, cutoff in enumerate(cutoffs):
+        rj = bit_reverse(j, L)
+        acc = zero
+        for n in range(cutoff):
+            if (n & rj).bit_count() & 1:
+                acc = acc - terms[n]
+            else:
+                acc = acc + terms[n]
+        out.append(acc)
+    return out
+
+
+# int64 entries of the Walsh sign block held at once (rows x 2^L): 64 KiB
+# per temporary, so the oracle's peak memory stays that of the Python loop
+_DIRECT_BLOCK = 1 << 13
+
+
+def _cutoff_row_sums(columns: list[list[int]], cutoffs: Sequence[int], L: int) -> list[list[int]]:
+    """_cutoff_row_sums_python for several integer columns at once, in
+    int64: blocks of rows of the masked Walsh matrix times the columns.
+    w_n(j) = (-1)^parity(n & rev(j)), read from a parity table; the caller
+    guarantees |column entry| 2^L < 2^62."""
+    size = 1 << L
+    idx = np.arange(size, dtype=np.int64)
+    parity = np.zeros(size, dtype=np.int64)
+    rev = np.zeros(size, dtype=np.int64)
+    for b in range(L):
+        bit = (idx >> b) & 1
+        parity ^= bit
+        rev |= bit << (L - 1 - b)
+    sign = 1 - 2 * parity
+    coef = np.array(columns, dtype=np.int64).T
+    limit = np.asarray(cutoffs, dtype=np.int64)
+    out = np.empty((size, len(columns)), dtype=np.int64)
+    step = max(1, _DIRECT_BLOCK >> L)
+    for lo in range(0, size, step):
+        rows = slice(lo, lo + step)
+        block = sign[idx & rev[rows, None]]
+        block[idx >= limit[rows, None]] = 0
+        out[rows] = block @ coef
+    return out.T.tolist()
 
 
 def carleson_bitile(f: Signal, Nfun: FrequencyChoice, U: BitileUniverse) -> Signal:
     """Bitile form of the linearized operator: each bitile contributes its
     down-packet component on the cells where the cutoff lands in the up-tile
-    frequency window.  Equals carleson_direct exactly on rational input."""
+    frequency window.  Equals carleson_direct exactly on rational input.
+
+    A cell j meets at most one bitile per scale k, the one whose up-tile
+    index n = N(j) >> k is odd; with l = L - k it contributes
+    rows[k][(j >> l << l) + n - 1] 2^k w_{n-1}(j mod 2^l) from the
+    component's packet table (walsh.packet_rows), O(L 2^L) in all.  The
+    contributions are added scale by scale from the coarsest, the order in
+    which the universe lists the bitiles, so float sums keep their bits."""
     if Nfun.L != f.L or U.L != f.L:
         raise ValueError("resolution mismatch between signal, cutoff and universe")
     L = f.L
-    # sums of signed samples, scaled by 2^k, finished with the 2^-L weight
-    comps, zeros, finishes = zip(
-        *(exact_terms(comp, f.cells) for comp in f.components())
-    )
-    out_comps = [[zero] * f.cells for zero in zeros]
-    cutoffs = Nfun.values
-    for P in U.items:
-        k = P.time.k
-        local_levels = L - k
-        n_d = 2 * P.m
-        if n_d != 0 and n_d >= (1 << local_levels):
-            # down packet oscillates below cell scale; its pairing with any
-            # grid-constant signal vanishes
-            continue
-        base = P.time.pos << local_levels
-        if local_levels == 0:
-            pattern = (1,)
-        else:
-            pattern = walsh(n_d, local_levels)
-        lo, hi = (2 * P.m + 1) << k, (2 * P.m + 2) << k
-        hit = [
-            jl for jl in range(1 << local_levels) if lo <= cutoffs[base + jl] < hi
-        ]
-        if not hit:
-            continue
-        for comp, zero, out in zip(comps, zeros, out_comps):
+    rev = bit_reversal(L)
+    # per cell: (scale, table index, sign) of every bitile it meets
+    hits = []
+    for j, cutoff in enumerate(Nfun.values):
+        cell = []
+        for k in range(L + 1):
+            n = cutoff >> k
+            if n & 1:
+                l = L - k
+                neg = ((n - 1) & (rev[j] >> k)).bit_count() & 1
+                cell.append((k, (j >> l << l) + n - 1, neg))
+        hits.append(cell)
+    out_comps = []
+    for comp in f.components():
+        # sums of signed samples, scaled by 2^k, finished with the 2^-L weight
+        terms, zero, finish = exact_terms(comp, f.cells)
+        rows = packet_rows(terms, zero, L)
+        out = []
+        for cell in hits:
             acc = zero
-            for jl, s in enumerate(pattern):
-                acc = acc + comp[base + jl] if s > 0 else acc - comp[base + jl]
-            if acc == 0:
-                continue
-            c = acc * (1 << k)
-            for jl in hit:
-                j = base + jl
-                out[j] = out[j] + (c if pattern[jl] > 0 else -c)
-    return f.with_components(
-        [[finish(x) for x in out] for finish, out in zip(finishes, out_comps)]
-    )
+            for k, i, neg in cell:
+                c = rows[k][i]
+                if c:
+                    c = c * (1 << k)
+                    acc = acc - c if neg else acc + c
+            out.append(finish(acc))
+        out_comps.append(out)
+    return f.with_components(out_comps)
 
 
 def maximal_partial_sum(f: Signal, plugin: NormPlugin) -> Signal:

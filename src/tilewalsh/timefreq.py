@@ -27,7 +27,7 @@ from .signal import (
     value_norm,
     value_norm_pow,
 )
-from .walsh import bit_reverse, walsh, walsh_value
+from .walsh import bit_reversal, bit_reverse, packet_rows, walsh, walsh_value
 
 
 # ---------------------------------------------------------------------------
@@ -192,21 +192,18 @@ def _packet_accumulator(f: Signal):
 
 def down_coefficients_inf(f: Signal, members: Sequence[Bitile]) -> dict[Bitile, list[Fraction]]:
     """Sup-normalized pairings of every component of f with each member's
-    down packet; exact rationals."""
+    down packet; exact rationals.  Each is the entry (k, pos 2^(L-k) + 2m)
+    of the component's packet table (walsh.packet_rows)."""
     comps, zero, finish = _packet_accumulator(f)
+    tables = [packet_rows(comp, zero, f.L) for comp in comps]
     out: dict[Bitile, list[Fraction]] = {}
     for P in members:
-        k = P.time.k
+        k, pos, m = P.key()
         local = f.L - k
-        base = P.time.pos << local
-        pattern = walsh(2 * P.m, local) if local else (1,)
-        coeffs = []
-        for comp in comps:
-            acc = zero
-            for jl, s in enumerate(pattern):
-                acc = acc + comp[base + jl] if s > 0 else acc - comp[base + jl]
-            coeffs.append(finish(acc))
-        out[P] = coeffs
+        if (2 * m) >> local:
+            raise ValueError(f"down packet of {P} oscillates below cell scale at L={f.L}")
+        i = (pos << local) + 2 * m
+        out[P] = [finish(rows[k][i]) for rows in tables]
     return out
 
 
@@ -555,29 +552,41 @@ def member_form_products(
     coeffs: dict[Bitile, list[Fraction]] | None = None,
 ) -> dict[Bitile, Fraction]:
     """Signed per-member bilinear terms
-    < <f, down packet>, <down packet, g restricted to E_{P_u}> >; exact."""
+    < <f, down packet>, <down packet, g restricted to E_{P_u}> >; exact.
+
+    The pairings with g come from one pass per scale k over the cells of E:
+    with l = L - k, cell j lies in the up-window of the bitile
+    (k, j >> l, n >> 1) exactly when n = N(j) >> k is odd, and its down
+    packet is w_{n-1}(j mod 2^l) there.  Cells are visited in ascending
+    order, so each pairing sums its samples in cell order."""
     fco = coeffs if coeffs is not None else down_coefficients_inf(f, tree_members)
-    terms: dict[Bitile, Fraction] = {}
     gcomps, zero, finish = _packet_accumulator(g)
+    L = g.L
+    wanted = {P.key() for P in tree_members}
+    rev = bit_reversal(L)
+    cells = E.cells()
+    sums: dict[tuple[int, int, int], list] = {}
+    for k in range(L + 1):
+        l = L - k
+        for j in cells:
+            n = Nfun[j] >> k
+            if not n & 1:
+                continue
+            key = (k, j >> l, n >> 1)
+            if key not in wanted:
+                continue
+            acc = sums.setdefault(key, [zero] * len(gcomps))
+            neg = ((n - 1) & (rev[j] >> k)).bit_count() & 1
+            for i, comp in enumerate(gcomps):
+                acc[i] = acc[i] - comp[j] if neg else acc[i] + comp[j]
+    empty = [zero] * len(gcomps)
+    terms: dict[Bitile, Fraction] = {}
     for P in tree_members:
-        k = P.time.k
-        local = g.L - k
-        base = P.time.pos << local
-        pattern = walsh(2 * P.m, local) if local else (1,)
-        lo, hi = P.up.freq_lo, P.up.freq_hi
-        gvec = []
-        for comp in gcomps:
-            acc = zero
-            for jl, s in enumerate(pattern):
-                j = base + jl
-                if j in E and lo <= Nfun[j] < hi:
-                    acc = acc + comp[j] if s > 0 else acc - comp[j]
-            gvec.append(finish(acc))
-        fvec = fco[P]
+        gvec = [finish(acc) for acc in sums.get(P.key(), empty)]
         prod = Fraction(0)
-        for a, b in zip(fvec, gvec):
+        for a, b in zip(fco[P], gvec):
             prod += a * b
-        terms[P] = prod * (1 << k)
+        terms[P] = prod * (1 << P.time.k)
     return terms
 
 

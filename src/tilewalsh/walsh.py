@@ -53,6 +53,86 @@ def walsh(n: int, L: int) -> tuple[int, ...]:
     return tuple(walsh_value(n, j, L) for j in range(1 << L))
 
 
+@lru_cache(maxsize=32)
+def bit_reversal(L: int) -> tuple[int, ...]:
+    """bit_reverse(j, L) for every cell j of the 2^L grid."""
+    rev = [0] * (1 << L)
+    for j in range(1, 1 << L):
+        rev[j] = (rev[j >> 1] >> 1) | ((j & 1) << (L - 1))
+    return tuple(rev)
+
+
+def packet_table(terms: Sequence[int], L: int) -> list[list[int]]:
+    """Walsh wave-packet table of one grid component (Coifman and
+    Wickerhauser, "Entropy-based algorithms for best basis selection",
+    IEEE Trans. IT 1992).
+
+    With l = L - k, rows[k][pos * 2^l + n] is the signed sum of the terms
+    over the 2^l cells of the dyadic interval (k, pos) against w_n on l
+    levels.  rows[L] holds the terms; a coarser row pairs the two halves
+    of each interval, splitting n = 2a + b:
+
+        rows[k][pos 2^l + 2a + b] = rows[k+1][2pos 2^(l-1) + a]
+                                    +- rows[k+1][(2pos+1) 2^(l-1) + a],
+
+    + for b = 0 and - for b = 1.  O(L 2^L) additions, exact on Python ints.
+    """
+    row = list(terms)
+    size = len(row)
+    rows = [row]
+    for k in range(L - 1, -1, -1):
+        half = 1 << (L - k - 1)
+        width = 2 * half
+        nxt = [0] * size
+        # walk whichever is shorter: offsets inside a block, or blocks
+        if half <= size // width:
+            for a in range(half):
+                left, right = row[a::width], row[a + half :: width]
+                nxt[2 * a :: width] = [x + y for x, y in zip(left, right)]
+                nxt[2 * a + 1 :: width] = [x - y for x, y in zip(left, right)]
+        else:
+            for start in range(0, size, width):
+                left, right = row[start : start + half], row[start + half : start + width]
+                nxt[start : start + width : 2] = [x + y for x, y in zip(left, right)]
+                nxt[start + 1 : start + width : 2] = [x - y for x, y in zip(left, right)]
+        rows.append(nxt)
+        row = nxt
+    rows.reverse()
+    return rows
+
+
+class _CellOrderRow:
+    """One row of packet sums for non-integer terms, each entry summed on
+    demand from `zero`, cell by cell in ascending order, and memoized.  A
+    float sum depends on its order, so every entry adds its samples in cell
+    order whichever kernel reads it."""
+
+    def __init__(self, terms: Sequence, zero, levels: int) -> None:
+        self.terms, self.zero, self.levels = terms, zero, levels
+        self.memo: dict[int, object] = {}
+
+    def __getitem__(self, idx: int):
+        acc = self.memo.get(idx)
+        if acc is None:
+            l = self.levels
+            base, n = idx >> l << l, idx & ((1 << l) - 1)
+            terms = self.terms
+            acc = self.zero
+            for jl, s in enumerate(walsh(n, l) if l else (1,)):
+                acc = acc + terms[base + jl] if s > 0 else acc - terms[base + jl]
+            self.memo[idx] = acc
+        return acc
+
+
+def packet_rows(terms: Sequence, zero, L: int):
+    """Rows indexed like packet_table: the table itself for Python-int
+    terms (see signal.exact_terms), otherwise rows that sum in cell order
+    on demand (see _CellOrderRow)."""
+    if all(type(x) is int for x in terms):
+        return packet_table(terms, L)
+    return [_CellOrderRow(terms, zero, L - k) for k in range(L + 1)]
+
+
 @dataclass(frozen=True)
 class Root2Scaled:
     """Exact value frac * 2^(half_exp / 2); half_exp is normalized to {0, 1}."""
@@ -157,7 +237,7 @@ def fwht(samples: Sequence, normalize: bool = True) -> list:
         raise ValueError(f"sample count {size} is not a power of two")
     L = size.bit_length() - 1
     terms, _, finish = exact_terms(samples, size if normalize else 1)
-    buf = [terms[bit_reverse(j, L)] for j in range(size)]
+    buf = [terms[r] for r in bit_reversal(L)]
     h = 1
     while h < size:
         for start in range(0, size, 2 * h):
@@ -182,7 +262,7 @@ def ifwht(coefficients: Sequence) -> list:
                 a, b = buf[j], buf[j + h]
                 buf[j], buf[j + h] = a + b, a - b
         h *= 2
-    return [finish(buf[bit_reverse(j, L)]) for j in range(size)]
+    return [finish(buf[r]) for r in bit_reversal(L)]
 
 
 def pairing_inf(samples: Sequence, P: Tile, L: int):

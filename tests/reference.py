@@ -9,15 +9,22 @@
   up-sums in Fraction arithmetic, keyed by Bitile.
 - size_decompose_hilbert: the greedy size split of the Hilbert case on
   those Fraction sums.
+- packet_sum: one entry of the Walsh packet table, summed sample by
+  sample against the packet's sign pattern.
+- carleson_direct / carleson_bitile / member_form_products: the
+  per-cell, per-bitile and per-member loops the packet table replaced,
+  summing each packet's samples in cell order from exact_terms' zero.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 
-from tilewalsh.dyadic import Bitile, DyadicInterval, bitile_le, bitile_lt
+from tilewalsh.dyadic import Bitile, DyadicInterval, bitile_le, bitile_lt, bitile_universe
+from tilewalsh.operators import walsh_coefficients
+from tilewalsh.signal import exact_terms
 from tilewalsh.timefreq import Tree
-from tilewalsh.walsh import walsh
+from tilewalsh.walsh import bit_reverse, walsh
 
 
 class HistogramCounter:
@@ -167,3 +174,84 @@ def size_decompose_hilbert(coll, f):
         remaining = [P for P in remaining if P not in removed]
     small = sorted(set(remaining) | set(zero), key=Bitile.key)
     return trees, small
+
+
+def packet_sum(terms, L, k, pos, n):
+    """sum over the cells jl of the interval (k, pos) of terms * w_n(jl)."""
+    local = L - k
+    base = pos << local
+    pattern = walsh(n, local) if local else (1,)
+    return sum(s * terms[base + jl] for jl, s in enumerate(pattern))
+
+
+def carleson_direct(f, Nfun):
+    out_comps = []
+    for coef in walsh_coefficients(f):
+        terms, zero, finish = exact_terms(coef)
+        comp = []
+        for j in range(f.cells):
+            rj = bit_reverse(j, f.L)
+            acc = zero
+            for n in range(Nfun[j]):
+                if (n & rj).bit_count() & 1:
+                    acc = acc - terms[n]
+                else:
+                    acc = acc + terms[n]
+            comp.append(finish(acc))
+        out_comps.append(comp)
+    return f.with_components(out_comps)
+
+
+def carleson_bitile(f, Nfun):
+    """Every universe bitile in canonical order adds its scaled down-packet
+    sum on the cells whose cutoff lies in its up-tile window."""
+    L = f.L
+    comps, zeros, finishes = zip(*(exact_terms(comp, f.cells) for comp in f.components()))
+    out_comps = [[zero] * f.cells for zero in zeros]
+    for P in bitile_universe(L).items:
+        k = P.time.k
+        local = L - k
+        base = P.time.pos << local
+        pattern = walsh(2 * P.m, local) if local else (1,)
+        lo, hi = P.up.freq_lo, P.up.freq_hi
+        hit = [jl for jl in range(1 << local) if lo <= Nfun[base + jl] < hi]
+        if not hit:
+            continue
+        for comp, zero, out in zip(comps, zeros, out_comps):
+            acc = zero
+            for jl, s in enumerate(pattern):
+                acc = acc + comp[base + jl] if s > 0 else acc - comp[base + jl]
+            if acc == 0:
+                continue
+            c = acc * (1 << k)
+            for jl in hit:
+                j = base + jl
+                out[j] = out[j] + (c if pattern[jl] > 0 else -c)
+    return f.with_components(
+        [[finish(x) for x in out] for finish, out in zip(finishes, out_comps)]
+    )
+
+
+def member_form_products(members, f, g, E, Nfun):
+    fco = down_coefficients(f, members)
+    flat, zero, finish = exact_terms([x for comp in g.components() for x in comp], g.cells)
+    gcomps = [flat[i : i + g.cells] for i in range(0, len(flat), g.cells)]
+    terms = {}
+    for P in members:
+        local = g.L - P.time.k
+        base = P.time.pos << local
+        pattern = walsh(2 * P.m, local) if local else (1,)
+        lo, hi = P.up.freq_lo, P.up.freq_hi
+        gvec = []
+        for comp in gcomps:
+            acc = zero
+            for jl, s in enumerate(pattern):
+                j = base + jl
+                if j in E and lo <= Nfun[j] < hi:
+                    acc = acc + comp[j] if s > 0 else acc - comp[j]
+            gvec.append(finish(acc))
+        prod = Fraction(0)
+        for a, b in zip(fco[P], gvec):
+            prod += a * b
+        terms[P] = prod * (1 << P.time.k)
+    return terms

@@ -1,23 +1,31 @@
-"""The density table, the integer packet pairings and the integer Hilbert
-up-sums against the retained Fraction references in tests/reference.py."""
+"""The density table, the packet table and the kernels built on it
+(carleson_bitile, down_coefficients_inf, member_form_products), the
+vectorized carleson_direct and the integer Hilbert up-sums against the
+retained references in tests/reference.py."""
 
 import json
+import random
 from fractions import Fraction
 
+import pytest
 from hypothesis import given, settings, strategies as st
 
 import reference
+from tilewalsh import operators
 from tilewalsh.decompose import size_decompose
 from tilewalsh.dyadic import Bitile, DyadicInterval, bitile_universe
 from tilewalsh.gen import SplitMix64, gen_collection, gen_levelset, gen_nfun, gen_signal
-from tilewalsh.signal import FrequencyChoice, NormPlugin, signal_from_json
+from tilewalsh.operators import carleson_bitile, carleson_direct
+from tilewalsh.signal import FrequencyChoice, NormPlugin, Signal, signal_from_json
 from tilewalsh.timefreq import (
     DensityCounter,
     down_coefficients_inf,
     hilbert_member_weights,
     hilbert_top_sums,
     local_density,
+    member_form_products,
 )
+from tilewalsh.walsh import packet_table
 
 EUCL = NormPlugin("euclidean")
 
@@ -139,3 +147,154 @@ class TestSizeDecompose:
         trees, small = reference.size_decompose_hilbert(coll, f)
         assert list(res.trees) == trees
         assert list(res.small) == small
+
+
+# ---------------------------------------------------------------------------
+# the packet table and the kernels on it
+
+LEVELS = pytest.mark.parametrize("L", range(1, 9))
+
+
+class TestPacketTable:
+    @LEVELS
+    @given(st.integers(0, 10**6), st.sampled_from([16, 40, 80]))
+    @settings(max_examples=4, deadline=None)
+    def test_entries_match_packet_sums(self, L, seed, bits):
+        rng = random.Random(seed)
+        terms = [rng.getrandbits(bits) - (1 << (bits - 1)) for _ in range(1 << L)]
+        rows = packet_table(terms, L)
+        assert len(rows) == L + 1 and rows[L] == terms
+        for k in range(L + 1):
+            local = L - k
+            assert rows[k] == [
+                reference.packet_sum(terms, L, k, i >> local, i & ((1 << local) - 1))
+                for i in range(1 << L)
+            ]
+
+
+def _instance(L, shape, seed):
+    rng = SplitMix64(seed)
+    d, kind = shape
+    f = gen_signal(L, d, kind, rng)
+    g = gen_signal(L, d, kind, rng)
+    E = gen_levelset(L, ["1/4", "1/2", "1"][rng.below(3)], rng)
+    N = gen_nfun(L, rng)
+    if rng.below(4) == 0:
+        N = FrequencyChoice(L, (1 << L,) * (1 << L))
+    return f, g, E, N
+
+
+def _thirds(L, pool, kind="vector"):
+    """A non-dyadic signal with dim 2 read through JSON."""
+    if kind == "matrix":
+        values = [[[str(pool[(4 * j + i) % 16]) for i in (0, 1)],
+                   [str(pool[(4 * j + i) % 16]) for i in (2, 3)]] for j in range(1 << L)]
+    else:
+        values = [[str(pool[(2 * j) % 16]), str(pool[(2 * j + 1) % 16])] for j in range(1 << L)]
+    text = json.dumps({"levels": L, "dim": 2, "kind": kind, "values": values})
+    return signal_from_json(json.loads(text))
+
+
+def _floats(f):
+    """f's values divided by 3 in float: sums depend on their order."""
+    def scale(v):
+        return tuple(scale(x) for x in v) if isinstance(v, tuple) else float(v) / 3
+    return Signal(f.L, f.d, f.kind, tuple(scale(v) for v in f.samples))
+
+
+class TestCarlesonKernels:
+    @LEVELS
+    @given(signal_shapes, st.integers(0, 10**6))
+    @settings(max_examples=5, deadline=None)
+    def test_bitile_and_direct_match_reference(self, L, shape, seed):
+        f, _, _, N = _instance(L, shape, seed)
+        ref = reference.carleson_direct(f, N).samples
+        assert reference.carleson_bitile(f, N).samples == ref
+        assert carleson_direct(f, N).samples == ref
+        assert carleson_bitile(f, N, bitile_universe(L)).samples == ref
+
+    @given(
+        st.integers(1, 6),
+        st.sampled_from(["vector", "matrix"]),
+        st.lists(st.fractions(min_value=-3, max_value=3, max_denominator=30), min_size=16, max_size=16),
+        st.integers(0, 10**6),
+    )
+    @settings(max_examples=25, deadline=None)
+    def test_non_dyadic_signal(self, L, kind, pool, seed):
+        f = _thirds(L, pool, kind)
+        N = gen_nfun(L, SplitMix64(seed))
+        ref = reference.carleson_direct(f, N).samples
+        assert carleson_direct(f, N).samples == ref
+        assert carleson_bitile(f, N, bitile_universe(L)).samples == ref
+
+    @given(st.integers(1, 7), signal_shapes, st.integers(0, 10**6))
+    @settings(max_examples=20, deadline=None)
+    def test_float_bits_identical(self, L, shape, seed):
+        f, _, _, N = _instance(L, shape, seed)
+        f = _floats(f)
+        assert repr(carleson_direct(f, N).samples) == repr(reference.carleson_direct(f, N).samples)
+        assert repr(carleson_bitile(f, N, bitile_universe(L)).samples) == repr(
+            reference.carleson_bitile(f, N).samples
+        )
+
+    @pytest.mark.parametrize("L", [3, 6])
+    def test_wide_numerators_take_python_path(self, L, monkeypatch):
+        rng = SplitMix64(L)
+        f = Signal.scalar([Fraction((1 << 70) + rng.below(1 << 20), 3) for _ in range(1 << L)])
+        N = gen_nfun(L, rng)
+
+        def refuse(*args):
+            raise AssertionError("int64 path taken for numerators past 2^62")
+
+        monkeypatch.setattr(operators, "_cutoff_row_sums", refuse)
+        ref = reference.carleson_direct(f, N).samples
+        assert carleson_direct(f, N).samples == ref
+        assert carleson_bitile(f, N, bitile_universe(L)).samples == ref
+
+    def test_narrow_numerators_take_int64_path(self, monkeypatch):
+        f, _, _, N = _instance(5, (2, "matrix"), 3)
+
+        def refuse(*args):
+            raise AssertionError("Python loop taken for int64-sized numerators")
+
+        monkeypatch.setattr(operators, "_cutoff_row_sums_python", refuse)
+        assert carleson_direct(f, N).samples == reference.carleson_direct(f, N).samples
+
+
+class TestMemberFormProducts:
+    @LEVELS
+    @given(signal_shapes, st.integers(0, 10**6), st.booleans())
+    @settings(max_examples=4, deadline=None)
+    def test_matches_reference(self, L, shape, seed, whole):
+        f, g, E, N = _instance(L, shape, seed)
+        coll = (
+            list(bitile_universe(L).items) if whole
+            else gen_collection(L, SplitMix64(seed).below(40) + 1, SplitMix64(seed + 1))
+        )
+        got = member_form_products(coll, f, g, E, N)
+        ref = reference.member_form_products(coll, f, g, E, N)
+        assert list(got.items()) == list(ref.items())
+
+    @given(
+        st.integers(1, 5),
+        st.lists(st.fractions(min_value=-3, max_value=3, max_denominator=30), min_size=16, max_size=16),
+        st.integers(0, 10**6),
+    )
+    @settings(max_examples=20, deadline=None)
+    def test_non_dyadic_signal(self, L, pool, seed):
+        f = _thirds(L, pool)
+        g = _thirds(L, pool[::-1])
+        rng = SplitMix64(seed)
+        E, N = gen_levelset(L, "1/2", rng), gen_nfun(L, rng)
+        coll = list(bitile_universe(L).items)
+        assert member_form_products(coll, f, g, E, N) == reference.member_form_products(coll, f, g, E, N)
+
+    @given(st.integers(1, 6), signal_shapes, st.integers(0, 10**6))
+    @settings(max_examples=20, deadline=None)
+    def test_float_bits_identical(self, L, shape, seed):
+        f, g, E, N = _instance(L, shape, seed)
+        f, g = _floats(f), _floats(g)
+        coll = list(bitile_universe(L).items)
+        got = member_form_products(coll, f, g, E, N)
+        ref = reference.member_form_products(coll, f, g, E, N)
+        assert repr(list(got.items())) == repr(list(ref.items()))

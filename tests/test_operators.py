@@ -90,6 +90,13 @@ class TestCarleson:
         b = carleson_bitile(f, N, bitile_universe(3))
         assert d.samples == b.samples
 
+    @pytest.mark.parametrize("L", [10, 12])
+    def test_matrix_valued_oracle_large_grid(self, L):
+        rng = SplitMix64(1000 + L)
+        f = gen_signal(L, 2, "matrix", rng)
+        N = gen_nfun(L, rng)
+        assert carleson_direct(f, N).samples == carleson_bitile(f, N, bitile_universe(L)).samples
+
     @given(scalar_signal(2), st.data())
     @settings(max_examples=20, deadline=None)
     def test_truncation_soundness(self, f, data):
