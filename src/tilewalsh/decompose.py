@@ -6,18 +6,14 @@ from __future__ import annotations
 
 import math
 import warnings
+from bisect import bisect_left
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Sequence
 
 from .certificates import Certificate
-from .dyadic import (
-    Bitile,
-    bitile_le,
-    bitile_lt,
-)
+from .dyadic import Bitile, bitile_universe
 from .operators import carleson_bitile
-from .dyadic import bitile_universe
 from .signal import (
     FrequencyChoice,
     LevelSet,
@@ -43,8 +39,11 @@ from .timefreq import (
     down_coefficients_inf,
     down_packet_sum,
     hilbert_member_weights,
+    hilbert_pow,
     hilbert_top_sums,
+    hilbert_tree_pow,
     local_density,
+    meeting_tile_pairs,
     member_form_products,
     size_pow,
     tree_delta_pow,
@@ -70,6 +69,8 @@ class SizeDecomposition:
     trees: tuple[Tree, ...]
     certificates: tuple[Certificate, ...]
     size_pow: Fraction | float
+    # q-th power of each tree's size, in the order of trees
+    tree_pows: tuple[Fraction | float, ...]
     stats: dict = field(default_factory=dict)
 
 
@@ -109,6 +110,34 @@ def _two_pow(n: int | float):
     return 2.0 ** float(n)
 
 
+class _TopIndex:
+    """A set of bitile keys (k, pos, m) held per interval (k, pos) as a
+    sorted list of m.  The bitiles above (k, pos, m) in the tile order are,
+    d scales up, the integer range (k - d, pos >> d, [m 2^d, (m+1) 2^d)),
+    so each scale is one bisection."""
+
+    def __init__(self, keys) -> None:
+        self.rows: dict[tuple[int, int], list[int]] = {}
+        for k, pos, m in sorted(keys):
+            self.rows.setdefault((k, pos), []).append(m)
+
+    def first_above(self, k: int, pos: int, m: int, strict: bool = False):
+        """The first key T in canonical order with (k, pos, m) <= T in the
+        tile order (< T when strict), or None."""
+        for d in range(k, 0 if strict else -1, -1):
+            row = self.rows.get((k - d, pos >> d))
+            if row:
+                i = bisect_left(row, m << d)
+                if i < len(row) and row[i] < (m + 1) << d:
+                    return (k - d, pos >> d, row[i])
+        return None
+
+    def discard(self, key: tuple[int, int, int]) -> None:
+        k, pos, m = key
+        row = self.rows[(k, pos)]
+        del row[bisect_left(row, m)]
+
+
 def density_decompose(
     coll: Sequence[Bitile],
     E: LevelSet,
@@ -118,7 +147,13 @@ def density_decompose(
 ) -> DensityDecomposition:
     """Split a collection into a sparse part whose density drops by 2^-q
     and trees whose top time intervals carry at most 2^q / density |E|
-    total length; the constructive greedy from the density lemma."""
+    total length; the constructive greedy from the density lemma.
+
+    The tops are the maximal witnesses of the dense bitiles, and each
+    dense bitile joins the first top above it in canonical order.  That is
+    the first witness above it: a witness with a strict tile-order
+    ancestor among the witnesses is not, since the ancestor is coarser and
+    so comes first."""
     coll = sorted(set(coll), key=Bitile.key)
     if counter is None:
         counter = DensityCounter(E, Nfun)
@@ -130,21 +165,14 @@ def density_decompose(
 
     sparse = [P for P in coll if local[P][0] <= threshold]
     rest = [P for P in coll if local[P][0] > threshold]
-    witnesses = sorted({local[P][1] for P in rest}, key=Bitile.key)
-    tops = [
-        W for W in witnesses if not any(bitile_lt(W, W2) for W2 in witnesses)
-    ]
-
-    trees: list[Tree] = []
-    remaining = set(rest)
-    for T in tops:
-        members = [P for P in sorted(remaining, key=Bitile.key) if bitile_le(P, T)]
-        if not members:
-            continue
-        remaining.difference_update(members)
-        trees.append(Tree.build(T, members))
-    if remaining:
-        raise RuntimeError("density split failed to assign every dense bitile")
+    witnesses = _TopIndex({local[P][1].key() for P in rest})
+    members: dict[tuple[int, int, int], list[Bitile]] = {}
+    for P in rest:
+        T = witnesses.first_above(*P.key())
+        if T is None:
+            raise RuntimeError("density split failed to assign every dense bitile")
+        members.setdefault(T, []).append(P)
+    trees = [Tree(Bitile.from_key(T), tuple(ms)) for T, ms in sorted(members.items())]
 
     sparse_density = max((local[P][0] for P in sparse), default=Fraction(0))
     certs = [
@@ -174,6 +202,27 @@ def density_decompose(
 # ---------------------------------------------------------------------------
 # size lemma
 
+def _lq_pow(f: Signal, q, plugin: NormPlugin):
+    """|f|_q^q; exact when representable, else from the float norm."""
+    fq_pow = lq_norm_pow(f, q, plugin)
+    return fq_pow if fq_pow is not None else lq_norm(f, q, plugin) ** float(q)
+
+
+def _take_below(remaining: dict, top: tuple[int, int, int], finest: int) -> list[Bitile]:
+    """Remove and return, in canonical order, the members of remaining
+    (keyed by (k, pos, m)) below top in the tile order: d scales down they
+    are (k + d, [pos 2^d, (pos+1) 2^d), m >> d)."""
+    k, pos, m = top
+    out = []
+    for d in range(finest - k + 1):
+        md = m >> d
+        for p in range(pos << d, (pos + 1) << d):
+            P = remaining.pop((k + d, p, md), None)
+            if P is not None:
+                out.append(P)
+    return out
+
+
 def size_decompose(
     coll: Sequence[Bitile],
     f: Signal,
@@ -181,13 +230,18 @@ def size_decompose(
     plugin: NormPlugin,
     coeffs: dict[Bitile, list[Fraction]] | None = None,
     weights: HilbertWeights | None = None,
+    fq_pow=None,
 ) -> SizeDecomposition:
     """Greedy extraction of trees whose up-part mass exceeds half the
     collection size, choosing the qualifying maximal tree with the minimal
     top frequency center; ties fall back to the canonical bitile order.
 
-    In the Hilbert case the up-sums of the masses are computed once and
-    decremented as trees are removed; see hilbert_top_sums."""
+    In the Hilbert case the up-sums of the masses are computed once
+    (hilbert_top_sums) and decremented as trees are removed.  They give the
+    collection size, each tree's size (the maximum of its decrement, which
+    at T is the sum over the tree's members below T) and the remainder's
+    size; a round re-tests only the tops its decrement touched, since the
+    qualifying set only shrinks.  fq_pow is |f|_q^q, computed when absent."""
     coll = sorted(set(coll), key=Bitile.key)
     if coeffs is None:
         coeffs = down_coefficients_inf(f, coll)
@@ -195,58 +249,80 @@ def size_decompose(
     active = [P for P in coll if any(c != 0 for c in coeffs[P])]
 
     hilbert = _is_hilbert_case(q, plugin)
-    if hilbert and weights is None:
-        weights = hilbert_member_weights(coll, coeffs)
-    sigma_pow, _ = size_pow(active, f, q, plugin, coeffs=coeffs, weights=weights)
+    if hilbert:
+        if weights is None:
+            weights = hilbert_member_weights(coll, coeffs)
+        sums = hilbert_top_sums(active, weights)
+        sigma_pow = hilbert_pow(sums, weights)
+    else:
+        sigma_pow, _ = size_pow(active, f, q, plugin, coeffs=coeffs)
     threshold_pow = sigma_pow * _two_pow(-q)
 
-    if hilbert:
-        sums = hilbert_top_sums(active, weights)
+    def qualifies(T):
+        return weights.exceeds(sums[T] * (1 << T[0]), threshold_pow)
+
+    remaining = {P.key(): P for P in active}
+    finest = max((P.time.k for P in coll), default=0)
     trees: list[Tree] = []
-    up_parts: list[tuple[Bitile, ...]] = []
-    remaining = list(active)
+    tree_pows: list = []
+    order = None
+    if hilbert:
+        qualifying = {T for T in sums if qualifies(T)}
     rounds = 0
     while remaining:
         rounds += 1
         if rounds > len(coll) + 1:
             raise RuntimeError("size split failed to terminate")
-        if hilbert:
-            qualifying = [
-                Bitile.from_key(T)
-                for T in sorted(sums)
-                if sums[T] > 0 and weights.exceeds(sums[T] * (1 << T[0]), threshold_pow)
-            ]
-        else:
-            qualifying = []
-            for T in candidate_tops(remaining):
-                tree = complete_up_tree(T, remaining)
-                if not tree.members:
-                    continue
-                val = tree_delta_pow(tree, f, q, plugin, coeffs=coeffs)
-                if _pow_gt(val, threshold_pow):
-                    qualifying.append(T)
-        if not qualifying:
+        if not hilbert:
+            rest = list(remaining.values())
+            qualifying = set()
+            for T in candidate_tops(rest):
+                tree = complete_up_tree(T, rest)
+                if tree.members and _pow_gt(
+                    tree_delta_pow(tree, f, q, plugin, coeffs=coeffs), threshold_pow
+                ):
+                    qualifying.add(T.key())
+            order = None
+        if order is None:
+            # by frequency center (2m+1) 2^k, then key
+            order = sorted(qualifying, key=lambda T: ((2 * T[2] + 1) << T[0], T))
+            index = _TopIndex(qualifying)
+        pick = next((T for T in order if index.first_above(*T, strict=True) is None), None)
+        if pick is None:
             break
-        maximal = [
-            T for T in qualifying if not any(bitile_lt(T, T2) for T2 in qualifying)
-        ]
-        pick = min(maximal, key=lambda T: (T.freq_center, T.key()))
-        members = [P for P in remaining if bitile_le(P, pick)]
-        tree = Tree.build(pick, members)
+        tree = Tree(Bitile.from_key(pick), tuple(_take_below(remaining, pick, finest)))
         trees.append(tree)
-        up_parts.append(tree.up_part())
-        removed = set(members)
-        if hilbert:
-            for P in members:
-                key = P.key()
-                w = weights.num[key]
-                if w:
-                    for T in up_ancestor_keys(*key):
-                        sums[T] -= w
-        remaining = [P for P in remaining if P not in removed]
+        if not hilbert:
+            tree_pows.append(size_pow(tree.members, f, q, plugin, coeffs=coeffs)[0])
+            continue
+        # member by member in canonical order: sums fall as they always
+        # have, and dec adds up as a sweep over the tree would, float bits
+        # included
+        dec: dict = {}
+        for P in tree.members:
+            key = P.key()
+            w = weights.num[key]
+            if w:
+                for T in up_ancestor_keys(*key):
+                    sums[T] -= w
+                    dec[T] = dec.get(T, 0) + w
+        tree_pows.append(hilbert_pow(dec, weights))
+        dropped = [T for T in dec if T in qualifying and not qualifies(T)]
+        for T in dropped:
+            qualifying.discard(T)
+            index.discard(T)
+        if dropped:
+            order = [T for T in order if T in qualifying]
 
-    small = sorted(set(remaining) | set(zero), key=Bitile.key)
-    small_pow, _ = size_pow(small, f, q, plugin, coeffs=coeffs, weights=weights)
+    small = sorted([*remaining.values(), *zero], key=Bitile.key)
+    if not hilbert:
+        small_pow, _ = size_pow(small, f, q, plugin, coeffs=coeffs)
+    elif weights.exact:
+        # integer sums are exact after the decrements
+        small_pow = hilbert_pow(sums, weights)
+    else:
+        # float sums after decrements differ in the last bits from a sweep
+        small_pow = hilbert_pow(hilbert_top_sums(small, weights), weights)
 
     certs = [
         Certificate.make(
@@ -258,28 +334,20 @@ def size_decompose(
         )
     ]
 
-    violations = 0
-    flat = [(P, i) for i, up in enumerate(up_parts) for P in up]
-    from .dyadic import tiles_disjoint
-
-    for a in range(len(flat)):
-        for b in range(a + 1, len(flat)):
-            if not tiles_disjoint(flat[a][0].down, flat[b][0].down):
-                violations += 1
+    tiles = [(P.time.k, P.time.pos, 2 * P.m) for t in trees for P in t.up_part()]
     certs.append(
         Certificate.make(
             "down_tile_disjointness",
-            violations,
+            len(meeting_tile_pairs(tiles)),
             0,
             theorem_backed=True,
-            context={"pairs_checked": len(flat) * (len(flat) - 1) // 2},
+            context={"pairs_checked": len(tiles) * (len(tiles) - 1) // 2},
         )
     )
 
     mass = sum((t.time.length for t in trees), Fraction(0))
-    fq_pow = lq_norm_pow(f, q, plugin)
     if fq_pow is None:
-        fq_pow = lq_norm(f, q, plugin) ** float(q)
+        fq_pow = _lq_pow(f, q, plugin)
     if fq_pow and float(fq_pow) > 0:
         mass_constant = float(mass) * float(sigma_pow) / float(fq_pow)
     else:
@@ -291,7 +359,7 @@ def size_decompose(
         "trees": len(trees),
     }
     return SizeDecomposition(
-        tuple(small), tuple(trees), tuple(certs), sigma_pow, stats
+        tuple(small), tuple(trees), tuple(certs), sigma_pow, tuple(tree_pows), stats
     )
 
 
@@ -308,19 +376,19 @@ def full_decompose(
     coeffs: dict[Bitile, list[Fraction]] | None = None,
     counter: DensityCounter | None = None,
     weights: HilbertWeights | None = None,
+    fq_pow=None,
 ) -> LeveledForest:
     """Alternate the density and size splits level by level, tagging the
     extracted trees with the level exponent n and emitting the density,
     size and mass certificates at every level.
 
-    The down coefficients, the density table of (E, N) and, in the
-    Hilbert case, the member masses are computed once over coll (or
+    The down coefficients, the density table of (E, N), |f|_q^q and, in
+    the Hilbert case, the member masses are computed once over coll (or
     passed in) and shared by every level."""
     if E.count == 0:
         raise ValueError("empty level set: level exponents undefined")
-    fq_pow = lq_norm_pow(f, q, plugin)
     if fq_pow is None:
-        fq_pow = lq_norm(f, q, plugin) ** float(q)
+        fq_pow = _lq_pow(f, q, plugin)
     if not float(fq_pow) > 0:
         raise ValueError("zero signal: level exponents undefined")
 
@@ -357,7 +425,9 @@ def full_decompose(
         if not nonzero:
             break
         dres = density_decompose(active, E, Nfun, q, counter=counter)
-        sres = size_decompose(dres.sparse, f, q, plugin, coeffs=coeffs, weights=weights)
+        sres = size_decompose(
+            dres.sparse, f, q, plugin, coeffs=coeffs, weights=weights, fq_pow=fq_pow
+        )
         level_trees = tuple(dres.trees) + tuple(sres.trees)
         tag = _two_pow(n * q) if isinstance(q, int) else 2.0 ** (n * float(q))
         tag_size = tag * fq_pow
@@ -375,9 +445,10 @@ def full_decompose(
             )
         )
         tree_pows = tuple(
-            size_pow(t.members, f, q, plugin, coeffs=coeffs, weights=weights)[0]
-            for t in level_trees
-        )
+            hilbert_tree_pow(t.members, weights) if hilbert
+            else size_pow(t.members, f, q, plugin, coeffs=coeffs)[0]
+            for t in dres.trees
+        ) + sres.tree_pows
         level_size_pow = Fraction(0)
         for v in tree_pows:
             if _pow_gt(v, level_size_pow):
@@ -460,15 +531,18 @@ def carleson_form_certificate(
     coeffs = down_coefficients_inf(f, coll)
     counter = DensityCounter(E, Nfun)
     weights = hilbert_member_weights(coll, coeffs) if _is_hilbert_case(q, plugin) else None
+    fq_pow = _lq_pow(f, q, plugin)
     forest = full_decompose(
-        coll, f, E, Nfun, q, plugin, coeffs=coeffs, counter=counter, weights=weights
+        coll, f, E, Nfun, q, plugin,
+        coeffs=coeffs, counter=counter, weights=weights, fq_pow=fq_pow,
     )
     products = member_form_products(coll, f, g, E, Nfun, coeffs=coeffs)
 
     total = sum((abs(v) for v in products.values()), Fraction(0))
     qf = float(q)
     qprime = qf / (qf - 1.0)
-    fq = lq_norm(f, q, plugin)
+    # the same bits as lq_norm on the exact path
+    fq = float(fq_pow) ** (1.0 / qf) if isinstance(fq_pow, Fraction) else lq_norm(f, q, plugin)
     bound = float(E.measure) ** (1.0 / qprime) * fq
     ratio = float(total) / bound if bound > 0 else 0.0
 
@@ -591,9 +665,7 @@ def tile_type_constant(
             else:
                 total_pow = float(total_pow) + float(upow)
 
-    fq_pow = lq_norm_pow(f, q, plugin)
-    if fq_pow is None:
-        fq_pow = lq_norm(f, q, plugin) ** float(q)
+    fq_pow = _lq_pow(f, q, plugin)
     ratio = (
         (float(total_pow) / float(fq_pow)) ** (1.0 / float(q))
         if float(fq_pow) > 0

@@ -5,6 +5,7 @@ from __future__ import annotations
 
 import math
 import warnings
+from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Iterator, Sequence
@@ -16,7 +17,6 @@ from .dyadic import (
     bitile_le,
     bitile_le_d,
     bitile_le_u,
-    tiles_disjoint,
 )
 from .signal import (
     FrequencyChoice,
@@ -90,17 +90,45 @@ class TreeFamily:
     trees: tuple[Tree, ...]
 
     def down_disjointness_violations(self) -> list[tuple[Bitile, int, Bitile, int]]:
+        """(Pa, ia, Pb, ib) for every pair of (member, tree) entries, in
+        member order, whose down-tiles meet."""
         pairs = [
             (P, idx) for idx, tree in enumerate(self.trees) for P in tree.members
         ]
-        bad = []
-        for a in range(len(pairs)):
-            Pa, ia = pairs[a]
-            for b in range(a + 1, len(pairs)):
-                Pb, ib = pairs[b]
-                if not tiles_disjoint(Pa.down, Pb.down):
-                    bad.append((Pa, ia, Pb, ib))
-        return bad
+        tiles = [(P.time.k, P.time.pos, 2 * P.m) for P, _ in pairs]
+        return [(*pairs[a], *pairs[b]) for a, b in meeting_tile_pairs(tiles)]
+
+
+def meeting_tile_pairs(tiles: Sequence[tuple[int, int, int]]) -> list[tuple[int, int]]:
+    """Index pairs (a, b), a < b, in ascending order, of the tiles that meet;
+    a tile is (k, pos, n), the time interval (k, pos) with frequency index n.
+
+    Two dyadic tiles meet iff the finer one lies below the coarser one in the
+    tile order: d = k - k' >= 0 scales up, its interval lies in
+    (k', pos >> d) and n' >> d == n.  So each tile looks up, per scale, the
+    range [n 2^d, (n+1) 2^d) in the tiles of (k', pos >> d) sorted by index:
+    O(n L log n) plus the pairs found."""
+    rows: dict[tuple[int, int], list[tuple[int, int]]] = {}
+    for i, (k, pos, n) in enumerate(tiles):
+        rows.setdefault((k, pos), []).append((n, i))
+    for row in rows.values():
+        row.sort()
+    pairs = []
+    for a, (k, pos, n) in enumerate(tiles):
+        for d in range(k + 1):
+            row = rows.get((k - d, pos >> d))
+            if row is None:
+                continue
+            hi = (n + 1) << d
+            for i in range(bisect_left(row, (n << d, -1)), len(row)):
+                nb, b = row[i]
+                if nb >= hi:
+                    break
+                # equal tiles (d = 0) would otherwise be found from both ends
+                if d or b > a:
+                    pairs.append((a, b) if a < b else (b, a))
+    pairs.sort()
+    return pairs
 
 
 # ---------------------------------------------------------------------------
@@ -272,6 +300,8 @@ class DensityCounter:
             raise ValueError("resolution mismatch between set and cutoff choice")
         L = self.L = E.L
         self.E, self.Nfun = E, Nfun
+        # local_density results by bitile; every level asks for the same ones
+        self.memo: dict[Bitile, tuple[Fraction, Bitile]] = {}
         cells = E.cells()
         # scale k holds 2^k rows of width[k] entries, at pos * width[k] + m
         self.width = [((1 << L) >> (k + 1)) + 1 for k in range(L + 1)]
@@ -304,7 +334,15 @@ def local_density(
     maximizing ancestor (coarse scales first, then m ascending) as
     witness; P itself when every ancestor is empty.  A table lookup (see
     DensityCounter); a bitile outside the table has only empty ancestors,
-    since its window starts above 2^L or its interval lies outside [0,1)."""
+    since its window starts above 2^L or its interval lies outside [0,1).
+    Results are kept in counter.memo."""
+    found = counter.memo.get(P)
+    if found is None:
+        found = counter.memo[P] = _table_density(P, counter)
+    return found
+
+
+def _table_density(P: Bitile, counter: DensityCounter) -> tuple[Fraction, Bitile]:
     k, pos, m = P.time.k, P.time.pos, P.m
     if k > counter.L:
         raise ValueError(f"bitile finer than the grid: k={k} > L={counter.L}")
@@ -414,11 +452,13 @@ class HilbertWeights:
     With exact coefficients each mass is a Python-int numerator over one
     common denominator den, the squared lcm of the coefficient
     denominators, so that sums and comparisons stay in integers.  With
-    float coefficients the masses are the plain numbers and den is 1.
+    float coefficients the masses are the plain numbers, den is 1 and
+    exact is False.
     """
 
     num: dict[tuple[int, int, int], int | Fraction | float]
     den: int
+    exact: bool = True
 
     def value(self, x):
         """x / den; a Fraction for an integer numerator."""
@@ -442,6 +482,7 @@ def hilbert_member_weights(
                 for P in coll
             },
             1,
+            exact=False,
         )
     lcm = math.lcm(*(c.denominator for P in coll for c in coeffs[P]))
     num = {
@@ -461,13 +502,29 @@ def hilbert_top_sums(
 
     Members are added in canonical order, each to the integer ranges of
     up_ancestor_keys, so float masses are summed in a fixed order."""
-    num = weights.num
+    return _up_sums(coll, weights.num)
+
+
+def _up_sums(coll, num) -> dict[tuple[int, int, int], int | Fraction | float]:
     sums: dict[tuple[int, int, int], int | Fraction | float] = {}
     for key in sorted(P.key() for P in coll):
         w = num[key]
         for T in up_ancestor_keys(*key):
             sums[T] = sums.get(T, 0) + w
     return sums
+
+
+def hilbert_pow(sums: dict, weights: HilbertWeights):
+    """The q = 2 size power max_T S(T) 2^k_T / den of up-sums S keyed by
+    (k, pos, m) (see hilbert_top_sums); Fraction(0) when none is positive."""
+    best = max((s * (1 << T[0]) for T, s in sums.items()), default=0)
+    return weights.value(best) if best > 0 else Fraction(0)
+
+
+def hilbert_tree_pow(members: Sequence[Bitile], weights: HilbertWeights):
+    """size_pow(members)[0] in the Hilbert case, from one pass over the
+    members and without building the witness tree."""
+    return hilbert_pow(_up_sums(members, weights.num), weights)
 
 
 def candidate_tops(coll: Iterable[Bitile]) -> list[Bitile]:
@@ -685,18 +742,18 @@ def tree_form_sum(
     dual = plugin.dual()
     if any(value_norm(v, dual) > 1 + 1e-9 for v in g.samples):
         warnings.warn("dual function exceeds pointwise norm one", stacklevel=2)
-    products = member_form_products(tree.members, f, g, E, Nfun)
+    fco = down_coefficients_inf(f, tree.members)
+    products = member_form_products(tree.members, f, g, E, Nfun, coeffs=fco)
     lhs = sum((abs(v) for v in products.values()), Fraction(0))
 
     dens = density(tree.members, E, Nfun)
-    size_val, _ = size(tree.members, f, q, plugin)
+    size_val = float(size_pow(tree.members, f, q, plugin, coeffs=fco)[0]) ** (1.0 / float(q))
     top_len = tree.time.length
     rhs = size_val * float(dens) * float(top_len)
     ratio = float(lhs) / rhs if rhs > 0 else (0.0 if lhs == 0 else float("inf"))
 
     jays = maximal_gap_intervals(tree.members, f.L)
     down, rest = tree.split()
-    fco = down_coefficients_inf(f, tree.members)
     split_norms = []
     for J in jays:
         GJ = gap_set(J, tree.members, E, Nfun)

@@ -14,16 +14,44 @@
 - carleson_direct / carleson_bitile / member_form_products: the
   per-cell, per-bitile and per-member loops the packet table replaced,
   summing each packet's samples in cell order from exact_terms' zero.
+- density_decompose / size_decompose / down_tile_violations: the greedy
+  splits that re-test every top each round and find maximal tops by
+  pairwise comparison, with a fresh up-sum sweep for the size of the
+  collection, of the remainder and of every tree, and the pairwise scan
+  for meeting down-tiles.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 
-from tilewalsh.dyadic import Bitile, DyadicInterval, bitile_le, bitile_lt, bitile_universe
+from tilewalsh.certificates import Certificate
+from tilewalsh.decompose import DensityDecomposition, SizeDecomposition, _two_pow
+from tilewalsh.dyadic import (
+    Bitile,
+    DyadicInterval,
+    bitile_le,
+    bitile_lt,
+    bitile_universe,
+    tiles_disjoint,
+)
 from tilewalsh.operators import walsh_coefficients
-from tilewalsh.signal import exact_terms
-from tilewalsh.timefreq import Tree
+from tilewalsh.signal import exact_terms, lq_norm, lq_norm_pow
+from tilewalsh.timefreq import (
+    DensityCounter,
+    Tree,
+    _is_hilbert_case,
+    _pow_gt,
+    candidate_tops,
+    complete_up_tree,
+    down_coefficients_inf,
+    hilbert_member_weights,
+    hilbert_top_sums as int_top_sums,
+    local_density,
+    size_pow,
+    tree_delta_pow,
+    up_ancestor_keys,
+)
 from tilewalsh.walsh import bit_reverse, walsh
 
 
@@ -255,3 +283,147 @@ def member_form_products(members, f, g, E, Nfun):
             prod += a * b
         terms[P] = prod * (1 << P.time.k)
     return terms
+
+
+def down_tile_violations(entries):
+    """(Pa, ia, Pb, ib) for the pairs a < b of (bitile, tree) entries whose
+    down-tiles meet, by the pairwise scan."""
+    bad = []
+    for a in range(len(entries)):
+        Pa, ia = entries[a]
+        for b in range(a + 1, len(entries)):
+            Pb, ib = entries[b]
+            if not tiles_disjoint(Pa.down, Pb.down):
+                bad.append((Pa, ia, Pb, ib))
+    return bad
+
+
+def density_decompose(coll, E, Nfun, q, counter=None):
+    coll = sorted(set(coll), key=Bitile.key)
+    if counter is None:
+        counter = DensityCounter(E, Nfun)
+    local = {P: local_density(P, counter) for P in coll}
+    dens = max((v[0] for v in local.values()), default=Fraction(0))
+    threshold = dens * _two_pow(-q) if dens else Fraction(0)
+
+    sparse = [P for P in coll if local[P][0] <= threshold]
+    rest = [P for P in coll if local[P][0] > threshold]
+    witnesses = sorted({local[P][1] for P in rest}, key=Bitile.key)
+    tops = [W for W in witnesses if not any(bitile_lt(W, W2) for W2 in witnesses)]
+
+    trees = []
+    remaining = set(rest)
+    for T in tops:
+        members = [P for P in sorted(remaining, key=Bitile.key) if bitile_le(P, T)]
+        if not members:
+            continue
+        remaining.difference_update(members)
+        trees.append(Tree.build(T, members))
+    if remaining:
+        raise RuntimeError("density split failed to assign every dense bitile")
+
+    sparse_density = max((local[P][0] for P in sparse), default=Fraction(0))
+    certs = [
+        Certificate.make(
+            "density_sparse", sparse_density, threshold,
+            theorem_backed=True, context={"q": q, "density": dens},
+        )
+    ]
+    if dens > 0:
+        mass = sum((t.time.length for t in trees), Fraction(0))
+        bound = _two_pow(q) / dens * E.measure
+        certs.append(
+            Certificate.make(
+                "density_mass", mass, bound, theorem_backed=True,
+                context={"q": q, "trees": len(trees), "set_measure": E.measure},
+            )
+        )
+    return DensityDecomposition(tuple(sparse), tuple(trees), tuple(certs), dens)
+
+
+def size_decompose(coll, f, q, plugin):
+    """The size split with tree_pows from size_pow on every tree."""
+    coll = sorted(set(coll), key=Bitile.key)
+    coeffs = down_coefficients_inf(f, coll)
+    zero = [P for P in coll if all(c == 0 for c in coeffs[P])]
+    active = [P for P in coll if any(c != 0 for c in coeffs[P])]
+
+    hilbert = _is_hilbert_case(q, plugin)
+    weights = hilbert_member_weights(coll, coeffs) if hilbert else None
+    sigma_pow, _ = size_pow(active, f, q, plugin, coeffs=coeffs, weights=weights)
+    threshold_pow = sigma_pow * _two_pow(-q)
+
+    if hilbert:
+        sums = int_top_sums(active, weights)
+    trees = []
+    remaining = list(active)
+    rounds = 0
+    while remaining:
+        rounds += 1
+        if rounds > len(coll) + 1:
+            raise RuntimeError("size split failed to terminate")
+        if hilbert:
+            qualifying = [
+                Bitile.from_key(T)
+                for T in sorted(sums)
+                if sums[T] > 0 and weights.exceeds(sums[T] * (1 << T[0]), threshold_pow)
+            ]
+        else:
+            qualifying = []
+            for T in candidate_tops(remaining):
+                tree = complete_up_tree(T, remaining)
+                if not tree.members:
+                    continue
+                if _pow_gt(tree_delta_pow(tree, f, q, plugin, coeffs=coeffs), threshold_pow):
+                    qualifying.append(T)
+        if not qualifying:
+            break
+        maximal = [T for T in qualifying if not any(bitile_lt(T, T2) for T2 in qualifying)]
+        pick = min(maximal, key=lambda T: (T.freq_center, T.key()))
+        members = [P for P in remaining if bitile_le(P, pick)]
+        trees.append(Tree.build(pick, members))
+        if hilbert:
+            for P in members:
+                key = P.key()
+                w = weights.num[key]
+                if w:
+                    for T in up_ancestor_keys(*key):
+                        sums[T] -= w
+        removed = set(members)
+        remaining = [P for P in remaining if P not in removed]
+
+    small = sorted(set(remaining) | set(zero), key=Bitile.key)
+    small_pow, _ = size_pow(small, f, q, plugin, coeffs=coeffs, weights=weights)
+    entries = [(P, i) for i, t in enumerate(trees) for P in t.up_part()]
+    certs = [
+        Certificate.make(
+            "size_small", small_pow, threshold_pow, theorem_backed=True,
+            context={"q": q, "note": "q-th powers of size; threshold is (size/2)^q"},
+        ),
+        Certificate.make(
+            "down_tile_disjointness", len(down_tile_violations(entries)), 0,
+            theorem_backed=True,
+            context={"pairs_checked": len(entries) * (len(entries) - 1) // 2},
+        ),
+    ]
+
+    mass = sum((t.time.length for t in trees), Fraction(0))
+    fq_pow = lq_norm_pow(f, q, plugin)
+    if fq_pow is None:
+        fq_pow = lq_norm(f, q, plugin) ** float(q)
+    if fq_pow and float(fq_pow) > 0:
+        mass_constant = float(mass) * float(sigma_pow) / float(fq_pow)
+    else:
+        mass_constant = 0.0
+    stats = {
+        "top_length_sum": mass,
+        "size_pow": sigma_pow,
+        "mass_constant": mass_constant,
+        "trees": len(trees),
+    }
+    tree_pows = tuple(
+        size_pow(t.members, f, q, plugin, coeffs=coeffs, weights=weights)[0] for t in trees
+    )
+    return SizeDecomposition(
+        tuple(small), tuple(trees), tuple(certs), sigma_pow, tree_pows, stats
+    )

@@ -1,29 +1,43 @@
 """The density table, the packet table and the kernels built on it
 (carleson_bitile, down_coefficients_inf, member_form_products), the
-vectorized carleson_direct and the integer Hilbert up-sums against the
-retained references in tests/reference.py."""
+vectorized carleson_direct, the integer Hilbert up-sums, the incremental
+density and size splits and the down-tile sweep against the retained
+references in tests/reference.py."""
 
 import json
 import random
 from fractions import Fraction
 
 import pytest
+from click.testing import CliRunner
 from hypothesis import given, settings, strategies as st
 
 import reference
-from tilewalsh import operators
-from tilewalsh.decompose import size_decompose
-from tilewalsh.dyadic import Bitile, DyadicInterval, bitile_universe
-from tilewalsh.gen import SplitMix64, gen_collection, gen_levelset, gen_nfun, gen_signal
+from tilewalsh import decompose, operators, timefreq
+from tilewalsh.cli import main
+from tilewalsh.decompose import density_decompose, full_decompose, size_decompose
+from tilewalsh.dyadic import Bitile, DyadicInterval, Tile, bitile_universe, tiles_disjoint
+from tilewalsh.gen import (
+    SplitMix64,
+    gen_collection,
+    gen_levelset,
+    gen_nfun,
+    gen_signal,
+    gen_tree_members,
+)
 from tilewalsh.operators import carleson_bitile, carleson_direct
-from tilewalsh.signal import FrequencyChoice, NormPlugin, Signal, signal_from_json
+from tilewalsh.signal import FrequencyChoice, NormPlugin, Signal, signal_from_json, value_is_zero
 from tilewalsh.timefreq import (
     DensityCounter,
+    Tree,
+    TreeFamily,
     down_coefficients_inf,
     hilbert_member_weights,
     hilbert_top_sums,
     local_density,
+    meeting_tile_pairs,
     member_form_products,
+    size_pow,
 )
 from tilewalsh.walsh import packet_table
 
@@ -298,3 +312,153 @@ class TestMemberFormProducts:
         got = member_form_products(coll, f, g, E, N)
         ref = reference.member_form_products(coll, f, g, E, N)
         assert repr(list(got.items())) == repr(list(ref.items()))
+
+
+# ---------------------------------------------------------------------------
+# the greedy splits and the down-tile sweep
+
+fractions_pool = st.lists(
+    st.fractions(min_value=-3, max_value=3, max_denominator=30), min_size=16, max_size=16
+)
+
+
+def _split_signal(L, shape, seed, variant, pool):
+    """f of the instance (L, shape, seed): exact, with non-dyadic
+    denominators from pool, or in float."""
+    f, _, E, N = _instance(L, shape, seed)
+    if variant == "float":
+        f = _floats(f)
+    elif variant == "non-dyadic":
+        it = iter(range(10**9))
+
+        def scale(v):
+            return tuple(scale(x) for x in v) if isinstance(v, tuple) else v * pool[next(it) % 16]
+        f = Signal(f.L, f.d, f.kind, tuple(scale(v) for v in f.samples))
+    return f, E, N
+
+
+def _collection(L, seed, whole):
+    if whole:
+        return list(bitile_universe(L).items)
+    return gen_collection(L, SplitMix64(seed).below(60) + 1, SplitMix64(seed + 1))
+
+
+variants = st.sampled_from(["exact", "non-dyadic", "float"])
+
+
+class TestGreedySplits:
+    @pytest.mark.parametrize("L", range(1, 8))
+    @given(signal_shapes, st.integers(0, 10**6), variants, fractions_pool, st.booleans())
+    @settings(max_examples=6, deadline=None)
+    def test_hilbert_size_split(self, L, shape, seed, variant, pool, whole):
+        f, _, _ = _split_signal(L, shape, seed, variant, pool)
+        coll = _collection(L, seed, whole and L <= 6)
+        got = size_decompose(coll, f, 2, EUCL)
+        ref = reference.size_decompose(coll, f, 2, EUCL)
+        # trees, small, certificates, tree_pows and stats, float bits included
+        assert repr(got) == repr(ref)
+
+    @given(
+        st.integers(1, 3),
+        st.sampled_from([(3, NormPlugin("lp", Fraction(3))), (3, EUCL), (4, EUCL)]),
+        st.integers(0, 10**6),
+        st.sampled_from(["exact", "float"]),
+    )
+    @settings(max_examples=15, deadline=None)
+    def test_generic_size_split(self, L, qp, seed, variant):
+        q, plugin = qp
+        f, _, _ = _split_signal(L, (1 if plugin.name == "lp" else 2, "vector"), seed, variant, None)
+        coll = _collection(L, seed, L <= 2)
+        assert repr(size_decompose(coll, f, q, plugin)) == repr(
+            reference.size_decompose(coll, f, q, plugin)
+        )
+
+    @pytest.mark.parametrize("L", range(1, 8))
+    @given(st.integers(0, 10**6), st.sampled_from([2, 3]), st.booleans())
+    @settings(max_examples=8, deadline=None)
+    def test_density_split(self, L, seed, q, whole):
+        _, _, E, N = _instance(L, (1, "vector"), seed)
+        coll = _collection(L, seed, whole)
+        assert density_decompose(coll, E, N, q) == reference.density_decompose(coll, E, N, q)
+
+    @pytest.mark.parametrize("L", range(1, 7))
+    @given(signal_shapes, st.integers(0, 10**6), variants, fractions_pool)
+    @settings(max_examples=3, deadline=None)
+    def test_level_tree_pows(self, L, shape, seed, variant, pool):
+        f, E, N = _split_signal(L, shape, seed, variant, pool)
+        if E.count == 0 or all(value_is_zero(v) for v in f.samples):
+            return
+        forest = full_decompose(list(bitile_universe(L).items), f, E, N, 2, EUCL)
+        for rec in forest.levels:
+            assert repr(rec.size_pows) == repr(
+                tuple(size_pow(t.members, f, 2, EUCL)[0] for t in rec.trees)
+            )
+
+    def test_one_up_sum_sweep_per_level(self, monkeypatch, tmp_path):
+        calls = {"hilbert_top_sums": 0, "size_pow": 0}
+
+        def counted(name, fn):
+            def wrapper(*args, **kwargs):
+                calls[name] += 1
+                return fn(*args, **kwargs)
+            return wrapper
+
+        for name in calls:
+            wrapped = counted(name, getattr(timefreq, name))
+            for module in (timefreq, decompose):
+                monkeypatch.setattr(module, name, wrapped)
+        out = tmp_path / "certify.json"
+        result = CliRunner().invoke(
+            main, ["certify", "--levels", "6", "--seed", "5", "--out", str(out)],
+            catch_exceptions=False,
+        )
+        assert result.exit_code == 0
+        levels = len(json.loads(out.read_text())["form"]["levels"])
+        assert levels >= 3
+        assert calls["hilbert_top_sums"] <= levels + 1
+        assert calls["size_pow"] <= 1
+
+
+def _random_family(L, seed, trees):
+    """Trees with overlapping tops and shared members, so that down-tiles
+    meet."""
+    rng = SplitMix64(seed)
+    items = bitile_universe(L).items
+    family = []
+    for _ in range(trees):
+        top = items[rng.below(len(items))]
+        family.append(Tree.build(top, gen_tree_members(L, top, rng.below(8) + 1, rng)))
+    return TreeFamily(tuple(family))
+
+
+class TestDownTileSweep:
+    @given(st.integers(1, 5), st.integers(0, 10**6), st.integers(1, 6))
+    @settings(max_examples=60, deadline=None)
+    def test_family_violations_match_pairwise_scan(self, L, seed, trees):
+        fam = _random_family(L, seed, trees)
+        entries = [(P, i) for i, t in enumerate(fam.trees) for P in t.members]
+        assert fam.down_disjointness_violations() == reference.down_tile_violations(entries)
+
+    @given(
+        st.lists(
+            st.tuples(st.integers(0, 4), st.integers(0, 20), st.integers(0, 5)), max_size=40
+        )
+    )
+    @settings(max_examples=100, deadline=None)
+    def test_meeting_pairs_match_pairwise_scan(self, raw):
+        tiles = [(k, pos % (1 << k), n) for k, pos, n in raw]
+        objs = [Tile(DyadicInterval(k, pos), n) for k, pos, n in tiles]
+        expected = [
+            (a, b)
+            for a in range(len(objs))
+            for b in range(a + 1, len(objs))
+            if not tiles_disjoint(objs[a], objs[b])
+        ]
+        assert meeting_tile_pairs(tiles) == expected
+
+    def test_overlapping_tiles_are_counted(self):
+        # a tile, its duplicate, one below it, and one disjoint from all
+        tiles = [(1, 0, 2), (1, 0, 2), (2, 1, 1), (2, 2, 1)]
+        assert meeting_tile_pairs(tiles) == [(0, 1), (0, 2), (1, 2)]
+        fam = _random_family(4, 7, 5)
+        assert len(fam.down_disjointness_violations()) > 0
