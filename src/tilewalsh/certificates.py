@@ -1,9 +1,12 @@
-"""Machine-checked inequality instances emitted by decomposition steps."""
+"""Machine-checked inequality instances emitted by decomposition steps,
+and the JSON form of reports that hold them."""
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
+
+from .signal import num_to_json
 
 FLOAT_RTOL = 1e-9
 
@@ -46,32 +49,29 @@ class Certificate:
         )
 
     def to_json(self) -> dict:
-        def num(x):
-            if isinstance(x, (Fraction, int)):
-                x = Fraction(x)
-                return f"{x.numerator}/{x.denominator}"
-            return repr(float(x))
-
         return {
             "name": self.name,
-            "lhs": num(self.lhs),
-            "rhs": num(self.rhs),
+            "lhs": num_to_json(self.lhs),
+            "rhs": num_to_json(self.rhs),
             "mode": self.mode,
             "pass": self.passed,
             "theorem_backed": self.theorem_backed,
-            "context": _context_json(self.context),
+            "context": jsonable(self.context),
         }
 
 
-def _context_json(obj):
+def jsonable(obj):
+    """obj ready for json.dump: certificates as to_json, tuples as lists,
+    dict keys as strings, and Fractions and floats (numpy's too) in the
+    num_to_json encoding; ints, bools, None and strings stay."""
+    if isinstance(obj, Certificate):
+        return obj.to_json()
     if isinstance(obj, dict):
-        return {str(k): _context_json(v) for k, v in sorted(obj.items(), key=lambda kv: str(kv[0]))}
+        return {str(k): jsonable(v) for k, v in obj.items()}
     if isinstance(obj, (list, tuple)):
-        return [_context_json(x) for x in obj]
-    if isinstance(obj, Fraction):
-        return f"{obj.numerator}/{obj.denominator}"
-    if isinstance(obj, float):
-        return repr(obj)
+        return [jsonable(x) for x in obj]
+    if isinstance(obj, (Fraction, float)):
+        return num_to_json(obj)
     return obj
 
 

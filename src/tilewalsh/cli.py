@@ -21,7 +21,7 @@ from pathlib import Path
 
 import click
 
-from .certificates import Certificate, all_theorem_backed_pass
+from .certificates import all_theorem_backed_pass, jsonable
 from .decompose import (
     carleson_form_certificate,
     density_decompose,
@@ -49,12 +49,11 @@ from .signal import (
     load_json,
     nfun_from_json,
     nfun_to_json,
+    num_from_json,
+    num_to_json,
     signal_from_json,
     signal_to_json,
     value_is_zero,
-    _num_to_json,
-    _value_from_json,
-    _value_to_json,
 )
 from .walsh import ifwht
 
@@ -76,22 +75,8 @@ def _threads() -> int:
     return threads
 
 
-def _jsonify(obj):
-    if isinstance(obj, Certificate):
-        return obj.to_json()
-    if isinstance(obj, dict):
-        return {str(k): _jsonify(v) for k, v in obj.items()}
-    if isinstance(obj, (list, tuple)):
-        return [_jsonify(x) for x in obj]
-    if isinstance(obj, bool) or obj is None:
-        return obj
-    if isinstance(obj, (Fraction, float)):
-        return _num_to_json(obj)
-    return obj
-
-
 def _report(config: dict, payload: dict, certificates) -> dict:
-    return _jsonify(
+    return jsonable(
         {
             "levels": config.get("levels"),
             "seed": config.get("seed"),
@@ -112,7 +97,7 @@ def _write_csv(rows: list[tuple], out_json: str) -> None:
         writer = csv.writer(fh)
         writer.writerow(["name", "value"])
         for name, value in rows:
-            writer.writerow([name, _num_to_json(value) if isinstance(value, (Fraction, float)) else value])
+            writer.writerow([name, jsonable(value)])
 
 
 def _exit(certs) -> None:
@@ -139,7 +124,7 @@ def _same_resolution(**inputs) -> None:
 
 
 def _require_nonzero(f: Signal) -> None:
-    if all(value_is_zero(v) for v in f.samples):
+    if value_is_zero(f.comps):
         raise InputError("zero signal: level exponents undefined")
 
 
@@ -189,7 +174,7 @@ def transform(infile, inverse, out):
             "dim": f.d,
             "kind": f.kind,
             "coefficients": [
-                [_value_to_json(c) for c in comp] for comp in walsh_coefficients(f)
+                [num_to_json(c) for c in comp] for comp in walsh_coefficients(f)
             ],
         },
         out,
@@ -197,28 +182,8 @@ def transform(infile, inverse, out):
 
 
 def _signal_from_coefficients(obj: dict) -> Signal:
-    coefs = [
-        [_value_from_json(c) for c in comp] for comp in obj["coefficients"]
-    ]
-    values = list(zip(*[ifwht(comp) for comp in coefs]))
-    return signal_from_json(
-        {
-            "levels": obj["levels"],
-            "dim": obj["dim"],
-            "kind": obj["kind"],
-            "values": [
-                _value_to_json(_rebuild_value(flat, int(obj["dim"]), obj["kind"]))
-                for flat in values
-            ],
-        }
-    )
-
-
-def _rebuild_value(flat, d, kind):
-    flat = list(flat)
-    if kind == "matrix":
-        return tuple(tuple(flat[i * d + j] for j in range(d)) for i in range(d))
-    return tuple(flat)
+    comps = [ifwht([num_from_json(c) for c in comp]) for comp in obj["coefficients"]]
+    return Signal(int(obj["levels"]), int(obj["dim"]), obj["kind"], comps)
 
 
 @main.command()
@@ -233,7 +198,7 @@ def carleson(infile, nfun, out):
     _same_resolution(signal=f, cutoff=N)
     direct = carleson_direct(f, N)
     bitile = carleson_bitile(f, N, bitile_universe(f.L))
-    identical = direct.samples == bitile.samples
+    identical = direct.comps == bitile.comps
     dump_json(
         {
             "levels": f.L,
@@ -447,16 +412,10 @@ def rwt(levels, dim, kind, norm, q, p, seed, out):
     raw_f = gen_dual_function(levels, dim, kind, plugin, rng)
     raw_g = gen_dual_function(levels, dim, kind, plugin.dual(), rng)
     f = raw_f.with_components(
-        [
-            [x if j in Fset else Fraction(0) for j, x in enumerate(comp)]
-            for comp in raw_f.components()
-        ]
+        [[x if j in Fset else Fraction(0) for j, x in enumerate(comp)] for comp in raw_f.comps]
     )
     g = raw_g.with_components(
-        [
-            [x if j in Eset else Fraction(0) for j, x in enumerate(comp)]
-            for comp in raw_g.components()
-        ]
+        [[x if j in Eset else Fraction(0) for j, x in enumerate(comp)] for comp in raw_g.comps]
     )
     config = {
         "command": "rwt",

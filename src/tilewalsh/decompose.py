@@ -23,7 +23,6 @@ from .signal import (
     lq_norm,
     lq_norm_pow,
     maximal_function,
-    value_is_zero,
     value_norm,
 )
 from .timefreq import (
@@ -591,7 +590,7 @@ def haar_packet_sum(
     """sum over members of <f, down packet> h_{I_P}; exact."""
     if coeffs is None:
         coeffs = down_coefficients_inf(f, members)
-    ncomp = len(f.components())
+    ncomp = len(f.comps)
     out = [[Fraction(0)] * f.cells for _ in range(ncomp)]
     for P in members:
         k = P.time.k
@@ -711,9 +710,9 @@ def restricted_weak_type(
     if E.count == 0 or F.count == 0:
         raise ValueError("both sets must be nonempty")
     for j in range(f.cells):
-        if j not in F and not value_is_zero(f.samples[j]):
+        if j not in F and any(c[j] != 0 for c in f.comps):
             raise ValueError("signal not supported on F")
-        if j not in E and not value_is_zero(g.samples[j]):
+        if j not in E and any(c[j] != 0 for c in g.comps):
             raise ValueError("dual function not supported on E")
     if any(value_norm(v, plugin) > 1 + 1e-9 for v in f.samples):
         warnings.warn("signal exceeds pointwise norm one", stacklevel=2)
@@ -739,7 +738,7 @@ def restricted_weak_type(
         gt = g.with_components(
             [
                 [x if j in Etilde else Fraction(0) for j, x in enumerate(comp)]
-                for comp in g.components()
+                for comp in g.comps
             ]
         )
         regime = "E>F"
@@ -754,8 +753,8 @@ def restricted_weak_type(
     U = bitile_universe(f.L)
     Cf = carleson_bitile(f, Nfun, U)
     form = Fraction(0)
-    for j in range(f.cells):
-        form += dual_pair(Cf.samples[j], gt.samples[j])
+    for a, b in zip(zip(*Cf.comps), zip(*gt.comps)):
+        form += dual_pair(a, b)
     form = abs(form * Fraction(1, f.cells))
 
     pf = float(p)

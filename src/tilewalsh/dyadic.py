@@ -108,13 +108,6 @@ def tile_le(p: Tile, p2: Tile) -> bool:
     )
 
 
-def tiles_disjoint(p: Tile, p2: Tile) -> bool:
-    """Disjointness of the rectangles in the phase plane."""
-    if p.time.disjoint_from(p2.time):
-        return True
-    return p.freq_hi <= p2.freq_lo or p2.freq_hi <= p.freq_lo
-
-
 @dataclass(frozen=True, order=True)
 class Bitile:
     """Area-2 rectangle: I x |I|^-1 [2m, 2m+2), split into down- and up-tiles."""
@@ -180,10 +173,6 @@ def bitile_le(P: Bitile, P2: Bitile) -> bool:
     return d is not None and P2.m >> d == P.m
 
 
-def bitile_lt(P: Bitile, P2: Bitile) -> bool:
-    return bitile_le(P, P2) and P != P2
-
-
 def bitile_le_d(P: Bitile, P2: Bitile) -> bool:
     d = _time_le(P, P2)
     return d is not None and (2 * P2.m) >> d == 2 * P.m
@@ -192,14 +181,6 @@ def bitile_le_d(P: Bitile, P2: Bitile) -> bool:
 def bitile_le_u(P: Bitile, P2: Bitile) -> bool:
     d = _time_le(P, P2)
     return d is not None and (2 * P2.m + 1) >> d == 2 * P.m + 1
-
-
-def bitiles_overlap(P: Bitile, P2: Bitile) -> bool:
-    return not (
-        P.time.disjoint_from(P2.time)
-        or P.freq_hi <= P2.freq_lo
-        or P2.freq_hi <= P.freq_lo
-    )
 
 
 MAX_LEVELS = 20

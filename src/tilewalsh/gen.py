@@ -53,14 +53,11 @@ class SplitMix64:
 
 
 def gen_signal(L: int, d: int, kind: str, rng: SplitMix64) -> Signal:
-    def one_value():
-        if kind == "matrix":
-            return tuple(
-                tuple(rng.fraction() for _ in range(d)) for _ in range(d)
-            )
-        return tuple(rng.fraction() for _ in range(d))
-
-    return Signal(L, d, kind, tuple(one_value() for _ in range(1 << L)))
+    """Drawn cell by cell, each value's entries in column order (a matrix
+    row by row)."""
+    width = d * d if kind == "matrix" else d
+    cells = [[rng.fraction() for _ in range(width)] for _ in range(1 << L)]
+    return Signal(L, d, kind, tuple(zip(*cells)))
 
 
 def gen_dual_function(
@@ -72,18 +69,8 @@ def gen_dual_function(
     """
     raw = gen_signal(L, d, kind, rng)
     dual = plugin.dual()
-    vals = []
-    for v in raw.samples:
-        n = value_norm(v, dual)
-        scale = Fraction(1, max(1, ceil(n * (1 + 1e-12))))
-        vals.append(_scale_value(v, scale))
-    return Signal(L, d, kind, tuple(vals))
-
-
-def _scale_value(v, c):
-    if isinstance(v, tuple):
-        return tuple(_scale_value(x, c) for x in v)
-    return v * c
+    scales = [Fraction(1, max(1, ceil(value_norm(v, dual) * (1 + 1e-12)))) for v in raw.samples]
+    return raw.with_components([[x * c for x, c in zip(comp, scales)] for comp in raw.comps])
 
 
 def gen_levelset(L: int, measure, rng: SplitMix64) -> LevelSet:
@@ -116,17 +103,6 @@ def gen_up_tree_members(L: int, top: Bitile, count: int, rng: SplitMix64) -> lis
     from .dyadic import bitile_le_u
 
     pool = [P for P in bitile_universe(L).items if bitile_le_u(P, top)]
-    rng.shuffle(pool)
-    picked = pool[: min(count, len(pool))]
-    picked.sort(key=Bitile.key)
-    return picked
-
-
-def gen_tree_members(L: int, top: Bitile, count: int, rng: SplitMix64) -> list[Bitile]:
-    """Random members below `top` in the full tile order."""
-    from .dyadic import bitile_le
-
-    pool = [P for P in bitile_universe(L).items if bitile_le(P, top)]
     rng.shuffle(pool)
     picked = pool[: min(count, len(pool))]
     picked.sort(key=Bitile.key)

@@ -18,6 +18,7 @@ from .signal import (
     exact_terms,
     lq_norm,
     maximal_function,
+    nest,
     value_norm,
 )
 from .walsh import bit_reversal, bit_reverse, fwht, ifwht, packet_rows
@@ -25,7 +26,7 @@ from .walsh import bit_reversal, bit_reverse, fwht, ifwht, packet_rows
 
 def walsh_coefficients(f: Signal) -> list[list]:
     """Per-component Walsh coefficient tables, exact for rational signals."""
-    return [fwht(comp) for comp in f.components()]
+    return [fwht(comp) for comp in f.comps]
 
 
 def partial_sum(f: Signal, N: int) -> Signal:
@@ -136,7 +137,7 @@ def carleson_bitile(f: Signal, Nfun: FrequencyChoice, U: BitileUniverse) -> Sign
                 cell.append((k, (j >> l << l) + n - 1, neg))
         hits.append(cell)
     out_comps = []
-    for comp in f.components():
+    for comp in f.comps:
         # sums of signed samples, scaled by 2^k, finished with the 2^-L weight
         terms, zero, finish = exact_terms(comp, f.cells)
         rows = packet_rows(terms, zero, L)
@@ -171,23 +172,11 @@ def maximal_partial_sum(f: Signal, plugin: NormPlugin) -> Signal:
             if exact:
                 norm = abs(running[0])
             else:
-                value = _reshape(f.samples[0], running)
-                norm = value_norm(value, plugin)
+                norm = value_norm(nest(running, f.d, f.kind), plugin)
             if norm > best:
                 best = norm
-        out.append((best,))
-    return Signal(f.L, 1, "vector", tuple(out))
-
-
-def _reshape(template, flat):
-    it = iter(flat)
-
-    def go(t):
-        if isinstance(t, tuple):
-            return tuple(go(x) for x in t)
-        return next(it)
-
-    return go(template)
+        out.append(best)
+    return Signal(f.L, 1, "vector", (tuple(out),))
 
 
 def haar_intervals(L: int) -> list[DyadicInterval]:
@@ -218,7 +207,7 @@ def martingale_transform(
     """
     intervals = list(family) if family is not None else haar_intervals(f.L)
     const = signs if isinstance(signs, int) else None
-    comps = f.components()
+    comps = f.comps
     out_comps = [[Fraction(0)] * f.cells for _ in comps]
     for I in intervals:
         if I.k >= f.L:

@@ -1,9 +1,13 @@
 """Grid signals with vector or matrix values, pluggable norms with dual
 pairings, L^q norms, the dyadic maximal function and dyadic BMO.
 
-A signal is piecewise constant on the 2^L cells of [0,1).  Values are
-nested tuples of Fractions (or floats): a length-d tuple for vectors, a
-d x d tuple-of-tuples for matrices.  Scalars are dimension-1 vectors.
+A signal is piecewise constant on the 2^L cells of [0,1).  It is stored
+component-major: one column of 2^L Fractions (or floats) per coordinate of
+the value space, d columns for a vector and d^2 for a matrix (entries row
+by row).  Every operator acts on the columns.  The nested per-cell view
+(`Signal.samples`: a length-d tuple for a vector, d rows of d for a
+matrix) exists for the norms, which need a whole value, and for JSON.
+Scalars are dimension-1 vectors.
 """
 
 from __future__ import annotations
@@ -12,6 +16,7 @@ import json
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -24,28 +29,11 @@ Number = Fraction  # canonical exact scalar; floats are accepted everywhere
 # ---------------------------------------------------------------------------
 # value helpers (nested tuples)
 
-def value_add(a, b):
-    if isinstance(a, tuple):
-        return tuple(value_add(x, y) for x, y in zip(a, b))
-    return a + b
-
-
-def value_sub(a, b):
-    if isinstance(a, tuple):
-        return tuple(value_sub(x, y) for x, y in zip(a, b))
-    return a - b
-
-
-def value_scale(a, c):
-    if isinstance(a, tuple):
-        return tuple(value_scale(x, c) for x in a)
-    return a * c
-
-
-def value_zero(d: int, kind: str):
+def nest(flat: Sequence, d: int, kind: str) -> tuple:
+    """The nested value of one cell from its entries in column order."""
     if kind == "matrix":
-        return tuple(tuple(Fraction(0) for _ in range(d)) for _ in range(d))
-    return tuple(Fraction(0) for _ in range(d))
+        return tuple(tuple(flat[r * d : (r + 1) * d]) for r in range(d))
+    return tuple(flat)
 
 
 def value_is_zero(a) -> bool:
@@ -82,7 +70,8 @@ def flatten_value(a) -> list:
 
 
 def dual_pair(a, b):
-    """Duality: dot product for vectors, trace pairing tr(A^T B) for matrices."""
+    """Duality: dot product for vectors, trace pairing tr(A^T B) for
+    matrices; a and b may be nested values or their flat entries."""
     fa, fb = flatten_value(a), flatten_value(b)
     if len(fa) != len(fb):
         raise ValueError("shape mismatch in dual pairing")
@@ -94,9 +83,6 @@ def dual_pair(a, b):
 
 # ---------------------------------------------------------------------------
 # norms
-
-FLOAT_RTOL = 1e-9
-
 
 @dataclass(frozen=True)
 class NormPlugin:
@@ -195,84 +181,80 @@ def value_norm_pow(v, plugin: NormPlugin, q) -> Fraction | None:
 
 @dataclass(frozen=True)
 class Signal:
-    """A function constant on each cell [j 2^-L, (j+1) 2^-L), j < 2^L."""
+    """A function constant on each cell [j 2^-L, (j+1) 2^-L), j < 2^L.
+
+    comps[i][j] is entry i of the value on cell j: d columns for a vector,
+    d^2 for a matrix with its entries row by row."""
 
     L: int
     d: int
     kind: str  # "vector" | "matrix"
-    samples: tuple
+    comps: tuple
 
     def __post_init__(self) -> None:
         if self.kind not in ("vector", "matrix"):
             raise ValueError(f"unknown signal kind {self.kind!r}")
-        if len(self.samples) != 1 << self.L:
+        width = self.d * self.d if self.kind == "matrix" else self.d
+        comps = tuple(tuple(c) for c in self.comps)
+        if len(comps) != width or any(len(c) != 1 << self.L for c in comps):
             raise ValueError(
-                f"expected 2^{self.L} samples, got {len(self.samples)}"
+                f"a {self.d}-dimensional {self.kind} on 2^{self.L} cells needs "
+                f"{width} components of {1 << self.L} samples, got "
+                f"{len(comps)} of {sorted({len(c) for c in comps})}"
             )
+        object.__setattr__(self, "comps", comps)
 
     @property
     def cells(self) -> int:
         return 1 << self.L
 
+    @cached_property
+    def samples(self) -> tuple:
+        """The nested value on each cell (see nest)."""
+        return tuple(nest(flat, self.d, self.kind) for flat in zip(*self.comps))
+
     @staticmethod
     def scalar(values: Iterable) -> "Signal":
-        vals = tuple(
-            (x if isinstance(x, (Fraction, float)) else Fraction(x),) for x in values
-        )
-        L = len(vals).bit_length() - 1
-        return Signal(L, 1, "vector", vals)
+        col = tuple(x if isinstance(x, (Fraction, float)) else Fraction(x) for x in values)
+        return Signal(len(col).bit_length() - 1, 1, "vector", (col,))
 
     @staticmethod
     def from_values(values: Sequence, kind: str = "vector") -> "Signal":
-        vals = tuple(_canon_value(v) for v in values)
-        L = len(vals).bit_length() - 1
-        first = vals[0]
-        d = len(first)
-        return Signal(L, d, kind, vals)
+        vals = [_canon_value(v) for v in values]
+        d = len(vals[0])
+        return Signal(len(vals).bit_length() - 1, d, kind, _columns(vals, d, kind))
 
     def scalar_samples(self) -> list:
         if self.d != 1 or self.kind != "vector":
             raise ValueError("not a scalar signal")
-        return [v[0] for v in self.samples]
-
-    def components(self) -> list[list]:
-        """Flatten each value; returns one sample list per component."""
-        flat0 = flatten_value(self.samples[0])
-        comps = [[None] * self.cells for _ in flat0]
-        for j, v in enumerate(self.samples):
-            for i, x in enumerate(flatten_value(v)):
-                comps[i][j] = x
-        return comps
+        return list(self.comps[0])
 
     def with_components(self, comps: Sequence[Sequence]) -> "Signal":
-        """Rebuild a signal of the same shape from flattened components."""
-        vals = []
-        for j in range(self.cells):
-            flat = [c[j] for c in comps]
-            vals.append(_reshape_like(self.samples[0], iter(flat)))
-        return Signal(self.L, self.d, self.kind, tuple(vals))
+        """A signal of the same shape with the given columns."""
+        return Signal(self.L, self.d, self.kind, comps)
 
     def zero_like(self) -> "Signal":
-        z = value_zero(self.d, self.kind)
-        return Signal(self.L, self.d, self.kind, tuple(z for _ in range(self.cells)))
+        return self.with_components([(Fraction(0),) * self.cells for _ in self.comps])
 
     def refine(self, L2: int) -> "Signal":
         """Same function sampled on a finer grid."""
         if L2 < self.L:
             raise ValueError("refinement must not lose resolution")
         rep = 1 << (L2 - self.L)
-        vals = tuple(v for v in self.samples for _ in range(rep))
-        return Signal(L2, self.d, self.kind, vals)
+        return Signal(L2, self.d, self.kind, [[x for x in c for _ in range(rep)] for c in self.comps])
 
     def average(self, I: DyadicInterval | None = None):
         """Mean value over a dyadic interval (default: all of [0,1))."""
         if I is None:
             I = DyadicInterval(0, 0)
         cells = I.cells(self.L)
-        acc = value_zero(self.d, self.kind)
-        for j in cells:
-            acc = value_add(acc, self.samples[j])
-        return value_scale(acc, Fraction(1, len(cells)))
+        means = []
+        for c in self.comps:
+            acc = Fraction(0)
+            for j in cells:
+                acc = acc + c[j]
+            means.append(acc * Fraction(1, len(cells)))
+        return nest(means, self.d, self.kind)
 
 
 def _canon_value(v):
@@ -281,10 +263,24 @@ def _canon_value(v):
     return v if isinstance(v, float) else Fraction(v)
 
 
-def _reshape_like(template, flat_iter):
-    if isinstance(template, tuple):
-        return tuple(_reshape_like(t, flat_iter) for t in template)
-    return next(flat_iter)
+def _columns(values: Sequence[tuple], d: int, kind: str) -> tuple:
+    """Columns of nested per-cell values; ValueError unless every value is
+    d numbers (vector) or d rows of d numbers (matrix)."""
+
+    def is_row(r) -> bool:
+        return isinstance(r, tuple) and len(r) == d and not any(isinstance(x, tuple) for x in r)
+
+    def has_shape(v) -> bool:
+        if kind == "matrix":
+            return len(v) == d and all(is_row(r) for r in v)
+        return is_row(v)
+
+    for j, v in enumerate(values):
+        if not has_shape(v):
+            raise ValueError(f"value {j} is not a {d}-dimensional {kind}")
+    if kind == "matrix":
+        values = [[x for row in v for x in row] for v in values]
+    return tuple(zip(*values))
 
 
 def lq_norm_pow(f: Signal, q, plugin: NormPlugin) -> Fraction | None:
@@ -341,7 +337,7 @@ def maximal_function(f: Signal, plugin: NormPlugin) -> Signal:
                     best[j] = avg
         level = nxt
         size //= 2
-    return Signal(f.L, 1, "vector", tuple((x,) for x in best))
+    return Signal(f.L, 1, "vector", (tuple(best),))
 
 
 def bmo_norm(f: Signal, plugin: NormPlugin) -> float:
@@ -350,10 +346,11 @@ def bmo_norm(f: Signal, plugin: NormPlugin) -> float:
     worst = 0.0
     for K in unit_intervals(f.L):
         cells = K.cells(f.L)
-        mean = f.average(K)
+        mean = flatten_value(f.average(K))
         osc = 0.0
         for j in cells:
-            osc += value_norm(value_sub(f.samples[j], mean), plugin)
+            diff = [c[j] - m for c, m in zip(f.comps, mean)]
+            osc += value_norm(nest(diff, f.d, f.kind), plugin)
         osc /= len(cells)
         if osc > worst:
             worst = osc
@@ -445,14 +442,16 @@ class FrequencyChoice:
 # ---------------------------------------------------------------------------
 # JSON serialization
 
-def _num_to_json(x) -> str:
+def num_to_json(x) -> str:
+    """The one number encoding: "num/den" for rationals, repr for floats."""
     if isinstance(x, (Fraction, int)):
         x = Fraction(x)
         return f"{x.numerator}/{x.denominator}"
     return repr(float(x))
 
 
-def _num_from_json(s) -> Fraction | float:
+def num_from_json(s) -> Fraction | float:
+    """Inverse of num_to_json; JSON numbers and bare integers pass too."""
     if isinstance(s, (int, float)):
         return Fraction(s) if isinstance(s, int) else float(s)
     text = str(s)
@@ -467,13 +466,13 @@ def _num_from_json(s) -> Fraction | float:
 def _value_to_json(v):
     if isinstance(v, tuple):
         return [_value_to_json(x) for x in v]
-    return _num_to_json(v)
+    return num_to_json(v)
 
 
 def _value_from_json(v):
     if isinstance(v, list):
         return tuple(_value_from_json(x) for x in v)
-    return _num_from_json(v)
+    return num_from_json(v)
 
 
 def signal_to_json(f: Signal) -> dict:
@@ -489,25 +488,9 @@ def signal_from_json(obj: dict) -> Signal:
     L = int(obj["levels"])
     d = int(obj["dim"])
     kind = obj["kind"]
-    values = tuple(_value_from_json(v) for v in obj["values"])
-    values = tuple(v if isinstance(v, tuple) else (v,) for v in values)
-    for j, v in enumerate(values):
-        if not _has_shape(v, d, kind):
-            raise ValueError(f"value {j} is not a {d}-dimensional {kind}")
-    return Signal(L, d, kind, values)
-
-
-def _has_shape(v: tuple, d: int, kind: str) -> bool:
-    """v is d numbers (vector) or d rows of d numbers (matrix)."""
-
-    def is_row(r) -> bool:
-        return isinstance(r, tuple) and len(r) == d and not any(
-            isinstance(x, tuple) for x in r
-        )
-
-    if kind == "matrix":
-        return len(v) == d and all(is_row(r) for r in v)
-    return is_row(v)
+    values = [_value_from_json(v) for v in obj["values"]]
+    values = [v if isinstance(v, tuple) else (v,) for v in values]
+    return Signal(L, d, kind, _columns(values, d, kind))
 
 
 def levelset_to_json(E: LevelSet) -> dict:

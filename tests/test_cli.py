@@ -280,6 +280,24 @@ class TestInputErrors:
         assert r.exit_code == 2 and "coefficient" in r.output
 
     @pytest.mark.parametrize(
+        "dim, kind, lengths",
+        [
+            (2, "vector", (4, 8)),  # ragged: the second component is at L=3
+            (2, "vector", (4,)),  # one component for a 2-vector
+            (2, "matrix", (4, 4)),  # two components for a 2x2 matrix
+            (1, "vector", (4, 4)),  # two components for a scalar
+        ],
+    )
+    def test_inverse_shape_disagrees(self, runner, tmp_path, dim, kind, lengths):
+        coef = tmp_path / "coef.json"
+        comps = [[f"{i + 1}/3"] + ["0/1"] * (n - 1) for i, n in enumerate(lengths)]
+        coef.write_text(json.dumps({"levels": 2, "dim": dim, "kind": kind, "coefficients": comps}))
+        out = tmp_path / "x.json"
+        r = runner.invoke(main, ["transform", "--inverse", "--in", str(coef), "--out", str(out)])
+        assert r.exit_code == 2 and "malformed coefficient" in r.output
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
         "dim, kind, value",
         [(2, "vector", ["1/3"]), (1, "vector", ["1", "2"]), (2, "matrix", ["1", "2"]), (1, "vector", [["1"]])],
     )

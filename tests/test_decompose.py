@@ -249,10 +249,10 @@ class TestRestrictedWeakType:
         f0 = gen_dual_function(L, 1, "vector", EUCL, rng)
         g0 = gen_dual_function(L, 1, "vector", EUCL, rng)
         f = f0.with_components(
-            [[x if j in Fset else Fraction(0) for j, x in enumerate(c)] for c in f0.components()]
+            [[x if j in Fset else Fraction(0) for j, x in enumerate(c)] for c in f0.comps]
         )
         g = g0.with_components(
-            [[x if j in Eset else Fraction(0) for j, x in enumerate(c)] for c in g0.components()]
+            [[x if j in Eset else Fraction(0) for j, x in enumerate(c)] for c in g0.comps]
         )
         return Fset, Eset, f, g, N
 

@@ -16,14 +16,13 @@ import reference
 from tilewalsh import decompose, operators, timefreq
 from tilewalsh.cli import main
 from tilewalsh.decompose import density_decompose, full_decompose, size_decompose
-from tilewalsh.dyadic import Bitile, DyadicInterval, Tile, bitile_universe, tiles_disjoint
+from tilewalsh.dyadic import Bitile, DyadicInterval, Tile, bitile_universe
 from tilewalsh.gen import (
     SplitMix64,
     gen_collection,
     gen_levelset,
     gen_nfun,
     gen_signal,
-    gen_tree_members,
 )
 from tilewalsh.operators import carleson_bitile, carleson_direct
 from tilewalsh.signal import FrequencyChoice, NormPlugin, Signal, signal_from_json, value_is_zero
@@ -40,6 +39,7 @@ from tilewalsh.timefreq import (
     size_pow,
 )
 from tilewalsh.walsh import packet_table
+from reference import gen_tree_members, tiles_disjoint
 
 EUCL = NormPlugin("euclidean")
 
@@ -213,7 +213,7 @@ def _floats(f):
     """f's values divided by 3 in float: sums depend on their order."""
     def scale(v):
         return tuple(scale(x) for x in v) if isinstance(v, tuple) else float(v) / 3
-    return Signal(f.L, f.d, f.kind, tuple(scale(v) for v in f.samples))
+    return Signal.from_values([scale(v) for v in f.samples], kind=f.kind)
 
 
 class TestCarlesonKernels:
@@ -333,7 +333,7 @@ def _split_signal(L, shape, seed, variant, pool):
 
         def scale(v):
             return tuple(scale(x) for x in v) if isinstance(v, tuple) else v * pool[next(it) % 16]
-        f = Signal(f.L, f.d, f.kind, tuple(scale(v) for v in f.samples))
+        f = Signal.from_values([scale(v) for v in f.samples], kind=f.kind)
     return f, E, N
 
 

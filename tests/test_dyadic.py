@@ -13,14 +13,12 @@ from tilewalsh.dyadic import (
     bitile_le,
     bitile_le_d,
     bitile_le_u,
-    bitile_lt,
     bitile_universe,
-    bitiles_overlap,
     tile_le,
-    tiles_disjoint,
     unit_intervals,
     universe_size,
 )
+from reference import bitile_lt, bitiles_overlap, tiles_disjoint
 
 
 def intervals(max_k=5):

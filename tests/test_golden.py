@@ -1,5 +1,5 @@
-"""certify and decompose reports (JSON and CSV) stay byte-identical to the
-ones archived under tests/data/golden/.
+"""certify, decompose and operator reports (JSON and CSV) stay
+byte-identical to the ones archived under tests/data/golden/.
 
 Each config directory holds its input files (from `tilewalsh gen`) and the
 reports recorded from them.  The commands run from inside that directory
@@ -40,4 +40,40 @@ def test_report_bytes(config, command, tmp_path, monkeypatch):
     result = CliRunner().invoke(main, args, catch_exceptions=False)
     assert result.exit_code == 0
     for name in (f"{command}.json", f"{command}.csv"):
+        assert (tmp_path / name).read_bytes() == (d / name).read_bytes(), name
+
+
+# operator runs: config -> (command line without --out, the files it writes)
+OPERATOR_RUNS = {
+    "operators-matrix-L4": [
+        (["transform", "--in", "signal.json"], ["transform.json"]),
+        (["transform", "--inverse", "--in", "transform.json"], ["inverse.json"]),
+        (["carleson", "--in", "signal.json", "--nfun", "nfun.json"], ["carleson.json"]),
+        (
+            ["rwt", "--levels", "4", "--dim", "2", "--kind", "matrix", "--norm", "schatten:3",
+             "--q", "3", "--seed", "15"],
+            ["rwt.json", "rwt.csv"],
+        ),
+    ],
+    "float-L3": [
+        (["transform", "--in", "signal.json"], ["transform.json"]),
+        (["transform", "--inverse", "--in", "transform.json"], ["inverse.json"]),
+    ],
+}
+
+
+@pytest.mark.parametrize(
+    "config, args, outputs",
+    [
+        pytest.param(config, args, outputs, id=f"{config}-{outputs[0]}")
+        for config, runs in OPERATOR_RUNS.items()
+        for args, outputs in runs
+    ],
+)
+def test_operator_bytes(config, args, outputs, tmp_path, monkeypatch):
+    d = GOLDEN / config
+    monkeypatch.chdir(d)
+    result = CliRunner().invoke(main, [*args, "--out", str(tmp_path / outputs[0])], catch_exceptions=False)
+    assert result.exit_code == 0
+    for name in outputs:
         assert (tmp_path / name).read_bytes() == (d / name).read_bytes(), name

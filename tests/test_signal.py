@@ -85,7 +85,7 @@ class TestSignal:
             [((Fraction(1), Fraction(2)), (Fraction(3), Fraction(4)))] * 2,
             kind="matrix",
         )
-        comps = f.components()
+        comps = f.comps
         assert len(comps) == 4
         assert f.with_components(comps).samples == f.samples
 

@@ -19,7 +19,6 @@ from tilewalsh.gen import (
     gen_levelset,
     gen_nfun,
     gen_signal,
-    gen_tree_members,
 )
 from tilewalsh.signal import FrequencyChoice, LevelSet, NormPlugin, Signal
 from tilewalsh.timefreq import (
@@ -35,8 +34,6 @@ from tilewalsh.timefreq import (
     gj_certificate,
     local_density,
     maximal_gap_intervals,
-    member_form_terms,
-    size,
     size_pow,
     tree_delta_pow,
     tree_form_sum,
@@ -44,9 +41,8 @@ from tilewalsh.timefreq import (
     up_cells,
     verify_tree_identity,
 )
-from tilewalsh.walsh import pairing_inf
 
-from reference import bitile_ancestors
+from reference import bitile_ancestors, gen_tree_members, member_form_terms, pairing_inf, size
 
 EUCL = NormPlugin("euclidean")
 
