@@ -48,7 +48,7 @@ from .timefreq import (
     tree_delta_pow,
     up_ancestor_keys,
 )
-from .walsh import haar_pattern
+from .walsh import packet_synthesis
 
 
 # ---------------------------------------------------------------------------
@@ -254,7 +254,7 @@ def size_decompose(
         sums = hilbert_top_sums(active, weights)
         sigma_pow = hilbert_pow(sums, weights)
     else:
-        sigma_pow, _ = size_pow(active, f, q, plugin, coeffs=coeffs)
+        sigma_pow = size_pow(active, f, q, plugin, coeffs=coeffs)
     threshold_pow = sigma_pow * _two_pow(-q)
 
     def qualifies(T):
@@ -292,7 +292,7 @@ def size_decompose(
         tree = Tree(Bitile.from_key(pick), tuple(_take_below(remaining, pick, finest)))
         trees.append(tree)
         if not hilbert:
-            tree_pows.append(size_pow(tree.members, f, q, plugin, coeffs=coeffs)[0])
+            tree_pows.append(size_pow(tree.members, f, q, plugin, coeffs=coeffs))
             continue
         # member by member in canonical order: sums fall as they always
         # have, and dec adds up as a sweep over the tree would, float bits
@@ -315,7 +315,7 @@ def size_decompose(
 
     small = sorted([*remaining.values(), *zero], key=Bitile.key)
     if not hilbert:
-        small_pow, _ = size_pow(small, f, q, plugin, coeffs=coeffs)
+        small_pow = size_pow(small, f, q, plugin, coeffs=coeffs)
     elif weights.exact:
         # integer sums are exact after the decrements
         small_pow = hilbert_pow(sums, weights)
@@ -400,7 +400,7 @@ def full_decompose(
     if hilbert and weights is None:
         weights = hilbert_member_weights(coll, coeffs)
     dens0 = density(coll, E, Nfun, counter=counter)
-    size0_pow, _ = size_pow(coll, f, q, plugin, coeffs=coeffs, weights=weights)
+    size0_pow = size_pow(coll, f, q, plugin, coeffs=coeffs, weights=weights)
 
     # smallest integer n with density <= min(1, 2^(nq) |E|)
     # and size^q <= 2^(nq) |f|_q^q
@@ -445,7 +445,7 @@ def full_decompose(
         )
         tree_pows = tuple(
             hilbert_tree_pow(t.members, weights) if hilbert
-            else size_pow(t.members, f, q, plugin, coeffs=coeffs)[0]
+            else size_pow(t.members, f, q, plugin, coeffs=coeffs)
             for t in dres.trees
         ) + sres.tree_pows
         level_size_pow = Fraction(0)
@@ -582,35 +582,6 @@ def carleson_form_certificate(
 # ---------------------------------------------------------------------------
 # tile-type estimation
 
-def haar_packet_sum(
-    members: Sequence[Bitile],
-    f: Signal,
-    coeffs: dict[Bitile, list[Fraction]] | None = None,
-) -> Signal:
-    """sum over members of <f, down packet> h_{I_P}; exact."""
-    if coeffs is None:
-        coeffs = down_coefficients_inf(f, members)
-    ncomp = len(f.comps)
-    out = [[Fraction(0)] * f.cells for _ in range(ncomp)]
-    for P in members:
-        k = P.time.k
-        if k >= f.L:
-            raise ValueError(
-                "Haar pattern of a finest-scale member is not grid-constant"
-            )
-        pattern = haar_pattern(P.time, f.L)
-        factor = Fraction(1 << k)
-        for i in range(ncomp):
-            c = coeffs[P][i] * factor
-            if c == 0:
-                continue
-            row = out[i]
-            for j in P.time.cells(f.L):
-                s = pattern[j]
-                row[j] = row[j] + c if s > 0 else row[j] - c
-    return f.with_components(out)
-
-
 def tile_type_constant(
     family: TreeFamily,
     f: Signal,
@@ -625,14 +596,22 @@ def tile_type_constant(
         raise ValueError(
             f"{len(violations)} down-tile disjointness violations in family"
         )
+    members = [P for tree in family.trees for P in tree.members]
+    if any(P.time.k >= f.L for P in members):
+        raise ValueError("Haar pattern of a finest-scale member is not grid-constant")
+    coeffs = down_coefficients_inf(f, members)
     certs: list[Certificate] = []
     hilbert = _is_hilbert_case(q, plugin)
     total_pow = Fraction(0)
     exact_total = True
     for idx, tree in enumerate(family.trees):
-        coeffs = down_coefficients_inf(f, tree.members)
         u = down_packet_sum(tree.members, f, coeffs=coeffs)
-        u_haar = haar_packet_sum(tree.members, f, coeffs=coeffs)
+        # the Haar pattern of I_P is the packet of I_P with n = 1
+        haar = [
+            (P.time.k, P.time.pos, 1, [c * (1 << P.time.k) for c in coeffs[P]])
+            for P in tree.members
+        ]
+        u_haar = f.with_components(packet_synthesis(haar, len(f.comps), f.L))
         upow = lq_norm_pow(u, q, plugin)
         hpow = lq_norm_pow(u_haar, q, plugin)
         if upow is None or hpow is None:

@@ -21,7 +21,7 @@ from .signal import (
     nest,
     value_norm,
 )
-from .walsh import bit_reversal, bit_reverse, fwht, ifwht, packet_rows
+from .walsh import bit_reverse, cutoff_hits, fwht, ifwht, packet_rows, packet_synthesis
 
 
 def walsh_coefficients(f: Signal) -> list[list]:
@@ -115,27 +115,21 @@ def carleson_bitile(f: Signal, Nfun: FrequencyChoice, U: BitileUniverse) -> Sign
     down-packet component on the cells where the cutoff lands in the up-tile
     frequency window.  Equals carleson_direct exactly on rational input.
 
-    A cell j meets at most one bitile per scale k, the one whose up-tile
-    index n = N(j) >> k is odd; with l = L - k it contributes
-    rows[k][(j >> l << l) + n - 1] 2^k w_{n-1}(j mod 2^l) from the
-    component's packet table (walsh.packet_rows), O(L 2^L) in all.  The
+    A cell j meets at most one bitile (k, j >> l, m) per scale k, with
+    l = L - k (walsh.cutoff_hits); it contributes
+    rows[k][(j >> l << l) + 2m] 2^k w_2m(j mod 2^l) from the component's
+    packet table (walsh.packet_rows), O(L 2^L) in all.  The
     contributions are added scale by scale from the coarsest, the order in
     which the universe lists the bitiles, so float sums keep their bits."""
     if Nfun.L != f.L or U.L != f.L:
         raise ValueError("resolution mismatch between signal, cutoff and universe")
     L = f.L
-    rev = bit_reversal(L)
-    # per cell: (scale, table index, sign) of every bitile it meets
-    hits = []
-    for j, cutoff in enumerate(Nfun.values):
-        cell = []
-        for k in range(L + 1):
-            n = cutoff >> k
-            if n & 1:
-                l = L - k
-                neg = ((n - 1) & (rev[j] >> k)).bit_count() & 1
-                cell.append((k, (j >> l << l) + n - 1, neg))
-        hits.append(cell)
+    # per cell: (scale, table index, 2^scale, sign) of every bitile it meets
+    masks = [-1 << (L - k) for k in range(L + 1)]
+    hits = [
+        [(k, (j & masks[k]) + 2 * m, 1 << k, neg) for k, m, neg in cell]
+        for j, cell in enumerate(cutoff_hits(Nfun.values, L))
+    ]
     out_comps = []
     for comp in f.comps:
         # sums of signed samples, scaled by 2^k, finished with the 2^-L weight
@@ -144,10 +138,10 @@ def carleson_bitile(f: Signal, Nfun: FrequencyChoice, U: BitileUniverse) -> Sign
         out = []
         for cell in hits:
             acc = zero
-            for k, i, neg in cell:
+            for k, i, scale, neg in cell:
                 c = rows[k][i]
                 if c:
-                    c = c * (1 << k)
+                    c = c * scale
                     acc = acc - c if neg else acc + c
             out.append(finish(acc))
         out_comps.append(out)
@@ -184,17 +178,6 @@ def haar_intervals(L: int) -> list[DyadicInterval]:
     return [I for I in unit_intervals(L - 1)] if L >= 1 else []
 
 
-def _haar_coefficient_inf(comp: Sequence, I: DyadicInterval, L: int) -> Fraction:
-    """2^-L-weighted integral against the +-1 Haar pattern of I."""
-    left, right = I.halves()
-    acc = Fraction(0)
-    for j in left.cells(L):
-        acc = acc + comp[j]
-    for j in right.cells(L):
-        acc = acc - comp[j]
-    return acc * Fraction(1, 1 << L)
-
-
 def martingale_transform(
     f: Signal,
     signs: Mapping[DyadicInterval, int] | int,
@@ -205,13 +188,18 @@ def martingale_transform(
 
     `signs` may be a mapping or a single +-1 applied to every interval.
     """
-    intervals = list(family) if family is not None else haar_intervals(f.L)
+    L = f.L
+    intervals = list(family) if family is not None else haar_intervals(L)
     const = signs if isinstance(signs, int) else None
-    comps = f.comps
-    out_comps = [[Fraction(0)] * f.cells for _ in comps]
+    # <f, h_I> is the packet table entry of I with n = 1, the Haar pattern
+    tables = []
+    for comp in f.comps:
+        terms, zero, finish = exact_terms(comp, f.cells)
+        tables.append((packet_rows(terms, zero, L), finish))
+    entries = []
     for I in intervals:
-        if I.k >= f.L:
-            raise ValueError(f"Haar interval finer than grid: k={I.k} >= L={f.L}")
+        if I.k >= L:
+            raise ValueError(f"Haar interval finer than grid: k={I.k} >= L={L}")
         if const is not None:
             eps = const
         else:
@@ -221,17 +209,10 @@ def martingale_transform(
                 raise KeyError(f"missing sign for interval {I}") from None
         if eps not in (-1, 1):
             raise ValueError(f"sign for {I} must be +-1, got {eps}")
-        factor = Fraction(eps * (1 << I.k))
-        left, right = I.halves()
-        for comp, out in zip(comps, out_comps):
-            c = _haar_coefficient_inf(comp, I, f.L) * factor
-            if c == 0:
-                continue
-            for j in left.cells(f.L):
-                out[j] = out[j] + c
-            for j in right.cells(f.L):
-                out[j] = out[j] - c
-    return f.with_components(out_comps)
+        i = (I.pos << (L - I.k)) + 1
+        factor = eps * (1 << I.k)
+        entries.append((I.k, I.pos, 1, [finish(rows[I.k][i]) * factor for rows, finish in tables]))
+    return f.with_components(packet_synthesis(entries, len(f.comps), L))
 
 
 def stopped_haar_sum(

@@ -24,10 +24,11 @@ from .signal import (
     NormPlugin,
     Signal,
     exact_terms,
+    nest,
     value_norm,
     value_norm_pow,
 )
-from .walsh import bit_reversal, bit_reverse, packet_rows, walsh, walsh_value
+from .walsh import bit_reverse, cutoff_hits, packet_rows, packet_synthesis, walsh_value
 
 
 # ---------------------------------------------------------------------------
@@ -239,34 +240,15 @@ def down_packet_sum(
     members: Sequence[Bitile],
     f: Signal,
     coeffs: dict[Bitile, list[Fraction]] | None = None,
-    signs: dict[Bitile, int] | None = None,
-    cell_mask: dict[Bitile, LevelSet] | None = None,
 ) -> Signal:
-    """sum over members of <f, down packet> * down packet, optionally with
-    per-member signs and per-member cell restrictions; exact."""
+    """sum over members of <f, down packet> * down packet; exact."""
     if coeffs is None:
         coeffs = down_coefficients_inf(f, members)
-    ncomp = len(f.comps)
-    out = [[Fraction(0)] * f.cells for _ in range(ncomp)]
-    for P in members:
-        k = P.time.k
-        local = f.L - k
-        base = P.time.pos << local
-        pattern = walsh(2 * P.m, local) if local else (1,)
-        eps = 1 if signs is None else signs[P]
-        factor = Fraction(eps * (1 << k))
-        mask = cell_mask.get(P) if cell_mask is not None else None
-        for i in range(ncomp):
-            c = coeffs[P][i] * factor
-            if c == 0:
-                continue
-            row = out[i]
-            for jl, s in enumerate(pattern):
-                j = base + jl
-                if mask is not None and j not in mask:
-                    continue
-                row[j] = row[j] + c if s > 0 else row[j] - c
-    return f.with_components(out)
+    entries = [
+        (P.time.k, P.time.pos, 2 * P.m, [c * (1 << P.time.k) for c in coeffs[P]])
+        for P in members
+    ]
+    return f.with_components(packet_synthesis(entries, len(f.comps), f.L))
 
 
 # ---------------------------------------------------------------------------
@@ -372,14 +354,6 @@ def density(
     return best
 
 
-def up_cells(P: Bitile, E: LevelSet, Nfun: FrequencyChoice) -> list[int]:
-    """Cells of E inside I_P whose cutoff lands in the up-tile window of P."""
-    lo, hi = P.up.freq_lo, P.up.freq_hi
-    return [
-        j for j in P.time.cells(E.L) if j in E and lo <= Nfun[j] < hi
-    ]
-
-
 # ---------------------------------------------------------------------------
 # size
 
@@ -410,22 +384,6 @@ def tree_delta_pow(
         return Fraction(0)
     if coeffs is None:
         coeffs = down_coefficients_inf(f, up)
-    if _is_hilbert_case(q, plugin):
-        # distinct up-tree members carry orthogonal down packets, so the
-        # quadratic mass collapses to a coefficient sum
-        acc = Fraction(0)
-        exact = True
-        for P in up:
-            scale = 1 << P.time.k
-            for c in coeffs[P]:
-                if not isinstance(c, Fraction):
-                    exact = False
-                    break
-                acc += c * c * scale
-            if not exact:
-                break
-        if exact:
-            return acc * (1 << tree.top.time.k)
     g = down_packet_sum(up, f, coeffs=coeffs)
     scale = Fraction(1 << tree.top.time.k, f.cells)
     acc_exact = Fraction(0)
@@ -522,8 +480,8 @@ def hilbert_pow(sums: dict, weights: HilbertWeights):
 
 
 def hilbert_tree_pow(members: Sequence[Bitile], weights: HilbertWeights):
-    """size_pow(members)[0] in the Hilbert case, from one pass over the
-    members and without building the witness tree."""
+    """size_pow(members) in the Hilbert case, from one pass over the
+    members."""
     return hilbert_pow(_up_sums(members, weights.num), weights)
 
 
@@ -545,45 +503,29 @@ def size_pow(
     f: Signal,
     q,
     plugin: NormPlugin,
-    tops: Sequence[Bitile] | None = None,
     coeffs: dict[Bitile, list[Fraction]] | None = None,
     weights: HilbertWeights | None = None,
 ):
-    """(q-th power of size, witness tree).  The size is computed over the
-    complete up-tree below every candidate top; for the Hilbert q = 2 case
-    this equals the supremum over all up-subtrees."""
+    """q-th power of the size: the largest tree_delta_pow over the complete
+    up-tree below every candidate top.  In the Hilbert q = 2 case one
+    up-sum sweep gives them all (hilbert_tree_pow), and the size equals the
+    supremum over all up-subtrees."""
     coll = list(coll)
     if not coll:
-        return Fraction(0), None
-    parseval = _is_hilbert_case(q, plugin) and tops is None
-    if coeffs is None and not (parseval and weights is not None):
+        return Fraction(0)
+    hilbert = _is_hilbert_case(q, plugin)
+    if coeffs is None and not (hilbert and weights is not None):
         coeffs = down_coefficients_inf(f, coll)
-    if parseval:
-        # Delta^2 of every complete up-tree from one sweep
+    if hilbert:
         if weights is None:
             weights = hilbert_member_weights(coll, coeffs)
-        sums = hilbert_top_sums(coll, weights)
-        best, best_top = 0, None
-        for T in sorted(sums):
-            val = sums[T] * (1 << T[0])
-            if val > best:
-                best, best_top = val, T
-        if best_top is None:
-            return Fraction(0), None
-        return weights.value(best), complete_up_tree(Bitile.from_key(best_top), coll)
-    if tops is None:
-        tops = candidate_tops(coll)
+        return hilbert_tree_pow(coll, weights)
     best = Fraction(0)
-    witness = None
-    for T in tops:
-        tree = complete_up_tree(T, coll)
-        if not tree.members:
-            continue
-        val = tree_delta_pow(tree, f, q, plugin, coeffs=coeffs)
+    for T in candidate_tops(coll):
+        val = tree_delta_pow(complete_up_tree(T, coll), f, q, plugin, coeffs=coeffs)
         if _pow_gt(val, best):
             best = val
-            witness = tree
-    return best, witness
+    return best
 
 
 # ---------------------------------------------------------------------------
@@ -600,29 +542,23 @@ def member_form_products(
     """Signed per-member bilinear terms
     < <f, down packet>, <down packet, g restricted to E_{P_u}> >; exact.
 
-    The pairings with g come from one pass per scale k over the cells of E:
-    with l = L - k, cell j lies in the up-window of the bitile
-    (k, j >> l, n >> 1) exactly when n = N(j) >> k is odd, and its down
-    packet is w_{n-1}(j mod 2^l) there.  Cells are visited in ascending
-    order, so each pairing sums its samples in cell order."""
+    The pairings with g come from one pass over the cells of E: cell j
+    lies in the up-window of the bitile (k, j >> (L - k), m) exactly when
+    it is hit there (walsh.cutoff_hits), and its down packet is w_2m there.
+    Cells are visited in ascending order, so each pairing sums its samples
+    in cell order."""
     fco = coeffs if coeffs is not None else down_coefficients_inf(f, tree_members)
     gcomps, zero, finish = _packet_accumulator(g)
     L = g.L
     wanted = {P.key() for P in tree_members}
-    rev = bit_reversal(L)
-    cells = E.cells()
+    hits = cutoff_hits(Nfun.values, L)
     sums: dict[tuple[int, int, int], list] = {}
-    for k in range(L + 1):
-        l = L - k
-        for j in cells:
-            n = Nfun[j] >> k
-            if not n & 1:
-                continue
-            key = (k, j >> l, n >> 1)
+    for j in E.cells():
+        for k, m, neg in hits[j]:
+            key = (k, j >> (L - k), m)
             if key not in wanted:
                 continue
             acc = sums.setdefault(key, [zero] * len(gcomps))
-            neg = ((n - 1) & (rev[j] >> k)).bit_count() & 1
             for i, comp in enumerate(gcomps):
                 acc[i] = acc[i] - comp[j] if neg else acc[i] + comp[j]
     empty = [zero] * len(gcomps)
@@ -722,31 +658,45 @@ def tree_form_sum(
     lhs = sum((abs(v) for v in products.values()), Fraction(0))
 
     dens = density(tree.members, E, Nfun)
-    size_val = float(size_pow(tree.members, f, q, plugin, coeffs=fco)[0]) ** (1.0 / float(q))
+    size_val = float(size_pow(tree.members, f, q, plugin, coeffs=fco)) ** (1.0 / float(q))
     top_len = tree.time.length
     rhs = size_val * float(dens) * float(top_len)
     ratio = float(lhs) / rhs if rhs > 0 else (0.0 if lhs == 0 else float("inf"))
 
-    jays = maximal_gap_intervals(tree.members, f.L)
-    down, rest = tree.split()
+    # split sums: on a gap interval J, h is the sum over the part's members
+    # whose interval strictly contains J, i.e. those hit at a scale k < J.k,
+    # of sign * <f, down packet> * down packet on the cells of E_{P_u}
+    L = f.L
+    jays = maximal_gap_intervals(tree.members, L)
+    hits = cutoff_hits(Nfun.values, L)
+    ncomp = len(f.comps)
+    flat, zero, finish = exact_terms(
+        [c * ((1 if products[P] >= 0 else -1) << P.time.k) for P in tree.members for c in fco[P]]
+    )
+    coefs = {P.key(): flat[i * ncomp : (i + 1) * ncomp] for i, P in enumerate(tree.members)}
+    parts = [
+        (label, part, {P.key() for P in part})
+        for label, part in zip(("down", "up"), tree.split())
+    ]
     split_norms = []
     for J in jays:
         GJ = gap_set(J, tree.members, E, Nfun)
         row = {"J": {"k": J.k, "pos": J.pos}, "gap_cells": GJ.count}
-        for label, part in (("down", down), ("up", rest)):
-            active = [P for P in part if P.time.strictly_contains(J)]
-            if not active:
+        for label, part, keys in parts:
+            if not any(P.time.strictly_contains(J) for P in part):
                 row[f"{label}_l1"] = 0.0
                 continue
-            signs = {}
-            masks = {}
-            for P in active:
-                signs[P] = 1 if products[P] >= 0 else -1
-                masks[P] = LevelSet.from_cells(E.L, up_cells(P, E, Nfun))
-            h = down_packet_sum(active, f, coeffs=fco, signs=signs, cell_mask=masks)
             l1 = 0.0
-            for j in J.cells(f.L):
-                l1 += value_norm(h.samples[j], plugin)
+            for j in J.cells(L):
+                acc = [zero] * ncomp
+                for k, m, neg in hits[j] if j in E else ():
+                    key = (k, j >> (L - k), m)
+                    if k >= J.k or key not in keys:
+                        continue
+                    for i, c in enumerate(coefs[key]):
+                        if c:
+                            acc[i] = acc[i] - c if neg else acc[i] + c
+                l1 += value_norm(nest([finish(x) for x in acc], f.d, f.kind), plugin)
             row[f"{label}_l1"] = l1 / f.cells
         split_norms.append(row)
 

@@ -1,18 +1,21 @@
-"""Rademacher, Walsh and Haar evaluation on the dyadic grid, wave packets,
-and the fast Walsh-Hadamard transform in Walsh-Paley ordering.
+"""Rademacher and Walsh evaluation on the dyadic grid, the Walsh
+wave-packet table with its synthesis, the bitiles a cutoff lands in, and
+the fast Walsh-Hadamard transform in Walsh-Paley ordering.
 
-All +-1 sign patterns are exact integers.  The only irrational scale that
-ever appears is |I|^(-1/2), the L2 normalization of a packet; it is kept
-as a power of sqrt(2) (WavePacket.half_exp) next to the exact pattern.
+All +-1 sign patterns are exact integers.  A packet of the dyadic interval
+(k, pos) with frequency index n is w_n on the 2^(L-k) cells of the
+interval, zero elsewhere; the Haar pattern of the interval is the packet
+with n = 1.  Analysis reads the packet table (packet_table / packet_rows),
+synthesis adds coefficient times packet cell by cell (packet_synthesis),
+and cutoff_hits names, per cell, the bitile of each scale whose up-tile
+window holds the cell's cutoff.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
 from typing import Sequence
 
-from .dyadic import DyadicInterval, Tile
 from .signal import exact_terms
 
 
@@ -132,57 +135,52 @@ def packet_rows(terms: Sequence, zero, L: int):
     return [_CellOrderRow(terms, zero, L - k) for k in range(L + 1)]
 
 
-@dataclass(frozen=True)
-class WavePacket:
-    """Walsh function rescaled to a tile's time interval, zero elsewhere.
+def packet_synthesis(entries: Sequence, ncomp: int, L: int) -> list[list]:
+    """Columns of the sum of coefs[i] w_n over the cells of the dyadic
+    interval (k, pos), for entries (k, pos, n, coefs) with ncomp
+    coefficients each: the inverse of reading the packet table.
 
-    `pattern` holds the exact {-1, 0, +1} samples of the L-infinity
-    normalized packet on the full grid; the L2-normalized packet multiplies
-    it by 2^(k/2) where 2^-k is the time interval length.
-    """
-
-    tile: Tile
-    L: int
-    mode: str  # "inf" | "l2"
-    pattern: tuple[int, ...]
-
-    @property
-    def half_exp(self) -> int:
-        """L2 normalization as a power of sqrt(2): values = pattern * 2^(k/2)."""
-        return self.tile.time.k if self.mode == "l2" else 0
-
-
-def wave_packet_pattern(P: Tile, L: int) -> tuple[int, ...]:
-    """Exact sign pattern of the L-infinity normalized packet of tile P."""
-    I = P.time
-    if I.k > L:
-        raise ValueError(f"tile time interval finer than grid: k={I.k} > L={L}")
-    if not I.in_unit_interval():
-        raise ValueError("tile time interval outside [0,1)")
-    local_levels = L - I.k
-    if P.n != 0 and P.n >= (1 << local_levels):
-        raise ValueError(
-            f"frequency index n={P.n} beyond grid resolution for |I|=2^-{I.k} at L={L}"
-        )
-    out = [0] * (1 << L)
-    base = I.pos << local_levels
-    if local_levels == 0:
-        out[base] = 1  # single-cell tile, necessarily n = 0
-    else:
-        for j in range(1 << local_levels):
-            out[base + j] = walsh_value(P.n, j, local_levels)
-    return tuple(out)
+    Each cell adds its entries in the given order, from zero, skipping
+    zero coefficients, so float sums keep their bits.  Exact coefficients
+    are summed as integer numerators over one common denominator
+    (signal.exact_terms), with one Fraction made per cell."""
+    terms, zero, finish = exact_terms([c for *_, coefs in entries for c in coefs])
+    out = [[zero] * (1 << L) for _ in range(ncomp)]
+    for e, (k, pos, n, _) in enumerate(entries):
+        l = L - k
+        base = pos << l
+        pattern = walsh(n, l)
+        for row, c in zip(out, terms[e * ncomp : (e + 1) * ncomp]):
+            if not c:
+                continue
+            for jl, s in enumerate(pattern):
+                j = base + jl
+                row[j] = row[j] + c if s > 0 else row[j] - c
+    return [[finish(x) for x in row] for row in out]
 
 
-def wave_packet(P: Tile, L: int, mode: str = "inf") -> WavePacket:
-    if mode not in ("inf", "l2"):
-        raise ValueError(f"unknown normalization mode {mode!r}")
-    return WavePacket(P, L, mode, wave_packet_pattern(P, L))
-
-
-def haar_pattern(I: DyadicInterval, L: int) -> tuple[int, ...]:
-    """L-infinity normalized Haar pattern: +1 on the left half, -1 on the right."""
-    return wave_packet_pattern(Tile(I, 1), L)
+def cutoff_hits(cutoffs: Sequence[int], L: int) -> list[list[tuple[int, int, int]]]:
+    """Per cell j, the bitiles whose up-tile window holds the cutoff
+    N(j) = cutoffs[j] in [0, 2^L]: (k, m, neg) for every scale k,
+    ascending, at which N(j) >> k = 2m + 1 is odd.  The bitile is
+    (k, j >> (L - k), m), at most one per scale, and neg is the sign bit of
+    its down packet w_2m at j."""
+    rev = bit_reversal(L)
+    hits = []
+    for j, n in enumerate(cutoffs):
+        # n = N(j) >> k and r = rev(j) >> k, the reversed offset of j in
+        # its interval of scale k
+        cell = []
+        r = rev[j]
+        k = 0
+        while n:
+            if n & 1:
+                cell.append((k, n >> 1, ((n - 1) & r).bit_count() & 1))
+            n >>= 1
+            r >>= 1
+            k += 1
+        hits.append(cell)
+    return hits
 
 
 def fwht(samples: Sequence, normalize: bool = True) -> list:

@@ -4,6 +4,8 @@ and helpers that only the tests use.
 - bitile_lt / tiles_disjoint / bitiles_overlap, size, member_form_terms,
   pairing_inf, Root2Scaled with the exact values of a WavePacket,
   gen_tree_members: small helpers the library itself no longer calls.
+- WavePacket / wave_packet / wave_packet_pattern / haar_pattern: packets
+  as full-grid {-1, 0, +1} sign patterns.
 - HistogramCounter / local_density_walk: the cumulative-histogram density
   counter (O(4^L) memory) and the walk over every ancestor of a bitile,
   coarse scales first and m ascending, keeping the first strict maximum.
@@ -18,6 +20,12 @@ and helpers that only the tests use.
 - carleson_direct / carleson_bitile / member_form_products: the
   per-cell, per-bitile and per-member loops the packet table replaced,
   summing each packet's samples in cell order from exact_terms' zero.
+- down_packet_sum (with per-member signs and cell masks) /
+  haar_packet_sum / martingale_transform / split_sums /
+  tile_type_constant: the synthesis loops that walsh.packet_synthesis and
+  walsh.cutoff_hits replaced, adding Fraction (or float) multiples of
+  each packet's sign pattern cell by cell, with a masked full-grid
+  synthesis per gap interval and part for tree_form_sum's split sums.
 - density_decompose / size_decompose / down_tile_violations: the greedy
   splits that re-test every top each round and find maximal tops by
   pairwise comparison, with a fresh up-sum sweep for the size of the
@@ -36,7 +44,7 @@ from tilewalsh.decompose import DensityDecomposition, SizeDecomposition, _two_po
 from tilewalsh.dyadic import Bitile, DyadicInterval, Tile, bitile_le, bitile_universe
 from tilewalsh.gen import SplitMix64
 from tilewalsh.operators import walsh_coefficients
-from tilewalsh.signal import exact_terms, lq_norm, lq_norm_pow
+from tilewalsh.signal import LevelSet, exact_terms, lq_norm, lq_norm_pow, value_norm
 from tilewalsh.timefreq import (
     DensityCounter,
     Tree,
@@ -52,7 +60,7 @@ from tilewalsh.timefreq import (
     tree_delta_pow,
     up_ancestor_keys,
 )
-from tilewalsh.walsh import WavePacket, bit_reverse, walsh, wave_packet_pattern
+from tilewalsh.walsh import bit_reverse, walsh, walsh_value
 
 
 # ---------------------------------------------------------------------------
@@ -78,10 +86,16 @@ def bitiles_overlap(P: Bitile, P2: Bitile) -> bool:
     )
 
 
-def size(coll, f, q, plugin, tops=None):
-    """(size, witness tree) from size_pow."""
-    pow_val, witness = size_pow(coll, f, q, plugin, tops)
-    return float(pow_val) ** (1.0 / float(q)), witness
+def size(coll, f, q, plugin):
+    """The size: the q-th root of the largest tree_delta_pow over the
+    complete up-trees below every candidate top."""
+    coll = list(coll)
+    best = Fraction(0)
+    for T in candidate_tops(coll):
+        val = tree_delta_pow(complete_up_tree(T, coll), f, q, plugin)
+        if _pow_gt(val, best):
+            best = val
+    return float(best) ** (1.0 / float(q))
 
 
 def member_form_terms(tree_members, f, g, E, Nfun):
@@ -90,6 +104,59 @@ def member_form_terms(tree_members, f, g, E, Nfun):
         P: abs(v)
         for P, v in timefreq.member_form_products(tree_members, f, g, E, Nfun).items()
     }
+
+
+@dataclass(frozen=True)
+class WavePacket:
+    """Walsh function rescaled to a tile's time interval, zero elsewhere.
+
+    `pattern` holds the exact {-1, 0, +1} samples of the L-infinity
+    normalized packet on the full grid; the L2-normalized packet multiplies
+    it by 2^(k/2) where 2^-k is the time interval length.
+    """
+
+    tile: Tile
+    L: int
+    mode: str  # "inf" | "l2"
+    pattern: tuple[int, ...]
+
+    @property
+    def half_exp(self) -> int:
+        """L2 normalization as a power of sqrt(2): values = pattern * 2^(k/2)."""
+        return self.tile.time.k if self.mode == "l2" else 0
+
+
+def wave_packet_pattern(P: Tile, L: int) -> tuple[int, ...]:
+    """Exact sign pattern of the L-infinity normalized packet of tile P."""
+    I = P.time
+    if I.k > L:
+        raise ValueError(f"tile time interval finer than grid: k={I.k} > L={L}")
+    if not I.in_unit_interval():
+        raise ValueError("tile time interval outside [0,1)")
+    local_levels = L - I.k
+    if P.n != 0 and P.n >= (1 << local_levels):
+        raise ValueError(
+            f"frequency index n={P.n} beyond grid resolution for |I|=2^-{I.k} at L={L}"
+        )
+    out = [0] * (1 << L)
+    base = I.pos << local_levels
+    if local_levels == 0:
+        out[base] = 1  # single-cell tile, necessarily n = 0
+    else:
+        for j in range(1 << local_levels):
+            out[base + j] = walsh_value(P.n, j, local_levels)
+    return tuple(out)
+
+
+def wave_packet(P: Tile, L: int, mode: str = "inf") -> WavePacket:
+    if mode not in ("inf", "l2"):
+        raise ValueError(f"unknown normalization mode {mode!r}")
+    return WavePacket(P, L, mode, wave_packet_pattern(P, L))
+
+
+def haar_pattern(I: DyadicInterval, L: int) -> tuple[int, ...]:
+    """L-infinity normalized Haar pattern: +1 on the left half, -1 on the right."""
+    return wave_packet_pattern(Tile(I, 1), L)
 
 
 def pairing_inf(samples, P: Tile, L: int):
@@ -452,7 +519,7 @@ def size_decompose(coll, f, q, plugin):
 
     hilbert = _is_hilbert_case(q, plugin)
     weights = hilbert_member_weights(coll, coeffs) if hilbert else None
-    sigma_pow, _ = size_pow(active, f, q, plugin, coeffs=coeffs, weights=weights)
+    sigma_pow = size_pow(active, f, q, plugin, coeffs=coeffs, weights=weights)
     threshold_pow = sigma_pow * _two_pow(-q)
 
     if hilbert:
@@ -495,7 +562,7 @@ def size_decompose(coll, f, q, plugin):
         remaining = [P for P in remaining if P not in removed]
 
     small = sorted(set(remaining) | set(zero), key=Bitile.key)
-    small_pow, _ = size_pow(small, f, q, plugin, coeffs=coeffs, weights=weights)
+    small_pow = size_pow(small, f, q, plugin, coeffs=coeffs, weights=weights)
     entries = [(P, i) for i, t in enumerate(trees) for P in t.up_part()]
     certs = [
         Certificate.make(
@@ -524,8 +591,173 @@ def size_decompose(coll, f, q, plugin):
         "trees": len(trees),
     }
     tree_pows = tuple(
-        size_pow(t.members, f, q, plugin, coeffs=coeffs, weights=weights)[0] for t in trees
+        size_pow(t.members, f, q, plugin, coeffs=coeffs, weights=weights) for t in trees
     )
     return SizeDecomposition(
         tuple(small), tuple(trees), tuple(certs), sigma_pow, tree_pows, stats
     )
+
+
+# ---------------------------------------------------------------------------
+# the synthesis loops
+
+
+def up_cells(P, E, Nfun):
+    """Cells of E inside I_P whose cutoff lands in the up-tile window of P."""
+    lo, hi = P.up.freq_lo, P.up.freq_hi
+    return [j for j in P.time.cells(E.L) if j in E and lo <= Nfun[j] < hi]
+
+
+def down_packet_sum(members, f, coeffs=None, signs=None, cell_mask=None):
+    """sum over members of <f, down packet> * down packet, optionally with
+    per-member signs and per-member cell restrictions."""
+    if coeffs is None:
+        coeffs = down_coefficients_inf(f, members)
+    ncomp = len(f.comps)
+    out = [[Fraction(0)] * f.cells for _ in range(ncomp)]
+    for P in members:
+        k = P.time.k
+        local = f.L - k
+        base = P.time.pos << local
+        pattern = walsh(2 * P.m, local) if local else (1,)
+        eps = 1 if signs is None else signs[P]
+        factor = Fraction(eps * (1 << k))
+        mask = cell_mask.get(P) if cell_mask is not None else None
+        for i in range(ncomp):
+            c = coeffs[P][i] * factor
+            if c == 0:
+                continue
+            row = out[i]
+            for jl, s in enumerate(pattern):
+                j = base + jl
+                if mask is not None and j not in mask:
+                    continue
+                row[j] = row[j] + c if s > 0 else row[j] - c
+    return f.with_components(out)
+
+
+def haar_packet_sum(members, f, coeffs=None):
+    """sum over members of <f, down packet> h_{I_P}."""
+    if coeffs is None:
+        coeffs = down_coefficients_inf(f, members)
+    ncomp = len(f.comps)
+    out = [[Fraction(0)] * f.cells for _ in range(ncomp)]
+    for P in members:
+        k = P.time.k
+        if k >= f.L:
+            raise ValueError("Haar pattern of a finest-scale member is not grid-constant")
+        pattern = haar_pattern(P.time, f.L)
+        factor = Fraction(1 << k)
+        for i in range(ncomp):
+            c = coeffs[P][i] * factor
+            if c == 0:
+                continue
+            row = out[i]
+            for j in P.time.cells(f.L):
+                row[j] = row[j] + c if pattern[j] > 0 else row[j] - c
+    return f.with_components(out)
+
+
+def martingale_transform(f, signs, family):
+    """sum over the family of signs[I] <f, h_I> h_I, with <f, h_I> summed
+    over the left half, then subtracted over the right half."""
+    out_comps = [[Fraction(0)] * f.cells for _ in f.comps]
+    for I in family:
+        factor = Fraction(signs[I] * (1 << I.k))
+        left, right = I.halves()
+        for comp, out in zip(f.comps, out_comps):
+            acc = Fraction(0)
+            for j in left.cells(f.L):
+                acc = acc + comp[j]
+            for j in right.cells(f.L):
+                acc = acc - comp[j]
+            c = acc * Fraction(1, 1 << f.L) * factor
+            if c == 0:
+                continue
+            for j in left.cells(f.L):
+                out[j] = out[j] + c
+            for j in right.cells(f.L):
+                out[j] = out[j] - c
+    return f.with_components(out_comps)
+
+
+def split_sums(tree, f, g, E, Nfun, plugin):
+    """tree_form_sum's split sums: per gap interval J and part, the L^1
+    mass over J of the signed down-packet sum of the part's members whose
+    interval strictly contains J, each restricted to the cells of
+    E_{P_u}, synthesized over the full grid."""
+    fco = down_coefficients_inf(f, tree.members)
+    products = member_form_products(tree.members, f, g, E, Nfun)
+    down, rest = tree.split()
+    rows = []
+    for J in timefreq.maximal_gap_intervals(tree.members, f.L):
+        GJ = timefreq.gap_set(J, tree.members, E, Nfun)
+        row = {"J": {"k": J.k, "pos": J.pos}, "gap_cells": GJ.count}
+        for label, part in (("down", down), ("up", rest)):
+            active = [P for P in part if P.time.strictly_contains(J)]
+            if not active:
+                row[f"{label}_l1"] = 0.0
+                continue
+            signs = {P: 1 if products[P] >= 0 else -1 for P in active}
+            masks = {P: LevelSet.from_cells(E.L, up_cells(P, E, Nfun)) for P in active}
+            h = down_packet_sum(active, f, coeffs=fco, signs=signs, cell_mask=masks)
+            l1 = 0.0
+            for j in J.cells(f.L):
+                l1 += value_norm(h.samples[j], plugin)
+            row[f"{label}_l1"] = l1 / f.cells
+        rows.append(row)
+    return rows
+
+
+def tile_type_constant(family, f, q, plugin):
+    """decompose.tile_type_constant with one packet table per tree and the
+    packet and Haar sums from the loops above."""
+    if family.down_disjointness_violations():
+        raise ValueError("down-tile disjointness violations in family")
+    certs = []
+    total_pow = Fraction(0)
+    exact_total = True
+    for idx, tree in enumerate(family.trees):
+        coeffs = down_coefficients_inf(f, tree.members)
+        u = down_packet_sum(tree.members, f, coeffs=coeffs)
+        u_haar = haar_packet_sum(tree.members, f, coeffs=coeffs)
+        upow = lq_norm_pow(u, q, plugin)
+        hpow = lq_norm_pow(u_haar, q, plugin)
+        if upow is None or hpow is None:
+            upow_f = lq_norm(u, q, plugin) ** float(q)
+            hpow_f = lq_norm(u_haar, q, plugin) ** float(q)
+            certs.append(
+                Certificate.make(
+                    "packet_haar_norm_equality", abs(upow_f - hpow_f),
+                    1e-9 * max(1.0, abs(upow_f)), theorem_backed=True, context={"tree": idx},
+                )
+            )
+            total_pow = float(total_pow) + upow_f
+            exact_total = False
+        else:
+            certs.append(
+                Certificate.make(
+                    "packet_haar_norm_equality", abs(upow - hpow), Fraction(0),
+                    theorem_backed=True, context={"tree": idx},
+                )
+            )
+            total_pow = total_pow + upow if exact_total else float(total_pow) + float(upow)
+    fq_pow = lq_norm_pow(f, q, plugin)
+    if fq_pow is None:
+        fq_pow = lq_norm(f, q, plugin) ** float(q)
+    ratio = (
+        (float(total_pow) / float(fq_pow)) ** (1.0 / float(q)) if float(fq_pow) > 0 else 0.0
+    )
+    certs.append(
+        Certificate.make(
+            "tile_type_ratio_pow", total_pow, fq_pow,
+            theorem_backed=_is_hilbert_case(q, plugin),
+            context={
+                "q": q,
+                "norm": plugin.spec(),
+                "ratio": ratio,
+                "note": "ratio <= 1 is a theorem only in the Hilbert q=2 case",
+            },
+        )
+    )
+    return ratio, certs

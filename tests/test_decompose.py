@@ -11,7 +11,6 @@ from tilewalsh.decompose import (
     carleson_form_certificate,
     density_decompose,
     full_decompose,
-    haar_packet_sum,
     restricted_weak_type,
     size_decompose,
     tile_type_constant,
@@ -224,8 +223,9 @@ class TestTileType:
         L = 2
         f = gen_signal(L, 1, "vector", SplitMix64(1))
         P = Bitile(DyadicInterval(L, 0), 0)
-        with pytest.raises(ValueError):
-            haar_packet_sum([P], f)
+        fam = TreeFamily((Tree.build(P, [P]),))
+        with pytest.raises(ValueError, match="finest-scale"):
+            tile_type_constant(fam, f, 2, EUCL)
 
     def test_lp_ratio_can_exceed_one(self):
         # non-Hilbert norms are only reported; the certificate must not gate

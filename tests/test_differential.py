@@ -1,11 +1,13 @@
 """The density table, the packet table and the kernels built on it
 (carleson_bitile, down_coefficients_inf, member_form_products), the
 vectorized carleson_direct, the integer Hilbert up-sums, the incremental
-density and size splits and the down-tile sweep against the retained
-references in tests/reference.py."""
+density and size splits, the down-tile sweep, and packet synthesis with
+the cutoff walk (tree_form_sum's split sums, martingale_transform,
+tile_type_constant) against the retained references in tests/reference.py."""
 
 import json
 import random
+import warnings
 from fractions import Fraction
 
 import pytest
@@ -15,16 +17,27 @@ from hypothesis import given, settings, strategies as st
 import reference
 from tilewalsh import decompose, operators, timefreq
 from tilewalsh.cli import main
-from tilewalsh.decompose import density_decompose, full_decompose, size_decompose
-from tilewalsh.dyadic import Bitile, DyadicInterval, Tile, bitile_universe
+from tilewalsh.decompose import (
+    density_decompose,
+    full_decompose,
+    size_decompose,
+    tile_type_constant,
+)
+from tilewalsh.dyadic import Bitile, DyadicInterval, Tile, bitile_le, bitile_universe
 from tilewalsh.gen import (
     SplitMix64,
     gen_collection,
     gen_levelset,
     gen_nfun,
     gen_signal,
+    gen_tree_family,
 )
-from tilewalsh.operators import carleson_bitile, carleson_direct
+from tilewalsh.operators import (
+    carleson_bitile,
+    carleson_direct,
+    haar_intervals,
+    martingale_transform,
+)
 from tilewalsh.signal import FrequencyChoice, NormPlugin, Signal, signal_from_json, value_is_zero
 from tilewalsh.timefreq import (
     DensityCounter,
@@ -37,6 +50,7 @@ from tilewalsh.timefreq import (
     meeting_tile_pairs,
     member_form_products,
     size_pow,
+    tree_form_sum,
 )
 from tilewalsh.walsh import packet_table
 from reference import gen_tree_members, tiles_disjoint
@@ -391,7 +405,7 @@ class TestGreedySplits:
         forest = full_decompose(list(bitile_universe(L).items), f, E, N, 2, EUCL)
         for rec in forest.levels:
             assert repr(rec.size_pows) == repr(
-                tuple(size_pow(t.members, f, 2, EUCL)[0] for t in rec.trees)
+                tuple(size_pow(t.members, f, 2, EUCL) for t in rec.trees)
             )
 
     def test_one_up_sum_sweep_per_level(self, monkeypatch, tmp_path):
@@ -417,6 +431,68 @@ class TestGreedySplits:
         assert levels >= 3
         assert calls["hilbert_top_sums"] <= levels + 1
         assert calls["size_pow"] <= 1
+
+
+# ---------------------------------------------------------------------------
+# packet synthesis and the cutoff walk
+
+synthesis_shapes = st.sampled_from([(1, "vector"), (2, "vector"), (1, "matrix"), (2, "matrix")])
+
+
+def _plugin(kind, generic):
+    """euclidean, or the kind's generic norm: lp:3 or schatten:3."""
+    if not generic:
+        return EUCL
+    return NormPlugin("schatten" if kind == "matrix" else "lp", Fraction(3))
+
+
+class TestPacketSynthesis:
+    @given(st.integers(1, 6), synthesis_shapes, st.integers(0, 10**6), variants, fractions_pool,
+           st.booleans())
+    @settings(max_examples=60, deadline=None)
+    def test_split_sums(self, L, shape, seed, variant, pool, generic):
+        f, E, N = _split_signal(L, shape, seed, variant, pool)
+        g, _, _ = _split_signal(L, shape, seed + 1, variant, pool[::-1])
+        rng = SplitMix64(seed + 2)
+        items = bitile_universe(L).items
+        # below the top (0, 0, 2^(L-1) - 1), a cutoff at the top's center lies
+        # in the up-windows of up members at every scale, so float sums of
+        # three or more terms show their order
+        if rng.below(4):
+            top = Bitile(DyadicInterval(0, 0), (1 << (L - 1)) - 1)
+        else:
+            top = items[rng.below(len(items))]
+        center = (2 * top.m + 1) << top.time.k
+        N = FrequencyChoice(L, tuple(center if rng.below(4) else n for n in N.values))
+        tree = Tree.build(top, [P for P in items if bitile_le(P, top) and rng.below(2)])
+        plugin = _plugin(shape[1], generic)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            _, diag = tree_form_sum(tree, f, g, E, N, 2, plugin)
+        assert repr(diag["split_sums"]) == repr(reference.split_sums(tree, f, g, E, N, plugin))
+
+    @given(st.integers(1, 6), synthesis_shapes, st.integers(0, 10**6), variants, fractions_pool)
+    @settings(max_examples=30, deadline=None)
+    def test_martingale_transform(self, L, shape, seed, variant, pool):
+        f, _, _ = _split_signal(L, shape, seed, variant, pool)
+        rng = SplitMix64(seed)
+        family = [I for I in haar_intervals(L) if rng.below(4)]
+        rng.shuffle(family)
+        signs = {I: 1 - 2 * rng.below(2) for I in family}
+        assert repr(martingale_transform(f, signs, family)) == repr(
+            reference.martingale_transform(f, signs, family)
+        )
+
+    @given(st.integers(1, 6), synthesis_shapes, st.integers(0, 10**6), variants, fractions_pool,
+           st.sampled_from([2, 3]), st.booleans())
+    @settings(max_examples=30, deadline=None)
+    def test_tile_type_constant(self, L, shape, seed, variant, pool, q, generic):
+        f, _, _ = _split_signal(L, shape, seed, variant, pool)
+        fam = gen_tree_family(L, SplitMix64(seed))
+        plugin = _plugin(shape[1], generic)
+        assert repr(tile_type_constant(fam, f, q, plugin)) == repr(
+            reference.tile_type_constant(fam, f, q, plugin)
+        )
 
 
 def _random_family(L, seed, trees):

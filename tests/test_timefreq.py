@@ -20,7 +20,7 @@ from tilewalsh.gen import (
     gen_nfun,
     gen_signal,
 )
-from tilewalsh.signal import FrequencyChoice, LevelSet, NormPlugin, Signal
+from tilewalsh.signal import FrequencyChoice, LevelSet, NormPlugin, Signal, lq_norm_pow
 from tilewalsh.timefreq import (
     DensityCounter,
     Tree,
@@ -29,16 +29,18 @@ from tilewalsh.timefreq import (
     complete_up_tree,
     density,
     down_coefficients_inf,
+    down_packet_sum,
     epsilon_pt,
     gap_set,
     gj_certificate,
+    hilbert_member_weights,
+    hilbert_top_sums,
     local_density,
     maximal_gap_intervals,
     size_pow,
     tree_delta_pow,
     tree_form_sum,
     up_ancestors,
-    up_cells,
     verify_tree_identity,
 )
 
@@ -201,22 +203,19 @@ class TestSizeFunctional:
     @given(st.data())
     @settings(max_examples=20, deadline=None)
     def test_parseval_cross_check(self, data):
-        # fast path vs direct packet-sum L2 norm of the up-part
+        # the Parseval up-sum at T vs the L2 mass of the synthesized up-part
         rng = SplitMix64(data.draw(st.integers(0, 10**6)))
         L = 3
-        f = gen_signal(L, 1, "vector", rng)
+        f = gen_signal(L, data.draw(st.sampled_from([1, 2])), "vector", rng)
         coll = gen_collection(L, 10, rng)
+        coeffs = down_coefficients_inf(f, coll)
+        weights = hilbert_member_weights(coll, coeffs)
+        sums = hilbert_top_sums(coll, weights)
         for T in candidate_tops(coll):
             tree = complete_up_tree(T, coll)
-            if not tree.members:
-                continue
-            fast = tree_delta_pow(tree, f, 2, EUCL)
-            from tilewalsh.timefreq import down_packet_sum
-            from tilewalsh.signal import lq_norm_pow
-
-            g = down_packet_sum(tree.members, f)
+            g = down_packet_sum(tree.up_part(), f, coeffs)
             direct = lq_norm_pow(g, 2, EUCL) / tree.time.length
-            assert fast == direct
+            assert weights.value(sums[T.key()] * (1 << T.time.k)) == direct
 
     @given(st.data())
     @settings(max_examples=15, deadline=None)
@@ -226,7 +225,7 @@ class TestSizeFunctional:
         L = 3
         f = gen_signal(L, 1, "vector", rng)
         coll = gen_collection(L, 6, rng)
-        computed, _ = size_pow(coll, f, 2, EUCL)
+        computed = size_pow(coll, f, 2, EUCL)
         best = Fraction(0)
         for T in candidate_tops(coll):
             members = [P for P in coll if bitile_le_u(P, T)]
@@ -243,22 +242,21 @@ class TestSizeFunctional:
         L = 3
         f = gen_signal(L, 1, "vector", rng)
         coll = gen_collection(L, 12, rng)
-        small, _ = size_pow(coll[:6], f, 2, EUCL)
-        large, _ = size_pow(coll, f, 2, EUCL)
+        small = size_pow(coll[:6], f, 2, EUCL)
+        large = size_pow(coll, f, 2, EUCL)
         assert small <= large
 
     def test_empty_collection(self):
         f = Signal.scalar([Fraction(1)] * 8)
-        assert size_pow([], f, 2, EUCL) == (0, None)
+        assert size_pow([], f, 2, EUCL) == 0
 
     def test_size_is_qth_root(self):
         rng = SplitMix64(3)
         f = gen_signal(3, 1, "vector", rng)
         coll = gen_collection(3, 8, rng)
-        pw, wit = size_pow(coll, f, 2, EUCL)
-        val, wit2 = size(coll, f, 2, EUCL)
+        pw = size_pow(coll, f, 2, EUCL)
+        val = size(coll, f, 2, EUCL)
         assert val == pytest.approx(float(pw) ** 0.5, rel=1e-12)
-        assert wit == wit2
 
 
 class TestGapIntervals:

@@ -8,15 +8,19 @@ from tilewalsh.dyadic import DyadicInterval, Tile
 from tilewalsh.walsh import (
     bit_reverse,
     fwht,
-    haar_pattern,
     ifwht,
     rademacher,
     walsh,
     walsh_value,
+)
+from reference import (
+    Root2Scaled,
+    haar_pattern,
+    pairing_inf,
+    values_exact,
     wave_packet,
     wave_packet_pattern,
 )
-from reference import Root2Scaled, pairing_inf, values_exact
 
 rationals = st.fractions(
     min_value=-4, max_value=4, max_denominator=1 << 12
