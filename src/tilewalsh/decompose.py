@@ -11,6 +11,8 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Sequence
 
+import numpy as np
+
 from .certificates import Certificate
 from .dyadic import Bitile, bitile_universe
 from .operators import carleson_bitile
@@ -30,6 +32,7 @@ from .timefreq import (
     HilbertWeights,
     Tree,
     TreeFamily,
+    UpSumGrid,
     _is_hilbert_case,
     _pow_gt,
     candidate_tops,
@@ -37,16 +40,14 @@ from .timefreq import (
     density,
     down_coefficients_inf,
     down_packet_sum,
+    grid_cells,
+    grid_depth,
     hilbert_member_weights,
-    hilbert_pow,
-    hilbert_top_sums,
-    hilbert_tree_pow,
-    local_density,
+    hilbert_tree_pows,
     meeting_tile_pairs,
     member_form_products,
     size_pow,
     tree_delta_pow,
-    up_ancestor_keys,
 )
 from .walsh import packet_synthesis
 
@@ -101,6 +102,12 @@ class LeveledForest:
 # ---------------------------------------------------------------------------
 # density lemma
 
+def _canonical(coll) -> list[Bitile]:
+    """The bitiles of coll without repeats, in canonical order; keyed by
+    Bitile.key, whose integer tuples hash faster than bitiles."""
+    return [P for _, P in sorted({P.key(): P for P in coll}.items())]
+
+
 def _two_pow(n: int | float):
     """2^n as an exact Fraction for integer n, float otherwise."""
     if isinstance(n, int) or (isinstance(n, Fraction) and n.denominator == 1):
@@ -120,21 +127,16 @@ class _TopIndex:
         for k, pos, m in sorted(keys):
             self.rows.setdefault((k, pos), []).append(m)
 
-    def first_above(self, k: int, pos: int, m: int, strict: bool = False):
+    def first_above(self, k: int, pos: int, m: int):
         """The first key T in canonical order with (k, pos, m) <= T in the
-        tile order (< T when strict), or None."""
-        for d in range(k, 0 if strict else -1, -1):
+        tile order, or None."""
+        for d in range(k, -1, -1):
             row = self.rows.get((k - d, pos >> d))
             if row:
                 i = bisect_left(row, m << d)
                 if i < len(row) and row[i] < (m + 1) << d:
                     return (k - d, pos >> d, row[i])
         return None
-
-    def discard(self, key: tuple[int, int, int]) -> None:
-        k, pos, m = key
-        row = self.rows[(k, pos)]
-        del row[bisect_left(row, m)]
 
 
 def density_decompose(
@@ -153,18 +155,20 @@ def density_decompose(
     the first witness above it: a witness with a strict tile-order
     ancestor among the witnesses is not, since the ancestor is coarser and
     so comes first."""
-    coll = sorted(set(coll), key=Bitile.key)
+    coll = _canonical(coll)
     if counter is None:
         counter = DensityCounter(E, Nfun)
-    local: dict[Bitile, tuple[Fraction, Bitile]] = {
-        P: local_density(P, counter) for P in coll
-    }
-    dens = max((v[0] for v in local.values()), default=Fraction(0))
+    # integer numerators over 2^L (DensityCounter.lookup) and witness keys
+    found = [counter.lookup(*P.key()) for P in coll]
+    scale = 1 << counter.L
+    dens = Fraction(max((num for num, _ in found), default=0), scale)
     threshold = dens * _two_pow(-q) if dens else Fraction(0)
+    # num / 2^L > threshold exactly when num > cut, for a Fraction or float
+    cut = math.floor(Fraction(threshold) * scale)
 
-    sparse = [P for P in coll if local[P][0] <= threshold]
-    rest = [P for P in coll if local[P][0] > threshold]
-    witnesses = _TopIndex({local[P][1].key() for P in rest})
+    sparse = [P for P, (num, _) in zip(coll, found) if num <= cut]
+    rest = [P for P, (num, _) in zip(coll, found) if num > cut]
+    witnesses = _TopIndex({key for num, key in found if num > cut})
     members: dict[tuple[int, int, int], list[Bitile]] = {}
     for P in rest:
         T = witnesses.first_above(*P.key())
@@ -173,7 +177,7 @@ def density_decompose(
         members.setdefault(T, []).append(P)
     trees = [Tree(Bitile.from_key(T), tuple(ms)) for T, ms in sorted(members.items())]
 
-    sparse_density = max((local[P][0] for P in sparse), default=Fraction(0))
+    sparse_density = Fraction(max((num for num, _ in found if num <= cut), default=0), scale)
     certs = [
         Certificate.make(
             "density_sparse",
@@ -222,6 +226,42 @@ def _take_below(remaining: dict, top: tuple[int, int, int], finest: int) -> list
     return out
 
 
+def nonzero_keys(coll: Sequence[Bitile], coeffs: dict[Bitile, list[Fraction]]) -> set:
+    """Keys of the members with a nonzero down coefficient.  From the
+    coefficients, not the masses: a float c c can underflow to 0.0."""
+    return {P.key() for P in coll if any(c != 0 for c in coeffs[P])}
+
+
+def first_maximal_top(mask: np.ndarray) -> tuple[int, int, int] | None:
+    """The key of the cell of a boolean grid (see timefreq.up_sum_grids)
+    that is set, lies below no other set cell in the tile order, and has the
+    least frequency center (2m + 1) 2^k, ties by key; None when no cell is
+    set.  The cells above (k, pos, m) are its two parents
+    (k - 1, pos >> 1, 2m) and (k - 1, pos >> 1, 2m + 1) and theirs, so one
+    pass from the coarsest scale with a set cell to the finest finds the
+    cells below a set one."""
+    scales = np.flatnonzero(mask.any(axis=1))
+    if not len(scales):
+        return None
+    D = mask.shape[0] - 1
+    free = mask.copy()
+    covered = mask[scales[0]]
+    for k in range(scales[0] + 1, scales[-1] + 1):
+        cols = 1 << (D - k)
+        parents = covered.reshape(1 << (k - 1), cols, 2)
+        below = np.empty((1 << (k - 1), 2, cols), bool)
+        below[:] = (parents[..., 0] | parents[..., 1])[:, None, :]
+        below = below.reshape(-1)
+        free[k] &= ~below
+        covered = mask[k] | below
+    rows, cols = np.nonzero(free)
+    shift = D - rows
+    pos, m = cols >> shift, cols & ((1 << shift) - 1)
+    # an odd multiple of 2^k, the center fixes (k, m): ties are broken by pos
+    i = ((((2 * m + 1) << rows) << D) | pos).argmin()
+    return int(rows[i]), int(pos[i]), int(m[i])
+
+
 def size_decompose(
     coll: Sequence[Bitile],
     f: Signal,
@@ -230,98 +270,75 @@ def size_decompose(
     coeffs: dict[Bitile, list[Fraction]] | None = None,
     weights: HilbertWeights | None = None,
     fq_pow=None,
+    nonzero: set | None = None,
 ) -> SizeDecomposition:
     """Greedy extraction of trees whose up-part mass exceeds half the
     collection size, choosing the qualifying maximal tree with the minimal
     top frequency center; ties fall back to the canonical bitile order.
 
-    In the Hilbert case the up-sums of the masses are computed once
-    (hilbert_top_sums) and decremented as trees are removed.  They give the
-    collection size, each tree's size (the maximum of its decrement, which
-    at T is the sum over the tree's members below T) and the remainder's
-    size; a round re-tests only the tops its decrement touched, since the
-    qualifying set only shrinks.  fq_pow is |f|_q^q, computed when absent."""
-    coll = sorted(set(coll), key=Bitile.key)
+    In the Hilbert case one UpSumGrid holds the up-sums of the masses; it
+    gives the collection size, the qualifying tops of every round and,
+    after the trees are taken out, the remainder's size.  The trees' sizes
+    come from hilbert_tree_pows.  fq_pow is |f|_q^q and nonzero the keys of
+    the members with a nonzero coefficient (nonzero_keys), computed when
+    absent."""
+    coll = _canonical(coll)
     if coeffs is None:
         coeffs = down_coefficients_inf(f, coll)
-    zero = [P for P in coll if all(c == 0 for c in coeffs[P])]
-    active = [P for P in coll if any(c != 0 for c in coeffs[P])]
+    if nonzero is None:
+        nonzero = nonzero_keys(coll, coeffs)
+    zero = [P for P in coll if P.key() not in nonzero]
+    active = [P for P in coll if P.key() in nonzero]
 
     hilbert = _is_hilbert_case(q, plugin)
     if hilbert:
         if weights is None:
             weights = hilbert_member_weights(coll, coeffs)
-        sums = hilbert_top_sums(active, weights)
-        sigma_pow = hilbert_pow(sums, weights)
+        grid = UpSumGrid(active, weights)
+        sigma_pow = grid.pow()
     else:
         sigma_pow = size_pow(active, f, q, plugin, coeffs=coeffs)
+        depth = grid_depth(P.key() for P in active)
     threshold_pow = sigma_pow * _two_pow(-q)
-
-    def qualifies(T):
-        return weights.exceeds(sums[T] * (1 << T[0]), threshold_pow)
 
     remaining = {P.key(): P for P in active}
     finest = max((P.time.k for P in coll), default=0)
     trees: list[Tree] = []
-    tree_pows: list = []
-    order = None
-    if hilbert:
-        qualifying = {T for T in sums if qualifies(T)}
     rounds = 0
     while remaining:
         rounds += 1
         if rounds > len(coll) + 1:
             raise RuntimeError("size split failed to terminate")
-        if not hilbert:
+        if hilbert:
+            qualifying = grid.exceeding(threshold_pow)
+        else:
             rest = list(remaining.values())
-            qualifying = set()
-            for T in candidate_tops(rest):
-                tree = complete_up_tree(T, rest)
-                if tree.members and _pow_gt(
-                    tree_delta_pow(tree, f, q, plugin, coeffs=coeffs), threshold_pow
-                ):
-                    qualifying.add(T.key())
-            order = None
-        if order is None:
-            # by frequency center (2m+1) 2^k, then key
-            order = sorted(qualifying, key=lambda T: ((2 * T[2] + 1) << T[0], T))
-            index = _TopIndex(qualifying)
-        pick = next((T for T in order if index.first_above(*T, strict=True) is None), None)
+            tops = [
+                T.key()
+                for T in candidate_tops(rest)
+                if _pow_gt(
+                    tree_delta_pow(complete_up_tree(T, rest), f, q, plugin, coeffs=coeffs),
+                    threshold_pow,
+                )
+            ]
+            qualifying = np.zeros((depth + 1, 1 << depth), bool)
+            qualifying[grid_cells(tops, depth)] = True
+        pick = first_maximal_top(qualifying)
         if pick is None:
             break
         tree = Tree(Bitile.from_key(pick), tuple(_take_below(remaining, pick, finest)))
         trees.append(tree)
-        if not hilbert:
-            tree_pows.append(size_pow(tree.members, f, q, plugin, coeffs=coeffs))
-            continue
-        # member by member in canonical order: sums fall as they always
-        # have, and dec adds up as a sweep over the tree would, float bits
-        # included
-        dec: dict = {}
-        for P in tree.members:
-            key = P.key()
-            w = weights.num[key]
-            if w:
-                for T in up_ancestor_keys(*key):
-                    sums[T] -= w
-                    dec[T] = dec.get(T, 0) + w
-        tree_pows.append(hilbert_pow(dec, weights))
-        dropped = [T for T in dec if T in qualifying and not qualifies(T)]
-        for T in dropped:
-            qualifying.discard(T)
-            index.discard(T)
-        if dropped:
-            order = [T for T in order if T in qualifying]
+        if hilbert:
+            grid.remove(tree.members)
 
     small = sorted([*remaining.values(), *zero], key=Bitile.key)
     if not hilbert:
+        tree_pows = [size_pow(t.members, f, q, plugin, coeffs=coeffs) for t in trees]
         small_pow = size_pow(small, f, q, plugin, coeffs=coeffs)
-    elif weights.exact:
-        # integer sums are exact after the decrements
-        small_pow = hilbert_pow(sums, weights)
     else:
+        tree_pows = hilbert_tree_pows(trees, weights)
         # float sums after decrements differ in the last bits from a sweep
-        small_pow = hilbert_pow(hilbert_top_sums(small, weights), weights)
+        small_pow = grid.pow() if weights.exact else UpSumGrid(small, weights).pow()
 
     certs = [
         Certificate.make(
@@ -381,9 +398,10 @@ def full_decompose(
     extracted trees with the level exponent n and emitting the density,
     size and mass certificates at every level.
 
-    The down coefficients, the density table of (E, N), |f|_q^q and, in
-    the Hilbert case, the member masses are computed once over coll (or
-    passed in) and shared by every level."""
+    The down coefficients, the density table of (E, N), |f|_q^q, the keys
+    of the members with a nonzero coefficient and, in the Hilbert case, the
+    member masses are computed once over coll (or passed in) and shared by
+    every level."""
     if E.count == 0:
         raise ValueError("empty level set: level exponents undefined")
     if fq_pow is None:
@@ -391,7 +409,7 @@ def full_decompose(
     if not float(fq_pow) > 0:
         raise ValueError("zero signal: level exponents undefined")
 
-    coll = sorted(set(coll), key=Bitile.key)
+    coll = _canonical(coll)
     if coeffs is None:
         coeffs = down_coefficients_inf(f, coll)
     if counter is None:
@@ -399,6 +417,7 @@ def full_decompose(
     hilbert = _is_hilbert_case(q, plugin)
     if hilbert and weights is None:
         weights = hilbert_member_weights(coll, coeffs)
+    nonzero = nonzero_keys(coll, coeffs)
     dens0 = density(coll, E, Nfun, counter=counter)
     size0_pow = size_pow(coll, f, q, plugin, coeffs=coeffs, weights=weights)
 
@@ -420,12 +439,12 @@ def full_decompose(
     active = list(coll)
     n = n_max
     while True:
-        nonzero = [P for P in active if any(c != 0 for c in coeffs[P])]
-        if not nonzero:
+        if not any(P.key() in nonzero for P in active):
             break
         dres = density_decompose(active, E, Nfun, q, counter=counter)
         sres = size_decompose(
-            dres.sparse, f, q, plugin, coeffs=coeffs, weights=weights, fq_pow=fq_pow
+            dres.sparse, f, q, plugin,
+            coeffs=coeffs, weights=weights, fq_pow=fq_pow, nonzero=nonzero,
         )
         level_trees = tuple(dres.trees) + tuple(sres.trees)
         tag = _two_pow(n * q) if isinstance(q, int) else 2.0 ** (n * float(q))
@@ -443,11 +462,11 @@ def full_decompose(
                 context={"n": n},
             )
         )
-        tree_pows = tuple(
-            hilbert_tree_pow(t.members, weights) if hilbert
-            else size_pow(t.members, f, q, plugin, coeffs=coeffs)
-            for t in dres.trees
-        ) + sres.tree_pows
+        if hilbert:
+            tree_pows = tuple(hilbert_tree_pows(dres.trees, weights))
+        else:
+            tree_pows = tuple(size_pow(t.members, f, q, plugin, coeffs=coeffs) for t in dres.trees)
+        tree_pows += sres.tree_pows
         level_size_pow = Fraction(0)
         for v in tree_pows:
             if _pow_gt(v, level_size_pow):
@@ -475,11 +494,11 @@ def full_decompose(
         active = list(sres.small)
         n -= 1
 
-    residual = tuple(sorted(set(active), key=Bitile.key))
+    residual = tuple(_canonical(active))
     top_certs = [
         Certificate.make(
             "residual_zero_contribution",
-            sum(1 for P in residual if any(c != 0 for c in coeffs[P])),
+            sum(1 for P in residual if P.key() in nonzero),
             0,
             theorem_backed=True,
             context={"residual": len(residual)},

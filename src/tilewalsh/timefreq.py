@@ -8,7 +8,9 @@ import warnings
 from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Iterator, Sequence
+from typing import Container, Iterable, Iterator, Sequence
+
+import numpy as np
 
 from .certificates import Certificate
 from .dyadic import (
@@ -282,8 +284,6 @@ class DensityCounter:
             raise ValueError("resolution mismatch between set and cutoff choice")
         L = self.L = E.L
         self.E, self.Nfun = E, Nfun
-        # local_density results by bitile; every level asks for the same ones
-        self.memo: dict[Bitile, tuple[Fraction, Bitile]] = {}
         cells = E.cells()
         # scale k holds 2^k rows of width[k] entries, at pos * width[k] + m
         self.width = [((1 << L) >> (k + 1)) + 1 for k in range(L + 1)]
@@ -308,6 +308,21 @@ class DensityCounter:
         E, N = self.E, self.Nfun
         return sum(1 for j in I.cells(self.L) if j in E and freq_lo <= N[j] < freq_hi)
 
+    def lookup(self, k: int, pos: int, m: int) -> tuple[int, tuple[int, int, int]]:
+        """(numerator over 2^L, witness key) of the local density of the
+        bitile (k, pos, m); (0, its own key) when every ancestor is empty,
+        as for a bitile outside the table, whose window starts above 2^L or
+        whose interval lies outside [0,1)."""
+        if k > self.L:
+            raise ValueError(f"bitile finer than the grid: k={k} > L={self.L}")
+        w = self.width[k]
+        if pos >> k or m >= w:
+            return 0, (k, pos, m)
+        num, nk, nm = self.table[k][pos * w + m]
+        if not num:
+            return 0, (k, pos, m)
+        return num, (-nk, pos >> (k + nk), -nm)
+
 
 def local_density(
     P: Bitile, counter: DensityCounter
@@ -315,26 +330,9 @@ def local_density(
     """Largest occupied fraction over the ancestors of P, with the first
     maximizing ancestor (coarse scales first, then m ascending) as
     witness; P itself when every ancestor is empty.  A table lookup (see
-    DensityCounter); a bitile outside the table has only empty ancestors,
-    since its window starts above 2^L or its interval lies outside [0,1).
-    Results are kept in counter.memo."""
-    found = counter.memo.get(P)
-    if found is None:
-        found = counter.memo[P] = _table_density(P, counter)
-    return found
-
-
-def _table_density(P: Bitile, counter: DensityCounter) -> tuple[Fraction, Bitile]:
-    k, pos, m = P.time.k, P.time.pos, P.m
-    if k > counter.L:
-        raise ValueError(f"bitile finer than the grid: k={k} > L={counter.L}")
-    w = counter.width[k]
-    if pos >> k or m >= w:
-        return Fraction(0), P
-    num, nk, nm = counter.table[k][pos * w + m]
-    if not num:
-        return Fraction(0), P
-    return Fraction(num, 1 << counter.L), Bitile(DyadicInterval(-nk, pos >> (k + nk)), -nm)
+    DensityCounter.lookup)."""
+    num, key = counter.lookup(*P.key())
+    return Fraction(num, 1 << counter.L), (Bitile.from_key(key) if num else P)
 
 
 def density(
@@ -343,15 +341,12 @@ def density(
     Nfun: FrequencyChoice,
     counter: DensityCounter | None = None,
 ) -> Fraction:
-    """Density of a bitile collection relative to the set E and cutoff N."""
+    """Density of a bitile collection relative to the set E and cutoff N:
+    the largest table numerator, made a Fraction once."""
     if counter is None:
         counter = DensityCounter(E, Nfun)
-    best = Fraction(0)
-    for P in coll:
-        frac, _ = local_density(P, counter)
-        if frac > best:
-            best = frac
-    return best
+    best = max((counter.lookup(*P.key())[0] for P in coll), default=0)
+    return Fraction(best, 1 << counter.L)
 
 
 # ---------------------------------------------------------------------------
@@ -409,9 +404,10 @@ class HilbertWeights:
 
     With exact coefficients each mass is a Python-int numerator over one
     common denominator den, the squared lcm of the coefficient
-    denominators, so that sums and comparisons stay in integers.  With
-    float coefficients the masses are the plain numbers, den is 1 and
-    exact is False.
+    denominators, so that sums and comparisons stay in integers; the up-sums
+    come from dense grids (UpSumGrid).  With float coefficients the masses
+    are the plain numbers, den is 1 and exact is False; their up-sums keep
+    the canonical-order sweep, whose bits another order would change.
     """
 
     num: dict[tuple[int, int, int], int | Fraction | float]
@@ -427,6 +423,11 @@ class HilbertWeights:
         if isinstance(x, int) and isinstance(bound, Fraction):
             return x * bound.denominator > bound.numerator * self.den
         return _pow_gt(self.value(x), bound)
+
+    def pow_of(self, best):
+        """A largest S(T) 2^k_T as the size power best / den; Fraction(0)
+        unless it is positive."""
+        return self.value(best) if best > 0 else Fraction(0)
 
 
 def hilbert_member_weights(
@@ -451,6 +452,135 @@ def hilbert_member_weights(
     return HilbertWeights(num, lcm * lcm)
 
 
+def _mass_dtype(total: int):
+    """int64 when a total mass, and so every partial sum of it, has at most
+    62 bits; Python ints (dtype object) otherwise."""
+    return np.int64 if total.bit_length() <= 62 else object
+
+
+def up_sum_grids(mass: np.ndarray) -> np.ndarray:
+    """Up-sums of a batch of mass grids of depth D, shape (n, D + 1, 2^D):
+    row k of a grid holds the cells (k, pos, m), pos < 2^k and m < 2^(D-k),
+    at column pos 2^(D-k) + m, and the result holds at each cell the sum of
+    the masses at or below it in the up-tile order.
+
+    d scales down, the cells below (k, pos, m) are the 2^d positions under
+    pos at m >> d, and only when bit d-1 of m is set.  So the part strictly
+    below, Z_k = S_k - W_k, comes from scale k + 1 with B adding the two
+    positions under pos: Z_k(pos, 2c) = B Z_{k+1}(pos, c) and
+    Z_k(pos, 2c + 1) = B S_{k+1}(pos, c).  O(D 2^D) additions per grid,
+    exact in the array's integer or object dtype."""
+    n, levels, width = mass.shape
+    sums = mass.copy()
+    below = np.zeros((n, width), mass.dtype)
+    for k in range(levels - 2, -1, -1):
+        # scale k + 1 as 2^k pairs of rows, each pair side by side
+        cols = width >> (k + 1)
+        strict = below.reshape(n, 1 << k, 2 * cols)
+        full = sums[:, k + 1].reshape(n, 1 << k, 2 * cols)
+        below = np.empty((n, 1 << k, cols, 2), mass.dtype)
+        np.add(strict[..., :cols], strict[..., cols:], out=below[..., 0])
+        np.add(full[..., :cols], full[..., cols:], out=below[..., 1])
+        below = below.reshape(n, width)
+        sums[:, k] += below
+    return sums
+
+
+def grid_depth(keys: Iterable[tuple[int, int, int]]) -> int:
+    """The least D with (m + 1) 2^k <= 2^D for every key (k, pos, m): the
+    grid of depth D holds every up-ancestor of every key."""
+    return max((k + m.bit_length() for k, _, m in keys), default=0)
+
+
+def grid_cells(keys: Sequence[tuple[int, int, int]], depth: int) -> tuple[list, list]:
+    """(rows, columns) of the keys (k, pos, m) in a grid of the given depth."""
+    if any(pos >> k for k, pos, _ in keys):
+        raise ValueError("bitile outside [0, 1)")
+    return [k for k, _, _ in keys], [(pos << (depth - k)) + m for k, pos, m in keys]
+
+
+class UpSumGrid:
+    """The up-sums S(T) of the masses of a collection over every top T at
+    once, on dense per-scale grids of the collection's depth (up_sum_grids,
+    grid_depth); Delta(T)^2 = S(T) 2^k_T / den is the q = 2 Hilbert size of
+    the complete up-tree below T.
+
+    Exact masses sit in int64 cells when the collection's total mass has at
+    most 62 bits, so that no partial sum overflows, and in Python ints
+    (dtype object) otherwise; both run the same code, and removing members
+    zeroes their cells and sums again.  Float masses keep the canonical-order
+    sweep (_up_sums) and lose removed members one by one, in the given
+    order, so that every sum has the bits of the same sweep and decrements
+    done on dictionaries."""
+
+    def __init__(self, coll: Iterable[Bitile], weights: HilbertWeights) -> None:
+        self.weights = weights
+        self.keys = keys = sorted(P.key() for P in coll)
+        self.depth = D = grid_depth(keys)
+        rows, cols = grid_cells(keys, D)
+        if not weights.exact:
+            self.mass = None
+            self.sums = np.zeros((D + 1, 1 << D), object)
+            for key, s in _up_sums(keys, weights.num).items():
+                self.sums[self._cell(key)] = s
+            return
+        num = weights.num
+        self.mass = np.zeros((1, D + 1, 1 << D), _mass_dtype(sum(num[key] for key in keys)))
+        if keys:
+            self.mass[0, rows, cols] = [num[key] for key in keys]
+        self.sums = up_sum_grids(self.mass)[0]
+
+    def _cell(self, key: tuple[int, int, int]) -> tuple[int, int]:
+        k, pos, m = key
+        return k, (pos << (self.depth - k)) + m
+
+    def remove(self, members: Iterable[Bitile]) -> None:
+        """Take members out of the collection."""
+        if self.mass is not None:
+            for P in members:
+                self.mass[(0, *self._cell(P.key()))] = 0
+            self.sums = up_sum_grids(self.mass)[0]
+            return
+        for P in members:
+            key = P.key()
+            w = self.weights.num[key]
+            if w:
+                for T in up_ancestor_keys(*key):
+                    self.sums[self._cell(T)] -= w
+
+    def pow(self):
+        """The q = 2 size power max_T S(T) 2^k_T / den; Fraction(0) when no
+        sum is positive."""
+        if self.mass is not None:
+            best = max(x << k for k, x in enumerate(self.sums.max(axis=1).tolist()))
+        else:
+            best = max(x * (1 << k) for k, row in enumerate(self.sums.tolist()) for x in row)
+        return self.weights.pow_of(best)
+
+    def exceeding(self, bound) -> np.ndarray:
+        """Boolean grid of the tops T with S(T) 2^k_T / den > bound
+        (HilbertWeights.exceeds).  Exact sums are compared per scale with
+        the integer floor(bound den / 2^k), so that no product S 2^k is
+        formed in int64."""
+        if self.mass is None:
+            exceeds = self.weights.exceeds
+            return np.array(
+                [
+                    [x != 0 and exceeds(x * (1 << k), bound) for x in row]
+                    for k, row in enumerate(self.sums.tolist())
+                ],
+                dtype=bool,
+            )
+        cuts = [
+            bound.numerator * self.weights.den // (bound.denominator << k)
+            for k in range(self.depth + 1)
+        ]
+        if self.sums.dtype != object:
+            # sums stay below 2^62
+            cuts = [min(c, 1 << 62) for c in cuts]
+        return self.sums > np.array(cuts, self.sums.dtype)[:, None]
+
+
 def hilbert_top_sums(
     coll: Sequence[Bitile], weights: HilbertWeights
 ) -> dict[tuple[int, int, int], int | Fraction | float]:
@@ -458,31 +588,77 @@ def hilbert_top_sums(
     member masses below it in the up-tile order, as a numerator over
     weights.den.  Delta(T)^2 of the complete up-tree is S(T) 2^k_T / den.
 
-    Members are added in canonical order, each to the integer ranges of
-    up_ancestor_keys, so float masses are summed in a fixed order."""
-    return _up_sums(coll, weights.num)
+    The candidate tops are the up-ancestors of the members, zero sums
+    included.  Exact sums are read off an UpSumGrid, the key set off the
+    same sums over member counts; float masses are added in canonical
+    order, each to the integer ranges of up_ancestor_keys."""
+    if not weights.exact:
+        return _up_sums(sorted(P.key() for P in coll), weights.num)
+    grid = UpSumGrid(coll, weights)
+    count = np.zeros(grid.mass.shape, np.int64)
+    count[(0, *grid_cells(grid.keys, grid.depth))] = 1
+    rows, cols = np.nonzero(up_sum_grids(count)[0])
+    shift = grid.depth - rows
+    keys = zip(rows.tolist(), (cols >> shift).tolist(), (cols & ((1 << shift) - 1)).tolist())
+    return dict(zip(keys, grid.sums[rows, cols].tolist()))
 
 
-def _up_sums(coll, num) -> dict[tuple[int, int, int], int | Fraction | float]:
+def _up_sums(keys, num) -> dict[tuple[int, int, int], int | Fraction | float]:
+    """The canonical-order sweep: the masses num of the sorted keys added,
+    one member after another, to each of its up_ancestor_keys."""
     sums: dict[tuple[int, int, int], int | Fraction | float] = {}
-    for key in sorted(P.key() for P in coll):
+    for key in keys:
         w = num[key]
         for T in up_ancestor_keys(*key):
             sums[T] = sums.get(T, 0) + w
     return sums
 
 
-def hilbert_pow(sums: dict, weights: HilbertWeights):
-    """The q = 2 size power max_T S(T) 2^k_T / den of up-sums S keyed by
-    (k, pos, m) (see hilbert_top_sums); Fraction(0) when none is positive."""
-    best = max((s * (1 << T[0]) for T, s in sums.items()), default=0)
-    return weights.value(best) if best > 0 else Fraction(0)
+def hilbert_tree_pows(trees: Sequence[Tree], weights: HilbertWeights) -> list:
+    """size_pow(tree.members) of each tree in the Hilbert case.
 
-
-def hilbert_tree_pow(members: Sequence[Bitile], weights: HilbertWeights):
-    """size_pow(members) in the Hilbert case, from one pass over the
-    members."""
-    return hilbert_pow(_up_sums(members, weights.num), weights)
+    The members of a tree with top (k_T, pos_T, m_T) lie d scales below it
+    at m_T >> d.  Their up-ancestors e scales below the top lie under pos_T
+    and agree with m_T >> e in every bit from D - e up, D the members'
+    greatest depth below the top; an up-ancestor u scales above the top,
+    with m >> u = x, has at most the up-sum of (k_T, pos_T, x) and a
+    smaller 2^k.  So each tree takes a grid of depth D of its own, the cell
+    (k_T + d, pos, m) at (d, pos - pos_T 2^d, m mod 2^(D-d)), and the trees
+    of one depth go through up_sum_grids together.  Float masses keep one
+    canonical-order sweep per tree."""
+    if not weights.exact:
+        return [UpSumGrid(t.members, weights).pow() for t in trees]
+    num = weights.num
+    by_depth: dict[int, list[int]] = {}
+    for i, t in enumerate(trees):
+        if t.members:
+            k = t.top.time.k
+            by_depth.setdefault(max(P.time.k - k for P in t.members), []).append(i)
+    dtype = _mass_dtype(sum(num[P.key()] for t in trees for P in t.members))
+    out = [Fraction(0)] * len(trees)
+    for D, group in by_depth.items():
+        # at most 2^20 cells at once
+        step = max(1, (1 << 20) // ((D + 1) << D))
+        for start in range(0, len(group), step):
+            batch = group[start : start + step]
+            mass = np.zeros((len(batch), D + 1, 1 << D), dtype)
+            index: tuple[list, list, list] = ([], [], [])
+            vals = []
+            for b, i in enumerate(batch):
+                kT, posT = trees[i].top.time.k, trees[i].top.time.pos
+                for P in trees[i].members:
+                    key = k, pos, m = P.key()
+                    d = k - kT
+                    index[0].append(b)
+                    index[1].append(d)
+                    index[2].append(((pos - (posT << d)) << (D - d)) + (m & ((1 << (D - d)) - 1)))
+                    vals.append(num[key])
+            mass[index] = vals
+            best = up_sum_grids(mass).max(axis=2).tolist()
+            for b, i in enumerate(batch):
+                kT = trees[i].top.time.k
+                out[i] = weights.pow_of(max(x << (kT + e) for e, x in enumerate(best[b])))
+    return out
 
 
 def candidate_tops(coll: Iterable[Bitile]) -> list[Bitile]:
@@ -508,8 +684,8 @@ def size_pow(
 ):
     """q-th power of the size: the largest tree_delta_pow over the complete
     up-tree below every candidate top.  In the Hilbert q = 2 case one
-    up-sum sweep gives them all (hilbert_tree_pow), and the size equals the
-    supremum over all up-subtrees."""
+    UpSumGrid gives them all, and the size equals the supremum over all
+    up-subtrees."""
     coll = list(coll)
     if not coll:
         return Fraction(0)
@@ -519,7 +695,7 @@ def size_pow(
     if hilbert:
         if weights is None:
             weights = hilbert_member_weights(coll, coeffs)
-        return hilbert_tree_pow(coll, weights)
+        return UpSumGrid(coll, weights).pow()
     best = Fraction(0)
     for T in candidate_tops(coll):
         val = tree_delta_pow(complete_up_tree(T, coll), f, q, plugin, coeffs=coeffs)
@@ -605,15 +781,21 @@ def gap_set(
     Nfun: FrequencyChoice,
 ) -> LevelSet:
     """Cells of J covered by some E_{P_u} with I_P strictly containing J."""
+    return _gap_set(J, {P.key() for P in members}, E, cutoff_hits(Nfun.values, E.L))
+
+
+def _gap_set(J: DyadicInterval, keys: Container, E: LevelSet, hits: list) -> LevelSet:
+    """gap_set for the member keys and cutoff_hits: the cells j of J in E
+    hit by a member at a scale k < J.k, whose interval (k, j >> (L - k))
+    then strictly contains J."""
+    L = E.L
     mask = 0
-    for P in members:
-        if not P.time.strictly_contains(J):
-            continue
-        lo, hi = P.up.freq_lo, P.up.freq_hi
-        for j in J.cells(E.L):
-            if j in E and lo <= Nfun[j] < hi:
-                mask |= 1 << j
-    return LevelSet(E.L, mask)
+    for j in J.cells(L):
+        if j in E and any(
+            k < J.k and (k, j >> (L - k), m) in keys for k, m, _ in hits[j]
+        ):
+            mask |= 1 << j
+    return LevelSet(L, mask)
 
 
 def gj_certificate(
@@ -622,9 +804,11 @@ def gj_certificate(
     """For every maximal gap interval J, the exact check
     |G_J| <= 2 density(tree) |J|."""
     dens = density(tree.members, E, Nfun)
+    keys = {P.key() for P in tree.members}
+    hits = cutoff_hits(Nfun.values, E.L)
     certs = []
     for J in maximal_gap_intervals(tree.members, E.L):
-        GJ = gap_set(J, tree.members, E, Nfun)
+        GJ = _gap_set(J, keys, E, hits)
         certs.append(
             Certificate.make(
                 "gap_interval_measure",
@@ -680,7 +864,7 @@ def tree_form_sum(
     ]
     split_norms = []
     for J in jays:
-        GJ = gap_set(J, tree.members, E, Nfun)
+        GJ = _gap_set(J, coefs.keys(), E, hits)
         row = {"J": {"k": J.k, "pos": J.pos}, "gap_cells": GJ.count}
         for label, part, keys in parts:
             if not any(P.time.strictly_contains(J) for P in part):

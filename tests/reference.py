@@ -13,6 +13,9 @@ and helpers that only the tests use.
   float) arithmetic, sample by sample.
 - member_weights / hilbert_top_sums: the q = 2 Parseval masses and their
   up-sums in Fraction arithmetic, keyed by Bitile.
+- sweep_pow: the q = 2 size power from the dictionary sweep over
+  up_ancestor_keys that the dense up-sum grids replaced for exact masses,
+  taking the first largest sum in the sweep's key order.
 - size_decompose_hilbert: the greedy size split of the Hilbert case on
   those Fraction sums.
 - packet_sum: one entry of the Walsh packet table, summed sample by
@@ -26,6 +29,8 @@ and helpers that only the tests use.
   walsh.cutoff_hits replaced, adding Fraction (or float) multiples of
   each packet's sign pattern cell by cell, with a masked full-grid
   synthesis per gap interval and part for tree_form_sum's split sums.
+- gap_set / gj_certificate: the gap set by the up-window test of every
+  member on every cell of J, which walsh.cutoff_hits replaced.
 - density_decompose / size_decompose / down_tile_violations: the greedy
   splits that re-test every top each round and find maximal tops by
   pairwise comparison, with a fresh up-sum sweep for the size of the
@@ -334,6 +339,18 @@ def hilbert_top_sums(coll, weights) -> dict[Bitile, Fraction]:
         for T in up_ancestors(P):
             sums[T] = sums.get(T, Fraction(0)) + w
     return sums
+
+
+def sweep_pow(coll, weights):
+    """max_T S(T) 2^k_T / den over a dictionary of up-sums filled member by
+    member in canonical order; Fraction(0) when no sum is positive."""
+    sums = {}
+    for key in sorted(P.key() for P in coll):
+        w = weights.num[key]
+        for T in up_ancestor_keys(*key):
+            sums[T] = sums.get(T, 0) + w
+    best = max((s * (1 << T[0]) for T, s in sums.items()), default=0)
+    return weights.value(best) if best > 0 else Fraction(0)
 
 
 def size_decompose_hilbert(coll, f):
@@ -681,6 +698,34 @@ def martingale_transform(f, signs, family):
     return f.with_components(out_comps)
 
 
+def gap_set(J, members, E, Nfun):
+    """Cells of J covered by some E_{P_u} with I_P strictly containing J."""
+    mask = 0
+    for P in members:
+        if not P.time.strictly_contains(J):
+            continue
+        lo, hi = P.up.freq_lo, P.up.freq_hi
+        for j in J.cells(E.L):
+            if j in E and lo <= Nfun[j] < hi:
+                mask |= 1 << j
+    return LevelSet(E.L, mask)
+
+
+def gj_certificate(tree, E, Nfun):
+    """For every maximal gap interval J, |G_J| <= 2 density(tree) |J|."""
+    dens = timefreq.density(tree.members, E, Nfun)
+    certs = []
+    for J in timefreq.maximal_gap_intervals(tree.members, E.L):
+        GJ = gap_set(J, tree.members, E, Nfun)
+        certs.append(
+            Certificate.make(
+                "gap_interval_measure", GJ.measure, 2 * dens * J.length, theorem_backed=True,
+                context={"J": {"k": J.k, "pos": J.pos}, "cells": GJ.count},
+            )
+        )
+    return certs
+
+
 def split_sums(tree, f, g, E, Nfun, plugin):
     """tree_form_sum's split sums: per gap interval J and part, the L^1
     mass over J of the signed down-packet sum of the part's members whose
@@ -691,7 +736,7 @@ def split_sums(tree, f, g, E, Nfun, plugin):
     down, rest = tree.split()
     rows = []
     for J in timefreq.maximal_gap_intervals(tree.members, f.L):
-        GJ = timefreq.gap_set(J, tree.members, E, Nfun)
+        GJ = gap_set(J, tree.members, E, Nfun)
         row = {"J": {"k": J.k, "pos": J.pos}, "gap_cells": GJ.count}
         for label, part in (("down", down), ("up", rest)):
             active = [P for P in part if P.time.strictly_contains(J)]

@@ -1,15 +1,17 @@
 """The density table, the packet table and the kernels built on it
 (carleson_bitile, down_coefficients_inf, member_form_products), the
-vectorized carleson_direct, the integer Hilbert up-sums, the incremental
-density and size splits, the down-tile sweep, and packet synthesis with
-the cutoff walk (tree_form_sum's split sums, martingale_transform,
-tile_type_constant) against the retained references in tests/reference.py."""
+vectorized carleson_direct, the integer Hilbert up-sums and their dense
+grids, the incremental density and size splits, the down-tile sweep, and
+packet synthesis with the cutoff walk (tree_form_sum's split sums, the gap
+sets, martingale_transform, tile_type_constant) against the retained
+references in tests/reference.py."""
 
 import json
 import random
 import warnings
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from click.testing import CliRunner
 from hypothesis import given, settings, strategies as st
@@ -19,11 +21,19 @@ from tilewalsh import decompose, operators, timefreq
 from tilewalsh.cli import main
 from tilewalsh.decompose import (
     density_decompose,
+    first_maximal_top,
     full_decompose,
     size_decompose,
     tile_type_constant,
 )
-from tilewalsh.dyadic import Bitile, DyadicInterval, Tile, bitile_le, bitile_universe
+from tilewalsh.dyadic import (
+    Bitile,
+    DyadicInterval,
+    Tile,
+    bitile_le,
+    bitile_universe,
+    unit_intervals,
+)
 from tilewalsh.gen import (
     SplitMix64,
     gen_collection,
@@ -43,9 +53,13 @@ from tilewalsh.timefreq import (
     DensityCounter,
     Tree,
     TreeFamily,
+    UpSumGrid,
     down_coefficients_inf,
+    gap_set,
+    gj_certificate,
     hilbert_member_weights,
     hilbert_top_sums,
+    hilbert_tree_pows,
     local_density,
     meeting_tile_pairs,
     member_form_products,
@@ -53,7 +67,7 @@ from tilewalsh.timefreq import (
     tree_form_sum,
 )
 from tilewalsh.walsh import packet_table
-from reference import gen_tree_members, tiles_disjoint
+from reference import bitile_lt, gen_tree_members, tiles_disjoint
 
 EUCL = NormPlugin("euclidean")
 
@@ -420,7 +434,8 @@ class TestGreedySplits:
         for name in calls:
             wrapped = counted(name, getattr(timefreq, name))
             for module in (timefreq, decompose):
-                monkeypatch.setattr(module, name, wrapped)
+                if hasattr(module, name):
+                    monkeypatch.setattr(module, name, wrapped)
         out = tmp_path / "certify.json"
         result = CliRunner().invoke(
             main, ["certify", "--levels", "6", "--seed", "5", "--out", str(out)],
@@ -434,6 +449,184 @@ class TestGreedySplits:
 
 
 # ---------------------------------------------------------------------------
+# the up-sum grids
+
+
+def _fraction_pow(sums):
+    """The q = 2 size power of Fraction up-sums keyed by Bitile."""
+    best = max((s * (1 << T.time.k) for T, s in sums.items()), default=Fraction(0))
+    return best if best > 0 else Fraction(0)
+
+
+def _fraction_tree_pow(members, f):
+    coeffs = reference.down_coefficients(f, members)
+    return _fraction_pow(
+        reference.hilbert_top_sums(members, reference.member_weights(members, coeffs))
+    )
+
+
+def _grid_bitiles(grid):
+    """The bitiles of the nonzero cells of a grid, in canonical order."""
+    D = grid.shape[0] - 1
+    return sorted(
+        Bitile(DyadicInterval(k, col >> (D - k)), col & ((1 << (D - k)) - 1))
+        for k, col in zip(*(a.tolist() for a in np.nonzero(grid)))
+    )
+
+
+def _grid_dict(grid):
+    """The nonzero up-sums of an UpSumGrid as Fractions keyed by Bitile."""
+    D = grid.depth
+    return {
+        T: Fraction(int(grid.sums[T.time.k, (T.time.pos << (D - T.time.k)) + T.m]), grid.weights.den)
+        for T in _grid_bitiles(grid.sums)
+    }
+
+
+def _first_maximal_reference(tops):
+    """The tile-order maximal top of least frequency center, ties by key."""
+    maximal = [T for T in tops if not any(bitile_lt(T, T2) for T2 in tops)]
+    return min(maximal, key=lambda T: (T.freq_center, T.key()), default=None)
+
+
+def _trees_over(coll, L, rng, count):
+    """Trees with random tops from the universe and random members of coll
+    below them in the tile order."""
+    items = bitile_universe(L).items
+    trees = []
+    for _ in range(count):
+        top = items[rng.below(len(items))]
+        below = [P for P in coll if bitile_le(P, top) and rng.below(3)]
+        if below:
+            trees.append(Tree.build(top, below))
+    return trees
+
+
+def _huge_signal(L, seed):
+    """An exact signal whose every nonzero mass passes 2^64: each component
+    has its own 32-bit prime denominator, so each nonzero coefficient's
+    numerator over the common denominator carries the other prime."""
+    rng = SplitMix64(seed)
+    return Signal.from_values(
+        [(Fraction(rng.below(1 << 20) + 1, 4294967291), Fraction(rng.below(1 << 20) + 1, 4294967279))
+         for _ in range(1 << L)]
+    )
+
+
+class TestUpSumGrids:
+    @given(st.integers(1, 7), signal_shapes, st.integers(0, 10**6),
+           st.sampled_from(["exact", "non-dyadic"]), fractions_pool, st.booleans())
+    @settings(max_examples=40, deadline=None)
+    def test_grid_matches_fraction_sums(self, L, shape, seed, variant, pool, whole):
+        f, E, N = _split_signal(L, shape, seed, variant, pool)
+        rng = SplitMix64(seed + 7)
+        coll = _collection(L, seed, whole and L <= 6)
+        weights = hilbert_member_weights(coll, down_coefficients_inf(f, coll))
+        grid = UpSumGrid(coll, weights)
+        ref = reference.hilbert_top_sums(
+            coll, reference.member_weights(coll, reference.down_coefficients(f, coll))
+        )
+        assert _grid_dict(grid) == {T: s for T, s in ref.items() if s}
+        sigma = grid.pow()
+        assert sigma == _fraction_pow(ref)
+
+        # a removal mask, as the greedy's decrement takes trees out
+        gone = [P for P in coll if rng.below(3) == 0]
+        grid.remove(gone)
+        kept = [P for P in coll if P not in set(gone)]
+        ref = reference.hilbert_top_sums(
+            kept, reference.member_weights(kept, reference.down_coefficients(f, kept))
+        )
+        assert _grid_dict(grid) == {T: s for T, s in ref.items() if s}
+        assert grid.pow() == _fraction_pow(ref)
+
+        for bound in (sigma / 4, sigma * Fraction(rng.below(5), 7), Fraction(0)):
+            mask = grid.exceeding(bound)
+            tops = sorted(T for T, s in ref.items() if s * (1 << T.time.k) > bound)
+            assert _grid_bitiles(mask) == tops
+            expected = _first_maximal_reference(tops)
+            assert first_maximal_top(mask) == (expected.key() if expected else None)
+
+        trees = _trees_over(coll, L, rng, 6)
+        assert hilbert_tree_pows(trees, weights) == [_fraction_tree_pow(t.members, f) for t in trees]
+        dres = density_decompose(coll, E, N, 2)
+        assert hilbert_tree_pows(dres.trees, weights) == [
+            _fraction_tree_pow(t.members, f) for t in dres.trees
+        ]
+
+    @given(st.integers(1, 5), st.integers(0, 10**6))
+    @settings(max_examples=20, deadline=None)
+    def test_float_masses_keep_sweep_bits(self, L, seed):
+        f, E, N = _split_signal(L, (2, "vector"), seed, "float", None)
+        rng = SplitMix64(seed + 7)
+        coll = _collection(L, seed, L <= 4)
+        weights = hilbert_member_weights(coll, down_coefficients_inf(f, coll))
+        assert not weights.exact
+        assert repr(UpSumGrid(coll, weights).pow()) == repr(reference.sweep_pow(coll, weights))
+        trees = _trees_over(coll, L, rng, 6) + list(density_decompose(coll, E, N, 2).trees)
+        assert repr(hilbert_tree_pows(trees, weights)) == repr(
+            [reference.sweep_pow(t.members, weights) for t in trees]
+        )
+
+    @pytest.mark.parametrize("L", [3, 5])
+    def test_wide_masses_take_python_ints(self, L, monkeypatch):
+        f = _huge_signal(L, L)
+        _, _, E, N = _instance(L, (2, "vector"), L)
+        choose = timefreq._mass_dtype
+
+        def refuse_int64(total):
+            dtype = choose(total)
+            if total and dtype is not object:
+                raise AssertionError("int64 grid for masses past 2^62")
+            return dtype
+
+        monkeypatch.setattr(timefreq, "_mass_dtype", refuse_int64)
+        coll = list(bitile_universe(L).items)
+        weights, sums = _fraction_sums(coll, f)
+        assert min(w for w in weights.num.values() if w).bit_length() > 62
+        assert sums == _reference_sums(coll, f)
+        res = size_decompose(coll, f, 2, EUCL)
+        trees, small = reference.size_decompose_hilbert(coll, f)
+        assert (list(res.trees), list(res.small)) == (trees, small)
+        assert list(res.tree_pows) == [_fraction_tree_pow(t.members, f) for t in trees]
+        forest = full_decompose(coll, f, E, N, 2, EUCL)
+        assert forest.levels
+        for rec in forest.levels:
+            assert list(rec.size_pows) == [_fraction_tree_pow(t.members, f) for t in rec.trees]
+
+    def test_seeded_masses_take_int64(self, monkeypatch):
+        chosen = []
+        choose = timefreq._mass_dtype
+
+        def record(total):
+            chosen.append(choose(total))
+            return chosen[-1]
+
+        monkeypatch.setattr(timefreq, "_mass_dtype", record)
+        f, _, E, N = _instance(6, (2, "vector"), 11)
+        full_decompose(list(bitile_universe(6).items), f, E, N, 2, EUCL)
+        assert chosen and all(dtype is np.int64 for dtype in chosen)
+
+    def test_exact_certify_walks_no_ancestor_keys(self, monkeypatch, tmp_path):
+        calls = []
+        walk = timefreq.up_ancestor_keys
+
+        def counted(*key):
+            calls.append(key)
+            return walk(*key)
+
+        monkeypatch.setattr(timefreq, "up_ancestor_keys", counted)
+        out = tmp_path / "certify.json"
+        result = CliRunner().invoke(
+            main, ["certify", "--levels", "7", "--seed", "2", "--out", str(out)],
+            catch_exceptions=False,
+        )
+        assert result.exit_code == 0
+        assert json.loads(out.read_text())["form"]["levels"]
+        assert calls == []
+
+
+# ---------------------------------------------------------------------------
 # packet synthesis and the cutoff walk
 
 synthesis_shapes = st.sampled_from([(1, "vector"), (2, "vector"), (1, "matrix"), (2, "matrix")])
@@ -444,6 +637,31 @@ def _plugin(kind, generic):
     if not generic:
         return EUCL
     return NormPlugin("schatten" if kind == "matrix" else "lp", Fraction(3))
+
+
+class TestGapSets:
+    @given(st.integers(1, 6), synthesis_shapes, st.integers(0, 10**6))
+    @settings(max_examples=60, deadline=None)
+    def test_gap_sets_match_up_window_test(self, L, shape, seed):
+        f, g, E, N = _instance(L, shape, seed)
+        rng = SplitMix64(seed + 2)
+        items = bitile_universe(L).items
+        # cutoffs at the center of the top (0, 0, 2^(L-1) - 1) hit its up
+        # members at several scales
+        if rng.below(4):
+            top = Bitile(DyadicInterval(0, 0), (1 << (L - 1)) - 1)
+        else:
+            top = items[rng.below(len(items))]
+        center = (2 * top.m + 1) << top.time.k
+        N = FrequencyChoice(L, tuple(center if rng.below(4) else n for n in N.values))
+        tree = Tree.build(top, [P for P in items if bitile_le(P, top) and rng.below(2)])
+        for J in unit_intervals(L):
+            assert gap_set(J, tree.members, E, N) == reference.gap_set(J, tree.members, E, N)
+        assert repr(gj_certificate(tree, E, N)) == repr(reference.gj_certificate(tree, E, N))
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            _, diag = tree_form_sum(tree, f, g, E, N, 2, EUCL)
+        assert repr(diag["split_sums"]) == repr(reference.split_sums(tree, f, g, E, N, EUCL))
 
 
 class TestPacketSynthesis:
