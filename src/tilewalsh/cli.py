@@ -43,14 +43,14 @@ from .operators import carleson_bitile, carleson_direct, walsh_coefficients
 from .signal import (
     NormPlugin,
     Signal,
+    columns_from_json,
+    columns_to_json,
     dump_json,
     levelset_from_json,
     levelset_to_json,
     load_json,
     nfun_from_json,
     nfun_to_json,
-    num_from_json,
-    num_to_json,
     signal_from_json,
     signal_to_json,
     value_is_zero,
@@ -124,7 +124,7 @@ def _same_resolution(**inputs) -> None:
 
 
 def _require_nonzero(f: Signal) -> None:
-    if value_is_zero(f.comps):
+    if value_is_zero(f.cols):
         raise InputError("zero signal: level exponents undefined")
 
 
@@ -173,17 +173,15 @@ def transform(infile, inverse, out):
             "levels": f.L,
             "dim": f.d,
             "kind": f.kind,
-            "coefficients": [
-                [num_to_json(c) for c in comp] for comp in walsh_coefficients(f)
-            ],
+            "coefficients": columns_to_json(walsh_coefficients(f)),
         },
         out,
     )
 
 
 def _signal_from_coefficients(obj: dict) -> Signal:
-    comps = [ifwht([num_from_json(c) for c in comp]) for comp in obj["coefficients"]]
-    return Signal(int(obj["levels"]), int(obj["dim"]), obj["kind"], comps)
+    coef = columns_from_json(int(obj["levels"]), int(obj["dim"]), obj["kind"], obj["coefficients"])
+    return coef.rebuild([ifwht(c) for c in coef.cols])
 
 
 @main.command()
@@ -198,7 +196,7 @@ def carleson(infile, nfun, out):
     _same_resolution(signal=f, cutoff=N)
     direct = carleson_direct(f, N)
     bitile = carleson_bitile(f, N, bitile_universe(f.L))
-    identical = direct.comps == bitile.comps
+    identical = direct == bitile
     dump_json(
         {
             "levels": f.L,
@@ -411,12 +409,8 @@ def rwt(levels, dim, kind, norm, q, p, seed, out):
     N = gen_nfun(levels, rng)
     raw_f = gen_dual_function(levels, dim, kind, plugin, rng)
     raw_g = gen_dual_function(levels, dim, kind, plugin.dual(), rng)
-    f = raw_f.with_components(
-        [[x if j in Fset else Fraction(0) for j, x in enumerate(comp)] for comp in raw_f.comps]
-    )
-    g = raw_g.with_components(
-        [[x if j in Eset else Fraction(0) for j, x in enumerate(comp)] for comp in raw_g.comps]
-    )
+    f = raw_f.restrict(Fset)
+    g = raw_g.restrict(Eset)
     config = {
         "command": "rwt",
         "levels": levels,

@@ -7,6 +7,8 @@ from __future__ import annotations
 import math
 import warnings
 from bisect import bisect_left
+from itertools import chain
+from operator import mul
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Sequence
@@ -25,7 +27,7 @@ from .signal import (
     lq_norm,
     lq_norm_pow,
     maximal_function,
-    value_norm,
+    value_norms,
 )
 from .timefreq import (
     DensityCounter,
@@ -543,7 +545,7 @@ def carleson_form_certificate(
     """Decompose the whole bitile universe, evaluate the bilinear form
     grouped by level and tree, and report the ratio against
     |E|^(1/q') |f|_q together with per-tree tree-lemma ratios."""
-    if any(value_norm(v, plugin.dual()) > 1 + 1e-9 for v in g.samples):
+    if any(x > 1 + 1e-9 for x in value_norms(g, plugin.dual())):
         warnings.warn("dual function exceeds pointwise norm one", stacklevel=2)
     coll = list(bitile_universe(f.L).items)
     coeffs = down_coefficients_inf(f, coll)
@@ -630,7 +632,7 @@ def tile_type_constant(
             (P.time.k, P.time.pos, 1, [c * (1 << P.time.k) for c in coeffs[P]])
             for P in tree.members
         ]
-        u_haar = f.with_components(packet_synthesis(haar, len(f.comps), f.L))
+        u_haar = f.with_components(packet_synthesis(haar, len(f.cols), f.L))
         upow = lq_norm_pow(u, q, plugin)
         hpow = lq_norm_pow(u_haar, q, plugin)
         if upow is None or hpow is None:
@@ -707,22 +709,25 @@ def restricted_weak_type(
     """
     if E.count == 0 or F.count == 0:
         raise ValueError("both sets must be nonempty")
-    for j in range(f.cells):
-        if j not in F and any(c[j] != 0 for c in f.comps):
-            raise ValueError("signal not supported on F")
-        if j not in E and any(c[j] != 0 for c in g.comps):
-            raise ValueError("dual function not supported on E")
-    if any(value_norm(v, plugin) > 1 + 1e-9 for v in f.samples):
+    if f.restrict(F) != f:
+        raise ValueError("signal not supported on F")
+    if g.restrict(E) != g:
+        raise ValueError("dual function not supported on E")
+    if any(x > 1 + 1e-9 for x in value_norms(f, plugin)):
         warnings.warn("signal exceeds pointwise norm one", stacklevel=2)
-    if any(value_norm(v, plugin.dual()) > 1 + 1e-9 for v in g.samples):
+    if any(x > 1 + 1e-9 for x in value_norms(g, plugin.dual())):
         warnings.warn("dual function exceeds pointwise norm one", stacklevel=2)
 
     certs: list[Certificate] = []
     eF, eE = F.measure, E.measure
     if eE > eF:
-        M = maximal_function(F.indicator(), plugin).scalar_samples()
+        # M 1_F > thresh, compared in integers over M's denominator
+        M = maximal_function(F.indicator(), plugin)
         thresh = 2 * eF / eE
-        G = LevelSet.from_cells(E.L, (j for j in range(len(M)) if M[j] > thresh))
+        bound = thresh.numerator * M.den
+        G = LevelSet.from_cells(
+            E.L, (j for j, n in enumerate(M.cols[0]) if n * thresh.denominator > bound)
+        )
         Etilde = E.minus(G)
         certs.append(
             Certificate.make(
@@ -733,12 +738,7 @@ def restricted_weak_type(
                 context={"exceptional_measure": G.measure},
             )
         )
-        gt = g.with_components(
-            [
-                [x if j in Etilde else Fraction(0) for j, x in enumerate(comp)]
-                for comp in g.comps
-            ]
-        )
+        gt = g.restrict(Etilde)
         regime = "E>F"
         log_bound = float(eF) * (1.0 + math.log(float(eE) / float(eF)))
     else:
@@ -750,10 +750,15 @@ def restricted_weak_type(
 
     U = bitile_universe(f.L)
     Cf = carleson_bitile(f, Nfun, U)
-    form = Fraction(0)
-    for a, b in zip(zip(*Cf.comps), zip(*gt.comps)):
-        form += dual_pair(a, b)
-    form = abs(form * Fraction(1, f.cells))
+    if Cf.den is not None and gt.den is not None:
+        # one integer dot product over every entry
+        dot = sum(map(mul, chain.from_iterable(Cf.cols), chain.from_iterable(gt.cols)))
+        form = Fraction(abs(dot), Cf.den * gt.den * f.cells)
+    else:
+        form = Fraction(0)
+        for a, b in zip(zip(*Cf.comps), zip(*gt.comps)):
+            form += dual_pair(a, b)
+        form = abs(form * Fraction(1, f.cells))
 
     pf = float(p)
     pprime = pf / (pf - 1.0)

@@ -9,10 +9,10 @@ randomization or platform.  Signal values are rationals with denominator
 from __future__ import annotations
 
 from fractions import Fraction
-from math import ceil
+from math import ceil, lcm
 
 from .dyadic import Bitile, bitile_universe
-from .signal import FrequencyChoice, LevelSet, NormPlugin, Signal, value_norm
+from .signal import FrequencyChoice, LevelSet, NormPlugin, Signal, value_norms
 
 MASK64 = (1 << 64) - 1
 VALUE_DENOM_BITS = 16
@@ -41,10 +41,9 @@ class SplitMix64:
             if x < limit:
                 return x % n
 
-    def fraction(self) -> Fraction:
-        """Uniform rational in [-1, 1) with denominator 2^16."""
-        num = self.below(1 << (VALUE_DENOM_BITS + 1)) - (1 << VALUE_DENOM_BITS)
-        return Fraction(num, 1 << VALUE_DENOM_BITS)
+    def numerator(self) -> int:
+        """Numerator of a uniform rational in [-1, 1) with denominator 2^16."""
+        return self.below(1 << (VALUE_DENOM_BITS + 1)) - (1 << VALUE_DENOM_BITS)
 
     def shuffle(self, items: list) -> None:
         for i in range(len(items) - 1, 0, -1):
@@ -56,8 +55,8 @@ def gen_signal(L: int, d: int, kind: str, rng: SplitMix64) -> Signal:
     """Drawn cell by cell, each value's entries in column order (a matrix
     row by row)."""
     width = d * d if kind == "matrix" else d
-    cells = [[rng.fraction() for _ in range(width)] for _ in range(1 << L)]
-    return Signal(L, d, kind, tuple(zip(*cells)))
+    cells = [[rng.numerator() for _ in range(width)] for _ in range(1 << L)]
+    return Signal(L, d, kind, list(zip(*cells)), 1 << VALUE_DENOM_BITS)
 
 
 def gen_dual_function(
@@ -65,12 +64,16 @@ def gen_dual_function(
 ) -> Signal:
     """Random signal scaled cellwise so the pointwise dual norm is <= 1.
 
-    The scale is the rational 1/ceil(norm) so values stay exact.
+    The scale is the rational 1/ceil(norm) so values stay exact: cell j
+    is divided by s_j, so its numerators are multiplied by lcm(s) / s_j
+    over the denominator times lcm(s).
     """
     raw = gen_signal(L, d, kind, rng)
-    dual = plugin.dual()
-    scales = [Fraction(1, max(1, ceil(value_norm(v, dual) * (1 + 1e-12)))) for v in raw.samples]
-    return raw.with_components([[x * c for x, c in zip(comp, scales)] for comp in raw.comps])
+    divisors = [max(1, ceil(x * (1 + 1e-12))) for x in value_norms(raw, plugin.dual())]
+    common = lcm(*set(divisors))
+    mult = [common // s for s in divisors]
+    cols = [[n * m for n, m in zip(c, mult)] for c in raw.cols]
+    return Signal(L, d, kind, cols, raw.den * common)
 
 
 def gen_levelset(L: int, measure, rng: SplitMix64) -> LevelSet:

@@ -15,7 +15,6 @@ from .signal import (
     FrequencyChoice,
     NormPlugin,
     Signal,
-    exact_terms,
     lq_norm,
     maximal_function,
     nest,
@@ -24,20 +23,20 @@ from .signal import (
 from .walsh import bit_reverse, cutoff_hits, fwht, ifwht, packet_rows, packet_synthesis
 
 
-def walsh_coefficients(f: Signal) -> list[list]:
-    """Per-component Walsh coefficient tables, exact for rational signals."""
-    return [fwht(comp) for comp in f.comps]
+def walsh_coefficients(f: Signal) -> Signal:
+    """The Walsh coefficients of every component, as a signal of f's shape
+    whose cell n holds coefficient n: exact for rational signals, as
+    integer butterfly sums over den 2^L."""
+    return f.rebuild([fwht(c, normalize=False) for c in f.cols], f.cells)
 
 
 def partial_sum(f: Signal, N: int) -> Signal:
     """Reconstruction from the first N Walsh coefficients."""
     if not 0 <= N <= f.cells:
         raise ValueError(f"partial sum cutoff N={N} outside [0, 2^{f.L}]")
-    out_comps = []
-    for coef in walsh_coefficients(f):
-        trunc = list(coef[:N]) + [Fraction(0)] * (f.cells - N)
-        out_comps.append(ifwht(trunc))
-    return f.with_components(out_comps)
+    coef = walsh_coefficients(f)
+    cols, zero, _ = coef.terms()
+    return coef.rebuild([ifwht(list(c[:N]) + [zero] * (f.cells - N)) for c in cols])
 
 
 def carleson_direct(f: Signal, Nfun: FrequencyChoice) -> Signal:
@@ -51,17 +50,13 @@ def carleson_direct(f: Signal, Nfun: FrequencyChoice) -> Signal:
     if Nfun.L != f.L:
         raise ValueError("resolution mismatch between signal and cutoff choice")
     L = f.L
-    coefs = [exact_terms(coef) for coef in walsh_coefficients(f)]
-    columns = [terms for terms, _, _ in coefs]
-    if all(type(c) is int for col in columns for c in col) and (
-        max(abs(c) for col in columns for c in col).bit_length() + L < 62
-    ):
-        sums = _cutoff_row_sums(columns, Nfun.values, L)
+    coef = walsh_coefficients(f)
+    cols, zero, _ = coef.terms()
+    if coef.den is not None and max(abs(c) for col in cols for c in col).bit_length() + L < 62:
+        sums = _cutoff_row_sums(cols, Nfun.values, L)
     else:
-        sums = [_cutoff_row_sums_python(terms, zero, Nfun.values, L) for terms, zero, _ in coefs]
-    return f.with_components(
-        [[finish(x) for x in row] for (_, _, finish), row in zip(coefs, sums)]
-    )
+        sums = [_cutoff_row_sums_python(c, zero, Nfun.values, L) for c in cols]
+    return coef.rebuild(sums)
 
 
 def _cutoff_row_sums_python(terms: Sequence, zero, cutoffs: Sequence[int], L: int) -> list:
@@ -130,11 +125,11 @@ def carleson_bitile(f: Signal, Nfun: FrequencyChoice, U: BitileUniverse) -> Sign
         [(k, (j & masks[k]) + 2 * m, 1 << k, neg) for k, m, neg in cell]
         for j, cell in enumerate(cutoff_hits(Nfun.values, L))
     ]
-    out_comps = []
-    for comp in f.comps:
+    cols, zero, _ = f.terms()
+    out_cols = []
+    for col in cols:
         # sums of signed samples, scaled by 2^k, finished with the 2^-L weight
-        terms, zero, finish = exact_terms(comp, f.cells)
-        rows = packet_rows(terms, zero, L)
+        rows = packet_rows(col, zero, L)
         out = []
         for cell in hits:
             acc = zero
@@ -143,14 +138,14 @@ def carleson_bitile(f: Signal, Nfun: FrequencyChoice, U: BitileUniverse) -> Sign
                 if c:
                     c = c * scale
                     acc = acc - c if neg else acc + c
-            out.append(finish(acc))
-        out_comps.append(out)
-    return f.with_components(out_comps)
+            out.append(acc)
+        out_cols.append(out)
+    return f.rebuild(out_cols, f.cells)
 
 
 def maximal_partial_sum(f: Signal, plugin: NormPlugin) -> Signal:
     """Per cell, the largest norm of any partial sum S_N f, N in [0, 2^L]."""
-    coefs = walsh_coefficients(f)
+    coefs = walsh_coefficients(f).comps
     ncomp = len(coefs)
     exact = f.d == 1 and f.kind == "vector"
     out = []
@@ -192,10 +187,8 @@ def martingale_transform(
     intervals = list(family) if family is not None else haar_intervals(L)
     const = signs if isinstance(signs, int) else None
     # <f, h_I> is the packet table entry of I with n = 1, the Haar pattern
-    tables = []
-    for comp in f.comps:
-        terms, zero, finish = exact_terms(comp, f.cells)
-        tables.append((packet_rows(terms, zero, L), finish))
+    cols, zero, finish = f.terms(f.cells)
+    tables = [packet_rows(c, zero, L) for c in cols]
     entries = []
     for I in intervals:
         if I.k >= L:
@@ -211,8 +204,8 @@ def martingale_transform(
             raise ValueError(f"sign for {I} must be +-1, got {eps}")
         i = (I.pos << (L - I.k)) + 1
         factor = eps * (1 << I.k)
-        entries.append((I.k, I.pos, 1, [finish(rows[I.k][i]) * factor for rows, finish in tables]))
-    return f.with_components(packet_synthesis(entries, len(f.comps), L))
+        entries.append((I.k, I.pos, 1, [finish(rows[I.k][i]) * factor for rows in tables]))
+    return f.with_components(packet_synthesis(entries, len(cols), L))
 
 
 def stopped_haar_sum(

@@ -2,11 +2,19 @@
 pairings, L^q norms, the dyadic maximal function and dyadic BMO.
 
 A signal is piecewise constant on the 2^L cells of [0,1).  It is stored
-component-major: one column of 2^L Fractions (or floats) per coordinate of
-the value space, d columns for a vector and d^2 for a matrix (entries row
-by row).  Every operator acts on the columns.  The nested per-cell view
-(`Signal.samples`: a length-d tuple for a vector, d rows of d for a
-matrix) exists for the norms, which need a whole value, and for JSON.
+component-major: one column of 2^L entries per coordinate of the value
+space, d columns for a vector and d^2 for a matrix (entries row by row).
+An exact signal stores Python-int numerator columns over one positive
+common denominator, made canonical (its gcd with all the numerators is 1)
+so that equal signals store equal integers; its kernels (JSON, the Walsh
+transform, the Carleson operators, the maximal function) read and write
+those integers and make no Fraction per entry.  A signal holding any float
+keeps the columns it was given, so float sums keep their bits.
+
+`Signal.comps` (the entries as Fractions, floats as given) and
+`Signal.samples` (the nested per-cell value: a length-d tuple for a
+vector, d rows of d for a matrix) are read-only views, built on first use
+for the norms, which need a whole value, and for the certificates.
 Scalars are dimension-1 vectors.
 """
 
@@ -54,10 +62,7 @@ def exact_terms(values: Sequence, scale: int = 1):
         den = math.lcm(*(x.denominator for x in values))
         terms = [x.numerator * (den // x.denominator) for x in values]
         return terms, 0, lambda acc: Fraction(acc, den * scale)
-    if scale == 1:
-        return list(values), Fraction(0), lambda acc: acc
-    weight = Fraction(1, scale)
-    return list(values), Fraction(0), lambda acc: acc * weight
+    return list(values), Fraction(0), _divide_by(scale)
 
 
 def flatten_value(a) -> list:
@@ -179,39 +184,112 @@ def value_norm_pow(v, plugin: NormPlugin, q) -> Fraction | None:
 # ---------------------------------------------------------------------------
 # signals
 
-@dataclass(frozen=True)
+def _check_shape(L: int, d: int, kind: str, cols: Sequence[Sequence]) -> None:
+    if kind not in ("vector", "matrix"):
+        raise ValueError(f"unknown signal kind {kind!r}")
+    width = d * d if kind == "matrix" else d
+    if len(cols) != width or any(len(c) != 1 << L for c in cols):
+        raise ValueError(
+            f"a {d}-dimensional {kind} on 2^{L} cells needs "
+            f"{width} components of {1 << L} samples, got "
+            f"{len(cols)} of {sorted({len(c) for c in cols})}"
+        )
+
+
+def _divide_by(scale: int):
+    """x -> x / scale for exact values or floats, the identity for 1."""
+    if scale == 1:
+        return lambda acc: acc
+    weight = Fraction(1, scale)
+    return lambda acc: acc * weight
+
+
+@dataclass(frozen=True, eq=False, repr=False)
 class Signal:
     """A function constant on each cell [j 2^-L, (j+1) 2^-L), j < 2^L.
 
-    comps[i][j] is entry i of the value on cell j: d columns for a vector,
-    d^2 for a matrix with its entries row by row."""
+    cols[i][j] is entry i of the value on cell j: d columns for a vector,
+    d^2 for a matrix with its entries row by row.  Built as
+    Signal(L, d, kind, columns of exact numbers or floats), or as
+    Signal(L, d, kind, integer numerator columns, den > 0).  An exact
+    signal then holds Python-int numerators over den, reduced until the gcd
+    of den and all of them is 1; a signal holding a float keeps the entries
+    it was given and has den None."""
 
     L: int
     d: int
     kind: str  # "vector" | "matrix"
-    comps: tuple
+    cols: tuple
+    den: int | None = None
 
     def __post_init__(self) -> None:
-        if self.kind not in ("vector", "matrix"):
-            raise ValueError(f"unknown signal kind {self.kind!r}")
-        width = self.d * self.d if self.kind == "matrix" else self.d
-        comps = tuple(tuple(c) for c in self.comps)
-        if len(comps) != width or any(len(c) != 1 << self.L for c in comps):
-            raise ValueError(
-                f"a {self.d}-dimensional {self.kind} on 2^{self.L} cells needs "
-                f"{width} components of {1 << self.L} samples, got "
-                f"{len(comps)} of {sorted({len(c) for c in comps})}"
-            )
-        object.__setattr__(self, "comps", comps)
+        cols, den = tuple(tuple(c) for c in self.cols), self.den
+        _check_shape(self.L, self.d, self.kind, cols)
+        if den is not None:
+            g = math.gcd(den, *(math.gcd(*c) for c in cols))
+            if g > 1:
+                den //= g
+                cols = tuple(tuple(n // g for n in c) for c in cols)
+        elif all(isinstance(x, (int, Fraction)) for c in cols for x in c):
+            # reduced Fractions over the lcm of their denominators: canonical
+            dens = {x.denominator for c in cols for x in c}
+            den = math.lcm(*dens)
+            mult = {q: den // q for q in dens}
+            cols = tuple(tuple(x.numerator * mult[x.denominator] for x in c) for c in cols)
+        object.__setattr__(self, "cols", cols)
+        object.__setattr__(self, "den", den)
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, Signal):
+            return NotImplemented
+        if (self.L, self.d, self.kind) != (other.L, other.d, other.kind):
+            return False
+        if self.den is not None and other.den is not None:
+            return self.den == other.den and self.cols == other.cols
+        return self.comps == other.comps
+
+    def __hash__(self) -> int:
+        return hash((self.L, self.d, self.kind, self.comps))
+
+    def __repr__(self) -> str:
+        return f"Signal(L={self.L!r}, d={self.d!r}, kind={self.kind!r}, comps={self.comps!r})"
 
     @property
     def cells(self) -> int:
         return 1 << self.L
 
     @cached_property
+    def comps(self) -> tuple:
+        """The entries as Fractions (floats as given), column by column."""
+        if self.den is None:
+            return self.cols
+        den = self.den
+        return tuple(tuple(Fraction(n, den) for n in c) for c in self.cols)
+
+    @cached_property
     def samples(self) -> tuple:
         """The nested value on each cell (see nest)."""
         return tuple(nest(flat, self.d, self.kind) for flat in zip(*self.comps))
+
+    def terms(self, scale: int = 1):
+        """(columns, zero, finish), as exact_terms gives them, for kernels
+        that add and subtract entries from zero and divide the sums by
+        scale: the integer numerators from 0 with finish(sum) =
+        Fraction(sum, den scale), or, holding a float, the entries as given
+        from Fraction(0).  rebuild(sums, scale) finishes whole columns."""
+        if self.den is not None:
+            den = self.den * scale
+            return self.cols, 0, lambda acc: Fraction(acc, den)
+        return self.cols, Fraction(0), _divide_by(scale)
+
+    def rebuild(self, sums: Sequence[Sequence], scale: int = 1) -> "Signal":
+        """The signal of this shape whose columns are sums of terms()
+        divided by scale: exact over den scale, with no Fraction per entry,
+        when this signal is exact."""
+        if self.den is not None:
+            return Signal(self.L, self.d, self.kind, sums, self.den * scale)
+        finish = _divide_by(scale)
+        return self.with_components([[finish(x) for x in c] for c in sums])
 
     @staticmethod
     def scalar(values: Iterable) -> "Signal":
@@ -234,7 +312,13 @@ class Signal:
         return Signal(self.L, self.d, self.kind, comps)
 
     def zero_like(self) -> "Signal":
-        return self.with_components([(Fraction(0),) * self.cells for _ in self.comps])
+        return Signal(self.L, self.d, self.kind, [[0] * self.cells for _ in self.cols], 1)
+
+    def restrict(self, E: "LevelSet") -> "Signal":
+        """The signal times the indicator of E: zero on the cells outside E."""
+        keep = [j in E for j in range(self.cells)]
+        cols, zero, _ = self.terms()
+        return self.rebuild([[x if k else zero for x, k in zip(c, keep)] for c in cols])
 
     def refine(self, L2: int) -> "Signal":
         """Same function sampled on a finer grid."""
@@ -263,12 +347,17 @@ def _canon_value(v):
     return v if isinstance(v, float) else Fraction(v)
 
 
-def _columns(values: Sequence[tuple], d: int, kind: str) -> tuple:
-    """Columns of nested per-cell values; ValueError unless every value is
-    d numbers (vector) or d rows of d numbers (matrix)."""
+def _columns(values: Sequence, d: int, kind: str) -> tuple:
+    """Columns of nested per-cell values (tuples or lists); ValueError
+    unless every value is d numbers (vector) or d rows of d numbers
+    (matrix)."""
 
     def is_row(r) -> bool:
-        return isinstance(r, tuple) and len(r) == d and not any(isinstance(x, tuple) for x in r)
+        return (
+            isinstance(r, (tuple, list))
+            and len(r) == d
+            and not any(isinstance(x, (tuple, list)) for x in r)
+        )
 
     def has_shape(v) -> bool:
         if kind == "matrix":
@@ -296,13 +385,32 @@ def lq_norm_pow(f: Signal, q, plugin: NormPlugin) -> Fraction | None:
 def lq_norm(f: Signal, q, plugin: NormPlugin) -> float:
     """(2^-L sum_j |f_j|^q)^(1/q); q may be math.inf for the sup norm."""
     if q == math.inf:
-        return max(value_norm(v, plugin) for v in f.samples)
+        return max(value_norms(f, plugin))
     exact = lq_norm_pow(f, q, plugin)
     if exact is not None:
         return float(exact) ** (1.0 / float(q))
     qf = float(q)
-    total = sum(value_norm(v, plugin) ** qf for v in f.samples)
+    total = sum(x**qf for x in value_norms(f, plugin))
     return (total / f.cells) ** (1.0 / qf)
+
+
+def value_norms(f: Signal, plugin: NormPlugin) -> list[float]:
+    """value_norm of every cell's value, bit for bit, from one stacked SVD
+    for a schatten norm on matrices larger than 1x1.  Exact entries become
+    floats as n / den, which is correctly rounded like float(Fraction)."""
+    if f.den is not None:
+        den = f.den
+        cols = [[n / den for n in c] for c in f.cols]
+    else:
+        cols = [[float(x) for x in c] for c in f.cols]
+    if plugin.name == "schatten" and f.kind == "matrix" and f.d > 1:
+        stack = np.array(cols, dtype=float).T.reshape(f.cells, f.d, f.d)
+        p = float(plugin.p)
+        return [
+            sum(s**p for s in row) ** (1.0 / p)
+            for row in np.linalg.svd(stack, compute_uv=False)
+        ]
+    return [value_norm(nest(flat, f.d, f.kind), plugin) for flat in zip(*cols)]
 
 
 def cell_norms(f: Signal, plugin: NormPlugin) -> list:
@@ -318,26 +426,31 @@ def maximal_function(f: Signal, plugin: NormPlugin) -> Signal:
     """Dyadic maximal function of |f|: per cell, the largest average of the
     pointwise norm over dyadic intervals inside [0,1) containing the cell.
 
-    Bottom-up in O(L 2^L); exact when the cell norms are exact.
-    """
-    norms = cell_norms(f, plugin)
-    best = list(norms)
-    level = norms
-    size = len(norms)
-    half = Fraction(1, 2)
-    while size > 1:
-        nxt = []
-        for i in range(size // 2):
-            avg = (level[2 * i] + level[2 * i + 1]) * half
-            nxt.append(avg)
-        width = len(norms) // len(nxt)
-        for i, avg in enumerate(nxt):
-            for j in range(i * width, (i + 1) * width):
-                if avg > best[j]:
-                    best[j] = avg
-        level = nxt
-        size //= 2
-    return Signal(f.L, 1, "vector", (tuple(best),))
+    Averages are taken pairwise bottom-up, then each cell keeps the first
+    largest of its own norm and its ancestors' averages, fine to coarse:
+    O(2^L).  An exact signal with one coordinate, whose norm is |x| under
+    every plugin, is averaged in integers over den 2^L; otherwise the cell
+    norms are those of cell_norms."""
+    exact = f.den is not None and len(f.cols) == 1
+    if exact:
+        # |n| 2^L over den 2^L; a block of 2^t cells averages to a multiple
+        # of 2^(L-t), so halving a pair's sum stays exact
+        level = [abs(n) << f.L for n in f.cols[0]]
+        halve = lambda a, b: (a + b) >> 1
+    else:
+        level = cell_norms(f, plugin)
+        half = Fraction(1, 2)
+        halve = lambda a, b: (a + b) * half
+    levels = [level]
+    while len(level) > 1:
+        level = [halve(a, b) for a, b in zip(level[::2], level[1::2])]
+        levels.append(level)
+    best = level
+    for avgs in reversed(levels[:-1]):
+        best = [b if b > a else a for a, b in zip(avgs, (b for b in best for _ in (0, 1)))]
+    if exact:
+        return Signal(f.L, 1, "vector", [best], f.den << f.L)
+    return Signal(f.L, 1, "vector", (best,))
 
 
 def bmo_norm(f: Signal, plugin: NormPlugin) -> float:
@@ -412,9 +525,7 @@ class LevelSet:
         return LevelSet(self.L, self.mask & other.mask)
 
     def indicator(self) -> Signal:
-        return Signal.scalar(
-            [Fraction(1) if j in self else Fraction(0) for j in range(1 << self.L)]
-        )
+        return Signal(self.L, 1, "vector", [[(self.mask >> j) & 1 for j in range(1 << self.L)]], 1)
 
 
 @dataclass(frozen=True)
@@ -463,34 +574,77 @@ def num_from_json(s) -> Fraction | float:
     return Fraction(int(text))
 
 
-def _value_to_json(v):
-    if isinstance(v, tuple):
-        return [_value_to_json(x) for x in v]
-    return num_to_json(v)
+def _exact_numbers(entries: Sequence):
+    """(numerators, den) of JSON numbers ("n/d" or integer strings, JSON
+    integers) over their least common denominator, or None when any entry
+    is a float."""
+    nums, dens = [], []
+    for s in entries:
+        if type(s) is str:
+            n, slash, q = s.partition("/")
+            if slash and int(q) > 0:
+                nums.append(int(n))
+                dens.append(int(q))
+                continue
+        # JSON numbers, integer and float strings, signed or zero denominators
+        x = num_from_json(s)
+        if isinstance(x, float):
+            return None
+        nums.append(x.numerator)
+        dens.append(x.denominator)
+    distinct = set(dens)
+    den = math.lcm(*distinct)
+    if len(distinct) > 1:
+        mult = {q: den // q for q in distinct}
+        nums = [n * mult[q] for n, q in zip(nums, dens)]
+    return nums, den
 
 
-def _value_from_json(v):
-    if isinstance(v, list):
-        return tuple(_value_from_json(x) for x in v)
-    return num_from_json(v)
+def columns_to_json(f: Signal) -> list[list[str]]:
+    """Each column's entries in the one number encoding (num_to_json); an
+    exact entry n / den is reduced by gcd(n, den)."""
+    if f.den is None:
+        return [[num_to_json(x) for x in c] for c in f.cols]
+    den = f.den
+    out = []
+    for c in f.cols:
+        row = []
+        for n in c:
+            g = math.gcd(n, den)
+            row.append(f"{n // g}/{den // g}")
+        out.append(row)
+    return out
+
+
+def columns_from_json(L: int, d: int, kind: str, columns: Sequence[Sequence]) -> Signal:
+    """Inverse of columns_to_json: integer columns over one denominator
+    unless some entry is a float, when the signal keeps the parsed entries."""
+    cols = [list(c) for c in columns]
+    _check_shape(L, d, kind, cols)
+    parsed = _exact_numbers([x for c in cols for x in c])
+    if parsed is None:
+        return Signal(L, d, kind, [[num_from_json(x) for x in c] for c in cols])
+    nums, den = parsed
+    n = 1 << L
+    return Signal(L, d, kind, [nums[i : i + n] for i in range(0, len(nums), n)], den)
 
 
 def signal_to_json(f: Signal) -> dict:
-    return {
-        "levels": f.L,
-        "dim": f.d,
-        "kind": f.kind,
-        "values": [_value_to_json(v) for v in f.samples],
-    }
+    cols = columns_to_json(f)
+    if f.kind == "matrix":
+        d = f.d
+        values = [[list(v[r * d : (r + 1) * d]) for r in range(d)] for v in zip(*cols)]
+    else:
+        values = [list(v) for v in zip(*cols)]
+    return {"levels": f.L, "dim": f.d, "kind": f.kind, "values": values}
 
 
 def signal_from_json(obj: dict) -> Signal:
     L = int(obj["levels"])
     d = int(obj["dim"])
     kind = obj["kind"]
-    values = [_value_from_json(v) for v in obj["values"]]
-    values = [v if isinstance(v, tuple) else (v,) for v in values]
-    return Signal(L, d, kind, _columns(values, d, kind))
+    values = [v if isinstance(v, list) else [v] for v in obj["values"]]
+    return columns_from_json(L, d, kind, _columns(values, d, kind))
 
 
 def levelset_to_json(E: LevelSet) -> dict:
@@ -522,5 +676,4 @@ def load_json(path) -> dict:
 
 def dump_json(obj: dict, path) -> None:
     with open(path, "w") as fh:
-        json.dump(obj, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+        fh.write(json.dumps(obj, indent=2, sort_keys=True) + "\n")

@@ -29,6 +29,7 @@ from .signal import (
     nest,
     value_norm,
     value_norm_pow,
+    value_norms,
 )
 from .walsh import bit_reverse, cutoff_hits, packet_rows, packet_synthesis, walsh_value
 
@@ -211,21 +212,12 @@ def verify_tree_identity(P: Bitile, T: Bitile, L: int) -> bool:
 # ---------------------------------------------------------------------------
 # wave packet sums over member sets
 
-def _packet_accumulator(f: Signal):
-    """(components, zero, finish) for pairing f with packets: signed sample
-    sums start at zero and finish(sum) is the pairing, sum * 2^-L.  With
-    rational samples the components are integer numerators over their
-    common denominator, and finish makes the only Fraction."""
-    n = f.cells
-    flat, zero, finish = exact_terms([x for comp in f.comps for x in comp], n)
-    return [flat[i : i + n] for i in range(0, len(flat), n)], zero, finish
-
-
 def down_coefficients_inf(f: Signal, members: Sequence[Bitile]) -> dict[Bitile, list[Fraction]]:
     """Sup-normalized pairings of every component of f with each member's
     down packet; exact rationals.  Each is the entry (k, pos 2^(L-k) + 2m)
     of the component's packet table (walsh.packet_rows)."""
-    comps, zero, finish = _packet_accumulator(f)
+    # signed sample sums from zero; finish(sum) is the pairing, sum * 2^-L
+    comps, zero, finish = f.terms(f.cells)
     tables = [packet_rows(comp, zero, f.L) for comp in comps]
     out: dict[Bitile, list[Fraction]] = {}
     for P in members:
@@ -250,7 +242,7 @@ def down_packet_sum(
         (P.time.k, P.time.pos, 2 * P.m, [c * (1 << P.time.k) for c in coeffs[P]])
         for P in members
     ]
-    return f.with_components(packet_synthesis(entries, len(f.comps), f.L))
+    return f.with_components(packet_synthesis(entries, len(f.cols), f.L))
 
 
 # ---------------------------------------------------------------------------
@@ -724,7 +716,7 @@ def member_form_products(
     Cells are visited in ascending order, so each pairing sums its samples
     in cell order."""
     fco = coeffs if coeffs is not None else down_coefficients_inf(f, tree_members)
-    gcomps, zero, finish = _packet_accumulator(g)
+    gcomps, zero, finish = g.terms(g.cells)
     L = g.L
     wanted = {P.key() for P in tree_members}
     hits = cutoff_hits(Nfun.values, L)
@@ -750,27 +742,45 @@ def member_form_products(
 
 def maximal_gap_intervals(members: Sequence[Bitile], L: int) -> list[DyadicInterval]:
     """Maximal dyadic intervals inside the union of member time intervals
-    that contain no member time interval."""
-    times = {P.time for P in members}
-    covered = set()
-    for I in times:
-        covered.update(I.cells(L))
+    that contain no member time interval.
+
+    A walk down from [0,1) that reads, at each node, how many cells under
+    it are covered from a prefix count, and whether it holds a member
+    interval from the set of the members' intervals and their ancestors:
+    O(1) per node."""
+    size = 1 << L
+    marks = [0] * (size + 1)  # +1 where a member interval starts, -1 past its end
+    holders: set[tuple[int, int]] = set()
+    for I in {P.time for P in members}:
+        cells = I.cells(L)
+        marks[cells.start] += 1
+        marks[cells.stop] -= 1
+        k, pos = I.k, I.pos
+        while (k, pos) not in holders:
+            holders.add((k, pos))
+            if not k:
+                break
+            k, pos = k - 1, pos >> 1
+    covered = [0] * (size + 1)  # covered[j]: covered cells among the first j
+    depth = 0
+    for j in range(size):
+        depth += marks[j]
+        covered[j + 1] = covered[j] + (depth > 0)
     out: list[DyadicInterval] = []
 
-    def walk(J: DyadicInterval) -> None:
-        cells = set(J.cells(L))
-        if not cells & covered:
+    def walk(k: int, pos: int) -> None:
+        width = 1 << (L - k)
+        count = covered[(pos + 1) * width] - covered[pos * width]
+        if not count:
             return
-        if cells <= covered and not any(J.contains(I) for I in times):
-            out.append(J)
+        if count == width and (k, pos) not in holders:
+            out.append(DyadicInterval(k, pos))
             return
-        if J.k == L:
-            return
-        a, b = J.halves()
-        walk(a)
-        walk(b)
+        if k < L:
+            walk(k + 1, 2 * pos)
+            walk(k + 1, 2 * pos + 1)
 
-    walk(DyadicInterval(0, 0))
+    walk(0, 0)
     return sorted(out)
 
 
@@ -835,7 +845,7 @@ def tree_form_sum(
     if plugin is None:
         plugin = NormPlugin("euclidean")
     dual = plugin.dual()
-    if any(value_norm(v, dual) > 1 + 1e-9 for v in g.samples):
+    if any(x > 1 + 1e-9 for x in value_norms(g, dual)):
         warnings.warn("dual function exceeds pointwise norm one", stacklevel=2)
     fco = down_coefficients_inf(f, tree.members)
     products = member_form_products(tree.members, f, g, E, Nfun, coeffs=fco)
@@ -853,7 +863,7 @@ def tree_form_sum(
     L = f.L
     jays = maximal_gap_intervals(tree.members, L)
     hits = cutoff_hits(Nfun.values, L)
-    ncomp = len(f.comps)
+    ncomp = len(f.cols)
     flat, zero, finish = exact_terms(
         [c * ((1 if products[P] >= 0 else -1) << P.time.k) for P in tree.members for c in fco[P]]
     )

@@ -188,7 +188,8 @@ def fwht(samples: Sequence, normalize: bool = True) -> list:
 
     coefficient[n] = 2^-L sum_j samples[j] * w_n(cell j), computed by an
     in-place butterfly after a bit-reversal permutation; exact for rational
-    input.  With normalize=False the 2^-L weight is skipped.
+    input.  With normalize=False the 2^-L weight is skipped, and Python-int
+    samples (an exact signal's numerators) give their Python-int sums.
     """
     size = len(samples)
     if size == 0 or size & (size - 1):

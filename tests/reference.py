@@ -31,15 +31,26 @@ and helpers that only the tests use.
   synthesis per gap interval and part for tree_form_sum's split sums.
 - gap_set / gj_certificate: the gap set by the up-window test of every
   member on every cell of J, which walsh.cutoff_hits replaced.
+- maximal_gap_intervals: the gap intervals by testing every member
+  interval at every node of the walk, over the covered cells as a set.
 - density_decompose / size_decompose / down_tile_violations: the greedy
   splits that re-test every top each round and find maximal tops by
   pairwise comparison, with a fresh up-sum sweep for the size of the
   collection, of the remainder and of every tree, and the pairwise scan
   for meeting down-tiles.
+- walsh_coefficients / signal_from_coefficients / signal_to_json /
+  signal_from_json / dump_json / maximal_function / restricted_weak_type:
+  the Fraction-per-entry forms that integer signal columns replaced: a
+  Fraction per coefficient, per JSON number and per maximal average, a
+  support test per cell, one value_norm per cell and the form summed by
+  dual_pair; dump_json streams through json.dump.
 """
 
 from __future__ import annotations
 
+import json
+import math
+import warnings
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -48,8 +59,19 @@ from tilewalsh.certificates import Certificate
 from tilewalsh.decompose import DensityDecomposition, SizeDecomposition, _two_pow
 from tilewalsh.dyadic import Bitile, DyadicInterval, Tile, bitile_le, bitile_universe
 from tilewalsh.gen import SplitMix64
-from tilewalsh.operators import walsh_coefficients
-from tilewalsh.signal import LevelSet, exact_terms, lq_norm, lq_norm_pow, value_norm
+from tilewalsh.signal import (
+    LevelSet,
+    Signal,
+    _columns,
+    cell_norms,
+    dual_pair,
+    exact_terms,
+    lq_norm,
+    lq_norm_pow,
+    num_from_json,
+    num_to_json,
+    value_norm,
+)
 from tilewalsh.timefreq import (
     DensityCounter,
     Tree,
@@ -65,7 +87,7 @@ from tilewalsh.timefreq import (
     tree_delta_pow,
     up_ancestor_keys,
 )
-from tilewalsh.walsh import bit_reverse, walsh, walsh_value
+from tilewalsh.walsh import bit_reverse, fwht, ifwht, walsh, walsh_value
 
 
 # ---------------------------------------------------------------------------
@@ -400,7 +422,7 @@ def packet_sum(terms, L, k, pos, n):
 
 def carleson_direct(f, Nfun):
     out_comps = []
-    for coef in walsh_coefficients(f):
+    for coef in (fwht(comp) for comp in f.comps):
         terms, zero, finish = exact_terms(coef)
         comp = []
         for j in range(f.cells):
@@ -806,3 +828,162 @@ def tile_type_constant(family, f, q, plugin):
         )
     )
     return ratio, certs
+
+
+def maximal_gap_intervals(members, L):
+    """The gap intervals by testing every member interval at every node of
+    the walk, with the covered cells as a set."""
+    times = {P.time for P in members}
+    covered = set()
+    for I in times:
+        covered.update(I.cells(L))
+    out = []
+
+    def walk(J):
+        cells = set(J.cells(L))
+        if not cells & covered:
+            return
+        if cells <= covered and not any(J.contains(I) for I in times):
+            out.append(J)
+            return
+        if J.k == L:
+            return
+        a, b = J.halves()
+        walk(a)
+        walk(b)
+
+    walk(DyadicInterval(0, 0))
+    return sorted(out)
+
+
+# ---------------------------------------------------------------------------
+# the Fraction-per-entry forms of the integer-column kernels
+
+
+def walsh_coefficients(f):
+    """Per-component coefficient lists, each entry a Fraction (or float)."""
+    return [fwht(comp) for comp in f.comps]
+
+
+def signal_from_coefficients(obj):
+    comps = [ifwht([num_from_json(c) for c in comp]) for comp in obj["coefficients"]]
+    return Signal(int(obj["levels"]), int(obj["dim"]), obj["kind"], comps)
+
+
+def _value_to_json(v):
+    if isinstance(v, tuple):
+        return [_value_to_json(x) for x in v]
+    return num_to_json(v)
+
+
+def _value_from_json(v):
+    if isinstance(v, list):
+        return tuple(_value_from_json(x) for x in v)
+    return num_from_json(v)
+
+
+def signal_to_json(f):
+    return {
+        "levels": f.L,
+        "dim": f.d,
+        "kind": f.kind,
+        "values": [_value_to_json(v) for v in f.samples],
+    }
+
+
+def signal_from_json(obj):
+    L, d, kind = int(obj["levels"]), int(obj["dim"]), obj["kind"]
+    values = [_value_from_json(v) for v in obj["values"]]
+    values = [v if isinstance(v, tuple) else (v,) for v in values]
+    return Signal(L, d, kind, _columns(values, d, kind))
+
+
+def dump_json(obj, path):
+    with open(path, "w") as fh:
+        json.dump(obj, fh, indent=2, sort_keys=True)
+        fh.write("\n")
+
+
+def maximal_function(f, plugin):
+    """Cell norms (cell_norms), then every level's pairwise averages raise
+    the best value of each cell under them."""
+    norms = cell_norms(f, plugin)
+    best = list(norms)
+    level = norms
+    size = len(norms)
+    half = Fraction(1, 2)
+    while size > 1:
+        nxt = []
+        for i in range(size // 2):
+            nxt.append((level[2 * i] + level[2 * i + 1]) * half)
+        width = len(norms) // len(nxt)
+        for i, avg in enumerate(nxt):
+            for j in range(i * width, (i + 1) * width):
+                if avg > best[j]:
+                    best[j] = avg
+        level = nxt
+        size //= 2
+    return Signal(f.L, 1, "vector", (tuple(best),))
+
+
+def restricted_weak_type(F, E, f, g, Nfun, p, q, plugin):
+    """decompose.restricted_weak_type with a support test per cell, one
+    value_norm per cell for the warnings, the Fraction maximal function
+    above and the form summed by dual_pair per cell in Fractions."""
+    if E.count == 0 or F.count == 0:
+        raise ValueError("both sets must be nonempty")
+    for j in range(f.cells):
+        if j not in F and any(c[j] != 0 for c in f.comps):
+            raise ValueError("signal not supported on F")
+        if j not in E and any(c[j] != 0 for c in g.comps):
+            raise ValueError("dual function not supported on E")
+    if any(value_norm(v, plugin) > 1 + 1e-9 for v in f.samples):
+        warnings.warn("signal exceeds pointwise norm one", stacklevel=2)
+    if any(value_norm(v, plugin.dual()) > 1 + 1e-9 for v in g.samples):
+        warnings.warn("dual function exceeds pointwise norm one", stacklevel=2)
+    certs = []
+    eF, eE = F.measure, E.measure
+    if eE > eF:
+        M = maximal_function(F.indicator(), plugin).scalar_samples()
+        thresh = 2 * eF / eE
+        G = LevelSet.from_cells(E.L, (j for j in range(len(M)) if M[j] > thresh))
+        Etilde = E.minus(G)
+        certs.append(
+            Certificate.make(
+                "major_subset",
+                eE,
+                2 * Etilde.measure,
+                theorem_backed=True,
+                context={"exceptional_measure": G.measure},
+            )
+        )
+        gt = g.with_components(
+            [[x if j in Etilde else Fraction(0) for j, x in enumerate(comp)] for comp in g.comps]
+        )
+        regime = "E>F"
+        log_bound = float(eF) * (1.0 + math.log(float(eE) / float(eF)))
+    else:
+        G = LevelSet.empty(E.L)
+        Etilde = E
+        gt = g
+        regime = "E<=F"
+        log_bound = float(eE) * (1.0 + math.log(float(eF) / float(eE)))
+    Cf = carleson_bitile(f, Nfun)
+    form = Fraction(0)
+    for a, b in zip(zip(*Cf.comps), zip(*gt.comps)):
+        form += dual_pair(a, b)
+    form = abs(form * Fraction(1, f.cells))
+    pf = float(p)
+    pprime = pf / (pf - 1.0)
+    lorentz_bound = float(eF) ** (1.0 / pf) * float(eE) ** (1.0 / pprime)
+    return {
+        "regime": regime,
+        "form": form,
+        "log_bound": log_bound,
+        "log_ratio": float(form) / log_bound if log_bound > 0 else 0.0,
+        "lorentz_bound": lorentz_bound,
+        "lorentz_ratio": float(form) / lorentz_bound if lorentz_bound > 0 else 0.0,
+        "exceptional": G.cells(),
+        "major_subset": Etilde.cells(),
+        "certificates": certs,
+    }

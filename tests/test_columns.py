@@ -1,0 +1,200 @@
+"""Exact signals as integer columns over one canonical denominator: every
+kernel that reads or writes them against its Fraction-per-entry form in
+tests/reference.py, on exact, float and mixed signals."""
+
+import json
+import math
+import random
+import warnings
+from fractions import Fraction
+
+import pytest
+from hypothesis import given, settings, strategies as st
+
+import reference
+from tilewalsh.cli import _signal_from_coefficients
+from tilewalsh.decompose import restricted_weak_type
+from tilewalsh.dyadic import bitile_universe
+from tilewalsh.gen import SplitMix64, gen_levelset, gen_nfun
+from tilewalsh.operators import carleson_bitile, carleson_direct, walsh_coefficients
+from tilewalsh.signal import (
+    NormPlugin,
+    Signal,
+    columns_to_json,
+    dump_json,
+    maximal_function,
+    num_to_json,
+    signal_from_json,
+    signal_to_json,
+    value_norm,
+    value_norms,
+)
+
+DENOMINATORS = [1, 3, 1 << 16, 7 << 5, 10**9 + 7]
+
+
+def _entry(rng: random.Random, mode: str):
+    if mode == "mixed":
+        mode = rng.choice(["exact", "float"])
+    if rng.random() < 0.15:
+        return Fraction(0) if mode == "exact" else 0.0
+    x = Fraction(rng.randint(-(1 << 20), 1 << 20), rng.choice(DENOMINATORS))
+    return x if mode == "exact" else float(x) / 3
+
+
+LEVELS = pytest.mark.parametrize("L", range(1, 8))
+
+
+@st.composite
+def signals(draw, L, modes=("exact", "float", "mixed"), kinds=("vector", "matrix")):
+    """(signal, mode) on 2^L cells: random kind and dimension; exact
+    entries over assorted denominators, floats, or both mixed cell by
+    cell."""
+    kind = draw(st.sampled_from(kinds))
+    d = draw(st.integers(1, 2 if kind == "matrix" else 3))
+    mode = draw(st.sampled_from(modes))
+    rng = random.Random(draw(st.integers(0, 2**32)))
+    width = d * d if kind == "matrix" else d
+    cols = [[_entry(rng, mode) for _ in range(1 << L)] for _ in range(width)]
+    return Signal(L, d, kind, cols), mode
+
+
+def _plugins(kind):
+    out = [NormPlugin("euclidean"), NormPlugin("lp", Fraction(3))]
+    if kind == "matrix":
+        out += [NormPlugin("schatten", Fraction(p)) for p in ("3", "3/2", "2", "4")]
+    return out
+
+
+class TestCanonicalColumns:
+    @LEVELS
+    @given(data=st.data(), scale=st.integers(1, 10**6))
+    @settings(max_examples=10, deadline=None)
+    def test_one_canonical_form(self, L, data, scale):
+        f, _ = data.draw(signals(L, modes=("exact",)))
+        assert f.den > 0 and math.gcd(f.den, *(n for c in f.cols for n in c)) == 1
+        assert all(type(n) is int for c in f.cols for n in c)
+        assert f.comps == tuple(tuple(Fraction(n, f.den) for n in c) for c in f.cols)
+        # the same values over any multiple of the denominator
+        g = Signal(f.L, f.d, f.kind, [[n * scale for n in c] for c in f.cols], f.den * scale)
+        assert (g.cols, g.den) == (f.cols, f.den)
+        assert g == f and hash(g) == hash(f) and repr(g) == repr(f)
+        assert Signal(f.L, f.d, f.kind, f.comps) == f
+
+    @LEVELS
+    @given(data=st.data())
+    @settings(max_examples=8, deadline=None)
+    def test_floats_keep_their_columns(self, L, data):
+        f, _ = data.draw(signals(L, modes=("float", "mixed")))
+        if f.den is None:
+            assert f.comps == f.cols
+            assert all(type(x) in (float, Fraction) for c in f.cols for x in c)
+        # value-based equality across representations
+        exact = Signal(f.L, f.d, f.kind, [[Fraction(x) for x in c] for c in f.comps])
+        assert exact == f and f == exact
+
+
+class TestJsonColumns:
+    @LEVELS
+    @given(data=st.data())
+    @settings(max_examples=12, deadline=None)
+    def test_round_trip_bytes(self, L, data, tmp_path_factory):
+        f, _ = data.draw(signals(L))
+        obj = signal_to_json(f)
+        text = json.dumps(obj, sort_keys=True)
+        assert text == json.dumps(reference.signal_to_json(f), sort_keys=True)
+        back = signal_from_json(json.loads(text))
+        ref = reference.signal_from_json(json.loads(text))
+        assert back == f and repr(back) == repr(ref)
+        assert json.dumps(signal_to_json(back), sort_keys=True) == text
+        out = tmp_path_factory.mktemp("json")
+        dump_json(obj, out / "new.json")
+        reference.dump_json(obj, out / "old.json")
+        assert (out / "new.json").read_bytes() == (out / "old.json").read_bytes()
+
+    def test_unreduced_and_signed_denominators(self):
+        obj = {"levels": 1, "dim": 1, "kind": "vector", "values": ["2/4", "3/-6"]}
+        f = signal_from_json(obj)
+        assert (f.cols, f.den) == (((1, -1),), 2)
+        assert signal_to_json(f)["values"] == [["1/2"], ["-1/2"]]
+
+
+class TestWalshColumns:
+    @LEVELS
+    @given(data=st.data())
+    @settings(max_examples=12, deadline=None)
+    def test_fwht_and_ifwht(self, L, data):
+        f, _ = data.draw(signals(L))
+        coef = walsh_coefficients(f)
+        ref = reference.walsh_coefficients(f)
+        assert repr([list(c) for c in coef.comps]) == repr(ref)
+        obj = {"levels": f.L, "dim": f.d, "kind": f.kind, "coefficients": columns_to_json(coef)}
+        text = json.dumps(obj)
+        assert json.loads(text)["coefficients"] == [
+            [num_to_json(x) for x in c] for c in ref
+        ]
+        back = _signal_from_coefficients(json.loads(text))
+        assert repr(back) == repr(reference.signal_from_coefficients(json.loads(text)))
+
+
+class TestCarlesonColumns:
+    @LEVELS
+    @given(data=st.data(), seed=st.integers(0, 10**6))
+    @settings(max_examples=10, deadline=None)
+    def test_direct_and_bitile(self, L, data, seed):
+        f, _ = data.draw(signals(L))
+        N = gen_nfun(f.L, SplitMix64(seed))
+        direct = carleson_direct(f, N)
+        bitile = carleson_bitile(f, N, bitile_universe(f.L))
+        assert repr(direct) == repr(reference.carleson_direct(f, N))
+        assert repr(bitile) == repr(reference.carleson_bitile(f, N))
+        if f.den is not None:
+            assert direct == bitile and direct.den is not None
+
+
+class TestRwtColumns:
+    @LEVELS
+    @given(data=st.data(), seed=st.integers(0, 10**6))
+    @settings(max_examples=10, deadline=None)
+    def test_form_masks_and_warnings(self, L, data, seed):
+        raw, _ = data.draw(signals(L))
+        rng = SplitMix64(seed)
+        F = gen_levelset(L, data.draw(st.sampled_from(["1/4", "1/2", "1"])), rng)
+        E = gen_levelset(L, data.draw(st.sampled_from(["1/4", "3/4", "1"])), rng)
+        if F.count == 0 or E.count == 0:
+            return
+        N = gen_nfun(L, rng)
+        plugin = data.draw(st.sampled_from(_plugins(raw.kind)))
+        f = raw.restrict(F)
+        g = Signal(L, raw.d, raw.kind, [list(reversed(c)) for c in raw.comps]).restrict(E)
+        with warnings.catch_warnings(record=True) as got:
+            warnings.simplefilter("always")
+            rep = restricted_weak_type(F, E, f, g, N, 2.0, 3, plugin)
+        with warnings.catch_warnings(record=True) as want:
+            warnings.simplefilter("always")
+            ref = reference.restricted_weak_type(F, E, f, g, N, 2.0, 3, plugin)
+        assert repr(rep) == repr(ref)
+        assert [str(w.message) for w in got] == [str(w.message) for w in want]
+
+
+class TestMaximalColumns:
+    @LEVELS
+    @given(data=st.data(), generic=st.booleans())
+    @settings(max_examples=12, deadline=None)
+    def test_matches_fraction_form(self, L, data, generic):
+        f, _ = data.draw(signals(L, kinds=("vector",)))
+        plugin = NormPlugin("lp", Fraction(3)) if generic else NormPlugin("euclidean")
+        M = maximal_function(f, plugin)
+        assert repr(M) == repr(reference.maximal_function(f, plugin))
+        if f.den is not None and f.d == 1:
+            assert M.den is not None
+
+
+class TestBatchedNorms:
+    @LEVELS
+    @given(data=st.data())
+    @settings(max_examples=12, deadline=None)
+    def test_equal_value_norm_by_repr(self, L, data):
+        f, _ = data.draw(signals(L))
+        plugin = data.draw(st.sampled_from(_plugins(f.kind)))
+        assert repr(value_norms(f, plugin)) == repr([value_norm(v, plugin) for v in f.samples])

@@ -61,6 +61,7 @@ from tilewalsh.timefreq import (
     hilbert_top_sums,
     hilbert_tree_pows,
     local_density,
+    maximal_gap_intervals,
     meeting_tile_pairs,
     member_form_products,
     size_pow,
@@ -662,6 +663,14 @@ class TestGapSets:
             warnings.simplefilter("ignore")
             _, diag = tree_form_sum(tree, f, g, E, N, 2, EUCL)
         assert repr(diag["split_sums"]) == repr(reference.split_sums(tree, f, g, E, N, EUCL))
+
+
+class TestGapIntervals:
+    @given(st.integers(1, 7), st.integers(0, 10**6), st.integers(0, 60))
+    @settings(max_examples=80, deadline=None)
+    def test_match_member_scan(self, L, seed, count):
+        members = gen_collection(L, count, SplitMix64(seed))
+        assert maximal_gap_intervals(members, L) == reference.maximal_gap_intervals(members, L)
 
 
 class TestPacketSynthesis:

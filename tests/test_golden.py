@@ -1,5 +1,6 @@
-"""certify, decompose and operator reports (JSON and CSV) stay
-byte-identical to the ones archived under tests/data/golden/.
+"""certify, decompose and operator reports (JSON and CSV), and the input
+files `tilewalsh gen` writes, stay byte-identical to the ones archived
+under tests/data/golden/.
 
 Each config directory holds its input files (from `tilewalsh gen`) and the
 reports recorded from them.  The commands run from inside that directory
@@ -77,3 +78,28 @@ def test_operator_bytes(config, args, outputs, tmp_path, monkeypatch):
     assert result.exit_code == 0
     for name in outputs:
         assert (tmp_path / name).read_bytes() == (d / name).read_bytes(), name
+
+
+# config -> `tilewalsh gen` flags that wrote its input files (without --out)
+GEN_RUNS = {
+    "euclidean-L5": ["--levels", "5", "--seed", "11"],
+    "schatten2-matrix-L5": [
+        "--levels", "5", "--dim", "2", "--kind", "matrix", "--norm", "schatten:2", "--seed", "12",
+    ],
+    "lp3-q3-L4": ["--levels", "4", "--dim", "2", "--norm", "lp:3", "--seed", "13"],
+    "operators-matrix-L4": [
+        "--levels", "4", "--dim", "2", "--kind", "matrix", "--norm", "schatten:3", "--seed", "14",
+    ],
+}
+
+
+@pytest.mark.parametrize("config", sorted(GEN_RUNS))
+def test_gen_bytes(config, tmp_path):
+    args = ["gen", *GEN_RUNS[config], "--out", str(tmp_path)]
+    result = CliRunner().invoke(main, args, catch_exceptions=False)
+    assert result.exit_code == 0
+    inputs = ("signal.json", "dual.json", "set.json", "nfun.json")
+    archived = [p for p in sorted((GOLDEN / config).iterdir()) if p.name in inputs]
+    assert archived
+    for path in archived:
+        assert (tmp_path / path.name).read_bytes() == path.read_bytes(), path.name

@@ -36,7 +36,7 @@ class TestPartialSum:
 
     @given(scalar_signal(3), st.integers(0, 7))
     def test_increment_adds_one_mode(self, f, N):
-        coef = walsh_coefficients(f)[0]
+        coef = walsh_coefficients(f).comps[0]
         a = partial_sum(f, N).scalar_samples()
         b = partial_sum(f, N + 1).scalar_samples()
         from tilewalsh.walsh import walsh
