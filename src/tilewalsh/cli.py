@@ -14,6 +14,7 @@ library is sequential, so any cap yields identical output.
 from __future__ import annotations
 
 import csv
+import math
 import os
 import sys
 from fractions import Fraction
@@ -401,6 +402,8 @@ def tiletype(levels, dim, kind, norm, q, seed, out):
 @opt_out
 def rwt(levels, dim, kind, norm, q, p, seed, out):
     """Restricted weak-type experiment on seeded sets and signals."""
+    if not math.isfinite(p):
+        raise InputError(f"--p must be finite, got {p}")
     qv = _q_value(q)
     plugin = _norm_plugin(norm, qv)
     rng = SplitMix64(seed)

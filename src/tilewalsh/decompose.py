@@ -31,25 +31,17 @@ from .signal import (
 )
 from .timefreq import (
     DensityCounter,
-    HilbertWeights,
+    SizeEvaluator,
     Tree,
     TreeFamily,
-    UpSumGrid,
     _is_hilbert_case,
+    _lq_pow,
     _pow_gt,
-    candidate_tops,
-    complete_up_tree,
     density,
     down_coefficients_inf,
     down_packet_sum,
-    grid_cells,
-    grid_depth,
-    hilbert_member_weights,
-    hilbert_tree_pows,
     meeting_tile_pairs,
     member_form_products,
-    size_pow,
-    tree_delta_pow,
 )
 from .walsh import packet_synthesis
 
@@ -83,6 +75,8 @@ class LevelRecord:
     certificates: tuple[Certificate, ...]
     # q-th power of each tree's size, in the order of trees
     size_pows: tuple[Fraction | float, ...]
+    # density of each tree, in the order of trees
+    densities: tuple[Fraction, ...]
 
 
 @dataclass(frozen=True)
@@ -207,12 +201,6 @@ def density_decompose(
 # ---------------------------------------------------------------------------
 # size lemma
 
-def _lq_pow(f: Signal, q, plugin: NormPlugin):
-    """|f|_q^q; exact when representable, else from the float norm."""
-    fq_pow = lq_norm_pow(f, q, plugin)
-    return fq_pow if fq_pow is not None else lq_norm(f, q, plugin) ** float(q)
-
-
 def _take_below(remaining: dict, top: tuple[int, int, int], finest: int) -> list[Bitile]:
     """Remove and return, in canonical order, the members of remaining
     (keyed by (k, pos, m)) below top in the tile order: d scales down they
@@ -226,12 +214,6 @@ def _take_below(remaining: dict, top: tuple[int, int, int], finest: int) -> list
             if P is not None:
                 out.append(P)
     return out
-
-
-def nonzero_keys(coll: Sequence[Bitile], coeffs: dict[Bitile, list[Fraction]]) -> set:
-    """Keys of the members with a nonzero down coefficient.  From the
-    coefficients, not the masses: a float c c can underflow to 0.0."""
-    return {P.key() for P in coll if any(c != 0 for c in coeffs[P])}
 
 
 def first_maximal_top(mask: np.ndarray) -> tuple[int, int, int] | None:
@@ -269,38 +251,24 @@ def size_decompose(
     f: Signal,
     q,
     plugin: NormPlugin,
-    coeffs: dict[Bitile, list[Fraction]] | None = None,
-    weights: HilbertWeights | None = None,
-    fq_pow=None,
-    nonzero: set | None = None,
+    sizes: SizeEvaluator | None = None,
 ) -> SizeDecomposition:
     """Greedy extraction of trees whose up-part mass exceeds half the
     collection size, choosing the qualifying maximal tree with the minimal
     top frequency center; ties fall back to the canonical bitile order.
 
-    In the Hilbert case one UpSumGrid holds the up-sums of the masses; it
-    gives the collection size, the qualifying tops of every round and,
-    after the trees are taken out, the remainder's size.  The trees' sizes
-    come from hilbert_tree_pows.  fq_pow is |f|_q^q and nonzero the keys of
-    the members with a nonzero coefficient (nonzero_keys), computed when
-    absent."""
+    Every size comes from sizes, the run's SizeEvaluator, built over coll
+    when absent.  One of its grids over the members with a nonzero
+    coefficient gives the collection size and the qualifying tops of every
+    round, and loses each tree as it is taken out."""
     coll = _canonical(coll)
-    if coeffs is None:
-        coeffs = down_coefficients_inf(f, coll)
-    if nonzero is None:
-        nonzero = nonzero_keys(coll, coeffs)
-    zero = [P for P in coll if P.key() not in nonzero]
-    active = [P for P in coll if P.key() in nonzero]
+    if sizes is None:
+        sizes = SizeEvaluator(coll, f, q, plugin)
+    zero = [P for P in coll if P.key() not in sizes.nonzero]
+    active = [P for P in coll if P.key() in sizes.nonzero]
 
-    hilbert = _is_hilbert_case(q, plugin)
-    if hilbert:
-        if weights is None:
-            weights = hilbert_member_weights(coll, coeffs)
-        grid = UpSumGrid(active, weights)
-        sigma_pow = grid.pow()
-    else:
-        sigma_pow = size_pow(active, f, q, plugin, coeffs=coeffs)
-        depth = grid_depth(P.key() for P in active)
+    grid = sizes.grid(active)
+    sigma_pow = grid.pow()
     threshold_pow = sigma_pow * _two_pow(-q)
 
     remaining = {P.key(): P for P in active}
@@ -311,36 +279,16 @@ def size_decompose(
         rounds += 1
         if rounds > len(coll) + 1:
             raise RuntimeError("size split failed to terminate")
-        if hilbert:
-            qualifying = grid.exceeding(threshold_pow)
-        else:
-            rest = list(remaining.values())
-            tops = [
-                T.key()
-                for T in candidate_tops(rest)
-                if _pow_gt(
-                    tree_delta_pow(complete_up_tree(T, rest), f, q, plugin, coeffs=coeffs),
-                    threshold_pow,
-                )
-            ]
-            qualifying = np.zeros((depth + 1, 1 << depth), bool)
-            qualifying[grid_cells(tops, depth)] = True
-        pick = first_maximal_top(qualifying)
+        pick = first_maximal_top(grid.exceeding(threshold_pow))
         if pick is None:
             break
         tree = Tree(Bitile.from_key(pick), tuple(_take_below(remaining, pick, finest)))
         trees.append(tree)
-        if hilbert:
-            grid.remove(tree.members)
+        grid.remove(tree.members)
 
     small = sorted([*remaining.values(), *zero], key=Bitile.key)
-    if not hilbert:
-        tree_pows = [size_pow(t.members, f, q, plugin, coeffs=coeffs) for t in trees]
-        small_pow = size_pow(small, f, q, plugin, coeffs=coeffs)
-    else:
-        tree_pows = hilbert_tree_pows(trees, weights)
-        # float sums after decrements differ in the last bits from a sweep
-        small_pow = grid.pow() if weights.exact else UpSumGrid(small, weights).pow()
+    tree_pows = sizes.tree_pows(trees)
+    small_pow = sizes.rest_pow(grid, small)
 
     certs = [
         Certificate.make(
@@ -364,8 +312,7 @@ def size_decompose(
     )
 
     mass = sum((t.time.length for t in trees), Fraction(0))
-    if fq_pow is None:
-        fq_pow = _lq_pow(f, q, plugin)
+    fq_pow = sizes.fq_pow
     if fq_pow and float(fq_pow) > 0:
         mass_constant = float(mass) * float(sigma_pow) / float(fq_pow)
     else:
@@ -391,37 +338,26 @@ def full_decompose(
     Nfun: FrequencyChoice,
     q,
     plugin: NormPlugin,
-    coeffs: dict[Bitile, list[Fraction]] | None = None,
-    counter: DensityCounter | None = None,
-    weights: HilbertWeights | None = None,
-    fq_pow=None,
+    sizes: SizeEvaluator | None = None,
 ) -> LeveledForest:
     """Alternate the density and size splits level by level, tagging the
     extracted trees with the level exponent n and emitting the density,
     size and mass certificates at every level.
 
-    The down coefficients, the density table of (E, N), |f|_q^q, the keys
-    of the members with a nonzero coefficient and, in the Hilbert case, the
-    member masses are computed once over coll (or passed in) and shared by
-    every level."""
+    The density table of (E, N) is built once, and sizes, the run's
+    SizeEvaluator (built over coll when absent), serves every level."""
     if E.count == 0:
         raise ValueError("empty level set: level exponents undefined")
-    if fq_pow is None:
-        fq_pow = _lq_pow(f, q, plugin)
+    coll = _canonical(coll)
+    if sizes is None:
+        sizes = SizeEvaluator(coll, f, q, plugin)
+    fq_pow = sizes.fq_pow
     if not float(fq_pow) > 0:
         raise ValueError("zero signal: level exponents undefined")
 
-    coll = _canonical(coll)
-    if coeffs is None:
-        coeffs = down_coefficients_inf(f, coll)
-    if counter is None:
-        counter = DensityCounter(E, Nfun)
-    hilbert = _is_hilbert_case(q, plugin)
-    if hilbert and weights is None:
-        weights = hilbert_member_weights(coll, coeffs)
-    nonzero = nonzero_keys(coll, coeffs)
+    counter = DensityCounter(E, Nfun)
     dens0 = density(coll, E, Nfun, counter=counter)
-    size0_pow = size_pow(coll, f, q, plugin, coeffs=coeffs, weights=weights)
+    size0_pow = sizes.grid(coll).pow()
 
     # smallest integer n with density <= min(1, 2^(nq) |E|)
     # and size^q <= 2^(nq) |f|_q^q
@@ -441,34 +377,26 @@ def full_decompose(
     active = list(coll)
     n = n_max
     while True:
-        if not any(P.key() in nonzero for P in active):
+        if not any(P.key() in sizes.nonzero for P in active):
             break
         dres = density_decompose(active, E, Nfun, q, counter=counter)
-        sres = size_decompose(
-            dres.sparse, f, q, plugin,
-            coeffs=coeffs, weights=weights, fq_pow=fq_pow, nonzero=nonzero,
-        )
+        sres = size_decompose(dres.sparse, f, q, plugin, sizes=sizes)
         level_trees = tuple(dres.trees) + tuple(sres.trees)
         tag = _two_pow(n * q) if isinstance(q, int) else 2.0 ** (n * float(q))
         tag_size = tag * fq_pow
 
         certs: list[Certificate] = list(dres.certificates) + list(sres.certificates)
-        members = [P for t in level_trees for P in t.members]
-        level_density = density(members, E, Nfun, counter=counter)
+        densities = tuple(density(t.members, E, Nfun, counter=counter) for t in level_trees)
         certs.append(
             Certificate.make(
                 "level_density",
-                level_density,
+                max(densities, default=Fraction(0)),
                 _min_one(tag * E.measure),
                 theorem_backed=True,
                 context={"n": n},
             )
         )
-        if hilbert:
-            tree_pows = tuple(hilbert_tree_pows(dres.trees, weights))
-        else:
-            tree_pows = tuple(size_pow(t.members, f, q, plugin, coeffs=coeffs) for t in dres.trees)
-        tree_pows += sres.tree_pows
+        tree_pows = tuple(sizes.tree_pows(dres.trees)) + sres.tree_pows
         level_size_pow = Fraction(0)
         for v in tree_pows:
             if _pow_gt(v, level_size_pow):
@@ -478,7 +406,7 @@ def full_decompose(
                 "level_size",
                 level_size_pow,
                 tag_size,
-                theorem_backed=hilbert,
+                theorem_backed=_is_hilbert_case(q, plugin),
                 context={"n": n, "note": "q-th powers"},
             )
         )
@@ -492,7 +420,7 @@ def full_decompose(
                 context={"n": n, "mass_constant": float(mass) * float(tag)},
             )
         )
-        levels.append(LevelRecord(n, level_trees, tuple(certs), tree_pows))
+        levels.append(LevelRecord(n, level_trees, tuple(certs), tree_pows, densities))
         active = list(sres.small)
         n -= 1
 
@@ -500,7 +428,7 @@ def full_decompose(
     top_certs = [
         Certificate.make(
             "residual_zero_contribution",
-            sum(1 for P in residual if P.key() in nonzero),
+            sum(1 for P in residual if P.key() in sizes.nonzero),
             0,
             theorem_backed=True,
             context={"residual": len(residual)},
@@ -548,15 +476,10 @@ def carleson_form_certificate(
     if any(x > 1 + 1e-9 for x in value_norms(g, plugin.dual())):
         warnings.warn("dual function exceeds pointwise norm one", stacklevel=2)
     coll = list(bitile_universe(f.L).items)
-    coeffs = down_coefficients_inf(f, coll)
-    counter = DensityCounter(E, Nfun)
-    weights = hilbert_member_weights(coll, coeffs) if _is_hilbert_case(q, plugin) else None
-    fq_pow = _lq_pow(f, q, plugin)
-    forest = full_decompose(
-        coll, f, E, Nfun, q, plugin,
-        coeffs=coeffs, counter=counter, weights=weights, fq_pow=fq_pow,
-    )
-    products = member_form_products(coll, f, g, E, Nfun, coeffs=coeffs)
+    sizes = SizeEvaluator(coll, f, q, plugin)
+    forest = full_decompose(coll, f, E, Nfun, q, plugin, sizes=sizes)
+    products = member_form_products(coll, f, g, E, Nfun, coeffs=sizes.coeffs)
+    fq_pow = sizes.fq_pow
 
     total = sum((abs(v) for v in products.values()), Fraction(0))
     qf = float(q)
@@ -572,9 +495,8 @@ def carleson_form_certificate(
         tag = 2.0 ** (rec.n * qf)
         tree_rows = []
         level_mass = 0.0
-        for tree, spow in zip(rec.trees, rec.size_pows):
+        for tree, spow, dens in zip(rec.trees, rec.size_pows, rec.densities):
             form = sum((abs(products[P]) for P in tree.members), Fraction(0))
-            dens = density(tree.members, E, Nfun, counter=counter)
             size_val = float(spow) ** (1.0 / qf)
             rhs = size_val * float(dens) * float(tree.time.length)
             tree_rows.append(

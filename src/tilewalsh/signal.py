@@ -103,8 +103,8 @@ class NormPlugin:
         if self.name in ("lp", "schatten"):
             if self.p is None or not 1 < self.p:
                 raise ValueError(f"{self.name} norm needs exponent p in (1, inf)")
-        if self.q < 2:
-            raise ValueError(f"tile-type exponent q={self.q} must be >= 2")
+        if not 2 <= self.q < math.inf:
+            raise ValueError(f"tile-type exponent q={self.q} must be finite and >= 2")
 
     def dual(self) -> "NormPlugin":
         if self.name == "euclidean":
@@ -568,6 +568,8 @@ def num_from_json(s) -> Fraction | float:
     text = str(s)
     if "/" in text:
         num, den = text.split("/")
+        if int(den) == 0:
+            raise ValueError(f"zero denominator in {text!r}")
         return Fraction(int(num), int(den))
     if "." in text or "e" in text or "E" in text:
         return float(text)

@@ -8,6 +8,7 @@ import warnings
 from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from typing import Container, Iterable, Iterator, Sequence
 
 import numpy as np
@@ -26,6 +27,8 @@ from .signal import (
     NormPlugin,
     Signal,
     exact_terms,
+    lq_norm,
+    lq_norm_pow,
     nest,
     value_norm,
     value_norm_pow,
@@ -666,34 +669,101 @@ def complete_up_tree(top: Bitile, coll: Iterable[Bitile]) -> Tree:
     return Tree.build(top, (P for P in coll if bitile_le_u(P, top)))
 
 
-def size_pow(
-    coll: Sequence[Bitile],
-    f: Signal,
-    q,
-    plugin: NormPlugin,
-    coeffs: dict[Bitile, list[Fraction]] | None = None,
-    weights: HilbertWeights | None = None,
-):
+def nonzero_keys(coeffs: dict[Bitile, list[Fraction]]) -> set:
+    """Keys of the members with a nonzero down coefficient.  From the
+    coefficients, not the masses: a float c c can underflow to 0.0."""
+    return {P.key() for P, cs in coeffs.items() if any(c != 0 for c in cs)}
+
+
+def _lq_pow(f: Signal, q, plugin: NormPlugin):
+    """|f|_q^q; exact when representable, else from the float norm."""
+    fq_pow = lq_norm_pow(f, q, plugin)
+    return fq_pow if fq_pow is not None else lq_norm(f, q, plugin) ** float(q)
+
+
+class TreeDeltaGrid:
+    """UpSumGrid's interface for every norm and q: the tree_delta_pow of
+    the complete up-tree below each candidate top of the members left,
+    taken anew after each removal."""
+
+    def __init__(self, coll: Iterable[Bitile], sizes: SizeEvaluator) -> None:
+        self.sizes = sizes
+        self.members = {P.key(): P for P in coll}
+        self.depth = grid_depth(self.members)
+        self.remove(())
+
+    def remove(self, members: Iterable[Bitile]) -> None:
+        """Take members out of the collection and take the values anew."""
+        for P in members:
+            self.members.pop(P.key(), None)
+        rest, s = list(self.members.values()), self.sizes
+        self.tops = [
+            (T.key(), tree_delta_pow(complete_up_tree(T, rest), s.f, s.q, s.plugin, coeffs=s.coeffs))
+            for T in candidate_tops(rest)
+        ]
+
+    def pow(self):
+        """The first largest value; Fraction(0) unless one is positive."""
+        best = Fraction(0)
+        for _, val in self.tops:
+            if _pow_gt(val, best):
+                best = val
+        return best
+
+    def exceeding(self, bound) -> np.ndarray:
+        """Boolean grid of the tops whose value exceeds bound."""
+        mask = np.zeros((self.depth + 1, 1 << self.depth), bool)
+        mask[grid_cells([T for T, val in self.tops if _pow_gt(val, bound)], self.depth)] = True
+        return mask
+
+
+class SizeEvaluator:
+    """The sizes of one run, built once from a collection, the signal f,
+    q and the norm: it holds the members' down coefficients, the keys of
+    those with a nonzero one, |f|_q^q and, in the q = 2 Hilbert case, the
+    member masses (weights), whose Parseval up-sums give every size there;
+    other norms and q resynthesize the packet sum below each top."""
+
+    def __init__(self, coll: Sequence[Bitile], f: Signal, q, plugin: NormPlugin) -> None:
+        self.f, self.q, self.plugin = f, q, plugin
+        self.coeffs = down_coefficients_inf(f, coll)
+        hilbert = _is_hilbert_case(q, plugin)
+        self.weights = hilbert_member_weights(coll, self.coeffs) if hilbert else None
+
+    @cached_property
+    def nonzero(self) -> set:
+        return nonzero_keys(self.coeffs)
+
+    @cached_property
+    def fq_pow(self):
+        return _lq_pow(self.f, self.q, self.plugin)
+
+    def grid(self, coll: Iterable[Bitile]) -> UpSumGrid | TreeDeltaGrid:
+        """The sizes of coll's complete up-trees: pow(), exceeding(bound)
+        and remove(members)."""
+        return UpSumGrid(coll, self.weights) if self.weights is not None else TreeDeltaGrid(coll, self)
+
+    def tree_pows(self, trees: Sequence[Tree]) -> list:
+        """The size power of each tree's members."""
+        if self.weights is None:
+            return [self.grid(t.members).pow() for t in trees]
+        return hilbert_tree_pows(trees, self.weights)
+
+    def rest_pow(self, grid: UpSumGrid | TreeDeltaGrid, rest: Sequence[Bitile]):
+        """The size power of rest, what a greedy split leaves once it took
+        its trees out of grid: the grid's own with exact masses, else taken
+        anew, as float sums after decrements differ in the last bits from a
+        sweep."""
+        if self.weights is not None and self.weights.exact:
+            return grid.pow()
+        return self.grid(rest).pow()
+
+
+def size_pow(coll: Sequence[Bitile], f: Signal, q, plugin: NormPlugin):
     """q-th power of the size: the largest tree_delta_pow over the complete
-    up-tree below every candidate top.  In the Hilbert q = 2 case one
-    UpSumGrid gives them all, and the size equals the supremum over all
-    up-subtrees."""
-    coll = list(coll)
-    if not coll:
-        return Fraction(0)
-    hilbert = _is_hilbert_case(q, plugin)
-    if coeffs is None and not (hilbert and weights is not None):
-        coeffs = down_coefficients_inf(f, coll)
-    if hilbert:
-        if weights is None:
-            weights = hilbert_member_weights(coll, coeffs)
-        return UpSumGrid(coll, weights).pow()
-    best = Fraction(0)
-    for T in candidate_tops(coll):
-        val = tree_delta_pow(complete_up_tree(T, coll), f, q, plugin, coeffs=coeffs)
-        if _pow_gt(val, best):
-            best = val
-    return best
+    up-tree below every candidate top (SizeEvaluator.grid).  In the
+    Hilbert q = 2 case the size equals the supremum over all up-subtrees."""
+    return SizeEvaluator(coll, f, q, plugin).grid(coll).pow()
 
 
 # ---------------------------------------------------------------------------
@@ -847,12 +917,13 @@ def tree_form_sum(
     dual = plugin.dual()
     if any(x > 1 + 1e-9 for x in value_norms(g, dual)):
         warnings.warn("dual function exceeds pointwise norm one", stacklevel=2)
-    fco = down_coefficients_inf(f, tree.members)
+    sizes = SizeEvaluator(tree.members, f, q, plugin)
+    fco = sizes.coeffs
     products = member_form_products(tree.members, f, g, E, Nfun, coeffs=fco)
     lhs = sum((abs(v) for v in products.values()), Fraction(0))
 
     dens = density(tree.members, E, Nfun)
-    size_val = float(size_pow(tree.members, f, q, plugin, coeffs=fco)) ** (1.0 / float(q))
+    size_val = float(sizes.grid(tree.members).pow()) ** (1.0 / float(q))
     top_len = tree.time.length
     rhs = size_val * float(dens) * float(top_len)
     ratio = float(lhs) / rhs if rhs > 0 else (0.0 if lhs == 0 else float("inf"))

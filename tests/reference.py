@@ -558,7 +558,7 @@ def size_decompose(coll, f, q, plugin):
 
     hilbert = _is_hilbert_case(q, plugin)
     weights = hilbert_member_weights(coll, coeffs) if hilbert else None
-    sigma_pow = size_pow(active, f, q, plugin, coeffs=coeffs, weights=weights)
+    sigma_pow = size_pow(active, f, q, plugin)
     threshold_pow = sigma_pow * _two_pow(-q)
 
     if hilbert:
@@ -601,7 +601,7 @@ def size_decompose(coll, f, q, plugin):
         remaining = [P for P in remaining if P not in removed]
 
     small = sorted(set(remaining) | set(zero), key=Bitile.key)
-    small_pow = size_pow(small, f, q, plugin, coeffs=coeffs, weights=weights)
+    small_pow = size_pow(small, f, q, plugin)
     entries = [(P, i) for i, t in enumerate(trees) for P in t.up_part()]
     certs = [
         Certificate.make(
@@ -629,9 +629,7 @@ def size_decompose(coll, f, q, plugin):
         "mass_constant": mass_constant,
         "trees": len(trees),
     }
-    tree_pows = tuple(
-        size_pow(t.members, f, q, plugin, coeffs=coeffs, weights=weights) for t in trees
-    )
+    tree_pows = tuple(size_pow(t.members, f, q, plugin) for t in trees)
     return SizeDecomposition(
         tuple(small), tuple(trees), tuple(certs), sigma_pow, tree_pows, stats
     )

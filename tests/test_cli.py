@@ -307,6 +307,37 @@ class TestInputErrors:
         r = runner.invoke(main, ["transform", "--in", str(sig), "--out", str(tmp_path / "x.json")])
         assert r.exit_code == 2 and "malformed signal" in r.output
 
+    @pytest.mark.parametrize("inverse", [False, True])
+    def test_zero_denominator(self, runner, tmp_path, inverse):
+        path, out = tmp_path / "in.json", tmp_path / "x.json"
+        head = {"levels": 1, "dim": 1, "kind": "vector"}
+        if inverse:
+            path.write_text(json.dumps({**head, "coefficients": [["1/0", "1"]]}))
+        else:
+            path.write_text(json.dumps({**head, "values": ["1/0", "1"]}))
+        flag = ["--inverse"] if inverse else []
+        r = runner.invoke(main, ["transform", *flag, "--in", str(path), "--out", str(out)])
+        what = "coefficient" if inverse else "signal"
+        assert r.exit_code == 2 and f"malformed {what}" in r.output and "zero denominator" in r.output
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "args",
+        [
+            ["certify", "--levels", "3", "--q", "nan"],
+            ["certify", "--levels", "3", "--q", "inf"],
+            ["rwt", "--q", "nan"],
+            ["rwt", "--p", "inf"],
+            ["rwt", "--p", "nan"],
+            ["tiletype", "--q", "inf"],
+        ],
+    )
+    def test_non_finite_exponent(self, runner, tmp_path, args):
+        out = tmp_path / "x.json"
+        r = runner.invoke(main, [*args, "--out", str(out)])
+        assert r.exit_code == 2 and "must be finite" in r.output
+        assert not out.exists()
+
     @pytest.mark.parametrize("levels", ["0", "21"])
     def test_levels_out_of_range(self, runner, tmp_path, levels):
         for command in ("certify", "rwt"):

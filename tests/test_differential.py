@@ -17,7 +17,7 @@ from click.testing import CliRunner
 from hypothesis import given, settings, strategies as st
 
 import reference
-from tilewalsh import decompose, operators, timefreq
+from tilewalsh import decompose, operators, signal, timefreq
 from tilewalsh.cli import main
 from tilewalsh.decompose import (
     density_decompose,
@@ -51,7 +51,9 @@ from tilewalsh.operators import (
 from tilewalsh.signal import FrequencyChoice, NormPlugin, Signal, signal_from_json, value_is_zero
 from tilewalsh.timefreq import (
     DensityCounter,
+    SizeEvaluator,
     Tree,
+    TreeDeltaGrid,
     TreeFamily,
     UpSumGrid,
     down_coefficients_inf,
@@ -424,29 +426,79 @@ class TestGreedySplits:
             )
 
     def test_one_up_sum_sweep_per_level(self, monkeypatch, tmp_path):
-        calls = {"hilbert_top_sums": 0, "size_pow": 0}
-
-        def counted(name, fn):
-            def wrapper(*args, **kwargs):
-                calls[name] += 1
-                return fn(*args, **kwargs)
-            return wrapper
-
-        for name in calls:
-            wrapped = counted(name, getattr(timefreq, name))
-            for module in (timefreq, decompose):
-                if hasattr(module, name):
-                    monkeypatch.setattr(module, name, wrapped)
-        out = tmp_path / "certify.json"
-        result = CliRunner().invoke(
-            main, ["certify", "--levels", "6", "--seed", "5", "--out", str(out)],
-            catch_exceptions=False,
-        )
-        assert result.exit_code == 0
+        calls = _count_calls(monkeypatch, ["hilbert_top_sums", "size_pow"])
+        out = _certify_l6(tmp_path)
         levels = len(json.loads(out.read_text())["form"]["levels"])
         assert levels >= 3
         assert calls["hilbert_top_sums"] <= levels + 1
         assert calls["size_pow"] <= 1
+
+    def test_per_run_inputs_computed_once(self, monkeypatch, tmp_path):
+        calls = _count_calls(
+            monkeypatch,
+            ["down_coefficients_inf", "hilbert_member_weights", "lq_norm_pow", "nonzero_keys"],
+        )
+        counted = _counted(calls, "DensityCounter.__init__", DensityCounter.__init__)
+        monkeypatch.setattr(DensityCounter, "__init__", counted)
+        _certify_l6(tmp_path)
+        assert calls == dict.fromkeys(calls, 1)
+
+
+def _counted(calls, name, fn):
+    calls[name] = 0
+
+    def wrapper(*args, **kwargs):
+        calls[name] += 1
+        return fn(*args, **kwargs)
+    return wrapper
+
+
+def _count_calls(monkeypatch, names):
+    """Call counts of the named timefreq functions, wrapped in every module
+    that bound them."""
+    calls = {}
+    for name in names:
+        wrapped = _counted(calls, name, getattr(timefreq, name))
+        for module in (signal, timefreq, decompose):
+            if hasattr(module, name):
+                monkeypatch.setattr(module, name, wrapped)
+    return calls
+
+
+def _certify_l6(tmp_path):
+    out = tmp_path / "certify.json"
+    result = CliRunner().invoke(
+        main, ["certify", "--levels", "6", "--seed", "5", "--out", str(out)],
+        catch_exceptions=False,
+    )
+    assert result.exit_code == 0
+    return out
+
+
+class _Resynthesizing(SizeEvaluator):
+    """A Hilbert-case evaluator whose grids resynthesize every top."""
+
+    def grid(self, coll):
+        return TreeDeltaGrid(coll, self)
+
+
+class TestSizeEvaluator:
+    @given(st.integers(1, 5), signal_shapes, st.integers(0, 10**6),
+           st.sampled_from(["exact", "non-dyadic"]), fractions_pool, st.booleans())
+    @settings(max_examples=25, deadline=None)
+    def test_resynthesis_matches_parseval(self, L, shape, seed, variant, pool, whole):
+        f, _, _ = _split_signal(L, shape, seed, variant, pool)
+        coll = _collection(L, seed, whole and L <= 4)
+        sizes = SizeEvaluator(coll, f, 2, EUCL)
+        parseval, resynthesis = UpSumGrid(coll, sizes.weights), TreeDeltaGrid(coll, sizes)
+        sigma = parseval.pow()
+        assert resynthesis.pow() == sigma
+        frac = Fraction(SplitMix64(seed + 7).below(8), 7)
+        for bound in (sigma / 4, Fraction(0), sigma * frac):
+            assert np.array_equal(resynthesis.exceeding(bound), parseval.exceeding(bound))
+        # by Parseval the greedy takes the same trees with the same sizes
+        generic = size_decompose(coll, f, 2, EUCL, sizes=_Resynthesizing(coll, f, 2, EUCL))
+        assert repr(generic) == repr(size_decompose(coll, f, 2, EUCL))
 
 
 # ---------------------------------------------------------------------------
