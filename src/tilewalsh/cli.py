@@ -47,6 +47,7 @@ from .signal import (
     columns_from_json,
     columns_to_json,
     dump_json,
+    json_int,
     levelset_from_json,
     levelset_to_json,
     load_json,
@@ -181,7 +182,8 @@ def transform(infile, inverse, out):
 
 
 def _signal_from_coefficients(obj: dict) -> Signal:
-    coef = columns_from_json(int(obj["levels"]), int(obj["dim"]), obj["kind"], obj["coefficients"])
+    L, d = json_int(obj["levels"], "levels"), json_int(obj["dim"], "dim")
+    coef = columns_from_json(L, d, obj["kind"], obj["coefficients"])
     return coef.rebuild([ifwht(c) for c in coef.cols])
 
 

@@ -39,7 +39,6 @@ from .timefreq import (
     _pow_gt,
     density,
     down_coefficients_inf,
-    down_packet_sum,
     meeting_tile_pairs,
     member_form_products,
 )
@@ -288,7 +287,8 @@ def size_decompose(
 
     small = sorted([*remaining.values(), *zero], key=Bitile.key)
     tree_pows = sizes.tree_pows(trees)
-    small_pow = sizes.rest_pow(grid, small)
+    # the zero-coefficient members add nothing to any size
+    small_pow = grid.pow()
 
     certs = [
         Certificate.make(
@@ -543,48 +543,36 @@ def tile_type_constant(
     if any(P.time.k >= f.L for P in members):
         raise ValueError("Haar pattern of a finest-scale member is not grid-constant")
     coeffs = down_coefficients_inf(f, members)
-    certs: list[Certificate] = []
-    hilbert = _is_hilbert_case(q, plugin)
-    total_pow = Fraction(0)
-    exact_total = True
-    for idx, tree in enumerate(family.trees):
-        u = down_packet_sum(tree.members, f, coeffs=coeffs)
-        # the Haar pattern of I_P is the packet of I_P with n = 1
-        haar = [
-            (P.time.k, P.time.pos, 1, [c * (1 << P.time.k) for c in coeffs[P]])
+
+    def synthesis(tree: Tree, n_of) -> Signal:
+        entries = [
+            (P.time.k, P.time.pos, n_of(P), [c * (1 << P.time.k) for c in coeffs[P]])
             for P in tree.members
         ]
-        u_haar = f.with_components(packet_synthesis(haar, len(f.cols), f.L))
-        upow = lq_norm_pow(u, q, plugin)
-        hpow = lq_norm_pow(u_haar, q, plugin)
+        return f.with_components(packet_synthesis(entries, len(f.cols), f.L))
+
+    certs: list[Certificate] = []
+    total_pow = Fraction(0)
+    for idx, tree in enumerate(family.trees):
+        # the down packet of P is w_2m on I_P, its Haar pattern w_1 on I_P
+        u, u_haar = synthesis(tree, lambda P: 2 * P.m), synthesis(tree, lambda P: 1)
+        upow, hpow = lq_norm_pow(u, q, plugin), lq_norm_pow(u_haar, q, plugin)
         if upow is None or hpow is None:
-            upow_f = lq_norm(u, q, plugin) ** float(q)
-            hpow_f = lq_norm(u_haar, q, plugin) ** float(q)
-            certs.append(
-                Certificate.make(
-                    "packet_haar_norm_equality",
-                    abs(upow_f - hpow_f),
-                    1e-9 * max(1.0, abs(upow_f)),
-                    theorem_backed=True,
-                    context={"tree": idx},
-                )
-            )
-            total_pow = float(total_pow) + upow_f
-            exact_total = False
+            upow, hpow = lq_norm(u, q, plugin) ** float(q), lq_norm(u_haar, q, plugin) ** float(q)
+            tolerance = 1e-9 * max(1.0, abs(upow))
         else:
-            certs.append(
-                Certificate.make(
-                    "packet_haar_norm_equality",
-                    abs(upow - hpow),
-                    Fraction(0),
-                    theorem_backed=True,
-                    context={"tree": idx},
-                )
+            tolerance = Fraction(0)
+        certs.append(
+            Certificate.make(
+                "packet_haar_norm_equality",
+                abs(upow - hpow),
+                tolerance,
+                theorem_backed=True,
+                context={"tree": idx},
             )
-            if exact_total:
-                total_pow = total_pow + upow
-            else:
-                total_pow = float(total_pow) + float(upow)
+        )
+        # a Fraction plus a float is float(Fraction) plus the float
+        total_pow += upow
 
     fq_pow = _lq_pow(f, q, plugin)
     ratio = (
@@ -597,7 +585,7 @@ def tile_type_constant(
             "tile_type_ratio_pow",
             total_pow,
             fq_pow,
-            theorem_backed=hilbert,
+            theorem_backed=_is_hilbert_case(q, plugin),
             context={
                 "q": q,
                 "norm": plugin.spec(),

@@ -631,6 +631,21 @@ def columns_from_json(L: int, d: int, kind: str, columns: Sequence[Sequence]) ->
     return Signal(L, d, kind, [nums[i : i + n] for i in range(0, len(nums), n)], den)
 
 
+def json_int(x, field: str) -> int:
+    """An integer field: a JSON integer or an integer string, never a float
+    or a boolean; ValueError otherwise."""
+    if type(x) is int or (type(x) is str and x.strip().lstrip("+-").isdecimal()):
+        return int(x)
+    raise ValueError(f"{field} must be an integer, got {x!r}")
+
+
+def json_ints(values, field: str) -> list[int]:
+    """A list of integer fields, with one type test for JSON integers."""
+    if type(values) is not list:
+        raise ValueError(f"{field} must be a list of integers, got {values!r}")
+    return values if set(map(type, values)) <= {int} else [json_int(x, field) for x in values]
+
+
 def signal_to_json(f: Signal) -> dict:
     cols = columns_to_json(f)
     if f.kind == "matrix":
@@ -642,8 +657,8 @@ def signal_to_json(f: Signal) -> dict:
 
 
 def signal_from_json(obj: dict) -> Signal:
-    L = int(obj["levels"])
-    d = int(obj["dim"])
+    L = json_int(obj["levels"], "levels")
+    d = json_int(obj["dim"], "dim")
     kind = obj["kind"]
     values = [v if isinstance(v, list) else [v] for v in obj["values"]]
     return columns_from_json(L, d, kind, _columns(values, d, kind))
@@ -654,9 +669,9 @@ def levelset_to_json(E: LevelSet) -> dict:
 
 
 def levelset_from_json(obj: dict) -> LevelSet:
-    L = int(obj["levels"])
+    L = json_int(obj["levels"], "levels")
     if "cells" in obj:
-        return LevelSet.from_cells(L, (int(j) for j in obj["cells"]))
+        return LevelSet.from_cells(L, json_ints(obj["cells"], "cells"))
     bits = str(obj["bits"])
     if len(bits) != 1 << L:
         raise ValueError("bitstring length must equal the cell count")
@@ -668,7 +683,7 @@ def nfun_to_json(N: FrequencyChoice) -> dict:
 
 
 def nfun_from_json(obj: dict) -> FrequencyChoice:
-    return FrequencyChoice(int(obj["levels"]), tuple(int(n) for n in obj["N"]))
+    return FrequencyChoice(json_int(obj["levels"], "levels"), tuple(json_ints(obj["N"], "N")))
 
 
 def load_json(path) -> dict:

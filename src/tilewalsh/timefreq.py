@@ -31,7 +31,6 @@ from .signal import (
     lq_norm_pow,
     nest,
     value_norm,
-    value_norm_pow,
     value_norms,
 )
 from .walsh import bit_reverse, cutoff_hits, packet_rows, packet_synthesis, walsh_value
@@ -233,21 +232,6 @@ def down_coefficients_inf(f: Signal, members: Sequence[Bitile]) -> dict[Bitile, 
     return out
 
 
-def down_packet_sum(
-    members: Sequence[Bitile],
-    f: Signal,
-    coeffs: dict[Bitile, list[Fraction]] | None = None,
-) -> Signal:
-    """sum over members of <f, down packet> * down packet; exact."""
-    if coeffs is None:
-        coeffs = down_coefficients_inf(f, members)
-    entries = [
-        (P.time.k, P.time.pos, 2 * P.m, [c * (1 << P.time.k) for c in coeffs[P]])
-        for P in members
-    ]
-    return f.with_components(packet_synthesis(entries, len(f.cols), f.L))
-
-
 # ---------------------------------------------------------------------------
 # density
 
@@ -367,28 +351,30 @@ def tree_delta_pow(
     plugin: NormPlugin,
     coeffs: dict[Bitile, list[Fraction]] | None = None,
 ):
-    """q-th power of the normalized L^q mass of the up-part packet sum;
-    exact Fraction where representable, float otherwise."""
+    """q-th power of the normalized L^q mass of the up-part packet sum:
+    the sum vanishes off I_T, so it is synthesized on the 2^l cells of I_T,
+    l = L - k_T, and its mass is the mean over them; exact (lq_norm_pow)
+    where representable, else float norms added in cell order."""
     up = tree.up_part()
     if not up:
         return Fraction(0)
     if coeffs is None:
         coeffs = down_coefficients_inf(f, up)
-    g = down_packet_sum(up, f, coeffs=coeffs)
-    scale = Fraction(1 << tree.top.time.k, f.cells)
-    acc_exact = Fraction(0)
-    for v in g.samples:
-        nv = value_norm_pow(v, plugin, q)
-        if nv is None:
-            break
-        acc_exact += nv
-    else:
-        return acc_exact * scale
+    kT, posT = tree.top.time.k, tree.top.time.pos
+    l = f.L - kT
+    entries = []
+    for P in up:
+        k, pos, m = P.key()
+        entries.append((k - kT, pos - (posT << (k - kT)), 2 * m, [c * (1 << k) for c in coeffs[P]]))
+    g = Signal(l, f.d, f.kind, packet_synthesis(entries, len(f.cols), l))
+    exact = lq_norm_pow(g, q, plugin)
+    if exact is not None:
+        return exact
     total = 0.0
     qf = float(q)
-    for v in g.samples:
-        total += value_norm(v, plugin) ** qf
-    return total * float(scale)
+    for x in value_norms(g, plugin):
+        total += x**qf
+    return total / g.cells
 
 
 @dataclass(frozen=True)
@@ -412,12 +398,6 @@ class HilbertWeights:
     def value(self, x):
         """x / den; a Fraction for an integer numerator."""
         return Fraction(x, self.den) if isinstance(x, int) else x
-
-    def exceeds(self, x, bound) -> bool:
-        """x / den > bound, by cross-multiplication when both are exact."""
-        if isinstance(x, int) and isinstance(bound, Fraction):
-            return x * bound.denominator > bound.numerator * self.den
-        return _pow_gt(self.value(x), bound)
 
     def pow_of(self, best):
         """A largest S(T) 2^k_T as the size power best / den; Fraction(0)
@@ -494,6 +474,13 @@ def grid_cells(keys: Sequence[tuple[int, int, int]], depth: int) -> tuple[list, 
     return [k for k, _, _ in keys], [(pos << (depth - k)) + m for k, pos, m in keys]
 
 
+def top_mask(tops: Sequence[tuple[int, int, int]], depth: int) -> np.ndarray:
+    """Boolean grid of the given depth with the cells of the keys tops set."""
+    mask = np.zeros((depth + 1, 1 << depth), bool)
+    mask[grid_cells(tops, depth)] = True
+    return mask
+
+
 class UpSumGrid:
     """The up-sums S(T) of the masses of a collection over every top T at
     once, on dense per-scale grids of the collection's depth (up_sum_grids,
@@ -503,21 +490,20 @@ class UpSumGrid:
     Exact masses sit in int64 cells when the collection's total mass has at
     most 62 bits, so that no partial sum overflows, and in Python ints
     (dtype object) otherwise; both run the same code, and removing members
-    zeroes their cells and sums again.  Float masses keep the canonical-order
-    sweep (_up_sums) and lose removed members one by one, in the given
-    order, so that every sum has the bits of the same sweep and decrements
-    done on dictionaries."""
+    zeroes their cells and sums again.  Float masses keep the dictionary of
+    the canonical-order sweep (_up_sums) and lose removed members one by
+    one, in the given order, so that every sum has the bits of the same
+    sweep and decrements done on dictionaries; their size power is a fresh
+    sweep over the keys left, whose bits decremented sums do not keep."""
 
     def __init__(self, coll: Iterable[Bitile], weights: HilbertWeights) -> None:
         self.weights = weights
-        self.keys = keys = sorted(P.key() for P in coll)
+        # sorted, and kept so as members leave
+        self.keys = keys = dict.fromkeys(sorted(P.key() for P in coll))
         self.depth = D = grid_depth(keys)
         rows, cols = grid_cells(keys, D)
         if not weights.exact:
-            self.mass = None
-            self.sums = np.zeros((D + 1, 1 << D), object)
-            for key, s in _up_sums(keys, weights.num).items():
-                self.sums[self._cell(key)] = s
+            self.mass, self.sums = None, _up_sums(keys, weights.num)
             return
         num = weights.num
         self.mass = np.zeros((1, D + 1, 1 << D), _mass_dtype(sum(num[key] for key in keys)))
@@ -525,47 +511,36 @@ class UpSumGrid:
             self.mass[0, rows, cols] = [num[key] for key in keys]
         self.sums = up_sum_grids(self.mass)[0]
 
-    def _cell(self, key: tuple[int, int, int]) -> tuple[int, int]:
-        k, pos, m = key
-        return k, (pos << (self.depth - k)) + m
-
     def remove(self, members: Iterable[Bitile]) -> None:
         """Take members out of the collection."""
         if self.mass is not None:
-            for P in members:
-                self.mass[(0, *self._cell(P.key()))] = 0
+            self.mass[(0, *grid_cells([P.key() for P in members], self.depth))] = 0
             self.sums = up_sum_grids(self.mass)[0]
             return
         for P in members:
             key = P.key()
+            del self.keys[key]
             w = self.weights.num[key]
             if w:
                 for T in up_ancestor_keys(*key):
-                    self.sums[self._cell(T)] -= w
+                    self.sums[T] -= w
 
     def pow(self):
-        """The q = 2 size power max_T S(T) 2^k_T / den; Fraction(0) when no
-        sum is positive."""
-        if self.mass is not None:
-            best = max(x << k for k, x in enumerate(self.sums.max(axis=1).tolist()))
-        else:
-            best = max(x * (1 << k) for k, row in enumerate(self.sums.tolist()) for x in row)
+        """The q = 2 size power max_T S(T) 2^k_T / den of the members left;
+        Fraction(0) when no sum is positive."""
+        if self.mass is None:
+            return _sweep_pow(self.keys, self.weights)
+        best = max(x << k for k, x in enumerate(self.sums.max(axis=1).tolist()))
         return self.weights.pow_of(best)
 
     def exceeding(self, bound) -> np.ndarray:
-        """Boolean grid of the tops T with S(T) 2^k_T / den > bound
-        (HilbertWeights.exceeds).  Exact sums are compared per scale with
-        the integer floor(bound den / 2^k), so that no product S 2^k is
-        formed in int64."""
+        """Boolean grid of the tops T with S(T) 2^k_T / den > bound: for
+        float masses, whose den is 1, by _pow_gt; exact sums are compared
+        per scale with the integer floor(bound den / 2^k), so that no
+        product S 2^k is formed in int64."""
         if self.mass is None:
-            exceeds = self.weights.exceeds
-            return np.array(
-                [
-                    [x != 0 and exceeds(x * (1 << k), bound) for x in row]
-                    for k, row in enumerate(self.sums.tolist())
-                ],
-                dtype=bool,
-            )
+            tops = [T for T, x in self.sums.items() if x != 0 and _pow_gt(x * (1 << T[0]), bound)]
+            return top_mask(tops, self.depth)
         cuts = [
             bound.numerator * self.weights.den // (bound.denominator << k)
             for k in range(self.depth + 1)
@@ -584,18 +559,9 @@ def hilbert_top_sums(
     weights.den.  Delta(T)^2 of the complete up-tree is S(T) 2^k_T / den.
 
     The candidate tops are the up-ancestors of the members, zero sums
-    included.  Exact sums are read off an UpSumGrid, the key set off the
-    same sums over member counts; float masses are added in canonical
-    order, each to the integer ranges of up_ancestor_keys."""
-    if not weights.exact:
-        return _up_sums(sorted(P.key() for P in coll), weights.num)
-    grid = UpSumGrid(coll, weights)
-    count = np.zeros(grid.mass.shape, np.int64)
-    count[(0, *grid_cells(grid.keys, grid.depth))] = 1
-    rows, cols = np.nonzero(up_sum_grids(count)[0])
-    shift = grid.depth - rows
-    keys = zip(rows.tolist(), (cols >> shift).tolist(), (cols & ((1 << shift) - 1)).tolist())
-    return dict(zip(keys, grid.sums[rows, cols].tolist()))
+    included, from the canonical-order sweep (_up_sums); the library's own
+    sizes come from UpSumGrid."""
+    return _up_sums(sorted(P.key() for P in coll), weights.num)
 
 
 def _up_sums(keys, num) -> dict[tuple[int, int, int], int | Fraction | float]:
@@ -607,6 +573,12 @@ def _up_sums(keys, num) -> dict[tuple[int, int, int], int | Fraction | float]:
         for T in up_ancestor_keys(*key):
             sums[T] = sums.get(T, 0) + w
     return sums
+
+
+def _sweep_pow(keys, weights: HilbertWeights):
+    """The q = 2 size power of the sorted keys off a fresh _up_sums sweep."""
+    sums = _up_sums(keys, weights.num)
+    return weights.pow_of(max((s * (1 << T[0]) for T, s in sums.items()), default=0))
 
 
 def hilbert_tree_pows(trees: Sequence[Tree], weights: HilbertWeights) -> list:
@@ -622,7 +594,7 @@ def hilbert_tree_pows(trees: Sequence[Tree], weights: HilbertWeights) -> list:
     of one depth go through up_sum_grids together.  Float masses keep one
     canonical-order sweep per tree."""
     if not weights.exact:
-        return [UpSumGrid(t.members, weights).pow() for t in trees]
+        return [_sweep_pow(sorted(P.key() for P in t.members), weights) for t in trees]
     num = weights.num
     by_depth: dict[int, list[int]] = {}
     for i, t in enumerate(trees):
@@ -656,19 +628,6 @@ def hilbert_tree_pows(trees: Sequence[Tree], weights: HilbertWeights) -> list:
     return out
 
 
-def candidate_tops(coll: Iterable[Bitile]) -> list[Bitile]:
-    """All grid bitiles that dominate some collection member in the up-tile
-    order, in canonical order."""
-    tops: set[Bitile] = set()
-    for P in coll:
-        tops.update(up_ancestors(P))
-    return sorted(tops, key=Bitile.key)
-
-
-def complete_up_tree(top: Bitile, coll: Iterable[Bitile]) -> Tree:
-    return Tree.build(top, (P for P in coll if bitile_le_u(P, top)))
-
-
 def nonzero_keys(coeffs: dict[Bitile, list[Fraction]]) -> set:
     """Keys of the members with a nonzero down coefficient.  From the
     coefficients, not the masses: a float c c can underflow to 0.0."""
@@ -683,38 +642,53 @@ def _lq_pow(f: Signal, q, plugin: NormPlugin):
 
 class TreeDeltaGrid:
     """UpSumGrid's interface for every norm and q: the tree_delta_pow of
-    the complete up-tree below each candidate top of the members left,
-    taken anew after each removal."""
+    the complete up-tree below each top of the members left.  One pass over
+    the members' up_ancestor_keys, in canonical order, lists the members
+    below each top; a removal takes anew the values of the tops above the
+    members removed."""
 
     def __init__(self, coll: Iterable[Bitile], sizes: SizeEvaluator) -> None:
         self.sizes = sizes
-        self.members = {P.key(): P for P in coll}
-        self.depth = grid_depth(self.members)
-        self.remove(())
+        self.below: dict[tuple[int, int, int], dict[tuple[int, int, int], Bitile]] = {}
+        for key, P in sorted({P.key(): P for P in coll}.items()):
+            for T in up_ancestor_keys(*key):
+                self.below.setdefault(T, {})[key] = P
+        self.depth = grid_depth(self.below)
+        # in canonical order of the tops, which updates keep
+        self.values: dict = {}
+        for T in sorted(self.below):
+            self._evaluate(T)
+
+    def _evaluate(self, T: tuple[int, int, int]) -> None:
+        s = self.sizes
+        tree = Tree(Bitile.from_key(T), tuple(self.below[T].values()))
+        self.values[T] = tree_delta_pow(tree, s.f, s.q, s.plugin, coeffs=s.coeffs)
 
     def remove(self, members: Iterable[Bitile]) -> None:
-        """Take members out of the collection and take the values anew."""
+        """Take members out of the collection."""
+        touched = set()
         for P in members:
-            self.members.pop(P.key(), None)
-        rest, s = list(self.members.values()), self.sizes
-        self.tops = [
-            (T.key(), tree_delta_pow(complete_up_tree(T, rest), s.f, s.q, s.plugin, coeffs=s.coeffs))
-            for T in candidate_tops(rest)
-        ]
+            key = P.key()
+            for T in up_ancestor_keys(*key):
+                if self.below.get(T, {}).pop(key, None) is not None:
+                    touched.add(T)
+        for T in sorted(touched):
+            if self.below[T]:
+                self._evaluate(T)
+            else:
+                del self.below[T], self.values[T]
 
     def pow(self):
         """The first largest value; Fraction(0) unless one is positive."""
         best = Fraction(0)
-        for _, val in self.tops:
+        for val in self.values.values():
             if _pow_gt(val, best):
                 best = val
         return best
 
     def exceeding(self, bound) -> np.ndarray:
         """Boolean grid of the tops whose value exceeds bound."""
-        mask = np.zeros((self.depth + 1, 1 << self.depth), bool)
-        mask[grid_cells([T for T, val in self.tops if _pow_gt(val, bound)], self.depth)] = True
-        return mask
+        return top_mask([T for T, val in self.values.items() if _pow_gt(val, bound)], self.depth)
 
 
 class SizeEvaluator:
@@ -739,8 +713,8 @@ class SizeEvaluator:
         return _lq_pow(self.f, self.q, self.plugin)
 
     def grid(self, coll: Iterable[Bitile]) -> UpSumGrid | TreeDeltaGrid:
-        """The sizes of coll's complete up-trees: pow(), exceeding(bound)
-        and remove(members)."""
+        """The sizes of coll's complete up-trees: pow() of the members left,
+        exceeding(bound) and remove(members)."""
         return UpSumGrid(coll, self.weights) if self.weights is not None else TreeDeltaGrid(coll, self)
 
     def tree_pows(self, trees: Sequence[Tree]) -> list:
@@ -748,15 +722,6 @@ class SizeEvaluator:
         if self.weights is None:
             return [self.grid(t.members).pow() for t in trees]
         return hilbert_tree_pows(trees, self.weights)
-
-    def rest_pow(self, grid: UpSumGrid | TreeDeltaGrid, rest: Sequence[Bitile]):
-        """The size power of rest, what a greedy split leaves once it took
-        its trees out of grid: the grid's own with exact masses, else taken
-        anew, as float sums after decrements differ in the last bits from a
-        sweep."""
-        if self.weights is not None and self.weights.exact:
-            return grid.pow()
-        return self.grid(rest).pow()
 
 
 def size_pow(coll: Sequence[Bitile], f: Signal, q, plugin: NormPlugin):

@@ -1,9 +1,14 @@
 """Retained reference implementations, kept as oracles for the fast paths,
 and helpers that only the tests use.
 
-- bitile_lt / tiles_disjoint / bitiles_overlap, size, member_form_terms,
+- bitile_lt / tiles_disjoint / bitiles_overlap, member_form_terms,
   pairing_inf, Root2Scaled with the exact values of a WavePacket,
   gen_tree_members: small helpers the library itself no longer calls.
+- candidate_tops / complete_up_tree / tree_delta_pow / resynthesized_pow /
+  size: the generic size by a scan of every member per candidate top and
+  a synthesis of each top's up-part over all 2^L cells (down_packet_sum
+  below), which timefreq.TreeDeltaGrid's up-ancestor index and synthesis
+  on I_T replaced.
 - WavePacket / wave_packet / wave_packet_pattern / haar_pattern: packets
   as full-grid {-1, 0, +1} sign patterns.
 - HistogramCounter / local_density_walk: the cumulative-histogram density
@@ -57,7 +62,7 @@ from fractions import Fraction
 from tilewalsh import timefreq
 from tilewalsh.certificates import Certificate
 from tilewalsh.decompose import DensityDecomposition, SizeDecomposition, _two_pow
-from tilewalsh.dyadic import Bitile, DyadicInterval, Tile, bitile_le, bitile_universe
+from tilewalsh.dyadic import Bitile, DyadicInterval, Tile, bitile_le, bitile_le_u, bitile_universe
 from tilewalsh.gen import SplitMix64
 from tilewalsh.signal import (
     LevelSet,
@@ -71,20 +76,18 @@ from tilewalsh.signal import (
     num_from_json,
     num_to_json,
     value_norm,
+    value_norm_pow,
 )
 from tilewalsh.timefreq import (
     DensityCounter,
     Tree,
     _is_hilbert_case,
     _pow_gt,
-    candidate_tops,
-    complete_up_tree,
     down_coefficients_inf,
     hilbert_member_weights,
     hilbert_top_sums as int_top_sums,
     local_density,
     size_pow,
-    tree_delta_pow,
     up_ancestor_keys,
 )
 from tilewalsh.walsh import bit_reverse, fwht, ifwht, walsh, walsh_value
@@ -113,16 +116,61 @@ def bitiles_overlap(P: Bitile, P2: Bitile) -> bool:
     )
 
 
-def size(coll, f, q, plugin):
-    """The size: the q-th root of the largest tree_delta_pow over the
-    complete up-trees below every candidate top."""
+def candidate_tops(coll):
+    """All grid bitiles that dominate some collection member in the up-tile
+    order, in canonical order."""
+    tops = set()
+    for P in coll:
+        tops.update(up_ancestors(P))
+    return sorted(tops, key=Bitile.key)
+
+
+def complete_up_tree(top, coll):
+    return Tree.build(top, (P for P in coll if bitile_le_u(P, top)))
+
+
+def tree_delta_pow(tree, f, q, plugin, coeffs=None):
+    """q-th power of the normalized L^q mass of the up-part packet sum,
+    synthesized over all 2^L cells; exact Fraction where representable,
+    float otherwise."""
+    up = tree.up_part()
+    if not up:
+        return Fraction(0)
+    if coeffs is None:
+        coeffs = down_coefficients_inf(f, up)
+    g = down_packet_sum(up, f, coeffs=coeffs)
+    scale = Fraction(1 << tree.top.time.k, f.cells)
+    acc_exact = Fraction(0)
+    for v in g.samples:
+        nv = value_norm_pow(v, plugin, q)
+        if nv is None:
+            break
+        acc_exact += nv
+    else:
+        return acc_exact * scale
+    total = 0.0
+    qf = float(q)
+    for v in g.samples:
+        total += value_norm(v, plugin) ** qf
+    return total * float(scale)
+
+
+def resynthesized_pow(coll, f, q, plugin):
+    """The size power: the first largest tree_delta_pow over the complete
+    up-trees below every candidate top; Fraction(0) unless one is
+    positive."""
     coll = list(coll)
     best = Fraction(0)
     for T in candidate_tops(coll):
         val = tree_delta_pow(complete_up_tree(T, coll), f, q, plugin)
         if _pow_gt(val, best):
             best = val
-    return float(best) ** (1.0 / float(q))
+    return best
+
+
+def size(coll, f, q, plugin):
+    """The size: the q-th root of resynthesized_pow."""
+    return float(resynthesized_pow(coll, f, q, plugin)) ** (1.0 / float(q))
 
 
 def member_form_terms(tree_members, f, g, E, Nfun):
@@ -550,7 +598,9 @@ def density_decompose(coll, E, Nfun, q, counter=None):
 
 
 def size_decompose(coll, f, q, plugin):
-    """The size split with tree_pows from size_pow on every tree."""
+    """The size split with a fresh size for the collection, the remainder
+    and every tree: size_pow in the Hilbert case, resynthesized_pow
+    otherwise."""
     coll = sorted(set(coll), key=Bitile.key)
     coeffs = down_coefficients_inf(f, coll)
     zero = [P for P in coll if all(c == 0 for c in coeffs[P])]
@@ -558,7 +608,8 @@ def size_decompose(coll, f, q, plugin):
 
     hilbert = _is_hilbert_case(q, plugin)
     weights = hilbert_member_weights(coll, coeffs) if hilbert else None
-    sigma_pow = size_pow(active, f, q, plugin)
+    pow_of = size_pow if hilbert else resynthesized_pow
+    sigma_pow = pow_of(active, f, q, plugin)
     threshold_pow = sigma_pow * _two_pow(-q)
 
     if hilbert:
@@ -574,7 +625,7 @@ def size_decompose(coll, f, q, plugin):
             qualifying = [
                 Bitile.from_key(T)
                 for T in sorted(sums)
-                if sums[T] > 0 and weights.exceeds(sums[T] * (1 << T[0]), threshold_pow)
+                if sums[T] > 0 and _pow_gt(weights.value(sums[T] * (1 << T[0])), threshold_pow)
             ]
         else:
             qualifying = []
@@ -601,7 +652,7 @@ def size_decompose(coll, f, q, plugin):
         remaining = [P for P in remaining if P not in removed]
 
     small = sorted(set(remaining) | set(zero), key=Bitile.key)
-    small_pow = size_pow(small, f, q, plugin)
+    small_pow = pow_of(small, f, q, plugin)
     entries = [(P, i) for i, t in enumerate(trees) for P in t.up_part()]
     certs = [
         Certificate.make(
@@ -629,7 +680,7 @@ def size_decompose(coll, f, q, plugin):
         "mass_constant": mass_constant,
         "trees": len(trees),
     }
-    tree_pows = tuple(size_pow(t.members, f, q, plugin) for t in trees)
+    tree_pows = tuple(pow_of(t.members, f, q, plugin) for t in trees)
     return SizeDecomposition(
         tuple(small), tuple(trees), tuple(certs), sigma_pow, tree_pows, stats
     )

@@ -27,6 +27,21 @@ def gen_instance(runner, tmp_path, seed=3, levels=3):
     return out
 
 
+def _l2_files(tmp_path):
+    """Hand-written L = 2 signal, coefficient, cutoff and level-set files."""
+    files = {
+        "signal": {"levels": 2, "dim": 1, "kind": "vector", "values": ["1", "2", "3/2", "4"]},
+        "coef": {"levels": 2, "dim": 1, "kind": "vector", "coefficients": [["1", "0", "1/2", "0"]]},
+        "nfun": {"levels": 2, "N": [0, 1, 2, 4]},
+        "set": {"levels": 2, "cells": [0, 1]},
+    }
+    paths = {}
+    for key, obj in files.items():
+        paths[key] = tmp_path / f"{key}.json"
+        paths[key].write_text(json.dumps(obj))
+    return paths
+
+
 class TestGen:
     def test_deterministic(self, runner, tmp_path):
         a = gen_instance(runner, tmp_path / "a")
@@ -320,6 +335,57 @@ class TestInputErrors:
         what = "coefficient" if inverse else "signal"
         assert r.exit_code == 2 and f"malformed {what}" in r.output and "zero denominator" in r.output
         assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "command, what, field, value",
+        [
+            ("transform", "signal", "levels", 2.9),
+            ("transform", "signal", "levels", True),
+            ("transform", "signal", "dim", 1.0),
+            ("inverse", "coefficient", "levels", 2.5),
+            ("inverse", "coefficient", "dim", False),
+            ("carleson", "frequency choice", "N", [0, 2.7, 1, 4]),
+            ("carleson", "frequency choice", "N", "0124"),
+            ("carleson", "frequency choice", "levels", 2.0),
+            ("decompose", "level set", "cells", [0, 1.5]),
+            ("decompose", "level set", "cells", [True]),
+            ("decompose", "level set", "levels", "2.0"),
+        ],
+    )
+    def test_integer_fields(self, runner, tmp_path, command, what, field, value):
+        files = _l2_files(tmp_path)
+        name = {"signal": "signal", "coefficient": "coef", "frequency choice": "nfun", "level set": "set"}
+        path = files[name[what]]
+        path.write_text(json.dumps({**json.loads(path.read_text()), field: value}))
+        out = tmp_path / "x.json"
+        args = {
+            "transform": ["transform", "--in", files["signal"]],
+            "inverse": ["transform", "--inverse", "--in", files["coef"]],
+            "carleson": ["carleson", "--in", files["signal"], "--nfun", files["nfun"]],
+            "decompose": ["decompose", "--in", files["signal"], "--set", files["set"],
+                          "--nfun", files["nfun"]],
+        }[command]
+        r = runner.invoke(main, [*map(str, args), "--out", str(out)])
+        assert r.exit_code == 2 and f"malformed {what}" in r.output and field in r.output
+        assert not out.exists()
+
+    def test_integer_strings_pass(self, runner, tmp_path):
+        files = _l2_files(tmp_path)
+        as_text = tmp_path / "text"
+        as_text.mkdir()
+        for key in ("signal", "nfun", "set"):
+            obj = json.loads(files[key].read_text())
+            obj = {k: [str(x) for x in v] if k in ("N", "cells") else str(v) if k in ("levels", "dim") else v
+                   for k, v in obj.items()}
+            (as_text / files[key].name).write_text(json.dumps(obj))
+        outs = []
+        for base in (tmp_path, as_text):
+            out = base / "x.json"
+            r = invoke(runner, ["carleson", "--in", str(base / "signal.json"),
+                                "--nfun", str(base / "nfun.json"), "--out", str(out)])
+            assert r.exit_code == 0
+            outs.append(out.read_bytes())
+        assert outs[0] == outs[1]
 
     @pytest.mark.parametrize(
         "args",

@@ -56,9 +56,11 @@ from tilewalsh.timefreq import (
     TreeDeltaGrid,
     TreeFamily,
     UpSumGrid,
+    _pow_gt,
     down_coefficients_inf,
     gap_set,
     gj_certificate,
+    grid_cells,
     hilbert_member_weights,
     hilbert_top_sums,
     hilbert_tree_pows,
@@ -376,6 +378,18 @@ def _collection(L, seed, whole):
 
 variants = st.sampled_from(["exact", "non-dyadic", "float"])
 
+# (q, norm, signal shape) on the generic size path
+generic_cases = st.sampled_from(
+    [
+        (3, NormPlugin("lp", Fraction(3)), (1, "vector")),
+        (3, EUCL, (2, "vector")),
+        (4, EUCL, (2, "vector")),
+        (3, NormPlugin("lp", Fraction(3)), (2, "vector")),
+        (3, NormPlugin("schatten", Fraction(3)), (2, "matrix")),
+        (2, NormPlugin("schatten", Fraction(3, 2)), (2, "matrix")),
+    ]
+)
+
 
 class TestGreedySplits:
     @pytest.mark.parametrize("L", range(1, 8))
@@ -389,20 +403,16 @@ class TestGreedySplits:
         # trees, small, certificates, tree_pows and stats, float bits included
         assert repr(got) == repr(ref)
 
-    @given(
-        st.integers(1, 3),
-        st.sampled_from([(3, NormPlugin("lp", Fraction(3))), (3, EUCL), (4, EUCL)]),
-        st.integers(0, 10**6),
-        st.sampled_from(["exact", "float"]),
-    )
-    @settings(max_examples=15, deadline=None)
-    def test_generic_size_split(self, L, qp, seed, variant):
-        q, plugin = qp
-        f, _, _ = _split_signal(L, (1 if plugin.name == "lp" else 2, "vector"), seed, variant, None)
-        coll = _collection(L, seed, L <= 2)
-        assert repr(size_decompose(coll, f, q, plugin)) == repr(
-            reference.size_decompose(coll, f, q, plugin)
-        )
+    @given(generic_cases, st.integers(0, 10**6), st.sampled_from(["exact", "float"]))
+    @settings(max_examples=12, deadline=None)
+    def test_generic_size_split(self, case, seed, variant):
+        q, plugin, shape = case
+        for L in range(1, 6):
+            f, _, _ = _split_signal(L, shape, seed, variant, None)
+            coll = _collection(L, seed, L <= 2)
+            assert repr(size_decompose(coll, f, q, plugin)) == repr(
+                reference.size_decompose(coll, f, q, plugin)
+            ), L
 
     @pytest.mark.parametrize("L", range(1, 8))
     @given(st.integers(0, 10**6), st.sampled_from([2, 3]), st.booleans())
@@ -432,6 +442,45 @@ class TestGreedySplits:
         assert levels >= 3
         assert calls["hilbert_top_sums"] <= levels + 1
         assert calls["size_pow"] <= 1
+
+    def test_generic_tops_synthesize_on_their_own_cells(self, monkeypatch, tmp_path):
+        gen = CliRunner().invoke(
+            main, ["gen", "--levels", "5", "--seed", "3", "--out", str(tmp_path)],
+            catch_exceptions=False,
+        )
+        assert gen.exit_code == 0
+        delta, synthesis = timefreq.tree_delta_pow, timefreq.packet_synthesis
+        # L - k_T of the top being evaluated, and (L - k_T, resolution) of
+        # each synthesis made meanwhile
+        tops, resolutions = [], []
+        calls = 0
+
+        def counted_delta(tree, f, *args, **kwargs):
+            nonlocal calls
+            calls += 1
+            tops.append(f.L - tree.top.time.k)
+            try:
+                return delta(tree, f, *args, **kwargs)
+            finally:
+                tops.pop()
+
+        def recorded_synthesis(entries, ncomp, L):
+            if tops:
+                resolutions.append((tops[-1], L))
+            return synthesis(entries, ncomp, L)
+
+        monkeypatch.setattr(timefreq, "tree_delta_pow", counted_delta)
+        monkeypatch.setattr(timefreq, "packet_synthesis", recorded_synthesis)
+        result = CliRunner().invoke(
+            main,
+            ["decompose", "--in", str(tmp_path / "signal.json"), "--set", str(tmp_path / "set.json"),
+             "--nfun", str(tmp_path / "nfun.json"), "--norm", "lp:3", "--q", "3",
+             "--out", str(tmp_path / "dec.json")],
+            catch_exceptions=False,
+        )
+        assert result.exit_code == 0
+        assert 0 < len(resolutions) <= calls <= 871
+        assert all(local == L for local, L in resolutions)
 
     def test_per_run_inputs_computed_once(self, monkeypatch, tmp_path):
         calls = _count_calls(
@@ -499,6 +548,32 @@ class TestSizeEvaluator:
         # by Parseval the greedy takes the same trees with the same sizes
         generic = size_decompose(coll, f, 2, EUCL, sizes=_Resynthesizing(coll, f, 2, EUCL))
         assert repr(generic) == repr(size_decompose(coll, f, 2, EUCL))
+
+    @pytest.mark.parametrize("L", range(1, 6))
+    @given(generic_cases, st.integers(0, 10**6), st.sampled_from(["exact", "float"]))
+    @settings(max_examples=4, deadline=None)
+    def test_delta_grid_after_removals(self, L, case, seed, variant):
+        q, plugin, shape = case
+        f, _, _ = _split_signal(L, shape, seed, variant, None)
+        coll = _collection(L, seed, L <= 3)
+        rng = SplitMix64(seed + 5)
+        grid = SizeEvaluator(coll, f, q, plugin).grid(coll)
+        left = sorted(set(coll), key=Bitile.key)
+        for _ in range(4):
+            # some members left and, now and then, some already gone
+            gone = [P for P in coll if rng.below(4) == 0]
+            grid.remove(gone)
+            left = [P for P in left if P not in gone]
+            tops = {
+                T: reference.tree_delta_pow(reference.complete_up_tree(T, left), f, q, plugin)
+                for T in reference.candidate_tops(left)
+            }
+            sigma = reference.resynthesized_pow(left, f, q, plugin)
+            assert repr(grid.pow()) == repr(sigma)
+            for bound in (Fraction(0), sigma * Fraction(rng.below(8), 7)):
+                expected = np.zeros_like(grid.exceeding(bound))
+                expected[grid_cells([T.key() for T, v in tops.items() if _pow_gt(v, bound)], grid.depth)] = True
+                assert np.array_equal(grid.exceeding(bound), expected)
 
 
 # ---------------------------------------------------------------------------

@@ -25,11 +25,8 @@ from tilewalsh.timefreq import (
     DensityCounter,
     Tree,
     TreeFamily,
-    candidate_tops,
-    complete_up_tree,
     density,
     down_coefficients_inf,
-    down_packet_sum,
     epsilon_pt,
     gap_set,
     gj_certificate,
@@ -44,7 +41,16 @@ from tilewalsh.timefreq import (
     verify_tree_identity,
 )
 
-from reference import bitile_ancestors, gen_tree_members, member_form_terms, pairing_inf, size
+from reference import (
+    bitile_ancestors,
+    candidate_tops,
+    complete_up_tree,
+    down_packet_sum,
+    gen_tree_members,
+    member_form_terms,
+    pairing_inf,
+    size,
+)
 
 EUCL = NormPlugin("euclidean")
 
