@@ -60,10 +60,15 @@ class Certificate:
         }
 
 
+_LEAVES = frozenset({str, int, bool, type(None)})
+
+
 def jsonable(obj):
     """obj ready for json.dump: certificates as to_json, tuples as lists,
     dict keys as strings, and Fractions and floats (numpy's too) in the
     num_to_json encoding; ints, bools, None and strings stay."""
+    if type(obj) in _LEAVES:
+        return obj
     if isinstance(obj, Certificate):
         return obj.to_json()
     if isinstance(obj, dict):

@@ -40,7 +40,6 @@ from .timefreq import (
     density,
     down_coefficients_inf,
     meeting_tile_pairs,
-    member_form_products,
 )
 from .walsh import packet_synthesis
 
@@ -359,19 +358,8 @@ def full_decompose(
     dens0 = density(coll, E, Nfun, counter=counter)
     size0_pow = sizes.grid(coll).pow()
 
-    # smallest integer n with density <= min(1, 2^(nq) |E|)
-    # and size^q <= 2^(nq) |f|_q^q
     L = f.L
-    n_max = None
-    for n in range(-16 * L - 64, 16 * L + 65):
-        tag = _two_pow(n * q) if isinstance(q, int) else 2.0 ** (n * float(q))
-        ok_d = _le(dens0, _min_one(tag * E.measure))
-        ok_s = _le(size0_pow, tag * fq_pow)
-        if ok_d and ok_s:
-            n_max = n
-            break
-    if n_max is None:
-        raise RuntimeError("could not locate a starting level")
+    n_max = starting_level(dens0, size0_pow, fq_pow, E.measure, q, L)
 
     levels: list[LevelRecord] = []
     active = list(coll)
@@ -447,6 +435,49 @@ def full_decompose(
     return LeveledForest(tuple(levels), residual, tuple(top_certs))
 
 
+def starting_level(dens0, size0_pow, fq_pow, measure: Fraction, q, L: int) -> int:
+    """The smallest integer n in [-16L - 64, 16L + 64] with
+    dens0 <= min(1, 2^(nq) |E|) and size0_pow <= 2^(nq) |f|_q^q;
+    RuntimeError when no n there qualifies.
+
+    Both tests only get easier as n grows.  For integer q a bit-length
+    estimate of log2 of each ratio, within one of it, gives a start that
+    steps down while n - 1 qualifies and up until n does; float q keeps
+    the scan over the whole range."""
+    lo, hi = -16 * L - 64, 16 * L + 64
+
+    def ok(n: int) -> bool:
+        tag = _two_pow(n * q) if isinstance(q, int) else 2.0 ** (n * float(q))
+        return _le(dens0, _min_one(tag * measure)) and _le(size0_pow, tag * fq_pow)
+
+    if not isinstance(q, int):
+        n = next((n for n in range(lo, hi + 1) if ok(n)), None)
+        if n is None:
+            raise RuntimeError("could not locate a starting level")
+        return n
+    # n q >= log2(dens0 / |E|) and n q >= log2(size0_pow / fq_pow)
+    starts = [
+        -((_log2_estimate(b) - _log2_estimate(a)) // q)
+        for a, b in ((dens0, measure), (size0_pow, fq_pow))
+        if a > 0
+    ]
+    n = min(max([lo, *starts]), hi + 1)
+    while n > lo and ok(n - 1):
+        n -= 1
+    while n <= hi and not ok(n):
+        n += 1
+    if n > hi:
+        raise RuntimeError("could not locate a starting level")
+    return n
+
+
+def _log2_estimate(x) -> int:
+    """An integer within one of log2 x, for x > 0 (a Fraction or a float)."""
+    if isinstance(x, Fraction):
+        return x.numerator.bit_length() - x.denominator.bit_length()
+    return math.frexp(float(x))[1]
+
+
 def _min_one(x):
     if isinstance(x, Fraction):
         return x if x < 1 else Fraction(1)
@@ -478,10 +509,10 @@ def carleson_form_certificate(
     coll = list(bitile_universe(f.L).items)
     sizes = SizeEvaluator(coll, f, q, plugin)
     forest = full_decompose(coll, f, E, Nfun, q, plugin, sizes=sizes)
-    products = member_form_products(coll, f, g, E, Nfun, coeffs=sizes.coeffs)
+    products, den = sizes.form_products(g, E, Nfun)
     fq_pow = sizes.fq_pow
 
-    total = sum((abs(v) for v in products.values()), Fraction(0))
+    total = _abs_sum(products.values(), den)
     qf = float(q)
     qprime = qf / (qf - 1.0)
     # the same bits as lq_norm on the exact path
@@ -496,7 +527,7 @@ def carleson_form_certificate(
         tree_rows = []
         level_mass = 0.0
         for tree, spow, dens in zip(rec.trees, rec.size_pows, rec.densities):
-            form = sum((abs(products[P]) for P in tree.members), Fraction(0))
+            form = _abs_sum([products[P.key()] for P in tree.members], den)
             size_val = float(spow) ** (1.0 / qf)
             rhs = size_val * float(dens) * float(tree.time.length)
             tree_rows.append(
@@ -520,6 +551,15 @@ def carleson_form_certificate(
         "certificates": forest.all_certificates(),
         "residual": len(forest.residual),
     }
+
+
+def _abs_sum(values, den: int | None):
+    """sum |v|: one Fraction over den for integer numerators, else summed
+    from Fraction(0) in the given order, so that float sums keep their
+    bits."""
+    if den is None:
+        return sum(map(abs, values), Fraction(0))
+    return Fraction(sum(map(abs, values)), den)
 
 
 # ---------------------------------------------------------------------------

@@ -25,6 +25,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
+from json.encoder import encode_basestring_ascii as _quote
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -159,6 +160,11 @@ def value_norm_exact(v, plugin: NormPlugin) -> Fraction | None:
     return None
 
 
+def _frobenius_like(plugin: NormPlugin) -> bool:
+    """The norm of a value is the Euclidean norm of its entries."""
+    return plugin.name == "euclidean" or (plugin.name == "schatten" and plugin.p == 2)
+
+
 def value_norm_pow(v, plugin: NormPlugin, q) -> Fraction | None:
     """Exact q-th power of the norm when representable as a rational:
     1-dimensional values with integer q, or euclidean/schatten-2 with q = 2."""
@@ -170,10 +176,7 @@ def value_norm_pow(v, plugin: NormPlugin, q) -> Fraction | None:
         return None
     if len(flat) == 1:
         return abs(flat[0]) ** qi
-    frobenius_like = plugin.name == "euclidean" or (
-        plugin.name == "schatten" and plugin.p == 2
-    )
-    if frobenius_like and qi == 2:
+    if _frobenius_like(plugin) and qi == 2:
         acc = Fraction(0)
         for x in flat:
             acc += x * x
@@ -373,7 +376,19 @@ def _columns(values: Sequence, d: int, kind: str) -> tuple:
 
 
 def lq_norm_pow(f: Signal, q, plugin: NormPlugin) -> Fraction | None:
-    """Exact q-th power of the L^q norm, when representable; else None."""
+    """Exact q-th power of the L^q norm, when representable (see
+    value_norm_pow); else None.  An exact signal sums integer powers of its
+    numerators and makes one Fraction."""
+    whole = isinstance(q, int) or (isinstance(q, Fraction) and q.denominator == 1)
+    if f.den is not None and whole and q >= 0:
+        qi = int(q)
+        if len(f.cols) == 1:
+            total = sum(abs(n) ** qi for n in f.cols[0])
+        elif qi == 2 and _frobenius_like(plugin):
+            total = sum(n * n for c in f.cols for n in c)
+        else:
+            return None
+        return Fraction(total, f.den**qi << f.L)
     acc = Fraction(0)
     for v in f.samples:
         nv = value_norm_pow(v, plugin, q)
@@ -555,8 +570,9 @@ class FrequencyChoice:
 
 def num_to_json(x) -> str:
     """The one number encoding: "num/den" for rationals, repr for floats."""
-    if isinstance(x, (Fraction, int)):
+    if isinstance(x, int):
         x = Fraction(x)
+    if isinstance(x, Fraction):
         return f"{x.numerator}/{x.denominator}"
     return repr(float(x))
 
@@ -693,4 +709,81 @@ def load_json(path) -> dict:
 
 def dump_json(obj: dict, path) -> None:
     with open(path, "w") as fh:
-        fh.write(json.dumps(obj, indent=2, sort_keys=True) + "\n")
+        fh.write(json_text(obj) + "\n")
+
+
+def json_text(obj) -> str:
+    """json.dumps(obj, indent=2, sort_keys=True), byte for byte, for every
+    value json.dumps accepts; TypeError, as there, for a value it does not.
+
+    json.dumps runs its pure-Python encoder, one generator per container,
+    whenever indent is set.  This writer makes one call per container,
+    quotes strings with the C-level encode_basestring_ascii and joins the
+    pieces with str.join; a list of plain strings or ints is one join."""
+    return _json_value(obj, "\n")
+
+
+def _json_scalar(o) -> str:
+    """A leaf as json.dumps writes it, tested in json.dumps' order."""
+    if isinstance(o, str):
+        return _quote(o)
+    if o is None:
+        return "null"
+    if o is True:
+        return "true"
+    if o is False:
+        return "false"
+    if isinstance(o, int):
+        return int.__repr__(o)
+    if isinstance(o, float):
+        if o != o:
+            return "NaN"
+        if o in (math.inf, -math.inf):
+            return "Infinity" if o > 0 else "-Infinity"
+        return float.__repr__(o)
+    raise TypeError(f"Object of type {o.__class__.__name__} is not JSON serializable")
+
+
+# leaves of these exact types, written without a call to _json_value
+_LEAF_WRITERS = {
+    str: _quote,
+    int: int.__repr__,
+    bool: {True: "true", False: "false"}.__getitem__,
+    type(None): lambda o: "null",
+    float: _json_scalar,
+}
+
+
+def _json_value(o, newline: str) -> str:
+    """o as json.dumps writes it at the depth whose line break and indent
+    is newline."""
+    t = type(o)
+    if t is str:
+        return _quote(o)
+    if t is dict or (t is not list and isinstance(o, dict)):
+        if not o:
+            return "{}"
+        inner = newline + "  "
+        parts = []
+        for k, v in sorted(o.items()):
+            write = _LEAF_WRITERS.get(type(v))
+            # a key that is no string is quoted as its value is written
+            key = _quote(k if isinstance(k, str) else _json_scalar(k))
+            parts.append(key + ": " + (write(v) if write else _json_value(v, inner)))
+        return "{" + inner + ("," + inner).join(parts) + newline + "}"
+    if t is list or isinstance(o, (list, tuple)):
+        if not o:
+            return "[]"
+        inner = newline + "  "
+        sep = "," + inner
+        first = type(o[0])
+        if first is str:
+            try:
+                # _quote takes str (and its subclasses) only
+                return "[" + inner + sep.join(map(_quote, o)) + newline + "]"
+            except TypeError:
+                pass
+        elif first is int and set(map(type, o)) == {int}:
+            return "[" + inner + sep.join(map(int.__repr__, o)) + newline + "]"
+        return "[" + inner + sep.join([_json_value(x, inner) for x in o]) + newline + "]"
+    return _json_scalar(o)

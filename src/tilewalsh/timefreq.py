@@ -9,6 +9,7 @@ from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
+from operator import mul
 from typing import Container, Iterable, Iterator, Sequence
 
 import numpy as np
@@ -33,7 +34,14 @@ from .signal import (
     value_norm,
     value_norms,
 )
-from .walsh import bit_reverse, cutoff_hits, packet_rows, packet_synthesis, walsh_value
+from .walsh import (
+    bit_reverse,
+    cutoff_hits,
+    packet_rows,
+    packet_synthesis,
+    packet_table,
+    walsh_value,
+)
 
 
 # ---------------------------------------------------------------------------
@@ -214,22 +222,38 @@ def verify_tree_identity(P: Bitile, T: Bitile, L: int) -> bool:
 # ---------------------------------------------------------------------------
 # wave packet sums over member sets
 
+def _down_entries(tables, members: Sequence[Bitile], L: int) -> dict[tuple[int, int, int], list]:
+    """Per member key (k, pos, m), the entry (k, pos 2^(L-k) + 2m) of each
+    component's packet table: the signed sum of its samples against the
+    member's down packet."""
+    out = {}
+    for P in members:
+        key = k, pos, m = P.key()
+        local = L - k
+        if (2 * m) >> local:
+            raise ValueError(f"down packet of {P} oscillates below cell scale at L={L}")
+        i = (pos << local) + 2 * m
+        out[key] = [rows[k][i] for rows in tables]
+    return out
+
+
+def down_coefficient_ints(f: Signal, members: Sequence[Bitile]) -> dict[tuple[int, int, int], list[int]]:
+    """The sup-normalized down coefficients of an exact signal f as
+    Python-int numerators over f.den 2^L, keyed by (k, pos, m): the packet
+    table entries of f's integer columns, with no Fraction made."""
+    if f.den is None:
+        raise ValueError("integer down coefficients need an exact signal")
+    return _down_entries([packet_table(c, f.L) for c in f.cols], members, f.L)
+
+
 def down_coefficients_inf(f: Signal, members: Sequence[Bitile]) -> dict[Bitile, list[Fraction]]:
     """Sup-normalized pairings of every component of f with each member's
     down packet; exact rationals.  Each is the entry (k, pos 2^(L-k) + 2m)
     of the component's packet table (walsh.packet_rows)."""
     # signed sample sums from zero; finish(sum) is the pairing, sum * 2^-L
     comps, zero, finish = f.terms(f.cells)
-    tables = [packet_rows(comp, zero, f.L) for comp in comps]
-    out: dict[Bitile, list[Fraction]] = {}
-    for P in members:
-        k, pos, m = P.key()
-        local = f.L - k
-        if (2 * m) >> local:
-            raise ValueError(f"down packet of {P} oscillates below cell scale at L={f.L}")
-        i = (pos << local) + 2 * m
-        out[P] = [finish(rows[k][i]) for rows in tables]
-    return out
+    sums = _down_entries([packet_rows(comp, zero, f.L) for comp in comps], members, f.L)
+    return {P: [finish(x) for x in sums[P.key()]] for P in members}
 
 
 # ---------------------------------------------------------------------------
@@ -384,7 +408,7 @@ class HilbertWeights:
     q = 2 Parseval evaluation Delta(T)^2 = 2^k_T sum_{P <=_u T} w_P.
 
     With exact coefficients each mass is a Python-int numerator over one
-    common denominator den, the squared lcm of the coefficient
+    common denominator den, the squared lcm of the reduced coefficient
     denominators, so that sums and comparisons stay in integers; the up-sums
     come from dense grids (UpSumGrid).  With float coefficients the masses
     are the plain numbers, den is 1 and exact is False; their up-sums keep
@@ -405,26 +429,29 @@ class HilbertWeights:
         return self.value(best) if best > 0 else Fraction(0)
 
 
-def hilbert_member_weights(
-    coll: Sequence[Bitile], coeffs: dict[Bitile, list[Fraction]]
-) -> HilbertWeights:
-    """The masses w_P of the members of coll (see HilbertWeights)."""
-    if not all(isinstance(c, Fraction) for P in coll for c in coeffs[P]):
-        return HilbertWeights(
-            {
-                P.key(): sum((c * c for c in coeffs[P]), Fraction(0)) * (1 << P.time.k)
-                for P in coll
-            },
-            1,
-            exact=False,
-        )
-    lcm = math.lcm(*(c.denominator for P in coll for c in coeffs[P]))
-    num = {
-        P.key(): sum((c.numerator * (lcm // c.denominator)) ** 2 for c in coeffs[P])
-        << P.time.k
-        for P in coll
-    }
-    return HilbertWeights(num, lcm * lcm)
+def member_masses(ints: dict[tuple[int, int, int], list[int]], den: int) -> HilbertWeights:
+    """The exact masses of the members whose down coefficients are the
+    numerators ints over den (down_coefficient_ints): (sum_i n_i^2) 2^k over
+    den^2, with the gcd g of den and every numerator divided out.  den / g
+    is the lcm of the reduced coefficient denominators, since
+    lcm(den / a, den / b) = den / gcd(a, b) for divisors a, b of den."""
+    g = math.gcd(den, *(math.gcd(*cs) for cs in ints.values()))
+    gg = g * g
+    num = {key: (sum(c * c for c in cs) // gg) << key[0] for key, cs in ints.items()}
+    return HilbertWeights(num, (den // g) ** 2)
+
+
+def float_masses(coeffs: dict[Bitile, list]) -> HilbertWeights:
+    """The masses of float down coefficients (down_coefficients_inf) as the
+    plain numbers, summed from Fraction(0); den 1, not exact."""
+    return HilbertWeights(
+        {
+            P.key(): sum((c * c for c in cs), Fraction(0)) * (1 << P.time.k)
+            for P, cs in coeffs.items()
+        },
+        1,
+        exact=False,
+    )
 
 
 def _mass_dtype(total: int):
@@ -628,10 +655,11 @@ def hilbert_tree_pows(trees: Sequence[Tree], weights: HilbertWeights) -> list:
     return out
 
 
-def nonzero_keys(coeffs: dict[Bitile, list[Fraction]]) -> set:
-    """Keys of the members with a nonzero down coefficient.  From the
-    coefficients, not the masses: a float c c can underflow to 0.0."""
-    return {P.key() for P, cs in coeffs.items() if any(c != 0 for c in cs)}
+def nonzero_keys(coeffs: dict[tuple[int, int, int], list]) -> set:
+    """The keys of the members with a nonzero down coefficient, from
+    coefficients keyed by (k, pos, m).  From the coefficients, not the
+    masses: a float c c can underflow to 0.0."""
+    return {key for key, cs in coeffs.items() if any(cs)}
 
 
 def _lq_pow(f: Signal, q, plugin: NormPlugin):
@@ -696,17 +724,31 @@ class SizeEvaluator:
     q and the norm: it holds the members' down coefficients, the keys of
     those with a nonzero one, |f|_q^q and, in the q = 2 Hilbert case, the
     member masses (weights), whose Parseval up-sums give every size there;
-    other norms and q resynthesize the packet sum below each top."""
+    other norms and q resynthesize the packet sum below each top.
+
+    An exact f keeps its coefficients as ints, numerators over den = f.den
+    2^L keyed by (k, pos, m), and the masses and nonzero keys come from
+    them; the Fraction (or float) coeffs are built on first use, by the
+    resynthesis of other norms and for float input."""
 
     def __init__(self, coll: Sequence[Bitile], f: Signal, q, plugin: NormPlugin) -> None:
-        self.f, self.q, self.plugin = f, q, plugin
-        self.coeffs = down_coefficients_inf(f, coll)
-        hilbert = _is_hilbert_case(q, plugin)
-        self.weights = hilbert_member_weights(coll, self.coeffs) if hilbert else None
+        self.coll, self.f, self.q, self.plugin = coll, f, q, plugin
+        exact = f.den is not None
+        self.ints = down_coefficient_ints(f, coll) if exact else None
+        self.den = f.den << f.L if exact else None
+        self.weights = None
+        if _is_hilbert_case(q, plugin):
+            self.weights = member_masses(self.ints, self.den) if exact else float_masses(self.coeffs)
+
+    @cached_property
+    def coeffs(self) -> dict[Bitile, list]:
+        return down_coefficients_inf(self.f, self.coll)
 
     @cached_property
     def nonzero(self) -> set:
-        return nonzero_keys(self.coeffs)
+        if self.ints is not None:
+            return nonzero_keys(self.ints)
+        return nonzero_keys({P.key(): cs for P, cs in self.coeffs.items()})
 
     @cached_property
     def fq_pow(self):
@@ -723,6 +765,16 @@ class SizeEvaluator:
             return [self.grid(t.members).pow() for t in trees]
         return hilbert_tree_pows(trees, self.weights)
 
+    def form_products(self, g: Signal, E: LevelSet, Nfun: FrequencyChoice) -> tuple[dict, int | None]:
+        """(products, den): member_form_products over the evaluator's
+        collection keyed by (k, pos, m), as Python-int numerators over den
+        when f and g are exact (member_form_ints), else the values
+        themselves with den None."""
+        if self.ints is not None and g.den is not None:
+            return member_form_ints(self.ints, g, E, Nfun), self.den * (g.den << g.L)
+        products = member_form_products(self.coll, self.f, g, E, Nfun, coeffs=self.coeffs)
+        return {P.key(): v for P, v in products.items()}, None
+
 
 def size_pow(coll: Sequence[Bitile], f: Signal, q, plugin: NormPlugin):
     """q-th power of the size: the largest tree_delta_pow over the complete
@@ -733,6 +785,47 @@ def size_pow(coll: Sequence[Bitile], f: Signal, q, plugin: NormPlugin):
 
 # ---------------------------------------------------------------------------
 # tree-lemma machinery
+
+def _hit_sums(keys: Container, g: Signal, E: LevelSet, Nfun: FrequencyChoice) -> dict:
+    """Per key (k, pos, m) in keys, the signed sums of g's
+    terms (Signal.terms) over the cells of E in the bitile's up-window
+    against its down packet, from terms' zero.  One pass over the cells of E:
+    cell j lies in the up-window of the bitile (k, j >> (L - k), m) exactly
+    when it is hit there (walsh.cutoff_hits), and the down packet is w_2m
+    there.  Cells are visited in ascending order, so each sum adds its
+    samples in cell order."""
+    gcomps, zero, _ = g.terms()
+    L = g.L
+    hits = cutoff_hits(Nfun.values, L)
+    sums: dict[tuple[int, int, int], list] = {}
+    for j in E.cells():
+        for k, m, neg in hits[j]:
+            key = (k, j >> (L - k), m)
+            if key not in keys:
+                continue
+            acc = sums.setdefault(key, [zero] * len(gcomps))
+            for i, comp in enumerate(gcomps):
+                acc[i] = acc[i] - comp[j] if neg else acc[i] + comp[j]
+    return sums
+
+
+def member_form_ints(
+    ints: dict[tuple[int, int, int], list[int]],
+    g: Signal,
+    E: LevelSet,
+    Nfun: FrequencyChoice,
+) -> dict[tuple[int, int, int], int]:
+    """member_form_products of an exact f and g in integers: per key of
+    ints, f's down coefficient numerators over D_f (down_coefficient_ints),
+    the product (sum_i F_i G_i) 2^k as a numerator over D_f g.den 2^L, G_i
+    the integer sum of g's cells (_hit_sums)."""
+    sums = _hit_sums(ints, g, E, Nfun)
+    out = {}
+    for key, cs in ints.items():
+        acc = sums.get(key)
+        out[key] = sum(map(mul, cs, acc)) << key[0] if acc else 0
+    return out
+
 
 def member_form_products(
     tree_members: Sequence[Bitile],
@@ -745,26 +838,17 @@ def member_form_products(
     """Signed per-member bilinear terms
     < <f, down packet>, <down packet, g restricted to E_{P_u}> >; exact.
 
-    The pairings with g come from one pass over the cells of E: cell j
-    lies in the up-window of the bitile (k, j >> (L - k), m) exactly when
-    it is hit there (walsh.cutoff_hits), and its down packet is w_2m there.
-    Cells are visited in ascending order, so each pairing sums its samples
-    in cell order."""
+    For exact f and g, member_form_ints with one Fraction per member;
+    otherwise the down coefficients (coeffs when given) times g's pairings,
+    summed in cell order (_hit_sums)."""
+    if f.den is not None and g.den is not None:
+        nums = member_form_ints(down_coefficient_ints(f, tree_members), g, E, Nfun)
+        den = (f.den << f.L) * (g.den << g.L)
+        return {P: Fraction(nums[P.key()], den) for P in tree_members}
     fco = coeffs if coeffs is not None else down_coefficients_inf(f, tree_members)
-    gcomps, zero, finish = g.terms(g.cells)
-    L = g.L
-    wanted = {P.key() for P in tree_members}
-    hits = cutoff_hits(Nfun.values, L)
-    sums: dict[tuple[int, int, int], list] = {}
-    for j in E.cells():
-        for k, m, neg in hits[j]:
-            key = (k, j >> (L - k), m)
-            if key not in wanted:
-                continue
-            acc = sums.setdefault(key, [zero] * len(gcomps))
-            for i, comp in enumerate(gcomps):
-                acc[i] = acc[i] - comp[j] if neg else acc[i] + comp[j]
-    empty = [zero] * len(gcomps)
+    sums = _hit_sums({P.key() for P in tree_members}, g, E, Nfun)
+    _, zero, finish = g.terms(g.cells)
+    empty = [zero] * len(g.cols)
     terms: dict[Bitile, Fraction] = {}
     for P in tree_members:
         gvec = [finish(acc) for acc in sums.get(P.key(), empty)]

@@ -1,0 +1,119 @@
+"""Byte sweep over the CLI, for showing that a change keeps every output.
+
+    PYTHONPATH=src python tests/bytes_sweep.py OUT
+
+runs `gen`, `transform` and `transform --inverse`, `carleson`, `decompose`,
+`certify` and `rwt` over L = 2..5, d = 1 and 2, vectors and matrices, the
+norms euclidean, lp:3, schatten:2 and schatten:3 (matrices only), q = 2
+and 3, and three kinds of input: the generated exact signal and dual
+function, the same divided by 3 (exact, non-dyadic) and divided by 3 as
+floats.  Every file goes under OUT; the commands run from inside OUT with
+paths relative to it, as decompose echoes its input paths.  The script
+prints one line per run with its exit code and then one `sha256  path`
+line per output file, path relative to OUT.  Run it at two commits into
+two directories and diff the printed lines.
+
+Not collected by pytest (its name lacks the test_ prefix); a full sweep
+takes a few minutes.
+"""
+
+from __future__ import annotations
+
+import hashlib
+import json
+import sys
+import warnings
+from contextlib import chdir
+from pathlib import Path
+
+from click.testing import CliRunner
+
+from tilewalsh.cli import main
+from tilewalsh.signal import num_from_json, num_to_json
+
+LEVELS = (2, 3, 4, 5)
+# (d, kind) -> the norms that apply to its values
+SHAPES = {
+    (1, "vector"): ("euclidean", "lp:3"),
+    (2, "vector"): ("euclidean", "lp:3"),
+    (1, "matrix"): ("euclidean", "lp:3", "schatten:2", "schatten:3"),
+    (2, "matrix"): ("euclidean", "lp:3", "schatten:2", "schatten:3"),
+}
+QS = ("2", "3")
+INPUTS = ("exact", "third", "float")
+
+
+def _rescaled(values, how: str):
+    if isinstance(values, list):
+        return [_rescaled(v, how) for v in values]
+    x = num_from_json(values)
+    return num_to_json(float(x) / 3 if how == "float" else x / 3)
+
+
+def _write_input(src: Path, dst: Path, how: str) -> None:
+    """Copy gen's files from src to dst, the signal and dual rescaled."""
+    dst.mkdir(parents=True, exist_ok=True)
+    for name in ("signal.json", "dual.json", "set.json", "nfun.json"):
+        obj = json.loads((src / name).read_text())
+        if how != "exact" and name in ("signal.json", "dual.json"):
+            obj["values"] = _rescaled(obj["values"], how)
+        (dst / name).write_text(json.dumps(obj, indent=2, sort_keys=True) + "\n")
+
+
+def sweep(out: Path) -> list[str]:
+    out.mkdir(parents=True, exist_ok=True)
+    with chdir(out):
+        lines = _run_matrix()
+    for path in sorted(p for p in out.rglob("*") if p.is_file()):
+        digest = hashlib.sha256(path.read_bytes()).hexdigest()
+        lines.append(f"{digest}  {path.relative_to(out)}")
+    return lines
+
+
+def _run_matrix() -> list[str]:
+    """Every run of the matrix, from the current directory."""
+    runner = CliRunner()
+    lines: list[str] = []
+
+    def run(args: list) -> None:
+        args = [str(a) for a in args]
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            result = runner.invoke(main, args)
+        lines.append(f"exit {result.exit_code}  {' '.join(args)}")
+
+    seed = 0
+    for L in LEVELS:
+        for (d, kind), norms in SHAPES.items():
+            for norm in norms:
+                seed += 1
+                shape = ["--dim", d, "--kind", kind]
+                gen_dir = Path(f"L{L}-d{d}-{kind}-{norm.replace(':', '')}", "gen")
+                run(["gen", "--levels", L, *shape, "--norm", norm, "--seed", seed, "--out", gen_dir])
+                for q in QS:
+                    run(["rwt", "--levels", L, *shape, "--norm", norm, "--q", q, "--seed", seed,
+                         "--out", gen_dir.parent / f"rwt-q{q}.json"])
+                for how in INPUTS:
+                    d_in = gen_dir.parent / how
+                    _write_input(gen_dir, d_in, how)
+                    files = {name: d_in / f"{name}.json" for name in ("signal", "dual", "set", "nfun")}
+                    if norm == norms[0]:
+                        run(["transform", "--in", files["signal"], "--out", d_in / "transform.json"])
+                        run(["transform", "--inverse", "--in", d_in / "transform.json",
+                             "--out", d_in / "inverse.json"])
+                        run(["carleson", "--in", files["signal"], "--nfun", files["nfun"],
+                             "--out", d_in / "carleson.json"])
+                    for q in QS:
+                        common = ["--set", files["set"], "--nfun", files["nfun"], "--norm", norm,
+                                  "--q", q, "--seed", seed]
+                        run(["decompose", "--in", files["signal"], *common,
+                             "--out", d_in / f"decompose-q{q}.json"])
+                        run(["certify", "--in", files["signal"], "--dual", files["dual"], *common,
+                             "--out", d_in / f"certify-q{q}.json"])
+    return lines
+
+
+if __name__ == "__main__":
+    if len(sys.argv) != 2:
+        sys.exit("usage: python tests/bytes_sweep.py OUT")
+    print("\n".join(sweep(Path(sys.argv[1]))))

@@ -18,6 +18,14 @@ and helpers that only the tests use.
   float) arithmetic, sample by sample.
 - member_weights / hilbert_top_sums: the q = 2 Parseval masses and their
   up-sums in Fraction arithmetic, keyed by Bitile.
+- hilbert_member_weights: the masses from the Fraction down coefficients,
+  taken apart into numerators over their lcm, which
+  timefreq.member_masses on the packet table's integers replaced.
+- starting_level: full_decompose's starting level by a scan over the whole
+  range of levels, which a bit-length estimate replaced for integer q.
+- lq_norm_pow: |f|_q^q summed cell by cell in Fractions, which integer
+  sums over an exact signal's numerators replaced; the oracles here use
+  it.
 - sweep_pow: the q = 2 size power from the dictionary sweep over
   up_ancestor_keys that the dense up-sum grids replaced for exact masses,
   taking the first largest sum in the sweep's key order.
@@ -61,7 +69,7 @@ from fractions import Fraction
 
 from tilewalsh import timefreq
 from tilewalsh.certificates import Certificate
-from tilewalsh.decompose import DensityDecomposition, SizeDecomposition, _two_pow
+from tilewalsh.decompose import DensityDecomposition, SizeDecomposition, _le, _min_one, _two_pow
 from tilewalsh.dyadic import Bitile, DyadicInterval, Tile, bitile_le, bitile_le_u, bitile_universe
 from tilewalsh.gen import SplitMix64
 from tilewalsh.signal import (
@@ -72,7 +80,6 @@ from tilewalsh.signal import (
     dual_pair,
     exact_terms,
     lq_norm,
-    lq_norm_pow,
     num_from_json,
     num_to_json,
     value_norm,
@@ -80,11 +87,11 @@ from tilewalsh.signal import (
 )
 from tilewalsh.timefreq import (
     DensityCounter,
+    HilbertWeights,
     Tree,
     _is_hilbert_case,
     _pow_gt,
     down_coefficients_inf,
-    hilbert_member_weights,
     hilbert_top_sums as int_top_sums,
     local_density,
     size_pow,
@@ -402,6 +409,29 @@ def member_weights(coll, coeffs) -> dict[Bitile, Fraction]:
     }
 
 
+def hilbert_member_weights(coll, coeffs) -> HilbertWeights:
+    """The masses w_P of the members of coll from their Fraction (or float)
+    down coefficients: exact ones as numerators over the squared lcm of the
+    coefficient denominators, each coefficient taken apart again; float
+    ones as the plain numbers over den 1."""
+    if not all(isinstance(c, Fraction) for P in coll for c in coeffs[P]):
+        return HilbertWeights(
+            {
+                P.key(): sum((c * c for c in coeffs[P]), Fraction(0)) * (1 << P.time.k)
+                for P in coll
+            },
+            1,
+            exact=False,
+        )
+    lcm = math.lcm(*(c.denominator for P in coll for c in coeffs[P]))
+    num = {
+        P.key(): sum((c.numerator * (lcm // c.denominator)) ** 2 for c in coeffs[P])
+        << P.time.k
+        for P in coll
+    }
+    return HilbertWeights(num, lcm * lcm)
+
+
 def hilbert_top_sums(coll, weights) -> dict[Bitile, Fraction]:
     sums: dict[Bitile, Fraction] = {}
     for P in sorted(coll, key=Bitile.key):
@@ -684,6 +714,29 @@ def size_decompose(coll, f, q, plugin):
     return SizeDecomposition(
         tuple(small), tuple(trees), tuple(certs), sigma_pow, tree_pows, stats
     )
+
+
+def starting_level(dens0, size0_pow, fq_pow, measure, q, L):
+    """full_decompose's starting level by the scan over every n in
+    [-16L - 64, 16L + 64], smallest first."""
+    for n in range(-16 * L - 64, 16 * L + 65):
+        tag = _two_pow(n * q) if isinstance(q, int) else 2.0 ** (n * float(q))
+        ok_d = _le(dens0, _min_one(tag * measure))
+        ok_s = _le(size0_pow, tag * fq_pow)
+        if ok_d and ok_s:
+            return n
+    raise RuntimeError("could not locate a starting level")
+
+
+def lq_norm_pow(f, q, plugin):
+    """|f|_q^q summed cell by cell in Fractions (value_norm_pow), or None."""
+    acc = Fraction(0)
+    for v in f.samples:
+        nv = value_norm_pow(v, plugin, q)
+        if nv is None:
+            return None
+        acc += nv
+    return acc * Fraction(1, f.cells)
 
 
 # ---------------------------------------------------------------------------

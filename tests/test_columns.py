@@ -1,6 +1,8 @@
 """Exact signals as integer columns over one canonical denominator: every
 kernel that reads or writes them against its Fraction-per-entry form in
-tests/reference.py, on exact, float and mixed signals."""
+tests/reference.py, on exact, float and mixed signals; exact |f|_q^q in
+integers against the cell-by-cell sum; and the report writer against
+json.dump."""
 
 import json
 import math
@@ -9,6 +11,7 @@ import warnings
 from fractions import Fraction
 
 import pytest
+import numpy as np
 from hypothesis import given, settings, strategies as st
 
 import reference
@@ -22,6 +25,8 @@ from tilewalsh.signal import (
     Signal,
     columns_to_json,
     dump_json,
+    json_text,
+    lq_norm_pow,
     maximal_function,
     num_to_json,
     signal_from_json,
@@ -198,3 +203,112 @@ class TestBatchedNorms:
         f, _ = data.draw(signals(L))
         plugin = data.draw(st.sampled_from(_plugins(f.kind)))
         assert repr(value_norms(f, plugin)) == repr([value_norm(v, plugin) for v in f.samples])
+
+
+class TestExactNormPowers:
+    @LEVELS
+    @given(
+        data=st.data(),
+        q=st.sampled_from([2, 3, 4, Fraction(2), Fraction(3), 2.5, 0, 1]),
+    )
+    @settings(max_examples=12, deadline=None)
+    def test_integer_sums_match_cell_sums(self, L, data, q):
+        f, _ = data.draw(signals(L))
+        plugin = data.draw(st.sampled_from(_plugins(f.kind)))
+        got = lq_norm_pow(f, q, plugin)
+        assert repr(got) == repr(reference.lq_norm_pow(f, q, plugin))
+
+    def test_one_dimensional_exact_powers(self):
+        f = Signal.scalar([Fraction(1, 3), Fraction(-2, 3), 0, Fraction(5, 7)])
+        expected = (Fraction(1, 3) ** 3 + Fraction(2, 3) ** 3 + Fraction(5, 7) ** 3) / 4
+        assert lq_norm_pow(f, 3, NormPlugin("lp", Fraction(3))) == expected
+
+
+# leaves json.dumps accepts, with the floats it writes as words or long reprs
+json_leaves = st.one_of(
+    st.none(),
+    st.booleans(),
+    st.integers(),
+    st.integers(min_value=-(10**40), max_value=10**40),
+    st.floats(allow_nan=True, allow_infinity=True),
+    st.sampled_from([-0.0, 0.0, 1e300, -1e-300, float("nan"), float("inf"), 5e-324]),
+    st.text(),
+    st.text(alphabet='"\\/\b\f\n\r\t\x00\x1f\x7f é€😀\ud800'),
+)
+def _json_containers(children):
+    return st.one_of(
+        st.lists(children, max_size=5),
+        st.lists(children, max_size=5).map(tuple),
+        st.lists(st.text(max_size=4), max_size=5),
+        st.lists(st.integers(), max_size=5),
+        # one key type per dict, as sorting needs
+        st.dictionaries(st.text(max_size=6), children, max_size=4),
+        st.dictionaries(st.integers(-50, 50), children, max_size=4),
+        st.dictionaries(st.floats(), children, max_size=4),
+        st.dictionaries(st.booleans(), children, max_size=2),
+        st.dictionaries(st.none(), children, max_size=1),
+    )
+
+
+json_values = st.recursive(json_leaves, _json_containers, max_leaves=30)
+
+
+def _outcome(write, obj):
+    try:
+        return write(obj)
+    except TypeError:
+        return TypeError
+
+
+class TestReportWriter:
+    @given(obj=json_values)
+    @settings(max_examples=150, deadline=None)
+    def test_bytes_match_json_dump(self, obj, tmp_path_factory):
+        out = tmp_path_factory.mktemp("writer")
+        dump_json(obj, out / "new.json")
+        reference.dump_json(obj, out / "old.json")
+        assert (out / "new.json").read_bytes() == (out / "old.json").read_bytes()
+        assert json_text(obj) == json.dumps(obj, indent=2, sort_keys=True)
+
+    def test_nested_empty_containers(self):
+        obj = {"a": [], "b": {}, "c": [[], {}, [[]], {"d": {}}], "e": ()}
+        assert json_text(obj) == json.dumps(obj, indent=2, sort_keys=True)
+
+    def test_int_keys_sort_numerically(self):
+        obj = {10: "x", 9: "y", -1: [1, 2], 2: {3: True, 1: None}}
+        text = json_text(obj)
+        assert text == json.dumps(obj, indent=2, sort_keys=True)
+        assert text.index('"-1"') < text.index('"2"') < text.index('"9"') < text.index('"10"')
+
+    @pytest.mark.parametrize(
+        "obj",
+        [
+            {float("inf"): 1, float("-inf"): 2, -0.0: 3, 1e300: 4},
+            {float("nan"): [float("nan")]},
+            {True: "t", False: "f"},
+            {None: None},
+        ],
+        ids=repr,
+    )
+    def test_keys_written_as_json_dumps_writes_them(self, obj):
+        assert json_text(obj) == json.dumps(obj, indent=2, sort_keys=True)
+
+    @pytest.mark.parametrize(
+        "obj",
+        [
+            np.int64(3),
+            [1, np.int64(3)],
+            ["a", Fraction(1, 2)],
+            {"k": {"j": np.int32(1)}},
+            {(1, 2): "tuple key"},
+            {"a": 1, 2: "mixed key types"},
+            ("s", b"bytes"),
+            {1, 2},
+        ],
+        ids=repr,
+    )
+    def test_unsupported_values_raise_type_error(self, obj):
+        with pytest.raises(TypeError):
+            json.dumps(obj, indent=2, sort_keys=True)
+        with pytest.raises(TypeError):
+            json_text(obj)

@@ -6,6 +6,7 @@ packet synthesis with the cutoff walk (tree_form_sum's split sums, the gap
 sets, martingale_transform, tile_type_constant) against the retained
 references in tests/reference.py."""
 
+import itertools
 import json
 import random
 import warnings
@@ -61,7 +62,6 @@ from tilewalsh.timefreq import (
     gap_set,
     gj_certificate,
     grid_cells,
-    hilbert_member_weights,
     hilbert_top_sums,
     hilbert_tree_pows,
     local_density,
@@ -72,7 +72,7 @@ from tilewalsh.timefreq import (
     tree_form_sum,
 )
 from tilewalsh.walsh import packet_table
-from reference import bitile_lt, gen_tree_members, tiles_disjoint
+from reference import bitile_lt, gen_tree_members, hilbert_member_weights, tiles_disjoint
 
 EUCL = NormPlugin("euclidean")
 
@@ -485,12 +485,15 @@ class TestGreedySplits:
     def test_per_run_inputs_computed_once(self, monkeypatch, tmp_path):
         calls = _count_calls(
             monkeypatch,
-            ["down_coefficients_inf", "hilbert_member_weights", "lq_norm_pow", "nonzero_keys"],
+            ["down_coefficient_ints", "member_masses", "lq_norm_pow", "nonzero_keys"],
         )
         counted = _counted(calls, "DensityCounter.__init__", DensityCounter.__init__)
         monkeypatch.setattr(DensityCounter, "__init__", counted)
+        # the exact path makes no Fraction per member
+        views = _count_calls(monkeypatch, ["down_coefficients_inf", "member_form_products"])
         _certify_l6(tmp_path)
         assert calls == dict.fromkeys(calls, 1)
+        assert views == dict.fromkeys(views, 0)
 
 
 def _counted(calls, name, fn):
@@ -574,6 +577,151 @@ class TestSizeEvaluator:
                 expected = np.zeros_like(grid.exceeding(bound))
                 expected[grid_cells([T.key() for T, v in tops.items() if _pow_gt(v, bound)], grid.depth)] = True
                 assert np.array_equal(grid.exceeding(bound), expected)
+
+
+# ---------------------------------------------------------------------------
+# certify's integer tail: masses, form products and tree forms
+
+
+def _rescaled(f, variant, pool, start=0):
+    """f exact as generated, times 1/3, or times pool's fractions entry by
+    entry (non-dyadic denominators)."""
+    if variant == "exact":
+        return f
+    factors = itertools.count(start)
+
+    def scale(v):
+        if isinstance(v, tuple):
+            return tuple(scale(x) for x in v)
+        return v / 3 if variant == "third" else v * pool[next(factors) % 16]
+
+    return Signal.from_values([scale(v) for v in f.samples], kind=f.kind)
+
+
+tail_variants = st.sampled_from(["exact", "third", "non-dyadic"])
+
+
+class TestIntegerTail:
+    @pytest.mark.parametrize("L", range(1, 8))
+    @given(signal_shapes, st.integers(0, 10**6), tail_variants, fractions_pool)
+    @settings(max_examples=4, deadline=None)
+    def test_products_and_forms_match_fraction_sums(self, L, shape, seed, variant, pool):
+        f, g, E, N = _instance(L, shape, seed)
+        f, g = _rescaled(f, variant, pool), _rescaled(g, variant, pool, 5)
+        coll = list(bitile_universe(L).items)
+        ref = reference.member_form_products(coll, f, g, E, N)
+        nums, den = SizeEvaluator(coll, f, 2, EUCL).form_products(g, E, N)
+        assert list(nums) == [P.key() for P in coll]
+        assert [Fraction(nums[P.key()], den) for P in coll] == [ref[P] for P in coll]
+        if E.count == 0 or value_is_zero(f.cols):
+            return
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            rep = decompose.carleson_form_certificate(f, g, E, N, 2, EUCL)
+        forest = full_decompose(coll, f, E, N, 2, EUCL)
+        forms = [
+            [sum((abs(ref[P]) for P in t.members), Fraction(0)) for t in rec.trees]
+            for rec in forest.levels
+        ]
+        assert [[t["form"] for t in row["trees"]] for row in rep["levels"]] == forms
+        total = rep["form_total"]
+        assert type(total) is Fraction
+        assert total == sum((abs(v) for v in ref.values()), Fraction(0))
+
+    @pytest.mark.parametrize("L", range(1, 8))
+    @given(signal_shapes, st.integers(0, 10**6), tail_variants, fractions_pool, st.booleans())
+    @settings(max_examples=4, deadline=None)
+    def test_masses_match_fraction_weights(self, L, shape, seed, variant, pool, whole):
+        f, E, N = _split_signal(L, shape, seed, "exact", None)
+        f = _rescaled(f, variant, pool)
+        coll = _collection(L, seed, whole)
+        weights = SizeEvaluator(coll, f, 2, EUCL).weights
+        coeffs = reference.down_coefficients(f, coll)
+        ref = hilbert_member_weights(coll, coeffs)
+        # the same numerators over the same den: the squared lcm of the
+        # reduced coefficient denominators
+        assert weights == ref
+        masses = reference.member_weights(coll, coeffs)
+        assert {Bitile.from_key(k): weights.value(x) for k, x in weights.num.items()} == masses
+        sums = reference.hilbert_top_sums(coll, masses)
+        grid = UpSumGrid(coll, weights)
+        sigma = grid.pow()
+        assert sigma == _fraction_pow(sums)
+        for bound in (sigma / 4, Fraction(0), sigma * Fraction(SplitMix64(seed).below(8), 7)):
+            tops = sorted(T for T, s in sums.items() if s * (1 << T.time.k) > bound)
+            assert _grid_bitiles(grid.exceeding(bound)) == tops
+        assert repr(size_decompose(coll, f, 2, EUCL)) == repr(reference.size_decompose(coll, f, 2, EUCL))
+
+    @pytest.mark.parametrize("L", [1, 3, 5])
+    def test_common_gcd_divided_out(self, L):
+        # the coefficients of a constant 1/3 are 0 or 2^-k / 3, numerators
+        # 2^(L-k) over f.den 2^L = 3 2^L: without the finest scale, the
+        # reduced denominators' lcm is 3 2^(L-1), not 3 2^L
+        f = Signal.scalar([Fraction(1, 3)] * (1 << L))
+        coll = [P for P in bitile_universe(L).items if P.time.k < L]
+        weights = SizeEvaluator(coll, f, 2, EUCL).weights
+        assert weights == hilbert_member_weights(coll, reference.down_coefficients(f, coll))
+        assert weights.den == (3 << (L - 1)) ** 2
+
+    def test_seeded_certify_takes_int64(self, monkeypatch, tmp_path):
+        chosen = []
+        choose = timefreq._mass_dtype
+
+        def record(total):
+            chosen.append(choose(total))
+            return chosen[-1]
+
+        monkeypatch.setattr(timefreq, "_mass_dtype", record)
+        out = tmp_path / "certify.json"
+        result = CliRunner().invoke(
+            main, ["certify", "--levels", "7", "--seed", "3", "--out", str(out)],
+            catch_exceptions=False,
+        )
+        assert result.exit_code == 0
+        assert chosen and all(dtype is np.int64 for dtype in chosen)
+
+
+# starting levels: exact and float sizes, |f|_q^q over wide ranges, and
+# ratios that put the level outside [-16L - 64, 16L + 64]
+def _scaled_fraction(draw, low=-700, high=700):
+    x = draw(st.fractions(min_value=0, max_value=10, max_denominator=1000))
+    return x * Fraction(2) ** draw(st.integers(low, high))
+
+
+@st.composite
+def level_inputs(draw):
+    L = draw(st.integers(1, 20))
+    dens0 = draw(st.sampled_from([Fraction(0), Fraction(1)]) | st.fractions(0, 1, max_denominator=1 << L))
+    measure = Fraction(draw(st.integers(1, 1 << min(L, 12))), 1 << min(L, 12))
+    size0 = _scaled_fraction(draw)
+    fq = _scaled_fraction(draw) + Fraction(1, 1 << 900)
+    if draw(st.booleans()):
+        size0, fq = float(size0), float(fq) or 5e-324
+    q = draw(st.sampled_from([2, 3, 4, 7, 2.5, 3.0]))
+    return dens0, size0, fq, measure, q, L
+
+
+def _level_or_error(fn, *args):
+    try:
+        return fn(*args)
+    except (RuntimeError, OverflowError) as exc:
+        return type(exc)
+
+
+class TestStartingLevel:
+    @given(level_inputs())
+    @settings(max_examples=200, deadline=None)
+    def test_matches_scan(self, args):
+        assert _level_or_error(decompose.starting_level, *args) == _level_or_error(
+            reference.starting_level, *args
+        )
+
+    def test_out_of_range_raises(self):
+        huge = Fraction(2) ** (2 * (16 * 3 + 70))
+        with pytest.raises(RuntimeError, match="starting level"):
+            decompose.starting_level(Fraction(1, 2), huge, Fraction(1), Fraction(1, 2), 2, 3)
+        # below the range, the scan's first level
+        assert decompose.starting_level(Fraction(0), Fraction(0), Fraction(1), Fraction(1), 2, 3) == -16 * 3 - 64
 
 
 # ---------------------------------------------------------------------------
@@ -713,6 +861,8 @@ class TestUpSumGrids:
         weights, sums = _fraction_sums(coll, f)
         assert min(w for w in weights.num.values() if w).bit_length() > 62
         assert sums == _reference_sums(coll, f)
+        # the integer masses from the packet table, as the Fraction ones
+        assert SizeEvaluator(coll, f, 2, EUCL).weights == weights
         res = size_decompose(coll, f, 2, EUCL)
         trees, small = reference.size_decompose_hilbert(coll, f)
         assert (list(res.trees), list(res.small)) == (trees, small)

@@ -10,10 +10,13 @@ echoes (--in, --set, --nfun) do not depend on where the repository lives.
 
 from pathlib import Path
 
+import json
+
 import pytest
 from click.testing import CliRunner
 
 from tilewalsh.cli import main
+from tilewalsh.signal import num_from_json, num_to_json
 
 GOLDEN = Path(__file__).parent / "data" / "golden"
 
@@ -22,6 +25,8 @@ CONFIGS = {
     "euclidean-L5": ("euclidean", "2", "11"),
     "schatten2-matrix-L5": ("schatten:2", "2", "12"),
     "lp3-q3-L4": ("lp:3", "3", "13"),
+    "float-vector-L4": ("euclidean", "2", "16"),
+    "third-matrix-L4": ("schatten:2", "2", "17"),
 }
 
 INPUTS = {
@@ -103,3 +108,36 @@ def test_gen_bytes(config, tmp_path):
     assert archived
     for path in archived:
         assert (tmp_path / path.name).read_bytes() == path.read_bytes(), path.name
+
+
+# config -> (`tilewalsh gen` flags, how signal.json and dual.json were then
+# rescaled): every entry x became float(x) / 3 ("float") or the exact
+# x / 3 ("third"), so these configs pin certify and decompose on float and
+# on non-dyadic exact input
+DERIVED_RUNS = {
+    "float-vector-L4": (["--levels", "4", "--dim", "2", "--seed", "16"], "float"),
+    "third-matrix-L4": (
+        ["--levels", "4", "--dim", "2", "--kind", "matrix", "--norm", "schatten:2", "--seed", "17"],
+        "third",
+    ),
+}
+
+
+def _thirds(values, how):
+    if isinstance(values, list):
+        return [_thirds(v, how) for v in values]
+    x = num_from_json(values)
+    return num_to_json(float(x) / 3 if how == "float" else x / 3)
+
+
+@pytest.mark.parametrize("config", sorted(DERIVED_RUNS))
+def test_derived_input_bytes(config, tmp_path):
+    flags, how = DERIVED_RUNS[config]
+    result = CliRunner().invoke(main, ["gen", *flags, "--out", str(tmp_path)], catch_exceptions=False)
+    assert result.exit_code == 0
+    for name in ("signal.json", "dual.json", "set.json", "nfun.json"):
+        obj = json.loads((tmp_path / name).read_text())
+        if name in ("signal.json", "dual.json"):
+            obj["values"] = _thirds(obj["values"], how)
+        text = json.dumps(obj, indent=2, sort_keys=True) + "\n"
+        assert text == (GOLDEN / config / name).read_text(), name

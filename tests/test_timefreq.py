@@ -30,7 +30,6 @@ from tilewalsh.timefreq import (
     epsilon_pt,
     gap_set,
     gj_certificate,
-    hilbert_member_weights,
     hilbert_top_sums,
     local_density,
     maximal_gap_intervals,
@@ -43,6 +42,7 @@ from tilewalsh.timefreq import (
 
 from reference import (
     bitile_ancestors,
+    hilbert_member_weights,
     candidate_tops,
     complete_up_tree,
     down_packet_sum,
