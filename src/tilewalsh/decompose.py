@@ -37,6 +37,7 @@ from .timefreq import (
     _is_hilbert_case,
     _lq_pow,
     _pow_gt,
+    abs_sum,
     density,
     down_coefficients_inf,
     meeting_tile_pairs,
@@ -440,24 +441,18 @@ def starting_level(dens0, size0_pow, fq_pow, measure: Fraction, q, L: int) -> in
     dens0 <= min(1, 2^(nq) |E|) and size0_pow <= 2^(nq) |f|_q^q;
     RuntimeError when no n there qualifies.
 
-    Both tests only get easier as n grows.  For integer q a bit-length
-    estimate of log2 of each ratio, within one of it, gives a start that
-    steps down while n - 1 qualifies and up until n does; float q keeps
-    the scan over the whole range."""
+    Both tests only get easier as n grows, for integer and float q alike.
+    A bit-length estimate of log2 of each ratio, within one of it, gives a
+    start that steps down while n - 1 qualifies and up until n does."""
     lo, hi = -16 * L - 64, 16 * L + 64
 
     def ok(n: int) -> bool:
         tag = _two_pow(n * q) if isinstance(q, int) else 2.0 ** (n * float(q))
         return _le(dens0, _min_one(tag * measure)) and _le(size0_pow, tag * fq_pow)
 
-    if not isinstance(q, int):
-        n = next((n for n in range(lo, hi + 1) if ok(n)), None)
-        if n is None:
-            raise RuntimeError("could not locate a starting level")
-        return n
     # n q >= log2(dens0 / |E|) and n q >= log2(size0_pow / fq_pow)
     starts = [
-        -((_log2_estimate(b) - _log2_estimate(a)) // q)
+        int(-((_log2_estimate(b) - _log2_estimate(a)) // q))
         for a, b in ((dens0, measure), (size0_pow, fq_pow))
         if a > 0
     ]
@@ -512,7 +507,7 @@ def carleson_form_certificate(
     products, den = sizes.form_products(g, E, Nfun)
     fq_pow = sizes.fq_pow
 
-    total = _abs_sum(products.values(), den)
+    total = abs_sum(products.values(), den)
     qf = float(q)
     qprime = qf / (qf - 1.0)
     # the same bits as lq_norm on the exact path
@@ -527,7 +522,7 @@ def carleson_form_certificate(
         tree_rows = []
         level_mass = 0.0
         for tree, spow, dens in zip(rec.trees, rec.size_pows, rec.densities):
-            form = _abs_sum([products[P.key()] for P in tree.members], den)
+            form = abs_sum([products[P.key()] for P in tree.members], den)
             size_val = float(spow) ** (1.0 / qf)
             rhs = size_val * float(dens) * float(tree.time.length)
             tree_rows.append(
@@ -551,15 +546,6 @@ def carleson_form_certificate(
         "certificates": forest.all_certificates(),
         "residual": len(forest.residual),
     }
-
-
-def _abs_sum(values, den: int | None):
-    """sum |v|: one Fraction over den for integer numerators, else summed
-    from Fraction(0) in the given order, so that float sums keep their
-    bits."""
-    if den is None:
-        return sum(map(abs, values), Fraction(0))
-    return Fraction(sum(map(abs, values)), den)
 
 
 # ---------------------------------------------------------------------------

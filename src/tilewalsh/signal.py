@@ -719,7 +719,7 @@ def json_text(obj) -> str:
     json.dumps runs its pure-Python encoder, one generator per container,
     whenever indent is set.  This writer makes one call per container,
     quotes strings with the C-level encode_basestring_ascii and joins the
-    pieces with str.join; a list of plain strings or ints is one join."""
+    pieces with str.join; a list of plain strings is one join."""
     return _json_value(obj, "\n")
 
 
@@ -744,14 +744,8 @@ def _json_scalar(o) -> str:
     raise TypeError(f"Object of type {o.__class__.__name__} is not JSON serializable")
 
 
-# leaves of these exact types, written without a call to _json_value
-_LEAF_WRITERS = {
-    str: _quote,
-    int: int.__repr__,
-    bool: {True: "true", False: "false"}.__getitem__,
-    type(None): lambda o: "null",
-    float: _json_scalar,
-}
+# types whose values a dict writes with _json_scalar, without recursing
+_LEAVES = frozenset({str, int, bool, type(None), float})
 
 
 def _json_value(o, newline: str) -> str:
@@ -766,24 +760,20 @@ def _json_value(o, newline: str) -> str:
         inner = newline + "  "
         parts = []
         for k, v in sorted(o.items()):
-            write = _LEAF_WRITERS.get(type(v))
             # a key that is no string is quoted as its value is written
             key = _quote(k if isinstance(k, str) else _json_scalar(k))
-            parts.append(key + ": " + (write(v) if write else _json_value(v, inner)))
+            parts.append(key + ": " + (_json_scalar(v) if type(v) in _LEAVES else _json_value(v, inner)))
         return "{" + inner + ("," + inner).join(parts) + newline + "}"
     if t is list or isinstance(o, (list, tuple)):
         if not o:
             return "[]"
         inner = newline + "  "
         sep = "," + inner
-        first = type(o[0])
-        if first is str:
+        if type(o[0]) is str:
             try:
                 # _quote takes str (and its subclasses) only
                 return "[" + inner + sep.join(map(_quote, o)) + newline + "]"
             except TypeError:
                 pass
-        elif first is int and set(map(type, o)) == {int}:
-            return "[" + inner + sep.join(map(int.__repr__, o)) + newline + "]"
         return "[" + inner + sep.join([_json_value(x, inner) for x in o]) + newline + "]"
     return _json_scalar(o)

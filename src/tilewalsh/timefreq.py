@@ -728,8 +728,9 @@ class SizeEvaluator:
 
     An exact f keeps its coefficients as ints, numerators over den = f.den
     2^L keyed by (k, pos, m), and the masses and nonzero keys come from
-    them; the Fraction (or float) coeffs are built on first use, by the
-    resynthesis of other norms and for float input."""
+    them; the Fraction (or float) coeffs are built on first use, from the
+    ints when f is exact, by the resynthesis of other norms, for float
+    input and for tree_form_sum's split sums."""
 
     def __init__(self, coll: Sequence[Bitile], f: Signal, q, plugin: NormPlugin) -> None:
         self.coll, self.f, self.q, self.plugin = coll, f, q, plugin
@@ -742,7 +743,10 @@ class SizeEvaluator:
 
     @cached_property
     def coeffs(self) -> dict[Bitile, list]:
-        return down_coefficients_inf(self.f, self.coll)
+        if self.ints is None:
+            return down_coefficients_inf(self.f, self.coll)
+        den = self.den
+        return {P: [Fraction(n, den) for n in self.ints[P.key()]] for P in self.coll}
 
     @cached_property
     def nonzero(self) -> set:
@@ -774,6 +778,15 @@ class SizeEvaluator:
             return member_form_ints(self.ints, g, E, Nfun), self.den * (g.den << g.L)
         products = member_form_products(self.coll, self.f, g, E, Nfun, coeffs=self.coeffs)
         return {P.key(): v for P, v in products.items()}, None
+
+
+def abs_sum(values, den: int | None):
+    """sum |v| of form_products values: one Fraction over den for integer
+    numerators, else summed from Fraction(0) in the given order, so that
+    float sums keep their bits."""
+    if den is None:
+        return sum(map(abs, values), Fraction(0))
+    return Fraction(sum(map(abs, values)), den)
 
 
 def size_pow(coll: Sequence[Bitile], f: Signal, q, plugin: NormPlugin):
@@ -838,13 +851,9 @@ def member_form_products(
     """Signed per-member bilinear terms
     < <f, down packet>, <down packet, g restricted to E_{P_u}> >; exact.
 
-    For exact f and g, member_form_ints with one Fraction per member;
-    otherwise the down coefficients (coeffs when given) times g's pairings,
-    summed in cell order (_hit_sums)."""
-    if f.den is not None and g.den is not None:
-        nums = member_form_ints(down_coefficient_ints(f, tree_members), g, E, Nfun)
-        den = (f.den << f.L) * (g.den << g.L)
-        return {P: Fraction(nums[P.key()], den) for P in tree_members}
+    The down coefficients (coeffs when given) times g's pairings, summed in
+    cell order (_hit_sums); SizeEvaluator.form_products has them in
+    integers when f and g are exact."""
     fco = coeffs if coeffs is not None else down_coefficients_inf(f, tree_members)
     sums = _hit_sums({P.key() for P in tree_members}, g, E, Nfun)
     _, zero, finish = g.terms(g.cells)
@@ -968,8 +977,8 @@ def tree_form_sum(
         warnings.warn("dual function exceeds pointwise norm one", stacklevel=2)
     sizes = SizeEvaluator(tree.members, f, q, plugin)
     fco = sizes.coeffs
-    products = member_form_products(tree.members, f, g, E, Nfun, coeffs=fco)
-    lhs = sum((abs(v) for v in products.values()), Fraction(0))
+    products, den = sizes.form_products(g, E, Nfun)
+    lhs = abs_sum(products.values(), den)
 
     dens = density(tree.members, E, Nfun)
     size_val = float(sizes.grid(tree.members).pow()) ** (1.0 / float(q))
@@ -985,7 +994,7 @@ def tree_form_sum(
     hits = cutoff_hits(Nfun.values, L)
     ncomp = len(f.cols)
     flat, zero, finish = exact_terms(
-        [c * ((1 if products[P] >= 0 else -1) << P.time.k) for P in tree.members for c in fco[P]]
+        [c * ((1 if products[P.key()] >= 0 else -1) << P.time.k) for P in tree.members for c in fco[P]]
     )
     coefs = {P.key(): flat[i * ncomp : (i + 1) * ncomp] for i, P in enumerate(tree.members)}
     parts = [

@@ -972,8 +972,11 @@ class TestPacketSynthesis:
         plugin = _plugin(shape[1], generic)
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")
-            _, diag = tree_form_sum(tree, f, g, E, N, 2, plugin)
+            lhs, diag = tree_form_sum(tree, f, g, E, N, 2, plugin)
         assert repr(diag["split_sums"]) == repr(reference.split_sums(tree, f, g, E, N, plugin))
+        # the tree's form, from SizeEvaluator.form_products on every input
+        products = reference.member_form_products(tree.members, f, g, E, N)
+        assert repr(lhs) == repr(sum((abs(products[P]) for P in tree.members), Fraction(0)))
 
     @given(st.integers(1, 6), synthesis_shapes, st.integers(0, 10**6), variants, fractions_pool)
     @settings(max_examples=30, deadline=None)
