@@ -89,10 +89,6 @@ def _report(config: dict, payload: dict, certificates) -> dict:
     )
 
 
-def _write_report(report: dict, out: str) -> None:
-    dump_json(report, out)
-
-
 def _write_csv(rows: list[tuple], out_json: str) -> None:
     path = Path(out_json).with_suffix(".csv")
     with open(path, "w", newline="") as fh:
@@ -278,7 +274,7 @@ def decompose(infile, setfile, nfun, norm, q, seed, out):
             },
         }
     report = _report(config, payload, certs)
-    _write_report(report, out)
+    dump_json(report, out)
     _write_csv(
         [(c.name, float(c.lhs) / float(c.rhs) if float(c.rhs) else 0.0) for c in certs],
         out,
@@ -352,7 +348,7 @@ def certify(infile, dualfile, setfile, nfun, levels, dim, kind, norm, q, seed, o
         },
     }
     report = _report(config, payload, certs)
-    _write_report(report, out)
+    dump_json(report, out)
     _write_csv([("form_over_bound", rep["ratio"])] + tree_ratios, out)
     _exit(certs)
 
@@ -388,7 +384,7 @@ def tiletype(levels, dim, kind, norm, q, seed, out):
         "ratios": {"tile_type": ratio},
     }
     report = _report(config, payload, certs)
-    _write_report(report, out)
+    dump_json(report, out)
     _write_csv([("tile_type", ratio)], out)
     _exit(certs)
 
@@ -436,7 +432,7 @@ def rwt(levels, dim, kind, norm, q, p, seed, out):
         },
     }
     report = _report(config, payload, certs)
-    _write_report(report, out)
+    dump_json(report, out)
     _write_csv([("log_ratio", rep["log_ratio"]), ("lorentz_ratio", rep["lorentz_ratio"])], out)
     _exit(certs)
 

@@ -39,7 +39,7 @@ from .timefreq import (
     _pow_gt,
     abs_sum,
     density,
-    down_coefficients_inf,
+    down_coefficients,
     meeting_tile_pairs,
 )
 from .walsh import packet_synthesis
@@ -568,14 +568,14 @@ def tile_type_constant(
     members = [P for tree in family.trees for P in tree.members]
     if any(P.time.k >= f.L for P in members):
         raise ValueError("Haar pattern of a finest-scale member is not grid-constant")
-    coeffs = down_coefficients_inf(f, members)
+    coeffs, den = down_coefficients(f, members)
 
     def synthesis(tree: Tree, n_of) -> Signal:
         entries = [
-            (P.time.k, P.time.pos, n_of(P), [c * (1 << P.time.k) for c in coeffs[P]])
+            (P.time.k, P.time.pos, n_of(P), [c * (1 << P.time.k) for c in coeffs[P.key()]])
             for P in tree.members
         ]
-        return f.with_components(packet_synthesis(entries, len(f.cols), f.L))
+        return Signal(f.L, f.d, f.kind, packet_synthesis(entries, len(f.cols), f.L), den)
 
     certs: list[Certificate] = []
     total_pow = Fraction(0)

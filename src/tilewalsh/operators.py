@@ -20,7 +20,7 @@ from .signal import (
     nest,
     value_norm,
 )
-from .walsh import bit_reverse, cutoff_hits, fwht, ifwht, packet_rows, packet_synthesis
+from .walsh import bit_reverse, cutoff_hits, fwht, ifwht, packet_coefficients, packet_rows, packet_synthesis
 
 
 def walsh_coefficients(f: Signal) -> Signal:
@@ -186,10 +186,7 @@ def martingale_transform(
     L = f.L
     intervals = list(family) if family is not None else haar_intervals(L)
     const = signs if isinstance(signs, int) else None
-    # <f, h_I> is the packet table entry of I with n = 1, the Haar pattern
-    cols, zero, finish = f.terms(f.cells)
-    tables = [packet_rows(c, zero, L) for c in cols]
-    entries = []
+    factors = []
     for I in intervals:
         if I.k >= L:
             raise ValueError(f"Haar interval finer than grid: k={I.k} >= L={L}")
@@ -202,10 +199,13 @@ def martingale_transform(
                 raise KeyError(f"missing sign for interval {I}") from None
         if eps not in (-1, 1):
             raise ValueError(f"sign for {I} must be +-1, got {eps}")
-        i = (I.pos << (L - I.k)) + 1
-        factor = eps * (1 << I.k)
-        entries.append((I.k, I.pos, 1, [finish(rows[I.k][i]) * factor for rows in tables]))
-    return f.with_components(packet_synthesis(entries, len(cols), L))
+        factors.append(eps * (1 << I.k))
+    # <f, h_I> is the packet table entry of I with n = 1, the Haar pattern
+    coeffs, den = packet_coefficients(f, [(I.k, (I.pos << (L - I.k)) + 1) for I in intervals])
+    entries = [
+        (I.k, I.pos, 1, [c * factor for c in cs]) for I, factor, cs in zip(intervals, factors, coeffs)
+    ]
+    return Signal(L, f.d, f.kind, packet_synthesis(entries, len(f.cols), L), den)
 
 
 def stopped_haar_sum(

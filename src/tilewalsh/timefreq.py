@@ -27,7 +27,7 @@ from .signal import (
     LevelSet,
     NormPlugin,
     Signal,
-    exact_terms,
+    _frobenius_like,
     lq_norm,
     lq_norm_pow,
     nest,
@@ -37,9 +37,8 @@ from .signal import (
 from .walsh import (
     bit_reverse,
     cutoff_hits,
-    packet_rows,
+    packet_coefficients,
     packet_synthesis,
-    packet_table,
     walsh_value,
 )
 
@@ -222,38 +221,31 @@ def verify_tree_identity(P: Bitile, T: Bitile, L: int) -> bool:
 # ---------------------------------------------------------------------------
 # wave packet sums over member sets
 
-def _down_entries(tables, members: Sequence[Bitile], L: int) -> dict[tuple[int, int, int], list]:
-    """Per member key (k, pos, m), the entry (k, pos 2^(L-k) + 2m) of each
-    component's packet table: the signed sum of its samples against the
-    member's down packet."""
-    out = {}
-    for P in members:
-        key = k, pos, m = P.key()
-        local = L - k
-        if (2 * m) >> local:
+def down_coefficients(f: Signal, members: Sequence[Bitile]) -> tuple[dict[tuple[int, int, int], list], int | None]:
+    """Sup-normalized pairings of every component of f with each member's
+    down packet, keyed by (k, pos, m), as the pair (values, den) of
+    walsh.packet_coefficients: the entry (k, pos 2^(L-k) + 2m) of each
+    component's packet table, Python-int numerators over den = f.den 2^L
+    for an exact f, else the values themselves with den None."""
+    L = f.L
+    keys = [P.key() for P in members]
+    for P, (k, _, m) in zip(members, keys):
+        if (2 * m) >> (L - k):
             raise ValueError(f"down packet of {P} oscillates below cell scale at L={L}")
-        i = (pos << local) + 2 * m
-        out[key] = [rows[k][i] for rows in tables]
-    return out
+    values, den = packet_coefficients(f, [(k, (pos << (L - k)) + 2 * m) for k, pos, m in keys])
+    return dict(zip(keys, values)), den
 
 
-def down_coefficient_ints(f: Signal, members: Sequence[Bitile]) -> dict[tuple[int, int, int], list[int]]:
-    """The sup-normalized down coefficients of an exact signal f as
-    Python-int numerators over f.den 2^L, keyed by (k, pos, m): the packet
-    table entries of f's integer columns, with no Fraction made."""
-    if f.den is None:
-        raise ValueError("integer down coefficients need an exact signal")
-    return _down_entries([packet_table(c, f.L) for c in f.cols], members, f.L)
+def coefficient_values(cs: Sequence, den: int | None) -> list:
+    """Coefficients of a (values, den) pair as numbers: Fractions over den,
+    or the values themselves when den is None."""
+    return cs if den is None else [Fraction(n, den) for n in cs]
 
 
 def down_coefficients_inf(f: Signal, members: Sequence[Bitile]) -> dict[Bitile, list[Fraction]]:
-    """Sup-normalized pairings of every component of f with each member's
-    down packet; exact rationals.  Each is the entry (k, pos 2^(L-k) + 2m)
-    of the component's packet table (walsh.packet_rows)."""
-    # signed sample sums from zero; finish(sum) is the pairing, sum * 2^-L
-    comps, zero, finish = f.terms(f.cells)
-    sums = _down_entries([packet_rows(comp, zero, f.L) for comp in comps], members, f.L)
-    return {P: [finish(x) for x in sums[P.key()]] for P in members}
+    """down_coefficients keyed by member, exact values as Fractions."""
+    values, den = down_coefficients(f, members)
+    return {P: coefficient_values(values[P.key()], den) for P in members}
 
 
 # ---------------------------------------------------------------------------
@@ -357,9 +349,7 @@ def density(
 
 def _is_hilbert_case(q, plugin: NormPlugin) -> bool:
     """q = 2 with a Hilbert-space norm: Delta^2 is a coefficient sum."""
-    return q == 2 and (
-        plugin.name == "euclidean" or (plugin.name == "schatten" and plugin.p == 2)
-    )
+    return q == 2 and _frobenius_like(plugin)
 
 
 def _pow_gt(a, b) -> bool:
@@ -373,24 +363,25 @@ def tree_delta_pow(
     f: Signal,
     q,
     plugin: NormPlugin,
-    coeffs: dict[Bitile, list[Fraction]] | None = None,
+    coeffs: tuple[dict, int | None] | None = None,
 ):
     """q-th power of the normalized L^q mass of the up-part packet sum:
     the sum vanishes off I_T, so it is synthesized on the 2^l cells of I_T,
-    l = L - k_T, and its mass is the mean over them; exact (lq_norm_pow)
-    where representable, else float norms added in cell order."""
+    l = L - k_T, from the down_coefficients pair coeffs (integers over its
+    den for an exact f), and its mass is the mean over them; exact
+    (lq_norm_pow) where representable, else float norms added in cell
+    order."""
     up = tree.up_part()
     if not up:
         return Fraction(0)
-    if coeffs is None:
-        coeffs = down_coefficients_inf(f, up)
+    values, den = coeffs if coeffs is not None else down_coefficients(f, up)
     kT, posT = tree.top.time.k, tree.top.time.pos
     l = f.L - kT
     entries = []
     for P in up:
-        k, pos, m = P.key()
-        entries.append((k - kT, pos - (posT << (k - kT)), 2 * m, [c * (1 << k) for c in coeffs[P]]))
-    g = Signal(l, f.d, f.kind, packet_synthesis(entries, len(f.cols), l))
+        k, pos, m = key = P.key()
+        entries.append((k - kT, pos - (posT << (k - kT)), 2 * m, [c * (1 << k) for c in values[key]]))
+    g = Signal(l, f.d, f.kind, packet_synthesis(entries, len(f.cols), l), den)
     exact = lq_norm_pow(g, q, plugin)
     if exact is not None:
         return exact
@@ -429,26 +420,23 @@ class HilbertWeights:
         return self.value(best) if best > 0 else Fraction(0)
 
 
-def member_masses(ints: dict[tuple[int, int, int], list[int]], den: int) -> HilbertWeights:
+def member_masses(coeffs: dict[tuple[int, int, int], list[int]], den: int) -> HilbertWeights:
     """The exact masses of the members whose down coefficients are the
-    numerators ints over den (down_coefficient_ints): (sum_i n_i^2) 2^k over
+    numerators coeffs over den (down_coefficients): (sum_i n_i^2) 2^k over
     den^2, with the gcd g of den and every numerator divided out.  den / g
     is the lcm of the reduced coefficient denominators, since
     lcm(den / a, den / b) = den / gcd(a, b) for divisors a, b of den."""
-    g = math.gcd(den, *(math.gcd(*cs) for cs in ints.values()))
+    g = math.gcd(den, *(math.gcd(*cs) for cs in coeffs.values()))
     gg = g * g
-    num = {key: (sum(c * c for c in cs) // gg) << key[0] for key, cs in ints.items()}
+    num = {key: (sum(c * c for c in cs) // gg) << key[0] for key, cs in coeffs.items()}
     return HilbertWeights(num, (den // g) ** 2)
 
 
-def float_masses(coeffs: dict[Bitile, list]) -> HilbertWeights:
-    """The masses of float down coefficients (down_coefficients_inf) as the
-    plain numbers, summed from Fraction(0); den 1, not exact."""
+def float_masses(coeffs: dict[tuple[int, int, int], list]) -> HilbertWeights:
+    """The masses of float down coefficients (down_coefficients with den
+    None) as the plain numbers, summed from Fraction(0); den 1, not exact."""
     return HilbertWeights(
-        {
-            P.key(): sum((c * c for c in cs), Fraction(0)) * (1 << P.time.k)
-            for P, cs in coeffs.items()
-        },
+        {key: sum((c * c for c in cs), Fraction(0)) * (1 << key[0]) for key, cs in coeffs.items()},
         1,
         exact=False,
     )
@@ -690,7 +678,7 @@ class TreeDeltaGrid:
     def _evaluate(self, T: tuple[int, int, int]) -> None:
         s = self.sizes
         tree = Tree(Bitile.from_key(T), tuple(self.below[T].values()))
-        self.values[T] = tree_delta_pow(tree, s.f, s.q, s.plugin, coeffs=s.coeffs)
+        self.values[T] = tree_delta_pow(tree, s.f, s.q, s.plugin, coeffs=(s.coeffs, s.den))
 
     def remove(self, members: Iterable[Bitile]) -> None:
         """Take members out of the collection."""
@@ -726,33 +714,23 @@ class SizeEvaluator:
     member masses (weights), whose Parseval up-sums give every size there;
     other norms and q resynthesize the packet sum below each top.
 
-    An exact f keeps its coefficients as ints, numerators over den = f.den
-    2^L keyed by (k, pos, m), and the masses and nonzero keys come from
-    them; the Fraction (or float) coeffs are built on first use, from the
-    ints when f is exact, by the resynthesis of other norms, for float
-    input and for tree_form_sum's split sums."""
+    The coefficients are the one map of down_coefficients, keyed by
+    (k, pos, m): Python-int numerators over den = f.den 2^L for an exact
+    f, else the values themselves with den None.  The masses, the nonzero
+    keys, the resynthesis, the form products and tree_form_sum's split
+    sums all read it."""
 
     def __init__(self, coll: Sequence[Bitile], f: Signal, q, plugin: NormPlugin) -> None:
         self.coll, self.f, self.q, self.plugin = coll, f, q, plugin
-        exact = f.den is not None
-        self.ints = down_coefficient_ints(f, coll) if exact else None
-        self.den = f.den << f.L if exact else None
+        self.coeffs, self.den = down_coefficients(f, coll)
         self.weights = None
         if _is_hilbert_case(q, plugin):
-            self.weights = member_masses(self.ints, self.den) if exact else float_masses(self.coeffs)
-
-    @cached_property
-    def coeffs(self) -> dict[Bitile, list]:
-        if self.ints is None:
-            return down_coefficients_inf(self.f, self.coll)
-        den = self.den
-        return {P: [Fraction(n, den) for n in self.ints[P.key()]] for P in self.coll}
+            den = self.den
+            self.weights = float_masses(self.coeffs) if den is None else member_masses(self.coeffs, den)
 
     @cached_property
     def nonzero(self) -> set:
-        if self.ints is not None:
-            return nonzero_keys(self.ints)
-        return nonzero_keys({P.key(): cs for P, cs in self.coeffs.items()})
+        return nonzero_keys(self.coeffs)
 
     @cached_property
     def fq_pow(self):
@@ -774,9 +752,9 @@ class SizeEvaluator:
         collection keyed by (k, pos, m), as Python-int numerators over den
         when f and g are exact (member_form_ints), else the values
         themselves with den None."""
-        if self.ints is not None and g.den is not None:
-            return member_form_ints(self.ints, g, E, Nfun), self.den * (g.den << g.L)
-        products = member_form_products(self.coll, self.f, g, E, Nfun, coeffs=self.coeffs)
+        if self.den is not None and g.den is not None:
+            return member_form_ints(self.coeffs, g, E, Nfun), self.den * (g.den << g.L)
+        products = member_form_products(self.coll, self.f, g, E, Nfun, coeffs=(self.coeffs, self.den))
         return {P.key(): v for P, v in products.items()}, None
 
 
@@ -823,18 +801,18 @@ def _hit_sums(keys: Container, g: Signal, E: LevelSet, Nfun: FrequencyChoice) ->
 
 
 def member_form_ints(
-    ints: dict[tuple[int, int, int], list[int]],
+    coeffs: dict[tuple[int, int, int], list[int]],
     g: Signal,
     E: LevelSet,
     Nfun: FrequencyChoice,
 ) -> dict[tuple[int, int, int], int]:
     """member_form_products of an exact f and g in integers: per key of
-    ints, f's down coefficient numerators over D_f (down_coefficient_ints),
+    coeffs, f's down coefficient numerators over D_f (down_coefficients),
     the product (sum_i F_i G_i) 2^k as a numerator over D_f g.den 2^L, G_i
     the integer sum of g's cells (_hit_sums)."""
-    sums = _hit_sums(ints, g, E, Nfun)
+    sums = _hit_sums(coeffs, g, E, Nfun)
     out = {}
-    for key, cs in ints.items():
+    for key, cs in coeffs.items():
         acc = sums.get(key)
         out[key] = sum(map(mul, cs, acc)) << key[0] if acc else 0
     return out
@@ -846,15 +824,16 @@ def member_form_products(
     g: Signal,
     E: LevelSet,
     Nfun: FrequencyChoice,
-    coeffs: dict[Bitile, list[Fraction]] | None = None,
+    coeffs: tuple[dict, int | None] | None = None,
 ) -> dict[Bitile, Fraction]:
     """Signed per-member bilinear terms
     < <f, down packet>, <down packet, g restricted to E_{P_u}> >; exact.
 
-    The down coefficients (coeffs when given) times g's pairings, summed in
-    cell order (_hit_sums); SizeEvaluator.form_products has them in
-    integers when f and g are exact."""
-    fco = coeffs if coeffs is not None else down_coefficients_inf(f, tree_members)
+    The down coefficients (the down_coefficients pair coeffs when given)
+    as Fractions, times g's pairings summed in cell order (_hit_sums);
+    SizeEvaluator.form_products has them in integers when f and g are
+    exact."""
+    values, den = coeffs if coeffs is not None else down_coefficients(f, tree_members)
     sums = _hit_sums({P.key() for P in tree_members}, g, E, Nfun)
     _, zero, finish = g.terms(g.cells)
     empty = [zero] * len(g.cols)
@@ -862,7 +841,7 @@ def member_form_products(
     for P in tree_members:
         gvec = [finish(acc) for acc in sums.get(P.key(), empty)]
         prod = Fraction(0)
-        for a, b in zip(fco[P], gvec):
+        for a, b in zip(coefficient_values(values[P.key()], den), gvec):
             prod += a * b
         terms[P] = prod * (1 << P.time.k)
     return terms
@@ -976,7 +955,6 @@ def tree_form_sum(
     if any(x > 1 + 1e-9 for x in value_norms(g, dual)):
         warnings.warn("dual function exceeds pointwise norm one", stacklevel=2)
     sizes = SizeEvaluator(tree.members, f, q, plugin)
-    fco = sizes.coeffs
     products, den = sizes.form_products(g, E, Nfun)
     lhs = abs_sum(products.values(), den)
 
@@ -993,10 +971,13 @@ def tree_form_sum(
     jays = maximal_gap_intervals(tree.members, L)
     hits = cutoff_hits(Nfun.values, L)
     ncomp = len(f.cols)
-    flat, zero, finish = exact_terms(
-        [c * ((1 if products[P.key()] >= 0 else -1) << P.time.k) for P in tree.members for c in fco[P]]
-    )
-    coefs = {P.key(): flat[i * ncomp : (i + 1) * ncomp] for i, P in enumerate(tree.members)}
+    # signed coefficients of the one map, numerators over sizes.den
+    den = sizes.den
+    zero = Fraction(0) if den is None else 0
+    coefs = {
+        key: [c * ((1 if products[key] >= 0 else -1) << key[0]) for c in cs]
+        for key, cs in sizes.coeffs.items()
+    }
     parts = [
         (label, part, {P.key() for P in part})
         for label, part in zip(("down", "up"), tree.split())
@@ -1019,7 +1000,7 @@ def tree_form_sum(
                     for i, c in enumerate(coefs[key]):
                         if c:
                             acc[i] = acc[i] - c if neg else acc[i] + c
-                l1 += value_norm(nest([finish(x) for x in acc], f.d, f.kind), plugin)
+                l1 += value_norm(nest(coefficient_values(acc, den), f.d, f.kind), plugin)
             row[f"{label}_l1"] = l1 / f.cells
         split_norms.append(row)
 

@@ -5,7 +5,8 @@ the fast Walsh-Hadamard transform in Walsh-Paley ordering.
 All +-1 sign patterns are exact integers.  A packet of the dyadic interval
 (k, pos) with frequency index n is w_n on the 2^(L-k) cells of the
 interval, zero elsewhere; the Haar pattern of the interval is the packet
-with n = 1.  Analysis reads the packet table (packet_table / packet_rows),
+with n = 1.  Analysis reads the packet table (packet_table / packet_rows;
+packet_coefficients for a signal's coefficients over one denominator),
 synthesis adds coefficient times packet cell by cell (packet_synthesis),
 and cutoff_hits names, per cell, the bitile of each scale whose up-tile
 window holds the cell's cutoff.
@@ -13,10 +14,11 @@ window holds the cell's cutoff.
 
 from __future__ import annotations
 
+from fractions import Fraction
 from functools import lru_cache
 from typing import Sequence
 
-from .signal import exact_terms
+from .signal import Signal, exact_terms
 
 
 def bit_reverse(x: int, bits: int) -> int:
@@ -135,28 +137,43 @@ def packet_rows(terms: Sequence, zero, L: int):
     return [_CellOrderRow(terms, zero, L - k) for k in range(L + 1)]
 
 
+def packet_coefficients(f: Signal, cells: Sequence[tuple[int, int]]) -> tuple[list[list], int | None]:
+    """f's packet coefficients at the table cells (k, i): rows[k][i] 2^-L
+    of every component's packet table (packet_rows), as the pair (values,
+    den).  An exact f gives the Python-int entries, numerators over den =
+    f.den 2^L; other signals give the entries divided by 2^L, summed in
+    cell order, with den None."""
+    comps, zero, finish = f.terms(f.cells)
+    tables = [packet_rows(c, zero, f.L) for c in comps]
+    values = [[rows[k][i] for rows in tables] for k, i in cells]
+    if f.den is not None:
+        return values, f.den << f.L
+    return [[finish(x) for x in cs] for cs in values], None
+
+
 def packet_synthesis(entries: Sequence, ncomp: int, L: int) -> list[list]:
     """Columns of the sum of coefs[i] w_n over the cells of the dyadic
     interval (k, pos), for entries (k, pos, n, coefs) with ncomp
     coefficients each: the inverse of reading the packet table.
 
-    Each cell adds its entries in the given order, from zero, skipping
-    zero coefficients, so float sums keep their bits.  Exact coefficients
-    are summed as integer numerators over one common denominator
-    (signal.exact_terms), with one Fraction made per cell."""
-    terms, zero, finish = exact_terms([c for *_, coefs in entries for c in coefs])
+    Each cell adds its entries in the given order, skipping zero
+    coefficients, so float sums keep their bits.  When every coefficient
+    is a Python int (numerators over a common denominator) the cells are
+    summed from 0 and hold ints; other coefficients are summed from
+    Fraction(0)."""
+    zero = 0 if all(type(c) is int for *_, coefs in entries for c in coefs) else Fraction(0)
     out = [[zero] * (1 << L) for _ in range(ncomp)]
-    for e, (k, pos, n, _) in enumerate(entries):
+    for k, pos, n, coefs in entries:
         l = L - k
         base = pos << l
         pattern = walsh(n, l)
-        for row, c in zip(out, terms[e * ncomp : (e + 1) * ncomp]):
+        for row, c in zip(out, coefs):
             if not c:
                 continue
             for jl, s in enumerate(pattern):
                 j = base + jl
                 row[j] = row[j] + c if s > 0 else row[j] - c
-    return [[finish(x) for x in row] for row in out]
+    return out
 
 
 def cutoff_hits(cutoffs: Sequence[int], L: int) -> list[list[tuple[int, int, int]]]:

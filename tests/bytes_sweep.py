@@ -3,15 +3,16 @@
     PYTHONPATH=src python tests/bytes_sweep.py OUT
 
 runs `gen`, `transform` and `transform --inverse`, `carleson`, `decompose`,
-`certify` and `rwt` over L = 2..5, d = 1 and 2, vectors and matrices, the
-norms euclidean, lp:3, schatten:2 and schatten:3 (matrices only), q = 2
-and 3, and three kinds of input: the generated exact signal and dual
-function, the same divided by 3 (exact, non-dyadic) and divided by 3 as
-floats.  Every file goes under OUT; the commands run from inside OUT with
-paths relative to it, as decompose echoes its input paths.  The script
-prints one line per run with its exit code and then one `sha256  path`
-line per output file, path relative to OUT.  Run it at two commits into
-two directories and diff the printed lines.
+`certify`, `rwt` and `tiletype` over L = 2..5, d = 1 and 2, vectors and
+matrices, the norms euclidean, lp:3, schatten:2 and schatten:3 (matrices
+only), q = 2 and 3, and three kinds of input: the generated exact signal
+and dual function, the same divided by 3 (exact, non-dyadic) and divided
+by 3 as floats; `rwt` and `tiletype` take seeded input only.  Every file
+goes under OUT; the commands run from inside OUT with paths relative to
+it, as decompose echoes its input paths.  The script prints one line per
+run with its exit code and then one `sha256  path` line per output file,
+path relative to OUT.  Run it at two commits into two directories and
+diff the printed lines.
 
 Not collected by pytest (its name lacks the test_ prefix); a full sweep
 takes a few minutes.
@@ -91,8 +92,9 @@ def _run_matrix() -> list[str]:
                 gen_dir = Path(f"L{L}-d{d}-{kind}-{norm.replace(':', '')}", "gen")
                 run(["gen", "--levels", L, *shape, "--norm", norm, "--seed", seed, "--out", gen_dir])
                 for q in QS:
-                    run(["rwt", "--levels", L, *shape, "--norm", norm, "--q", q, "--seed", seed,
-                         "--out", gen_dir.parent / f"rwt-q{q}.json"])
+                    for command in ("rwt", "tiletype"):
+                        run([command, "--levels", L, *shape, "--norm", norm, "--q", q, "--seed", seed,
+                             "--out", gen_dir.parent / f"{command}-q{q}.json"])
                 for how in INPUTS:
                     d_in = gen_dir.parent / how
                     _write_input(gen_dir, d_in, how)

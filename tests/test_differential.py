@@ -71,7 +71,7 @@ from tilewalsh.timefreq import (
     size_pow,
     tree_form_sum,
 )
-from tilewalsh.walsh import packet_table
+from tilewalsh.walsh import packet_synthesis, packet_table
 from reference import bitile_lt, gen_tree_members, hilbert_member_weights, tiles_disjoint
 
 EUCL = NormPlugin("euclidean")
@@ -356,11 +356,13 @@ fractions_pool = st.lists(
 
 
 def _split_signal(L, shape, seed, variant, pool):
-    """f of the instance (L, shape, seed): exact, with non-dyadic
-    denominators from pool, or in float."""
+    """f of the instance (L, shape, seed): exact, divided by 3, with
+    non-dyadic denominators from pool, or in float."""
     f, _, E, N = _instance(L, shape, seed)
     if variant == "float":
         f = _floats(f)
+    elif variant == "third":
+        f = _rescaled(f, "third", pool)
     elif variant == "non-dyadic":
         it = iter(range(10**9))
 
@@ -387,6 +389,8 @@ generic_cases = st.sampled_from(
         (3, NormPlugin("lp", Fraction(3)), (2, "vector")),
         (3, NormPlugin("schatten", Fraction(3)), (2, "matrix")),
         (2, NormPlugin("schatten", Fraction(3, 2)), (2, "matrix")),
+        (2.5, NormPlugin("lp", Fraction(3)), (1, "vector")),
+        (2.5, EUCL, (2, "vector")),
     ]
 )
 
@@ -465,9 +469,12 @@ class TestGreedySplits:
                 tops.pop()
 
         def recorded_synthesis(entries, ncomp, L):
+            cols = synthesis(entries, ncomp, L)
             if tops:
                 resolutions.append((tops[-1], L))
-            return synthesis(entries, ncomp, L)
+                # the exact signal's coefficients stay integers over one den
+                assert all(type(x) is int for col in cols for x in col)
+            return cols
 
         monkeypatch.setattr(timefreq, "tree_delta_pow", counted_delta)
         monkeypatch.setattr(timefreq, "packet_synthesis", recorded_synthesis)
@@ -485,7 +492,7 @@ class TestGreedySplits:
     def test_per_run_inputs_computed_once(self, monkeypatch, tmp_path):
         calls = _count_calls(
             monkeypatch,
-            ["down_coefficient_ints", "member_masses", "lq_norm_pow", "nonzero_keys"],
+            ["down_coefficients", "member_masses", "lq_norm_pow", "nonzero_keys"],
         )
         counted = _counted(calls, "DensityCounter.__init__", DensityCounter.__init__)
         monkeypatch.setattr(DensityCounter, "__init__", counted)
@@ -553,7 +560,7 @@ class TestSizeEvaluator:
         assert repr(generic) == repr(size_decompose(coll, f, 2, EUCL))
 
     @pytest.mark.parametrize("L", range(1, 6))
-    @given(generic_cases, st.integers(0, 10**6), st.sampled_from(["exact", "float"]))
+    @given(generic_cases, st.integers(0, 10**6), st.sampled_from(["exact", "third", "float"]))
     @settings(max_examples=4, deadline=None)
     def test_delta_grid_after_removals(self, L, case, seed, variant):
         q, plugin, shape = case
@@ -950,11 +957,14 @@ class TestGapIntervals:
         assert maximal_gap_intervals(members, L) == reference.maximal_gap_intervals(members, L)
 
 
+synthesis_variants = st.sampled_from(["exact", "third", "non-dyadic", "float"])
+
+
 class TestPacketSynthesis:
-    @given(st.integers(1, 6), synthesis_shapes, st.integers(0, 10**6), variants, fractions_pool,
-           st.booleans())
+    @given(st.integers(1, 6), synthesis_shapes, st.integers(0, 10**6), synthesis_variants,
+           fractions_pool, st.booleans(), st.sampled_from([2, 3, 2.5]))
     @settings(max_examples=60, deadline=None)
-    def test_split_sums(self, L, shape, seed, variant, pool, generic):
+    def test_split_sums(self, L, shape, seed, variant, pool, generic, q):
         f, E, N = _split_signal(L, shape, seed, variant, pool)
         g, _, _ = _split_signal(L, shape, seed + 1, variant, pool[::-1])
         rng = SplitMix64(seed + 2)
@@ -972,13 +982,18 @@ class TestPacketSynthesis:
         plugin = _plugin(shape[1], generic)
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")
-            lhs, diag = tree_form_sum(tree, f, g, E, N, 2, plugin)
+            lhs, diag = tree_form_sum(tree, f, g, E, N, q, plugin)
         assert repr(diag["split_sums"]) == repr(reference.split_sums(tree, f, g, E, N, plugin))
         # the tree's form, from SizeEvaluator.form_products on every input
         products = reference.member_form_products(tree.members, f, g, E, N)
         assert repr(lhs) == repr(sum((abs(products[P]) for P in tree.members), Fraction(0)))
+        if not timefreq._is_hilbert_case(q, plugin):
+            # the size, resynthesized from the same coefficient map
+            sigma = reference.resynthesized_pow(tree.members, f, q, plugin)
+            assert repr(diag["size"]) == repr(float(sigma) ** (1.0 / float(q)))
 
-    @given(st.integers(1, 6), synthesis_shapes, st.integers(0, 10**6), variants, fractions_pool)
+    @given(st.integers(1, 6), synthesis_shapes, st.integers(0, 10**6), synthesis_variants,
+           fractions_pool)
     @settings(max_examples=30, deadline=None)
     def test_martingale_transform(self, L, shape, seed, variant, pool):
         f, _, _ = _split_signal(L, shape, seed, variant, pool)
@@ -990,8 +1005,8 @@ class TestPacketSynthesis:
             reference.martingale_transform(f, signs, family)
         )
 
-    @given(st.integers(1, 6), synthesis_shapes, st.integers(0, 10**6), variants, fractions_pool,
-           st.sampled_from([2, 3]), st.booleans())
+    @given(st.integers(1, 6), synthesis_shapes, st.integers(0, 10**6), synthesis_variants,
+           fractions_pool, st.sampled_from([2, 3, 2.5]), st.booleans())
     @settings(max_examples=30, deadline=None)
     def test_tile_type_constant(self, L, shape, seed, variant, pool, q, generic):
         f, _, _ = _split_signal(L, shape, seed, variant, pool)
@@ -1000,6 +1015,24 @@ class TestPacketSynthesis:
         assert repr(tile_type_constant(fam, f, q, plugin)) == repr(
             reference.tile_type_constant(fam, f, q, plugin)
         )
+
+    @given(st.integers(0, 6), st.integers(1, 4), st.integers(1, 60), st.data())
+    @settings(max_examples=60, deadline=None)
+    def test_integer_coefficients_over_one_den(self, L, ncomp, den, data):
+        # packets (k, pos, n) on the 2^L grid, integer coefficients, zeros included
+        entries = []
+        for _ in range(data.draw(st.integers(0, 12))):
+            k = data.draw(st.integers(0, L))
+            pos = data.draw(st.integers(0, (1 << k) - 1))
+            n = data.draw(st.integers(0, (1 << (L - k)) - 1))
+            coefs = data.draw(st.lists(st.integers(-40, 40), min_size=ncomp, max_size=ncomp))
+            entries.append((k, pos, n, coefs))
+        ints = packet_synthesis(entries, ncomp, L)
+        fracs = packet_synthesis(
+            [(k, pos, n, [Fraction(c, den) for c in coefs]) for k, pos, n, coefs in entries], ncomp, L
+        )
+        assert all(type(x) is int for col in ints for x in col)
+        assert [[Fraction(x, den) for x in col] for col in ints] == fracs
 
 
 def _random_family(L, seed, trees):

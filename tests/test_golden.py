@@ -27,6 +27,7 @@ CONFIGS = {
     "lp3-q3-L4": ("lp:3", "3", "13"),
     "float-vector-L4": ("euclidean", "2", "16"),
     "third-matrix-L4": ("schatten:2", "2", "17"),
+    "third-schatten3-q3-L4": ("schatten:3", "3", "18"),
 }
 
 INPUTS = {
@@ -64,6 +65,17 @@ OPERATOR_RUNS = {
     "float-L3": [
         (["transform", "--in", "signal.json"], ["transform.json"]),
         (["transform", "--inverse", "--in", "transform.json"], ["inverse.json"]),
+    ],
+    "tiletype-L5": [
+        (
+            ["tiletype", "--levels", "5", "--dim", "2", "--kind", "matrix", "--norm", "schatten:3",
+             "--q", "3", "--seed", "19"],
+            ["tiletype-matrix.json", "tiletype-matrix.csv"],
+        ),
+        (
+            ["tiletype", "--levels", "5", "--dim", "1", "--norm", "lp:3", "--q", "3", "--seed", "20"],
+            ["tiletype-scalar.json", "tiletype-scalar.csv"],
+        ),
     ],
 }
 
@@ -113,11 +125,16 @@ def test_gen_bytes(config, tmp_path):
 # config -> (`tilewalsh gen` flags, how signal.json and dual.json were then
 # rescaled): every entry x became float(x) / 3 ("float") or the exact
 # x / 3 ("third"), so these configs pin certify and decompose on float and
-# on non-dyadic exact input
+# on non-dyadic exact input, the Hilbert case and the resynthesized sizes
+# of schatten:3 with q = 3
 DERIVED_RUNS = {
     "float-vector-L4": (["--levels", "4", "--dim", "2", "--seed", "16"], "float"),
     "third-matrix-L4": (
         ["--levels", "4", "--dim", "2", "--kind", "matrix", "--norm", "schatten:2", "--seed", "17"],
+        "third",
+    ),
+    "third-schatten3-q3-L4": (
+        ["--levels", "4", "--dim", "2", "--kind", "matrix", "--norm", "schatten:3", "--seed", "18"],
         "third",
     ),
 }
