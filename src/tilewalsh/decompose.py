@@ -6,8 +6,8 @@ from __future__ import annotations
 
 import math
 import warnings
-from bisect import bisect_left
-from itertools import chain
+from functools import lru_cache
+from itertools import accumulate, chain
 from operator import mul
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -30,6 +30,7 @@ from .signal import (
     value_norms,
 )
 from .timefreq import (
+    BitileIndex,
     DensityCounter,
     SizeEvaluator,
     Tree,
@@ -38,7 +39,6 @@ from .timefreq import (
     _lq_pow,
     _pow_gt,
     abs_sum,
-    density,
     down_coefficients,
     meeting_tile_pairs,
 )
@@ -97,12 +97,6 @@ class LeveledForest:
 # ---------------------------------------------------------------------------
 # density lemma
 
-def _canonical(coll) -> list[Bitile]:
-    """The bitiles of coll without repeats, in canonical order; keyed by
-    Bitile.key, whose integer tuples hash faster than bitiles."""
-    return [P for _, P in sorted({P.key(): P for P in coll}.items())]
-
-
 def _two_pow(n: int | float):
     """2^n as an exact Fraction for integer n, float otherwise."""
     if isinstance(n, int) or (isinstance(n, Fraction) and n.denominator == 1):
@@ -111,27 +105,88 @@ def _two_pow(n: int | float):
     return 2.0 ** float(n)
 
 
-class _TopIndex:
-    """A set of bitile keys (k, pos, m) held per interval (k, pos) as a
-    sorted list of m.  The bitiles above (k, pos, m) in the tile order are,
-    d scales up, the integer range (k - d, pos >> d, [m 2^d, (m+1) 2^d)),
-    so each scale is one bisection."""
+def _length_sum(tops) -> Fraction:
+    """The total length of the time intervals of the keys tops, summed as
+    integers over 2^k for their finest scale k."""
+    finest = max((k for k, _, _ in tops), default=0)
+    return Fraction(sum(1 << (finest - k) for k, _, _ in tops), 1 << finest)
 
-    def __init__(self, keys) -> None:
-        self.rows: dict[tuple[int, int], list[int]] = {}
-        for k, pos, m in sorted(keys):
-            self.rows.setdefault((k, pos), []).append(m)
 
-    def first_above(self, k: int, pos: int, m: int):
-        """The first key T in canonical order with (k, pos, m) <= T in the
-        tile order, or None."""
-        for d in range(k, -1, -1):
-            row = self.rows.get((k - d, pos >> d))
-            if row:
-                i = bisect_left(row, m << d)
-                if i < len(row) and row[i] < (m + 1) << d:
-                    return (k - d, pos >> d, row[i])
-        return None
+def _trees(index: BitileIndex, trees) -> list[Tree]:
+    """The Trees of (top key, member positions in index) pairs."""
+    return [Tree(Bitile.from_key(top), tuple(index.bitiles(ms))) for top, ms in trees]
+
+
+def _cell_key(code: int, D: int) -> tuple[int, int, int]:
+    """The key (k, pos, m) of the cell (k, pos 2^(D-k) + m) at the flat
+    index code of a grid of depth D (see timefreq.up_sum_grids)."""
+    k, col = divmod(code, 1 << D)
+    return k, col >> (D - k), col & ((1 << (D - k)) - 1)
+
+
+def _lookup(index: BitileIndex, counter: DensityCounter) -> tuple[np.ndarray, np.ndarray]:
+    """One DensityCounter.lookup per position of index: the density
+    numerators over 2^L and the flat indices of the witnesses' cells in a
+    grid of the index's depth, which sort as their keys (_cell_key)."""
+    D = index.depth
+    found = [counter.lookup(*key) for key in index.keys]
+    return np.array([num for num, _ in found], np.int64), np.array(
+        [(k << D) + (pos << (D - k)) + m for _, (k, pos, m) in found], np.int64
+    )
+
+
+def _density_split(index: BitileIndex, nums, codes, sel: np.ndarray, E: LevelSet, q, scale: int):
+    """The density lemma's split of the positions sel, by the run's
+    numerators over scale and witness cells (_lookup): the sparse positions,
+    the trees as (top key, member positions), the certificates, the density.
+
+    The tops are the maximal witnesses of the dense bitiles, and each
+    dense bitile joins the first top above it in canonical order.  That is
+    the first witness above it: a witness with a strict tile-order
+    ancestor among the witnesses is not, since the ancestor is coarser and
+    so comes first."""
+    num = nums[sel]
+    dens = Fraction(int(num.max()) if len(sel) else 0, scale)
+    threshold = dens * _two_pow(-q) if dens else Fraction(0)
+    # num / 2^L > threshold exactly when num > cut, for a Fraction or float
+    cut = math.floor(Fraction(threshold) * scale)
+    dense = num > cut
+    rest, tops, members = sel[dense], [], []
+    if len(rest):
+        # d scales up, the witnesses above (k, pos, m) are the cells of
+        # (k - d, pos >> d, [m 2^d, (m + 1) 2^d)): one search per scale
+        cells, D = codes[rest], index.depth
+        cells = cells[np.argsort(cells, kind="stable")]
+        up = np.arange(D + 1)[:, None]
+        d = index.k[rest] - up
+        shift = np.maximum(d, 0)
+        lo = (up << D) + ((index.pos[rest] >> shift) << (D - up)) + (index.m[rest] << shift)
+        at = cells[np.minimum(np.searchsorted(cells, lo), len(cells) - 1)]
+        none = np.iinfo(np.int64).max
+        first = np.where((d >= 0) & (at >= lo) & (at < lo + (1 << shift)), at, none).min(axis=0)
+        if (first == none).any():
+            raise RuntimeError("density split failed to assign every dense bitile")
+        order = np.argsort(first, kind="stable")
+        rest, first = rest[order], first[order]
+        starts = [0, *(np.flatnonzero(first[1:] != first[:-1]) + 1).tolist()]
+        tops = [_cell_key(int(first[a]), D) for a in starts]
+        members = [rest[a:b] for a, b in zip(starts, [*starts[1:], len(rest)])]
+
+    sparse = num[~dense]
+    certs = [
+        Certificate.make(
+            "density_sparse", Fraction(int(sparse.max()) if len(sparse) else 0, scale), threshold,
+            theorem_backed=True, context={"q": q, "density": dens},
+        )
+    ]
+    if dens > 0:
+        certs.append(
+            Certificate.make(
+                "density_mass", _length_sum(tops), _two_pow(q) / dens * E.measure,
+                theorem_backed=True, context={"q": q, "trees": len(tops), "set_measure": E.measure},
+            )
+        )
+    return sel[~dense], list(zip(tops, members)), certs, dens
 
 
 def density_decompose(
@@ -143,106 +198,99 @@ def density_decompose(
 ) -> DensityDecomposition:
     """Split a collection into a sparse part whose density drops by 2^-q
     and trees whose top time intervals carry at most 2^q / density |E|
-    total length; the constructive greedy from the density lemma.
-
-    The tops are the maximal witnesses of the dense bitiles, and each
-    dense bitile joins the first top above it in canonical order.  That is
-    the first witness above it: a witness with a strict tile-order
-    ancestor among the witnesses is not, since the ancestor is coarser and
-    so comes first."""
-    coll = _canonical(coll)
+    total length; the constructive greedy from the density lemma
+    (_density_split)."""
+    index = BitileIndex(coll)
     if counter is None:
         counter = DensityCounter(E, Nfun)
-    # integer numerators over 2^L (DensityCounter.lookup) and witness keys
-    found = [counter.lookup(*P.key()) for P in coll]
-    scale = 1 << counter.L
-    dens = Fraction(max((num for num, _ in found), default=0), scale)
-    threshold = dens * _two_pow(-q) if dens else Fraction(0)
-    # num / 2^L > threshold exactly when num > cut, for a Fraction or float
-    cut = math.floor(Fraction(threshold) * scale)
-
-    sparse = [P for P, (num, _) in zip(coll, found) if num <= cut]
-    rest = [P for P, (num, _) in zip(coll, found) if num > cut]
-    witnesses = _TopIndex({key for num, key in found if num > cut})
-    members: dict[tuple[int, int, int], list[Bitile]] = {}
-    for P in rest:
-        T = witnesses.first_above(*P.key())
-        if T is None:
-            raise RuntimeError("density split failed to assign every dense bitile")
-        members.setdefault(T, []).append(P)
-    trees = [Tree(Bitile.from_key(T), tuple(ms)) for T, ms in sorted(members.items())]
-
-    sparse_density = Fraction(max((num for num, _ in found if num <= cut), default=0), scale)
-    certs = [
-        Certificate.make(
-            "density_sparse",
-            sparse_density,
-            threshold,
-            theorem_backed=True,
-            context={"q": q, "density": dens},
-        )
-    ]
-    if dens > 0:
-        mass = sum((t.time.length for t in trees), Fraction(0))
-        bound = _two_pow(q) / dens * E.measure
-        certs.append(
-            Certificate.make(
-                "density_mass",
-                mass,
-                bound,
-                theorem_backed=True,
-                context={"q": q, "trees": len(trees), "set_measure": E.measure},
-            )
-        )
-    return DensityDecomposition(tuple(sparse), tuple(trees), tuple(certs), dens)
+    nums, codes = _lookup(index, counter)
+    sel = np.arange(len(index.keys))
+    sparse, trees, certs, dens = _density_split(index, nums, codes, sel, E, q, 1 << counter.L)
+    return DensityDecomposition(
+        tuple(index.bitiles(sparse)), tuple(_trees(index, trees)), tuple(certs), dens
+    )
 
 
 # ---------------------------------------------------------------------------
 # size lemma
 
-def _take_below(remaining: dict, top: tuple[int, int, int], finest: int) -> list[Bitile]:
-    """Remove and return, in canonical order, the members of remaining
-    (keyed by (k, pos, m)) below top in the tile order: d scales down they
-    are (k + d, [pos 2^d, (pos+1) 2^d), m >> d)."""
-    k, pos, m = top
-    out = []
-    for d in range(finest - k + 1):
-        md = m >> d
-        for p in range(pos << d, (pos + 1) << d):
-            P = remaining.pop((k + d, p, md), None)
-            if P is not None:
-                out.append(P)
-    return out
+@lru_cache(maxsize=2)
+def _center_keys(D: int) -> np.ndarray:
+    """The cells of a grid of depth D (see timefreq.up_sum_grids), flat, as
+    ((2m + 1) 2^k 2^D) | pos: an odd multiple of 2^k, the frequency center
+    fixes (k, m), so the keys sort as the centers, ties by key."""
+    k = np.arange(D + 1)[:, None]
+    cols = np.arange(1 << D)
+    pos, m = cols >> (D - k), cols & ((1 << (D - k)) - 1)
+    return (((((2 * m + 1) << k) << D) | pos)).ravel()
 
 
 def first_maximal_top(mask: np.ndarray) -> tuple[int, int, int] | None:
     """The key of the cell of a boolean grid (see timefreq.up_sum_grids)
     that is set, lies below no other set cell in the tile order, and has the
     least frequency center (2m + 1) 2^k, ties by key; None when no cell is
-    set.  The cells above (k, pos, m) are its two parents
-    (k - 1, pos >> 1, 2m) and (k - 1, pos >> 1, 2m + 1) and theirs, so one
-    pass from the coarsest scale with a set cell to the finest finds the
-    cells below a set one."""
-    scales = np.flatnonzero(mask.any(axis=1))
-    if not len(scales):
-        return None
+    set.  The set cells are tried in that order; d scales up, the cells
+    above (k, pos, m) are the columns [m 2^d, (m + 1) 2^d) of
+    (k - d, pos >> d), a slice of one row."""
     D = mask.shape[0] - 1
-    free = mask.copy()
-    covered = mask[scales[0]]
-    for k in range(scales[0] + 1, scales[-1] + 1):
-        cols = 1 << (D - k)
-        parents = covered.reshape(1 << (k - 1), cols, 2)
-        below = np.empty((1 << (k - 1), 2, cols), bool)
-        below[:] = (parents[..., 0] | parents[..., 1])[:, None, :]
-        below = below.reshape(-1)
-        free[k] &= ~below
-        covered = mask[k] | below
-    rows, cols = np.nonzero(free)
-    shift = D - rows
-    pos, m = cols >> shift, cols & ((1 << shift) - 1)
-    # an odd multiple of 2^k, the center fixes (k, m): ties are broken by pos
-    i = ((((2 * m + 1) << rows) << D) | pos).argmin()
-    return int(rows[i]), int(pos[i]), int(m[i])
+    cells = np.flatnonzero(mask)
+    for i in cells[_center_keys(D)[cells].argsort(kind="stable")].tolist():
+        k, pos, m = _cell_key(i, D)
+        if not any(
+            mask[k - d, ((pos >> d) << (D - k + d)) + (m << d) :][: 1 << d].any()
+            for d in range(1, k + 1)
+        ):
+            return k, pos, m
+    return None
+
+
+def _size_split(sizes: SizeEvaluator, sel: np.ndarray, q):
+    """The size lemma's greedy on the positions sel of the evaluator's
+    index: the small positions, the trees as (top key, member positions),
+    the certificates and the collection's size power.  One grid over the
+    members with a nonzero coefficient gives the collection size and the
+    qualifying tops of every round, and loses each tree taken out."""
+    index = sizes.index
+    active = sel[sizes.nonzero[sel]]
+    grid = sizes.grid(active)
+    sigma_pow = grid.pow()
+    threshold_pow = sigma_pow * _two_pow(-q)
+
+    left = np.zeros(len(index.keys), bool)
+    left[active] = True
+    trees = []
+    rounds = 0
+    while left.any():
+        rounds += 1
+        if rounds > len(sel) + 1:
+            raise RuntimeError("size split failed to terminate")
+        pick = first_maximal_top(grid.exceeding(threshold_pow))
+        if pick is None:
+            break
+        members = index.below(pick)
+        members = members[left[members]]
+        left[members] = False
+        trees.append((pick, members))
+        grid.remove(members)
+
+    tiles = []
+    for (kT, _, mT), members in trees:
+        # the up-part: (2 m_T + 1) >> d = 2m + 1, d scales down
+        up = members[((2 * mT + 1) >> (index.k[members] - kT)) == 2 * index.m[members] + 1]
+        tiles += zip(index.k[up].tolist(), index.pos[up].tolist(), (2 * index.m[up]).tolist())
+    certs = [
+        # the zero-coefficient members add nothing to any size
+        Certificate.make(
+            "size_small", grid.pow(), threshold_pow, theorem_backed=True,
+            context={"q": q, "note": "q-th powers of size; threshold is (size/2)^q"},
+        ),
+        Certificate.make(
+            "down_tile_disjointness", len(meeting_tile_pairs(tiles)), 0, theorem_backed=True,
+            context={"pairs_checked": len(tiles) * (len(tiles) - 1) // 2},
+        ),
+    ]
+    # the zero-coefficient members and those left, in canonical order
+    return sel[~sizes.nonzero[sel] | left[sel]], trees, certs, sigma_pow
 
 
 def size_decompose(
@@ -254,77 +302,21 @@ def size_decompose(
 ) -> SizeDecomposition:
     """Greedy extraction of trees whose up-part mass exceeds half the
     collection size, choosing the qualifying maximal tree with the minimal
-    top frequency center; ties fall back to the canonical bitile order.
-
-    Every size comes from sizes, the run's SizeEvaluator, built over coll
-    when absent.  One of its grids over the members with a nonzero
-    coefficient gives the collection size and the qualifying tops of every
-    round, and loses each tree as it is taken out."""
-    coll = _canonical(coll)
+    top frequency center; ties fall back to the canonical bitile order
+    (_size_split).  Every size comes from sizes, the run's SizeEvaluator,
+    built over coll when absent."""
     if sizes is None:
         sizes = SizeEvaluator(coll, f, q, plugin)
-    zero = [P for P in coll if P.key() not in sizes.nonzero]
-    active = [P for P in coll if P.key() in sizes.nonzero]
-
-    grid = sizes.grid(active)
-    sigma_pow = grid.pow()
-    threshold_pow = sigma_pow * _two_pow(-q)
-
-    remaining = {P.key(): P for P in active}
-    finest = max((P.time.k for P in coll), default=0)
-    trees: list[Tree] = []
-    rounds = 0
-    while remaining:
-        rounds += 1
-        if rounds > len(coll) + 1:
-            raise RuntimeError("size split failed to terminate")
-        pick = first_maximal_top(grid.exceeding(threshold_pow))
-        if pick is None:
-            break
-        tree = Tree(Bitile.from_key(pick), tuple(_take_below(remaining, pick, finest)))
-        trees.append(tree)
-        grid.remove(tree.members)
-
-    small = sorted([*remaining.values(), *zero], key=Bitile.key)
-    tree_pows = sizes.tree_pows(trees)
-    # the zero-coefficient members add nothing to any size
-    small_pow = grid.pow()
-
-    certs = [
-        Certificate.make(
-            "size_small",
-            small_pow,
-            threshold_pow,
-            theorem_backed=True,
-            context={"q": q, "note": "q-th powers of size; threshold is (size/2)^q"},
-        )
-    ]
-
-    tiles = [(P.time.k, P.time.pos, 2 * P.m) for t in trees for P in t.up_part()]
-    certs.append(
-        Certificate.make(
-            "down_tile_disjointness",
-            len(meeting_tile_pairs(tiles)),
-            0,
-            theorem_backed=True,
-            context={"pairs_checked": len(tiles) * (len(tiles) - 1) // 2},
-        )
-    )
-
-    mass = sum((t.time.length for t in trees), Fraction(0))
-    fq_pow = sizes.fq_pow
-    if fq_pow and float(fq_pow) > 0:
-        mass_constant = float(mass) * float(sigma_pow) / float(fq_pow)
-    else:
-        mass_constant = 0.0
-    stats = {
-        "top_length_sum": mass,
-        "size_pow": sigma_pow,
-        "mass_constant": mass_constant,
-        "trees": len(trees),
-    }
+    small, trees, certs, sigma_pow = _size_split(sizes, sizes.index.select(coll), q)
+    mass = _length_sum([top for top, _ in trees])
+    trees = _trees(sizes.index, trees)
+    fq = float(sizes.fq_pow)
+    mass_constant = float(mass) * float(sigma_pow) / fq if fq > 0 else 0.0
+    stats = {"top_length_sum": mass, "size_pow": sigma_pow, "mass_constant": mass_constant,
+             "trees": len(trees)}
     return SizeDecomposition(
-        tuple(small), tuple(trees), tuple(certs), sigma_pow, tuple(tree_pows), stats
+        tuple(sizes.index.bitiles(small)), tuple(trees), tuple(certs), sigma_pow,
+        tuple(sizes.tree_pows(trees)), stats,
     )
 
 
@@ -344,96 +336,83 @@ def full_decompose(
     extracted trees with the level exponent n and emitting the density,
     size and mass certificates at every level.
 
-    The density table of (E, N) is built once, and sizes, the run's
-    SizeEvaluator (built over coll when absent), serves every level."""
+    sizes, the run's SizeEvaluator (built over coll when absent), holds the
+    index every collection of the loop is a sorted array of positions in;
+    the density numerators and witnesses of its members are looked up once.
+    The trees become Trees after the loop, where one tree_pows call gives
+    every tree's size power, and each level's certificates follow."""
     if E.count == 0:
         raise ValueError("empty level set: level exponents undefined")
-    coll = _canonical(coll)
     if sizes is None:
         sizes = SizeEvaluator(coll, f, q, plugin)
     fq_pow = sizes.fq_pow
     if not float(fq_pow) > 0:
         raise ValueError("zero signal: level exponents undefined")
 
+    index = sizes.index
+    sel = index.select(coll)
     counter = DensityCounter(E, Nfun)
-    dens0 = density(coll, E, Nfun, counter=counter)
-    size0_pow = sizes.grid(coll).pow()
+    nums, codes = _lookup(index, counter)
+    scale = 1 << counter.L
+    dens0 = Fraction(int(nums[sel].max()) if len(sel) else 0, scale)
+    size0_pow = sizes.grid(sel).pow()
 
     L = f.L
     n_max = starting_level(dens0, size0_pow, fq_pow, E.measure, q, L)
 
-    levels: list[LevelRecord] = []
-    active = list(coll)
+    # per level: n, its trees as (top key, member positions), the density
+    # and size certificates and each tree's density
+    levels = []
     n = n_max
-    while True:
-        if not any(P.key() in sizes.nonzero for P in active):
-            break
-        dres = density_decompose(active, E, Nfun, q, counter=counter)
-        sres = size_decompose(dres.sparse, f, q, plugin, sizes=sizes)
-        level_trees = tuple(dres.trees) + tuple(sres.trees)
-        tag = _two_pow(n * q) if isinstance(q, int) else 2.0 ** (n * float(q))
-        tag_size = tag * fq_pow
+    while sizes.nonzero[sel].any():
+        sparse, dtrees, certs, _ = _density_split(index, nums, codes, sel, E, q, scale)
+        sel, strees, scerts, _ = _size_split(sizes, sparse, q)
+        trees = dtrees + strees
+        members = [ms for _, ms in trees]
+        starts = list(accumulate(map(len, members[:-1]), initial=0))
+        best = np.maximum.reduceat(nums[np.concatenate(members)], starts).tolist() if trees else []
+        levels.append((n, trees, certs + scerts, tuple(Fraction(x, scale) for x in best)))
+        n -= 1
 
-        certs: list[Certificate] = list(dres.certificates) + list(sres.certificates)
-        densities = tuple(density(t.members, E, Nfun, counter=counter) for t in level_trees)
-        certs.append(
-            Certificate.make(
-                "level_density",
-                max(densities, default=Fraction(0)),
-                _min_one(tag * E.measure),
-                theorem_backed=True,
-                context={"n": n},
-            )
-        )
-        tree_pows = tuple(sizes.tree_pows(dres.trees)) + sres.tree_pows
+    forest = [_trees(index, trees) for _, trees, _, _ in levels]
+    pows = iter(sizes.tree_pows([t for trees in forest for t in trees]))
+    records = []
+    for (n, trees, certs, densities), level_trees in zip(levels, forest):
+        tag = _two_pow(n * q) if isinstance(q, int) else 2.0 ** (n * float(q))
+        tree_pows = tuple(next(pows) for _ in trees)
         level_size_pow = Fraction(0)
         for v in tree_pows:
             if _pow_gt(v, level_size_pow):
                 level_size_pow = v
-        certs.append(
+        mass = _length_sum([top for top, _ in trees])
+        certs += [
             Certificate.make(
-                "level_size",
-                level_size_pow,
-                tag_size,
-                theorem_backed=_is_hilbert_case(q, plugin),
-                context={"n": n, "note": "q-th powers"},
-            )
-        )
-        mass = sum((t.time.length for t in level_trees), Fraction(0))
-        certs.append(
+                "level_density", max(densities, default=Fraction(0)), _min_one(tag * E.measure),
+                theorem_backed=True, context={"n": n},
+            ),
             Certificate.make(
-                "level_mass",
-                mass,
-                mass,
-                theorem_backed=False,
+                "level_size", level_size_pow, tag * fq_pow,
+                theorem_backed=_is_hilbert_case(q, plugin), context={"n": n, "note": "q-th powers"},
+            ),
+            Certificate.make(
+                "level_mass", mass, mass, theorem_backed=False,
                 context={"n": n, "mass_constant": float(mass) * float(tag)},
-            )
-        )
-        levels.append(LevelRecord(n, level_trees, tuple(certs), tree_pows, densities))
-        active = list(sres.small)
-        n -= 1
+            ),
+        ]
+        records.append(LevelRecord(n, tuple(level_trees), tuple(certs), tree_pows, densities))
 
-    residual = tuple(_canonical(active))
+    residual = tuple(index.bitiles(sel))
     top_certs = [
         Certificate.make(
-            "residual_zero_contribution",
-            sum(1 for P in residual if P.key() in sizes.nonzero),
-            0,
-            theorem_backed=True,
+            "residual_zero_contribution", int(sizes.nonzero[sel].sum()), 0, theorem_backed=True,
             context={"residual": len(residual)},
-        )
-    ]
-    span = n_max - (levels[-1].n if levels else n_max)
-    top_certs.append(
+        ),
         Certificate.make(
-            "level_span",
-            span,
-            4 * L,
-            theorem_backed=False,
-            context={"n_max": n_max, "levels": len(levels)},
-        )
-    )
-    return LeveledForest(tuple(levels), residual, tuple(top_certs))
+            "level_span", n_max - (records[-1].n if records else n_max), 4 * L,
+            theorem_backed=False, context={"n_max": n_max, "levels": len(records)},
+        ),
+    ]
+    return LeveledForest(tuple(records), residual, tuple(top_certs))
 
 
 def starting_level(dens0, size0_pow, fq_pow, measure: Fraction, q, L: int) -> int:
@@ -524,7 +503,8 @@ def carleson_form_certificate(
         for tree, spow, dens in zip(rec.trees, rec.size_pows, rec.densities):
             form = abs_sum([products[P.key()] for P in tree.members], den)
             size_val = float(spow) ** (1.0 / qf)
-            rhs = size_val * float(dens) * float(tree.time.length)
+            # 2^-k_T, the float of |I_T|
+            rhs = size_val * float(dens) * 2.0 ** -tree.time.k
             tree_rows.append(
                 {
                     "top": tree.top.to_json(),
@@ -533,7 +513,7 @@ def carleson_form_certificate(
                     "tree_lemma_ratio": float(form) / rhs if rhs > 0 else 0.0,
                 }
             )
-            level_mass += float(tree.time.length)
+            level_mass += 2.0 ** -tree.time.k
         level_rows.append({"n": rec.n, "trees": tree_rows})
         majorant += min(1.0, tag * float(E.measure)) * 2.0 ** rec.n * fq * level_mass
 
@@ -558,8 +538,10 @@ def tile_type_constant(
     plugin: NormPlugin,
 ) -> tuple[float, list[Certificate]]:
     """Ratio (sum over trees of |packet sum|_q^q)^(1/q) / |f|_q for a family
-    with pairwise disjoint down-tiles; also certifies per tree that the
-    packet form and its Haar form have equal L^q norms."""
+    with pairwise disjoint down-tiles; also compares per tree the L^q norms
+    of the packet form and its Haar form.  They differ by the signs of the
+    tree identity, which keep the norm by orthogonality only in the Hilbert
+    q = 2 case, where alone that certificate is theorem-backed."""
     violations = family.down_disjointness_violations()
     if violations:
         raise ValueError(
@@ -593,7 +575,7 @@ def tile_type_constant(
                 "packet_haar_norm_equality",
                 abs(upow - hpow),
                 tolerance,
-                theorem_backed=True,
+                theorem_backed=_is_hilbert_case(q, plugin),
                 context={"tree": idx},
             )
         )

@@ -9,8 +9,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
-from typing import Iterator
+from functools import cached_property, lru_cache
+from itertools import chain
+from typing import Iterable, Iterator
+
+import numpy as np
 
 
 @dataclass(frozen=True, order=True)
@@ -235,3 +238,57 @@ def bitile_universe(L: int) -> BitileUniverse:
 def universe_size(L: int) -> int:
     """Closed-form count: scales k < L give 2^(L-1) each, k = L gives 2^L."""
     return L * (1 << (L - 1)) + (1 << L)
+
+
+class BitileIndex:
+    """The distinct bitiles of a collection in canonical order, with their
+    keys as integer arrays k, pos and m: every collection of a run is a
+    sorted array of positions in it."""
+
+    def __init__(self, coll: Iterable[Bitile]) -> None:
+        found = sorted({P.key(): P for P in coll}.items())
+        self.keys = [key for key, _ in found]
+        self.items = [P for _, P in found]
+        self.at = {key: i for i, key in enumerate(self.keys)}
+        flat = np.fromiter(chain.from_iterable(self.keys), np.int64, 3 * len(self.keys))
+        self.k, self.pos, self.m = flat.reshape(-1, 3).T
+        # k + m.bit_length(): the least grid depth that holds the key
+        self.extent = np.array([k + m.bit_length() for k, _, m in self.keys], np.int64)
+        self.depth = int(self.extent.max(initial=0))
+
+    def select(self, coll) -> np.ndarray:
+        """The sorted positions of coll's bitiles; positions are kept."""
+        if isinstance(coll, np.ndarray):
+            return coll
+        return np.array(sorted({self.at[P.key()] for P in coll}), np.int64)
+
+    def bitiles(self, sel: np.ndarray) -> list[Bitile]:
+        return [self.items[i] for i in sel.tolist()]
+
+    def cells(self, sel: np.ndarray, depth: int) -> tuple[np.ndarray, np.ndarray]:
+        """timefreq.grid_cells of the positions sel in a grid of the given depth."""
+        k, pos = self.k[sel], self.pos[sel]
+        if (pos >> k).any():
+            raise ValueError("bitile outside [0, 1)")
+        return k, (pos << (depth - k)) + self.m[sel]
+
+    @cached_property
+    def at_cell(self) -> np.ndarray:
+        """The position of each cell of a grid of the index's depth, -1
+        where the index has no bitile."""
+        at = np.full((self.depth + 1, 1 << self.depth), -1, np.int32)
+        at[self.cells(np.arange(len(self.keys)), self.depth)] = np.arange(len(self.keys))
+        return at
+
+    def below(self, top: tuple[int, int, int]) -> np.ndarray:
+        """The positions below top in the tile order, in canonical order:
+        d scales down they are (k_T + d, [pos_T 2^d, (pos_T + 1) 2^d),
+        m_T >> d), every 2^(D - k_T - d)-th cell of one block of a row."""
+        kT, posT, mT = top
+        D, at = self.depth, self.at_cell
+        block = posT << (D - kT)
+        found = np.concatenate([
+            at[kT + d, block + (mT >> d) : block + (1 << (D - kT)) : 1 << (D - kT - d)]
+            for d in range(D - kT + 1)
+        ])
+        return found[found >= 0]

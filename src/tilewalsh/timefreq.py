@@ -17,6 +17,7 @@ import numpy as np
 from .certificates import Certificate
 from .dyadic import (
     Bitile,
+    BitileIndex,
     DyadicInterval,
     bitile_le,
     bitile_le_d,
@@ -419,6 +420,13 @@ class HilbertWeights:
         unless it is positive."""
         return self.value(best) if best > 0 else Fraction(0)
 
+    def masses(self, keys: Sequence[tuple[int, int, int]]) -> np.ndarray | None:
+        """The exact masses of keys in an array of their total's _mass_dtype."""
+        if not self.exact:
+            return None
+        num = [self.num[key] for key in keys]
+        return np.array(num, _mass_dtype(sum(num)))
+
 
 def member_masses(coeffs: dict[tuple[int, int, int], list[int]], den: int) -> HilbertWeights:
     """The exact masses of the members whose down coefficients are the
@@ -502,38 +510,39 @@ class UpSumGrid:
     grid_depth); Delta(T)^2 = S(T) 2^k_T / den is the q = 2 Hilbert size of
     the complete up-tree below T.
 
-    Exact masses sit in int64 cells when the collection's total mass has at
-    most 62 bits, so that no partial sum overflows, and in Python ints
-    (dtype object) otherwise; both run the same code, and removing members
-    zeroes their cells and sums again.  Float masses keep the dictionary of
-    the canonical-order sweep (_up_sums) and lose removed members one by
-    one, in the given order, so that every sum has the bits of the same
-    sweep and decrements done on dictionaries; their size power is a fresh
-    sweep over the keys left, whose bits decremented sums do not keep."""
+    Exact masses sit in int64 cells when the total mass has at most 62
+    bits, so that no partial sum overflows, and in Python ints (dtype
+    object) otherwise (HilbertWeights.masses); both run the same code, and
+    removing members zeroes their cells and sums again.  Float masses keep
+    the dictionary of the canonical-order sweep (_up_sums) and lose removed
+    members one by one, in canonical order, so that every sum has the bits
+    of the same sweep and decrements done on dictionaries; their size power
+    is a fresh sweep over the keys left, whose bits decremented sums do not
+    keep.  It holds the positions sel of a BitileIndex, with masses in
+    index order (HilbertWeights.masses), and loses bitiles or positions."""
 
-    def __init__(self, coll: Iterable[Bitile], weights: HilbertWeights) -> None:
-        self.weights = weights
-        # sorted, and kept so as members leave
-        self.keys = keys = dict.fromkeys(sorted(P.key() for P in coll))
-        self.depth = D = grid_depth(keys)
-        rows, cols = grid_cells(keys, D)
-        if not weights.exact:
-            self.mass, self.sums = None, _up_sums(keys, weights.num)
+    def __init__(self, index: BitileIndex, sel: np.ndarray, weights: HilbertWeights, masses):
+        self.index, self.weights = index, weights
+        self.depth = D = int(index.extent[sel].max(initial=0))
+        rows, cols = index.cells(sel, D)
+        if masses is None:
+            # sorted, and kept so as members leave
+            self.keys = dict.fromkeys(index.keys[i] for i in sel.tolist())
+            self.mass, self.sums = None, _up_sums(self.keys, weights.num)
             return
-        num = weights.num
-        self.mass = np.zeros((1, D + 1, 1 << D), _mass_dtype(sum(num[key] for key in keys)))
-        if keys:
-            self.mass[0, rows, cols] = [num[key] for key in keys]
+        self.mass = np.zeros((1, D + 1, 1 << D), masses.dtype)
+        self.mass[0, rows, cols] = masses[sel]
         self.sums = up_sum_grids(self.mass)[0]
 
-    def remove(self, members: Iterable[Bitile]) -> None:
+    def remove(self, members) -> None:
         """Take members out of the collection."""
+        sel = self.index.select(members)
         if self.mass is not None:
-            self.mass[(0, *grid_cells([P.key() for P in members], self.depth))] = 0
+            self.mass[(0, *self.index.cells(sel, self.depth))] = 0
             self.sums = up_sum_grids(self.mass)[0]
             return
-        for P in members:
-            key = P.key()
+        for i in sel.tolist():
+            key = self.index.keys[i]
             del self.keys[key]
             w = self.weights.num[key]
             if w:
@@ -610,36 +619,31 @@ def hilbert_tree_pows(trees: Sequence[Tree], weights: HilbertWeights) -> list:
     canonical-order sweep per tree."""
     if not weights.exact:
         return [_sweep_pow(sorted(P.key() for P in t.members), weights) for t in trees]
-    num = weights.num
-    by_depth: dict[int, list[int]] = {}
-    for i, t in enumerate(trees):
-        if t.members:
-            k = t.top.time.k
-            by_depth.setdefault(max(P.time.k - k for P in t.members), []).append(i)
-    dtype = _mass_dtype(sum(num[P.key()] for t in trees for P in t.members))
     out = [Fraction(0)] * len(trees)
-    for D, group in by_depth.items():
+    keys = [P.key() for t in trees for P in t.members]
+    k, pos, m = np.array(keys, np.int64).reshape(-1, 3).T
+    masses = weights.masses(keys)
+    owner = np.repeat(np.arange(len(trees)), [len(t.members) for t in trees])
+    top_k = [t.top.time.k for t in trees]
+    d = k - np.array(top_k, np.int64)[owner]
+    pos -= np.array([t.top.time.pos for t in trees], np.int64)[owner] << d
+    depth = np.full(len(trees), -1)
+    np.maximum.at(depth, owner, d)
+    for D in sorted(set(depth.tolist()) - {-1}):
+        group = np.flatnonzero(depth == D)
         # at most 2^20 cells at once
         step = max(1, (1 << 20) // ((D + 1) << D))
         for start in range(0, len(group), step):
             batch = group[start : start + step]
-            mass = np.zeros((len(batch), D + 1, 1 << D), dtype)
-            index: tuple[list, list, list] = ([], [], [])
-            vals = []
-            for b, i in enumerate(batch):
-                kT, posT = trees[i].top.time.k, trees[i].top.time.pos
-                for P in trees[i].members:
-                    key = k, pos, m = P.key()
-                    d = k - kT
-                    index[0].append(b)
-                    index[1].append(d)
-                    index[2].append(((pos - (posT << d)) << (D - d)) + (m & ((1 << (D - d)) - 1)))
-                    vals.append(num[key])
-            mass[index] = vals
-            best = up_sum_grids(mass).max(axis=2).tolist()
-            for b, i in enumerate(batch):
-                kT = trees[i].top.time.k
-                out[i] = weights.pow_of(max(x << (kT + e) for e, x in enumerate(best[b])))
+            slot = np.full(len(trees), -1)
+            slot[batch] = np.arange(len(batch))
+            at = np.flatnonzero(slot[owner] >= 0)
+            e = d[at]
+            cols = (pos[at] << (D - e)) + (m[at] & ((1 << (D - e)) - 1))
+            mass = np.zeros((len(batch), D + 1, 1 << D), masses.dtype)
+            mass[slot[owner[at]], e, cols] = masses[at]
+            for row, i in zip(up_sum_grids(mass).max(axis=2).tolist(), batch.tolist()):
+                out[i] = weights.pow_of(max(x << (top_k[i] + e) for e, x in enumerate(row)))
     return out
 
 
@@ -658,17 +662,19 @@ def _lq_pow(f: Signal, q, plugin: NormPlugin):
 
 class TreeDeltaGrid:
     """UpSumGrid's interface for every norm and q: the tree_delta_pow of
-    the complete up-tree below each top of the members left.  One pass over
-    the members' up_ancestor_keys, in canonical order, lists the members
-    below each top; a removal takes anew the values of the tops above the
-    members removed."""
+    the complete up-tree below each top of the members left, bitiles or
+    positions in the evaluator's index.  One pass over the members'
+    up_ancestor_keys, in canonical order, lists the members below each top;
+    a removal takes anew the values of the tops above the members removed."""
 
-    def __init__(self, coll: Iterable[Bitile], sizes: SizeEvaluator) -> None:
+    def __init__(self, coll, sizes: SizeEvaluator) -> None:
         self.sizes = sizes
+        index = sizes.index
         self.below: dict[tuple[int, int, int], dict[tuple[int, int, int], Bitile]] = {}
-        for key, P in sorted({P.key(): P for P in coll}.items()):
+        for i in index.select(coll).tolist():
+            key = index.keys[i]
             for T in up_ancestor_keys(*key):
-                self.below.setdefault(T, {})[key] = P
+                self.below.setdefault(T, {})[key] = index.items[i]
         self.depth = grid_depth(self.below)
         # in canonical order of the tops, which updates keep
         self.values: dict = {}
@@ -680,13 +686,13 @@ class TreeDeltaGrid:
         tree = Tree(Bitile.from_key(T), tuple(self.below[T].values()))
         self.values[T] = tree_delta_pow(tree, s.f, s.q, s.plugin, coeffs=(s.coeffs, s.den))
 
-    def remove(self, members: Iterable[Bitile]) -> None:
+    def remove(self, members) -> None:
         """Take members out of the collection."""
+        keys = self.sizes.index.keys
         touched = set()
-        for P in members:
-            key = P.key()
-            for T in up_ancestor_keys(*key):
-                if self.below.get(T, {}).pop(key, None) is not None:
+        for i in self.sizes.index.select(members).tolist():
+            for T in up_ancestor_keys(*keys[i]):
+                if self.below.get(T, {}).pop(keys[i], None) is not None:
                     touched.add(T)
         for T in sorted(touched):
             if self.below[T]:
@@ -709,10 +715,12 @@ class TreeDeltaGrid:
 
 class SizeEvaluator:
     """The sizes of one run, built once from a collection, the signal f,
-    q and the norm: it holds the members' down coefficients, the keys of
-    those with a nonzero one, |f|_q^q and, in the q = 2 Hilbert case, the
-    member masses (weights), whose Parseval up-sums give every size there;
-    other norms and q resynthesize the packet sum below each top.
+    q and the norm: it holds the members' down coefficients, their
+    BitileIndex with a mask of those with a nonzero coefficient (nonzero),
+    |f|_q^q and, in the q = 2 Hilbert case, the member masses (weights, and
+    as an array in index order, masses), whose Parseval up-sums give every
+    size there; other norms and q resynthesize the packet sum below each
+    top.
 
     The coefficients are the one map of down_coefficients, keyed by
     (k, pos, m): Python-int numerators over den = f.den 2^L for an exact
@@ -723,23 +731,26 @@ class SizeEvaluator:
     def __init__(self, coll: Sequence[Bitile], f: Signal, q, plugin: NormPlugin) -> None:
         self.coll, self.f, self.q, self.plugin = coll, f, q, plugin
         self.coeffs, self.den = down_coefficients(f, coll)
+        self.index = BitileIndex(coll)
         self.weights = None
         if _is_hilbert_case(q, plugin):
             den = self.den
             self.weights = float_masses(self.coeffs) if den is None else member_masses(self.coeffs, den)
-
-    @cached_property
-    def nonzero(self) -> set:
-        return nonzero_keys(self.coeffs)
+        self.masses = None if self.weights is None else self.weights.masses(self.index.keys)
+        nonzero = nonzero_keys(self.coeffs)
+        self.nonzero = np.array([key in nonzero for key in self.index.keys], bool)
 
     @cached_property
     def fq_pow(self):
         return _lq_pow(self.f, self.q, self.plugin)
 
-    def grid(self, coll: Iterable[Bitile]) -> UpSumGrid | TreeDeltaGrid:
-        """The sizes of coll's complete up-trees: pow() of the members left,
-        exceeding(bound) and remove(members)."""
-        return UpSumGrid(coll, self.weights) if self.weights is not None else TreeDeltaGrid(coll, self)
+    def grid(self, coll) -> UpSumGrid | TreeDeltaGrid:
+        """The sizes of the complete up-trees of coll, bitiles or positions
+        in the index: pow() of the members left, exceeding(bound) and
+        remove(members)."""
+        if self.weights is None:
+            return TreeDeltaGrid(coll, self)
+        return UpSumGrid(self.index, self.index.select(coll), self.weights, self.masses)
 
     def tree_pows(self, trees: Sequence[Tree]) -> list:
         """The size power of each tree's members."""

@@ -7,7 +7,10 @@ runs `gen`, `transform` and `transform --inverse`, `carleson`, `decompose`,
 matrices, the norms euclidean, lp:3, schatten:2 and schatten:3 (matrices
 only), q = 2 and 3, and three kinds of input: the generated exact signal
 and dual function, the same divided by 3 (exact, non-dyadic) and divided
-by 3 as floats; `rwt` and `tiletype` take seeded input only.  Every file
+by 3 as floats; `rwt` and `tiletype` take seeded input only.  Then
+`decompose` and `certify` run on d = 1 vectors at L = 6, 7 and 8, where
+forests have many levels: euclidean with q = 2 on the three kinds of
+input, and lp:3 with q = 3 at L = 6.  Every file
 goes under OUT; the commands run from inside OUT with paths relative to
 it, as decompose echoes its input paths.  The script prints one line per
 run with its exit code and then one `sha256  path` line per output file,
@@ -42,6 +45,8 @@ SHAPES = {
 }
 QS = ("2", "3")
 INPUTS = ("exact", "third", "float")
+# L -> the (norm, q) pairs of the deep decompose and certify runs
+DEEP = {6: (("euclidean", "2"), ("lp:3", "3")), 7: (("euclidean", "2"),), 8: (("euclidean", "2"),)}
 
 
 def _rescaled(values, how: str):
@@ -71,6 +76,23 @@ def sweep(out: Path) -> list[str]:
     return lines
 
 
+def _input_files(gen_dir: Path, how: str) -> dict[str, Path]:
+    """gen's files under gen_dir, rescaled into a sibling directory named
+    after how, by name."""
+    d_in = gen_dir.parent / how
+    _write_input(gen_dir, d_in, how)
+    return {name: d_in / f"{name}.json" for name in ("signal", "dual", "set", "nfun")}
+
+
+def _forest_runs(run, files: dict[str, Path], norm: str, q: str, seed: int) -> None:
+    """decompose and certify of the input files."""
+    d_in = files["signal"].parent
+    common = ["--set", files["set"], "--nfun", files["nfun"], "--norm", norm, "--q", q, "--seed", seed]
+    run(["decompose", "--in", files["signal"], *common, "--out", d_in / f"decompose-q{q}.json"])
+    run(["certify", "--in", files["signal"], "--dual", files["dual"], *common,
+         "--out", d_in / f"certify-q{q}.json"])
+
+
 def _run_matrix() -> list[str]:
     """Every run of the matrix, from the current directory."""
     runner = CliRunner()
@@ -96,9 +118,8 @@ def _run_matrix() -> list[str]:
                         run([command, "--levels", L, *shape, "--norm", norm, "--q", q, "--seed", seed,
                              "--out", gen_dir.parent / f"{command}-q{q}.json"])
                 for how in INPUTS:
-                    d_in = gen_dir.parent / how
-                    _write_input(gen_dir, d_in, how)
-                    files = {name: d_in / f"{name}.json" for name in ("signal", "dual", "set", "nfun")}
+                    files = _input_files(gen_dir, how)
+                    d_in = files["signal"].parent
                     if norm == norms[0]:
                         run(["transform", "--in", files["signal"], "--out", d_in / "transform.json"])
                         run(["transform", "--inverse", "--in", d_in / "transform.json",
@@ -106,12 +127,14 @@ def _run_matrix() -> list[str]:
                         run(["carleson", "--in", files["signal"], "--nfun", files["nfun"],
                              "--out", d_in / "carleson.json"])
                     for q in QS:
-                        common = ["--set", files["set"], "--nfun", files["nfun"], "--norm", norm,
-                                  "--q", q, "--seed", seed]
-                        run(["decompose", "--in", files["signal"], *common,
-                             "--out", d_in / f"decompose-q{q}.json"])
-                        run(["certify", "--in", files["signal"], "--dual", files["dual"], *common,
-                             "--out", d_in / f"certify-q{q}.json"])
+                        _forest_runs(run, files, norm, q, seed)
+    for L, runs in DEEP.items():
+        for norm, q in runs:
+            seed += 1
+            gen_dir = Path(f"L{L}-d1-vector-{norm.replace(':', '')}", "gen")
+            run(["gen", "--levels", L, "--norm", norm, "--seed", seed, "--out", gen_dir])
+            for how in INPUTS if q == "2" else ("exact",):
+                _forest_runs(run, _input_files(gen_dir, how), norm, q, seed)
     return lines
 
 

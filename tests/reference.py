@@ -51,6 +51,15 @@ and helpers that only the tests use.
   pairwise comparison, with a fresh up-sum sweep for the size of the
   collection, of the remainder and of every tree, and the pairwise scan
   for meeting down-tiles.
+- first_maximal_top: the pick of the size split by one pass over the
+  scales of the whole grid, marking the cells below a set one, which
+  decompose's test of the set cells in order of center replaced.
+- full_decompose / bitile_density_decompose / bitile_size_decompose /
+  TopIndex / take_below: the leveled decomposition on Bitile collections,
+  which decompose's one BitileIndex per run replaced: a canonical sort of
+  every collection, a density lookup per member and level and again per
+  tree, witnesses held per interval in sorted lists, trees taken out by
+  dictionary pops, and two tree size batches per level.
 - walsh_coefficients / signal_from_coefficients / signal_to_json /
   signal_from_json / dump_json / maximal_function / restricted_weak_type:
   the Fraction-per-entry forms that integer signal columns replaced: a
@@ -64,12 +73,23 @@ from __future__ import annotations
 import json
 import math
 import warnings
+from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
 
+import numpy as np
+
 from tilewalsh import timefreq
 from tilewalsh.certificates import Certificate
-from tilewalsh.decompose import DensityDecomposition, SizeDecomposition, _le, _min_one, _two_pow
+from tilewalsh.decompose import (
+    DensityDecomposition,
+    LeveledForest,
+    LevelRecord,
+    SizeDecomposition,
+    _le,
+    _min_one,
+    _two_pow,
+)
 from tilewalsh.dyadic import Bitile, DyadicInterval, Tile, bitile_le, bitile_le_u, bitile_universe
 from tilewalsh.gen import SplitMix64
 from tilewalsh.signal import (
@@ -88,10 +108,14 @@ from tilewalsh.signal import (
 from tilewalsh.timefreq import (
     DensityCounter,
     HilbertWeights,
+    SizeEvaluator,
     Tree,
     _is_hilbert_case,
     _pow_gt,
+    density,
     down_coefficients_inf,
+    meeting_tile_pairs,
+    nonzero_keys,
     hilbert_top_sums as int_top_sums,
     local_density,
     size_pow,
@@ -883,6 +907,8 @@ def tile_type_constant(family, f, q, plugin):
     packet and Haar sums from the loops above."""
     if family.down_disjointness_violations():
         raise ValueError("down-tile disjointness violations in family")
+    # the packet and Haar norms agree by orthogonality in the Hilbert case
+    hilbert = _is_hilbert_case(q, plugin)
     certs = []
     total_pow = Fraction(0)
     exact_total = True
@@ -898,7 +924,7 @@ def tile_type_constant(family, f, q, plugin):
             certs.append(
                 Certificate.make(
                     "packet_haar_norm_equality", abs(upow_f - hpow_f),
-                    1e-9 * max(1.0, abs(upow_f)), theorem_backed=True, context={"tree": idx},
+                    1e-9 * max(1.0, abs(upow_f)), theorem_backed=hilbert, context={"tree": idx},
                 )
             )
             total_pow = float(total_pow) + upow_f
@@ -907,7 +933,7 @@ def tile_type_constant(family, f, q, plugin):
             certs.append(
                 Certificate.make(
                     "packet_haar_norm_equality", abs(upow - hpow), Fraction(0),
-                    theorem_backed=True, context={"tree": idx},
+                    theorem_backed=hilbert, context={"tree": idx},
                 )
             )
             total_pow = total_pow + upow if exact_total else float(total_pow) + float(upow)
@@ -1089,3 +1115,225 @@ def restricted_weak_type(F, E, f, g, Nfun, p, q, plugin):
         "major_subset": Etilde.cells(),
         "certificates": certs,
     }
+
+
+# ---------------------------------------------------------------------------
+# the leveled decomposition on Bitile collections
+
+def _canonical(coll):
+    return [P for _, P in sorted({P.key(): P for P in coll}.items())]
+
+
+class TopIndex:
+    """A set of bitile keys (k, pos, m) held per interval (k, pos) as a
+    sorted list of m; the keys above (k, pos, m) in the tile order are, d
+    scales up, the range (k - d, pos >> d, [m 2^d, (m+1) 2^d))."""
+
+    def __init__(self, keys) -> None:
+        self.rows = {}
+        for k, pos, m in sorted(keys):
+            self.rows.setdefault((k, pos), []).append(m)
+
+    def first_above(self, k, pos, m):
+        for d in range(k, -1, -1):
+            row = self.rows.get((k - d, pos >> d))
+            if row:
+                i = bisect_left(row, m << d)
+                if i < len(row) and row[i] < (m + 1) << d:
+                    return (k - d, pos >> d, row[i])
+        return None
+
+
+def bitile_density_decompose(coll, E, Nfun, q, counter=None):
+    """The density split: each dense bitile joins the first witness above
+    it in canonical order."""
+    coll = _canonical(coll)
+    if counter is None:
+        counter = DensityCounter(E, Nfun)
+    found = [counter.lookup(*P.key()) for P in coll]
+    scale = 1 << counter.L
+    dens = Fraction(max((num for num, _ in found), default=0), scale)
+    threshold = dens * _two_pow(-q) if dens else Fraction(0)
+    cut = math.floor(Fraction(threshold) * scale)
+    sparse = [P for P, (num, _) in zip(coll, found) if num <= cut]
+    rest = [P for P, (num, _) in zip(coll, found) if num > cut]
+    witnesses = TopIndex({key for num, key in found if num > cut})
+    members = {}
+    for P in rest:
+        T = witnesses.first_above(*P.key())
+        if T is None:
+            raise RuntimeError("density split failed to assign every dense bitile")
+        members.setdefault(T, []).append(P)
+    trees = [Tree(Bitile.from_key(T), tuple(ms)) for T, ms in sorted(members.items())]
+    sparse_density = Fraction(max((num for num, _ in found if num <= cut), default=0), scale)
+    certs = [
+        Certificate.make(
+            "density_sparse", sparse_density, threshold,
+            theorem_backed=True, context={"q": q, "density": dens},
+        )
+    ]
+    if dens > 0:
+        mass = sum((t.time.length for t in trees), Fraction(0))
+        certs.append(
+            Certificate.make(
+                "density_mass", mass, _two_pow(q) / dens * E.measure, theorem_backed=True,
+                context={"q": q, "trees": len(trees), "set_measure": E.measure},
+            )
+        )
+    return DensityDecomposition(tuple(sparse), tuple(trees), tuple(certs), dens)
+
+
+def take_below(remaining, top, finest):
+    """Remove and return, in canonical order, the members of remaining
+    (keyed by (k, pos, m)) below top in the tile order."""
+    k, pos, m = top
+    out = []
+    for d in range(finest - k + 1):
+        for p in range(pos << d, (pos + 1) << d):
+            P = remaining.pop((k + d, p, m >> d), None)
+            if P is not None:
+                out.append(P)
+    return out
+
+
+def bitile_size_decompose(coll, f, q, plugin, sizes=None):
+    """The size split on one grid of the evaluator, trees taken out by
+    dictionary pops."""
+    coll = _canonical(coll)
+    if sizes is None:
+        sizes = SizeEvaluator(coll, f, q, plugin)
+    nonzero = nonzero_keys(sizes.coeffs)
+    zero = [P for P in coll if P.key() not in nonzero]
+    active = [P for P in coll if P.key() in nonzero]
+    grid = sizes.grid(active)
+    sigma_pow = grid.pow()
+    threshold_pow = sigma_pow * _two_pow(-q)
+    remaining = {P.key(): P for P in active}
+    finest = max((P.time.k for P in coll), default=0)
+    trees = []
+    rounds = 0
+    while remaining:
+        rounds += 1
+        if rounds > len(coll) + 1:
+            raise RuntimeError("size split failed to terminate")
+        pick = first_maximal_top(grid.exceeding(threshold_pow))
+        if pick is None:
+            break
+        tree = Tree(Bitile.from_key(pick), tuple(take_below(remaining, pick, finest)))
+        trees.append(tree)
+        grid.remove(tree.members)
+    small = sorted([*remaining.values(), *zero], key=Bitile.key)
+    tiles = [(P.time.k, P.time.pos, 2 * P.m) for t in trees for P in t.up_part()]
+    certs = [
+        Certificate.make(
+            "size_small", grid.pow(), threshold_pow, theorem_backed=True,
+            context={"q": q, "note": "q-th powers of size; threshold is (size/2)^q"},
+        ),
+        Certificate.make(
+            "down_tile_disjointness", len(meeting_tile_pairs(tiles)), 0, theorem_backed=True,
+            context={"pairs_checked": len(tiles) * (len(tiles) - 1) // 2},
+        ),
+    ]
+    mass = sum((t.time.length for t in trees), Fraction(0))
+    fq_pow = sizes.fq_pow
+    mass_constant = float(mass) * float(sigma_pow) / float(fq_pow) if fq_pow and float(fq_pow) > 0 else 0.0
+    stats = {"top_length_sum": mass, "size_pow": sigma_pow, "mass_constant": mass_constant,
+             "trees": len(trees)}
+    return SizeDecomposition(
+        tuple(small), tuple(trees), tuple(certs), sigma_pow, tuple(sizes.tree_pows(trees)), stats
+    )
+
+
+def full_decompose(coll, f, E, Nfun, q, plugin, sizes=None):
+    """The leveled decomposition level by level on Bitile collections:
+    bitile_density_decompose, then bitile_size_decompose of the sparse
+    part, each tree's density by a lookup of its members."""
+    if E.count == 0:
+        raise ValueError("empty level set: level exponents undefined")
+    coll = _canonical(coll)
+    if sizes is None:
+        sizes = SizeEvaluator(coll, f, q, plugin)
+    fq_pow = sizes.fq_pow
+    if not float(fq_pow) > 0:
+        raise ValueError("zero signal: level exponents undefined")
+    nonzero = nonzero_keys(sizes.coeffs)
+    counter = DensityCounter(E, Nfun)
+    dens0 = density(coll, E, Nfun, counter=counter)
+    n_max = starting_level(dens0, sizes.grid(coll).pow(), fq_pow, E.measure, q, f.L)
+    levels = []
+    active = list(coll)
+    n = n_max
+    while any(P.key() in nonzero for P in active):
+        dres = bitile_density_decompose(active, E, Nfun, q, counter=counter)
+        sres = bitile_size_decompose(dres.sparse, f, q, plugin, sizes=sizes)
+        level_trees = tuple(dres.trees) + tuple(sres.trees)
+        tag = _two_pow(n * q) if isinstance(q, int) else 2.0 ** (n * float(q))
+        certs = list(dres.certificates) + list(sres.certificates)
+        densities = tuple(density(t.members, E, Nfun, counter=counter) for t in level_trees)
+        certs.append(
+            Certificate.make(
+                "level_density", max(densities, default=Fraction(0)), _min_one(tag * E.measure),
+                theorem_backed=True, context={"n": n},
+            )
+        )
+        tree_pows = tuple(sizes.tree_pows(dres.trees)) + sres.tree_pows
+        level_size_pow = Fraction(0)
+        for v in tree_pows:
+            if _pow_gt(v, level_size_pow):
+                level_size_pow = v
+        certs.append(
+            Certificate.make(
+                "level_size", level_size_pow, tag * fq_pow,
+                theorem_backed=_is_hilbert_case(q, plugin), context={"n": n, "note": "q-th powers"},
+            )
+        )
+        mass = sum((t.time.length for t in level_trees), Fraction(0))
+        certs.append(
+            Certificate.make(
+                "level_mass", mass, mass, theorem_backed=False,
+                context={"n": n, "mass_constant": float(mass) * float(tag)},
+            )
+        )
+        levels.append(LevelRecord(n, level_trees, tuple(certs), tree_pows, densities))
+        active = list(sres.small)
+        n -= 1
+    residual = tuple(_canonical(active))
+    top_certs = [
+        Certificate.make(
+            "residual_zero_contribution", sum(1 for P in residual if P.key() in nonzero), 0,
+            theorem_backed=True, context={"residual": len(residual)},
+        ),
+        Certificate.make(
+            "level_span", n_max - (levels[-1].n if levels else n_max), 4 * f.L,
+            theorem_backed=False, context={"n_max": n_max, "levels": len(levels)},
+        ),
+    ]
+    return LeveledForest(tuple(levels), residual, tuple(top_certs))
+
+
+def first_maximal_top(mask):
+    """The key of the set cell of a boolean grid below no other set cell in
+    the tile order, of least frequency center, ties by key; None when no
+    cell is set.  The cells above (k, pos, m) are its two parents
+    (k - 1, pos >> 1, 2m) and (k - 1, pos >> 1, 2m + 1) and theirs, so one
+    pass from the coarsest scale with a set cell to the finest finds the
+    cells below a set one."""
+    scales = np.flatnonzero(mask.any(axis=1))
+    if not len(scales):
+        return None
+    D = mask.shape[0] - 1
+    free = mask.copy()
+    covered = mask[scales[0]]
+    for k in range(scales[0] + 1, scales[-1] + 1):
+        cols = 1 << (D - k)
+        parents = covered.reshape(1 << (k - 1), cols, 2)
+        below = np.empty((1 << (k - 1), 2, cols), bool)
+        below[:] = (parents[..., 0] | parents[..., 1])[:, None, :]
+        below = below.reshape(-1)
+        free[k] &= ~below
+        covered = mask[k] | below
+    rows, cols = np.nonzero(free)
+    shift = D - rows
+    pos, m = cols >> shift, cols & ((1 << shift) - 1)
+    i = ((((2 * m + 1) << rows) << D) | pos).argmin()
+    return int(rows[i]), int(pos[i]), int(m[i])

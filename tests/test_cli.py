@@ -222,6 +222,29 @@ class TestTiletype:
             ratio = float(json.loads(out.read_text())["ratio"])
             assert ratio <= 1 + 1e-12
 
+    @pytest.mark.parametrize(
+        "norm, q, dim, backed",
+        [("lp:3", "2", "2", False), ("lp:3", "3", "1", False), ("euclidean", "2", "2", True)],
+    )
+    def test_packet_haar_equality_gates_only_hilbert(self, runner, tmp_path, norm, q, dim, backed):
+        # the packet and Haar forms differ by the tree identity's signs,
+        # which keep the norm only in the Hilbert q = 2 case; with lp:3
+        # these seeds give packet and Haar norms that differ
+        out = tmp_path / "tt.json"
+        r = invoke(
+            runner,
+            ["tiletype", "--levels", "3", "--seed", "16", "--dim", dim, "--norm", norm, "--q", q,
+             "--out", str(out)],
+        )
+        assert r.exit_code == 0
+        certs = [c for c in json.loads(out.read_text())["certificates"]
+                 if c["name"] == "packet_haar_norm_equality"]
+        assert certs and all(c["theorem_backed"] is backed for c in certs)
+        if backed:
+            assert all(c["pass"] for c in certs)
+        else:
+            assert not all(c["pass"] for c in certs)
+
 
 class TestRwt:
     def test_runs_and_reports(self, runner, tmp_path):

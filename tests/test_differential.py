@@ -15,7 +15,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 from click.testing import CliRunner
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 import reference
 from tilewalsh import decompose, operators, signal, timefreq
@@ -29,6 +29,7 @@ from tilewalsh.decompose import (
 )
 from tilewalsh.dyadic import (
     Bitile,
+    BitileIndex,
     DyadicInterval,
     Tile,
     bitile_le,
@@ -395,6 +396,38 @@ generic_cases = st.sampled_from(
 )
 
 
+@st.composite
+def forest_cases(draw):
+    """(variant, L, shape, q, norm, seed, whole collection): exact, divided
+    by 3, float or wide input (the masses pass 62 bits), the Hilbert case up
+    to L = 7 and the generic sizes up to L = 5."""
+    variant = draw(st.sampled_from(["exact", "third", "float", "wide"]))
+    shape = draw(st.sampled_from([(1, "vector"), (2, "vector"), (2, "matrix")]))
+    norms = ["euclidean", "lp:3"] + (["schatten:2", "schatten:3"] if shape[1] == "matrix" else [])
+    q, norm = draw(st.sampled_from([2, 3, 2.5])), draw(st.sampled_from(norms))
+    hilbert = q == 2 and norm in ("euclidean", "schatten:2")
+    L = draw(st.integers(1, 7 if hilbert else 5))
+    return variant, L, shape, q, norm, draw(st.integers(0, 10**6)), draw(st.booleans())
+
+
+def _wide(f):
+    """f with its entries divided in turn by two 32-bit primes: the common
+    denominator carries both, so every nonzero mass passes 2^62."""
+    primes = itertools.cycle([4294967291, 4294967279])
+
+    def scale(v):
+        return tuple(scale(x) for x in v) if isinstance(v, tuple) else v / next(primes)
+    return Signal.from_values([scale(v) for v in f.samples], kind=f.kind)
+
+
+def _outcome(fn, *args):
+    """repr of fn's result, or the type of the error it raises."""
+    try:
+        return repr(fn(*args))
+    except (ValueError, RuntimeError) as exc:
+        return type(exc)
+
+
 class TestGreedySplits:
     @pytest.mark.parametrize("L", range(1, 8))
     @given(signal_shapes, st.integers(0, 10**6), variants, fractions_pool, st.booleans())
@@ -439,13 +472,30 @@ class TestGreedySplits:
                 tuple(size_pow(t.members, f, 2, EUCL) for t in rec.trees)
             )
 
-    def test_one_up_sum_sweep_per_level(self, monkeypatch, tmp_path):
-        calls = _count_calls(monkeypatch, ["hilbert_top_sums", "size_pow"])
+    @given(forest_cases())
+    @example(("wide", 5, (2, "vector"), 2, "euclidean", 7, True))
+    @settings(max_examples=40, deadline=None)
+    def test_leveled_forest_matches_bitile_loop(self, case):
+        """full_decompose on one index per run against the level loop on
+        Bitile collections: trees, residual, certificates, size powers and
+        densities, float bits included."""
+        variant, L, shape, q, norm, seed, whole = case
+        f, E, N = _split_signal(L, shape, seed, "exact" if variant == "wide" else variant, None)
+        if variant == "wide":
+            f = _wide(f)
+        plugin = NormPlugin.parse(norm, q=q)
+        coll = _collection(L, seed, whole)
+        assert _outcome(full_decompose, coll, f, E, N, q, plugin) == _outcome(
+            reference.full_decompose, coll, f, E, N, q, plugin
+        )
+
+    def test_one_tree_pow_batch_per_run(self, monkeypatch, tmp_path):
+        calls = _count_calls(monkeypatch, ["hilbert_tree_pows", "density"])
         out = _certify_l6(tmp_path)
         levels = len(json.loads(out.read_text())["form"]["levels"])
         assert levels >= 3
-        assert calls["hilbert_top_sums"] <= levels + 1
-        assert calls["size_pow"] <= 1
+        assert calls["hilbert_tree_pows"] == 1
+        assert calls["density"] <= 1
 
     def test_generic_tops_synthesize_on_their_own_cells(self, monkeypatch, tmp_path):
         gen = CliRunner().invoke(
@@ -534,6 +584,12 @@ def _certify_l6(tmp_path):
     return out
 
 
+def _up_sum_grid(coll, weights):
+    """The UpSumGrid of the whole collection coll."""
+    index = BitileIndex(coll)
+    return UpSumGrid(index, np.arange(len(index.keys)), weights, weights.masses(index.keys))
+
+
 class _Resynthesizing(SizeEvaluator):
     """A Hilbert-case evaluator whose grids resynthesize every top."""
 
@@ -549,7 +605,7 @@ class TestSizeEvaluator:
         f, _, _ = _split_signal(L, shape, seed, variant, pool)
         coll = _collection(L, seed, whole and L <= 4)
         sizes = SizeEvaluator(coll, f, 2, EUCL)
-        parseval, resynthesis = UpSumGrid(coll, sizes.weights), TreeDeltaGrid(coll, sizes)
+        parseval, resynthesis = _up_sum_grid(coll, sizes.weights), TreeDeltaGrid(coll, sizes)
         sigma = parseval.pow()
         assert resynthesis.pow() == sigma
         frac = Fraction(SplitMix64(seed + 7).below(8), 7)
@@ -651,7 +707,7 @@ class TestIntegerTail:
         masses = reference.member_weights(coll, coeffs)
         assert {Bitile.from_key(k): weights.value(x) for k, x in weights.num.items()} == masses
         sums = reference.hilbert_top_sums(coll, masses)
-        grid = UpSumGrid(coll, weights)
+        grid = _up_sum_grid(coll, weights)
         sigma = grid.pow()
         assert sigma == _fraction_pow(sums)
         for bound in (sigma / 4, Fraction(0), sigma * Fraction(SplitMix64(seed).below(8), 7)):
@@ -805,7 +861,7 @@ class TestUpSumGrids:
         rng = SplitMix64(seed + 7)
         coll = _collection(L, seed, whole and L <= 6)
         weights = hilbert_member_weights(coll, down_coefficients_inf(f, coll))
-        grid = UpSumGrid(coll, weights)
+        grid = _up_sum_grid(coll, weights)
         ref = reference.hilbert_top_sums(
             coll, reference.member_weights(coll, reference.down_coefficients(f, coll))
         )
@@ -837,6 +893,34 @@ class TestUpSumGrids:
             _fraction_tree_pow(t.members, f) for t in dres.trees
         ]
 
+    def test_first_maximal_top_of_greedy_masks(self, monkeypatch, tmp_path):
+        # at L = 10 the set cells of least center often have set cells
+        # above them, so that the pick is often far down the order
+        masks = []
+
+        def recorded(mask):
+            masks.append(mask.copy())
+            return first_maximal_top(mask)
+
+        monkeypatch.setattr(decompose, "first_maximal_top", recorded)
+        result = CliRunner().invoke(
+            main, ["certify", "--levels", "10", "--seed", "1", "--out", str(tmp_path / "c.json")],
+            catch_exceptions=False,
+        )
+        assert result.exit_code == 0
+        later = 0
+        for mask in masks:
+            pick = first_maximal_top(mask)
+            assert pick == reference.first_maximal_top(mask)
+            if pick is None:
+                continue
+            D = mask.shape[0] - 1
+            rows, cols = np.nonzero(mask)
+            keys = ((2 * (cols & ((1 << (D - rows)) - 1)) + 1) << rows << D) | (cols >> (D - rows))
+            k, pos, m = pick
+            later += int((keys < (((2 * m + 1) << k << D) | pos)).sum() >= 4)
+        assert later >= 10
+
     @given(st.integers(1, 5), st.integers(0, 10**6))
     @settings(max_examples=20, deadline=None)
     def test_float_masses_keep_sweep_bits(self, L, seed):
@@ -845,7 +929,7 @@ class TestUpSumGrids:
         coll = _collection(L, seed, L <= 4)
         weights = hilbert_member_weights(coll, down_coefficients_inf(f, coll))
         assert not weights.exact
-        assert repr(UpSumGrid(coll, weights).pow()) == repr(reference.sweep_pow(coll, weights))
+        assert repr(_up_sum_grid(coll, weights).pow()) == repr(reference.sweep_pow(coll, weights))
         trees = _trees_over(coll, L, rng, 6) + list(density_decompose(coll, E, N, 2).trees)
         assert repr(hilbert_tree_pows(trees, weights)) == repr(
             [reference.sweep_pow(t.members, weights) for t in trees]
