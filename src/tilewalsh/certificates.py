@@ -1,5 +1,4 @@
-"""Machine-checked inequality instances emitted by decomposition steps,
-and the JSON form of reports that hold them."""
+"""Machine-checked inequality instances emitted by decomposition steps."""
 
 from __future__ import annotations
 
@@ -49,6 +48,8 @@ class Certificate:
         )
 
     def to_json(self) -> dict:
+        """lhs and rhs in num_to_json, an int bound too ("n/1"); the context
+        as it is, for the report writer (signal.json_text)."""
         return {
             "name": self.name,
             "lhs": num_to_json(self.lhs),
@@ -56,28 +57,8 @@ class Certificate:
             "mode": self.mode,
             "pass": self.passed,
             "theorem_backed": self.theorem_backed,
-            "context": jsonable(self.context),
+            "context": self.context,
         }
-
-
-_LEAVES = frozenset({str, int, bool, type(None)})
-
-
-def jsonable(obj):
-    """obj ready for json.dump: certificates as to_json, tuples as lists,
-    dict keys as strings, and Fractions and floats (numpy's too) in the
-    num_to_json encoding; ints, bools, None and strings stay."""
-    if type(obj) in _LEAVES:
-        return obj
-    if isinstance(obj, Certificate):
-        return obj.to_json()
-    if isinstance(obj, dict):
-        return {str(k): jsonable(v) for k, v in obj.items()}
-    if isinstance(obj, (list, tuple)):
-        return [jsonable(x) for x in obj]
-    if isinstance(obj, (Fraction, float)):
-        return num_to_json(obj)
-    return obj
 
 
 def all_theorem_backed_pass(certs) -> bool:

@@ -378,7 +378,7 @@ def full_decompose(
     pows = iter(sizes.tree_pows([t for trees in forest for t in trees]))
     records = []
     for (n, trees, certs, densities), level_trees in zip(levels, forest):
-        tag = _two_pow(n * q) if isinstance(q, int) else 2.0 ** (n * float(q))
+        tag = _two_pow(n * q)
         tree_pows = tuple(next(pows) for _ in trees)
         level_size_pow = Fraction(0)
         for v in tree_pows:
@@ -426,7 +426,7 @@ def starting_level(dens0, size0_pow, fq_pow, measure: Fraction, q, L: int) -> in
     lo, hi = -16 * L - 64, 16 * L + 64
 
     def ok(n: int) -> bool:
-        tag = _two_pow(n * q) if isinstance(q, int) else 2.0 ** (n * float(q))
+        tag = _two_pow(n * q)
         return _le(dens0, _min_one(tag * measure)) and _le(size0_pow, tag * fq_pow)
 
     # n q >= log2(dens0 / |E|) and n q >= log2(size0_pow / fq_pow)
@@ -507,7 +507,7 @@ def carleson_form_certificate(
             rhs = size_val * float(dens) * 2.0 ** -tree.time.k
             tree_rows.append(
                 {
-                    "top": tree.top.to_json(),
+                    "top": tree.top,
                     "members": len(tree.members),
                     "form": form,
                     "tree_lemma_ratio": float(form) / rhs if rhs > 0 else 0.0,

@@ -713,58 +713,38 @@ def dump_json(obj: dict, path) -> None:
 
 
 def json_text(obj) -> str:
-    """json.dumps(obj, indent=2, sort_keys=True), byte for byte, for every
-    value json.dumps accepts; TypeError, as there, for a value it does not.
+    """obj as JSON with a two-space indent and sorted keys.
 
-    json.dumps runs its pure-Python encoder, one generator per container,
-    whenever indent is set.  This writer makes one call per container,
-    quotes strings with the C-level encode_basestring_ascii and joins the
-    pieces with str.join; a list of plain strings is one join."""
+    Strings, ints, bools and None are written as JSON; Fractions and floats
+    (numpy's float64 too) as the quoted num_to_json string; lists and
+    tuples as arrays; dicts, whose keys must be strings, with their keys
+    sorted; any other object as what its to_json() returns.  Anything else,
+    a key that is no string included, raises TypeError.
+
+    One call per container: strings are quoted with the C-level
+    encode_basestring_ascii and the pieces joined with str.join; a list of
+    plain strings is one join."""
     return _json_value(obj, "\n")
 
 
-def _json_scalar(o) -> str:
-    """A leaf as json.dumps writes it, tested in json.dumps' order."""
-    if isinstance(o, str):
-        return _quote(o)
-    if o is None:
-        return "null"
-    if o is True:
-        return "true"
-    if o is False:
-        return "false"
-    if isinstance(o, int):
-        return int.__repr__(o)
-    if isinstance(o, float):
-        if o != o:
-            return "NaN"
-        if o in (math.inf, -math.inf):
-            return "Infinity" if o > 0 else "-Infinity"
-        return float.__repr__(o)
-    raise TypeError(f"Object of type {o.__class__.__name__} is not JSON serializable")
-
-
-# types whose values a dict writes with _json_scalar, without recursing
-_LEAVES = frozenset({str, int, bool, type(None), float})
-
-
 def _json_value(o, newline: str) -> str:
-    """o as json.dumps writes it at the depth whose line break and indent
-    is newline."""
+    """o as JSON at the depth whose line break and indent is newline."""
     t = type(o)
     if t is str:
         return _quote(o)
-    if t is dict or (t is not list and isinstance(o, dict)):
+    if t is int:
+        return int.__repr__(o)
+    if t is dict:
         if not o:
             return "{}"
         inner = newline + "  "
         parts = []
         for k, v in sorted(o.items()):
-            # a key that is no string is quoted as its value is written
-            key = _quote(k if isinstance(k, str) else _json_scalar(k))
-            parts.append(key + ": " + (_json_scalar(v) if type(v) in _LEAVES else _json_value(v, inner)))
+            if type(k) is not str:
+                raise TypeError(f"keys must be str, not {k.__class__.__name__}")
+            parts.append(_quote(k) + ": " + _json_value(v, inner))
         return "{" + inner + ("," + inner).join(parts) + newline + "}"
-    if t is list or isinstance(o, (list, tuple)):
+    if t is list or t is tuple:
         if not o:
             return "[]"
         inner = newline + "  "
@@ -776,4 +756,15 @@ def _json_value(o, newline: str) -> str:
             except TypeError:
                 pass
         return "[" + inner + sep.join([_json_value(x, inner) for x in o]) + newline + "]"
-    return _json_scalar(o)
+    if o is None:
+        return "null"
+    if o is True:
+        return "true"
+    if o is False:
+        return "false"
+    if isinstance(o, (Fraction, float)):
+        return _quote(num_to_json(o))
+    to_json = getattr(o, "to_json", None)
+    if to_json is None:
+        raise TypeError(f"Object of type {t.__name__} is not JSON serializable")
+    return _json_value(to_json(), newline)

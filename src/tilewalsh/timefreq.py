@@ -484,12 +484,6 @@ def up_sum_grids(mass: np.ndarray) -> np.ndarray:
     return sums
 
 
-def grid_depth(keys: Iterable[tuple[int, int, int]]) -> int:
-    """The least D with (m + 1) 2^k <= 2^D for every key (k, pos, m): the
-    grid of depth D holds every up-ancestor of every key."""
-    return max((k + m.bit_length() for k, _, m in keys), default=0)
-
-
 def grid_cells(keys: Sequence[tuple[int, int, int]], depth: int) -> tuple[list, list]:
     """(rows, columns) of the keys (k, pos, m) in a grid of the given depth."""
     if any(pos >> k for k, pos, _ in keys):
@@ -507,8 +501,8 @@ def top_mask(tops: Sequence[tuple[int, int, int]], depth: int) -> np.ndarray:
 class UpSumGrid:
     """The up-sums S(T) of the masses of a collection over every top T at
     once, on dense per-scale grids of the collection's depth (up_sum_grids,
-    grid_depth); Delta(T)^2 = S(T) 2^k_T / den is the q = 2 Hilbert size of
-    the complete up-tree below T.
+    BitileIndex.extent); Delta(T)^2 = S(T) 2^k_T / den is the q = 2
+    Hilbert size of the complete up-tree below T.
 
     Exact masses sit in int64 cells when the total mass has at most 62
     bits, so that no partial sum overflows, and in Python ints (dtype
@@ -670,12 +664,14 @@ class TreeDeltaGrid:
     def __init__(self, coll, sizes: SizeEvaluator) -> None:
         self.sizes = sizes
         index = sizes.index
+        sel = index.select(coll)
         self.below: dict[tuple[int, int, int], dict[tuple[int, int, int], Bitile]] = {}
-        for i in index.select(coll).tolist():
+        for i in sel.tolist():
             key = index.keys[i]
             for T in up_ancestor_keys(*key):
                 self.below.setdefault(T, {})[key] = index.items[i]
-        self.depth = grid_depth(self.below)
+        # an up-ancestor's extent never exceeds its member's
+        self.depth = int(index.extent[sel].max(initial=0))
         # in canonical order of the tops, which updates keep
         self.values: dict = {}
         for T in sorted(self.below):

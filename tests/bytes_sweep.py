@@ -10,7 +10,9 @@ and dual function, the same divided by 3 (exact, non-dyadic) and divided
 by 3 as floats; `rwt` and `tiletype` take seeded input only.  Then
 `decompose` and `certify` run on d = 1 vectors at L = 6, 7 and 8, where
 forests have many levels: euclidean with q = 2 on the three kinds of
-input, and lp:3 with q = 3 at L = 6.  Every file
+input, and lp:3 with q = 3 at L = 6.  Last, `decompose` runs on an empty
+level set (`gen --measure 0`, its sparse-only mode) at L = 4 for every
+shape, norm, q and kind of input.  Every file
 goes under OUT; the commands run from inside OUT with paths relative to
 it, as decompose echoes its input paths.  The script prints one line per
 run with its exit code and then one `sha256  path` line per output file,
@@ -47,6 +49,8 @@ QS = ("2", "3")
 INPUTS = ("exact", "third", "float")
 # L -> the (norm, q) pairs of the deep decompose and certify runs
 DEEP = {6: (("euclidean", "2"), ("lp:3", "3")), 7: (("euclidean", "2"),), 8: (("euclidean", "2"),)}
+# the L of the sparse-only decompose runs
+EMPTY_LEVEL = 4
 
 
 def _rescaled(values, how: str):
@@ -135,6 +139,18 @@ def _run_matrix() -> list[str]:
             run(["gen", "--levels", L, "--norm", norm, "--seed", seed, "--out", gen_dir])
             for how in INPUTS if q == "2" else ("exact",):
                 _forest_runs(run, _input_files(gen_dir, how), norm, q, seed)
+    for (d, kind), norms in SHAPES.items():
+        for norm in norms:
+            seed += 1
+            gen_dir = Path(f"L{EMPTY_LEVEL}-d{d}-{kind}-{norm.replace(':', '')}-empty", "gen")
+            run(["gen", "--levels", EMPTY_LEVEL, "--dim", d, "--kind", kind, "--norm", norm,
+                 "--measure", "0", "--seed", seed, "--out", gen_dir])
+            for how in INPUTS:
+                files = _input_files(gen_dir, how)
+                for q in QS:
+                    run(["decompose", "--in", files["signal"], "--set", files["set"], "--nfun", files["nfun"],
+                         "--norm", norm, "--q", q, "--seed", seed,
+                         "--out", files["signal"].parent / f"decompose-q{q}.json"])
     return lines
 
 

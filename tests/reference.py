@@ -66,6 +66,10 @@ and helpers that only the tests use.
   Fraction per coefficient, per JSON number and per maximal average, a
   support test per cell, one value_norm per cell and the form summed by
   dual_pair; dump_json streams through json.dump.
+- jsonable: a report copied into the values json.dumps takes (objects as
+  their to_json, tuples as lists, dict keys as strings, Fractions and
+  floats in the num_to_json encoding), the walk that ran before the
+  writer until signal.json_text took the library's values itself.
 """
 
 from __future__ import annotations
@@ -1030,6 +1034,27 @@ def dump_json(obj, path):
     with open(path, "w") as fh:
         json.dump(obj, fh, indent=2, sort_keys=True)
         fh.write("\n")
+
+
+_LEAVES = frozenset({str, int, bool, type(None)})
+
+
+def jsonable(obj):
+    """obj ready for json.dump: objects with a to_json as what it returns,
+    tuples as lists, dict keys as strings, and Fractions and floats
+    (numpy's too) in the num_to_json encoding; ints, bools, None and
+    strings stay."""
+    if type(obj) in _LEAVES:
+        return obj
+    if isinstance(obj, dict):
+        return {str(k): jsonable(v) for k, v in obj.items()}
+    if isinstance(obj, (list, tuple)):
+        return [jsonable(x) for x in obj]
+    if isinstance(obj, (Fraction, float)):
+        return num_to_json(obj)
+    if hasattr(obj, "to_json"):
+        return jsonable(obj.to_json())
+    return obj
 
 
 def maximal_function(f, plugin):

@@ -125,6 +125,25 @@ class TestCarleson:
         sig = json.loads((inst / "signal.json").read_text())
         assert obj["direct"]["values"] == sig["values"]
 
+    def test_float_forms_may_differ(self, runner, tmp_path):
+        """The two forms add the same float terms in different orders, so
+        their last bits may differ; that is no failed check."""
+        values = ["-0.21256001790364584", "-0.025517781575520832", "-0.22217814127604166", "-0.07155863444010417"]
+        sig, nf, out = tmp_path / "signal.json", tmp_path / "nfun.json", tmp_path / "c.json"
+        sig.write_text(json.dumps({"levels": 2, "dim": 1, "kind": "vector", "values": values}))
+        nf.write_text(json.dumps({"levels": 2, "N": [0, 4, 2, 1]}))
+        r = invoke(runner, ["carleson", "--in", str(sig), "--nfun", str(nf), "--out", str(out)])
+        assert r.exit_code == 0
+        assert json.loads(out.read_text())["identical"] is False
+
+    def test_exact_forms_must_agree(self, runner, tmp_path, monkeypatch):
+        files = _l2_files(tmp_path)
+        monkeypatch.setattr("tilewalsh.cli.carleson_bitile", lambda f, N, universe: f.zero_like())
+        out = tmp_path / "c.json"
+        r = invoke(runner, ["carleson", "--in", str(files["signal"]), "--nfun", str(files["nfun"]), "--out", str(out)])
+        assert r.exit_code == 1
+        assert json.loads(out.read_text())["identical"] is False
+
     def test_resolution_mismatch(self, runner, tmp_path):
         inst = gen_instance(runner, tmp_path, levels=3)
         other = gen_instance(runner, tmp_path / "o", levels=2)

@@ -2,7 +2,7 @@
 kernel that reads or writes them against its Fraction-per-entry form in
 tests/reference.py, on exact, float and mixed signals; exact |f|_q^q in
 integers against the cell-by-cell sum; and the report writer against
-json.dump."""
+json.dump of the report copied into plain JSON values."""
 
 import json
 import math
@@ -12,12 +12,13 @@ from fractions import Fraction
 
 import pytest
 import numpy as np
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 import reference
+from tilewalsh.certificates import Certificate
 from tilewalsh.cli import _signal_from_coefficients
 from tilewalsh.decompose import restricted_weak_type
-from tilewalsh.dyadic import bitile_universe
+from tilewalsh.dyadic import Bitile, DyadicInterval, bitile_le, bitile_universe
 from tilewalsh.gen import SplitMix64, gen_levelset, gen_nfun
 from tilewalsh.operators import carleson_bitile, carleson_direct, walsh_coefficients
 from tilewalsh.signal import (
@@ -34,6 +35,7 @@ from tilewalsh.signal import (
     value_norm,
     value_norms,
 )
+from tilewalsh.timefreq import Tree
 
 DENOMINATORS = [1, 3, 1 << 16, 7 << 5, 10**9 + 7]
 
@@ -224,73 +226,68 @@ class TestExactNormPowers:
         assert lq_norm_pow(f, 3, NormPlugin("lp", Fraction(3))) == expected
 
 
-# leaves json.dumps accepts, with the floats it writes as words or long reprs
-json_leaves = st.one_of(
-    st.none(),
-    st.booleans(),
+# the values reports hold: exact and float numbers of every kind, with
+# the floats json.dumps would write as words, big ints, strings, bitiles
+numbers = st.one_of(
     st.integers(),
     st.integers(min_value=-(10**40), max_value=10**40),
+    st.fractions(),
     st.floats(allow_nan=True, allow_infinity=True),
-    st.sampled_from([-0.0, 0.0, 1e300, -1e-300, float("nan"), float("inf"), 5e-324]),
+    st.sampled_from([-0.0, 0.0, 1e300, -1e-300, 1e-300, float("nan"), float("inf"), float("-inf"), 5e-324]),
+    st.floats(allow_nan=True, allow_infinity=True).map(np.float64),
+)
+bitiles = st.builds(
+    Bitile, st.builds(DyadicInterval, st.integers(0, 8), st.integers(0, 255)), st.integers(0, 255)
+)
+
+
+@st.composite
+def trees(draw):
+    items = bitile_universe(draw(st.integers(1, 3))).items
+    top = draw(st.sampled_from(items))
+    below = [P for P in items if bitile_le(P, top)]
+    return Tree.build(top, draw(st.lists(st.sampled_from(below), max_size=4)))
+
+
+report_leaves = st.one_of(
+    st.none(),
+    st.booleans(),
+    numbers,
     st.text(),
     st.text(alphabet='"\\/\b\f\n\r\t\x00\x1f\x7f é€😀\ud800'),
+    bitiles,
+    trees(),
 )
-def _json_containers(children):
+
+
+def _report_containers(children):
+    keys = st.text(max_size=6)
     return st.one_of(
         st.lists(children, max_size=5),
         st.lists(children, max_size=5).map(tuple),
         st.lists(st.text(max_size=4), max_size=5),
         st.lists(st.integers(), max_size=5),
-        # one key type per dict, as sorting needs
-        st.dictionaries(st.text(max_size=6), children, max_size=4),
-        st.dictionaries(st.integers(-50, 50), children, max_size=4),
-        st.dictionaries(st.floats(), children, max_size=4),
-        st.dictionaries(st.booleans(), children, max_size=2),
-        st.dictionaries(st.none(), children, max_size=1),
+        st.dictionaries(keys, children, max_size=4),
+        st.builds(
+            Certificate.make, keys, numbers, numbers,
+            theorem_backed=st.booleans(), context=st.dictionaries(keys, children, max_size=3),
+        ),
     )
 
 
-json_values = st.recursive(json_leaves, _json_containers, max_leaves=30)
-
-
-def _outcome(write, obj):
-    try:
-        return write(obj)
-    except TypeError:
-        return TypeError
+report_values = st.recursive(report_leaves, _report_containers, max_leaves=30)
 
 
 class TestReportWriter:
-    @given(obj=json_values)
+    @given(obj=report_values)
+    @example(obj=["a", Fraction(1, 2)])
+    @example(obj={"k": (np.float64(2.5), -0.0, float("nan"), 10**40, True, None)})
     @settings(max_examples=150, deadline=None)
-    def test_bytes_match_json_dump(self, obj, tmp_path_factory):
-        out = tmp_path_factory.mktemp("writer")
-        dump_json(obj, out / "new.json")
-        reference.dump_json(obj, out / "old.json")
-        assert (out / "new.json").read_bytes() == (out / "old.json").read_bytes()
-        assert json_text(obj) == json.dumps(obj, indent=2, sort_keys=True)
+    def test_bytes_match_json_dump(self, obj):
+        assert json_text(obj) == json.dumps(reference.jsonable(obj), indent=2, sort_keys=True)
 
     def test_nested_empty_containers(self):
         obj = {"a": [], "b": {}, "c": [[], {}, [[]], {"d": {}}], "e": ()}
-        assert json_text(obj) == json.dumps(obj, indent=2, sort_keys=True)
-
-    def test_int_keys_sort_numerically(self):
-        obj = {10: "x", 9: "y", -1: [1, 2], 2: {3: True, 1: None}}
-        text = json_text(obj)
-        assert text == json.dumps(obj, indent=2, sort_keys=True)
-        assert text.index('"-1"') < text.index('"2"') < text.index('"9"') < text.index('"10"')
-
-    @pytest.mark.parametrize(
-        "obj",
-        [
-            {float("inf"): 1, float("-inf"): 2, -0.0: 3, 1e300: 4},
-            {float("nan"): [float("nan")]},
-            {True: "t", False: "f"},
-            {None: None},
-        ],
-        ids=repr,
-    )
-    def test_keys_written_as_json_dumps_writes_them(self, obj):
         assert json_text(obj) == json.dumps(obj, indent=2, sort_keys=True)
 
     @pytest.mark.parametrize(
@@ -298,17 +295,20 @@ class TestReportWriter:
         [
             np.int64(3),
             [1, np.int64(3)],
-            ["a", Fraction(1, 2)],
             {"k": {"j": np.int32(1)}},
             {(1, 2): "tuple key"},
             {"a": 1, 2: "mixed key types"},
+            {10: "x", 9: "y", -1: [1, 2]},
+            {float("inf"): 1, -0.0: 3},
+            {float("nan"): [float("nan")]},
+            {True: "t", False: "f"},
+            {None: None},
+            {"c": Certificate.make("c", 1, 2, context={3: "int key"})},
             ("s", b"bytes"),
             {1, 2},
         ],
         ids=repr,
     )
     def test_unsupported_values_raise_type_error(self, obj):
-        with pytest.raises(TypeError):
-            json.dumps(obj, indent=2, sort_keys=True)
         with pytest.raises(TypeError):
             json_text(obj)
