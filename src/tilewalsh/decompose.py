@@ -16,7 +16,7 @@ from typing import Sequence
 import numpy as np
 
 from .certificates import Certificate
-from .dyadic import Bitile, bitile_universe
+from .dyadic import Bitile, bitile_universe, cell_keys, cells_above
 from .operators import carleson_bitile
 from .signal import (
     FrequencyChoice,
@@ -117,34 +117,18 @@ def _trees(index: BitileIndex, trees) -> list[Tree]:
     return [Tree(Bitile.from_key(top), tuple(index.bitiles(ms))) for top, ms in trees]
 
 
-def _cell_key(code: int, D: int) -> tuple[int, int, int]:
-    """The key (k, pos, m) of the cell (k, pos 2^(D-k) + m) at the flat
-    index code of a grid of depth D (see timefreq.up_sum_grids)."""
-    k, col = divmod(code, 1 << D)
-    return k, col >> (D - k), col & ((1 << (D - k)) - 1)
-
-
-def _lookup(index: BitileIndex, counter: DensityCounter) -> tuple[np.ndarray, np.ndarray]:
-    """One DensityCounter.lookup per position of index: the density
-    numerators over 2^L and the flat indices of the witnesses' cells in a
-    grid of the index's depth, which sort as their keys (_cell_key)."""
-    D = index.depth
-    found = [counter.lookup(*key) for key in index.keys]
-    return np.array([num for num, _ in found], np.int64), np.array(
-        [(k << D) + (pos << (D - k)) + m for _, (k, pos, m) in found], np.int64
-    )
-
-
-def _density_split(index: BitileIndex, nums, codes, sel: np.ndarray, E: LevelSet, q, scale: int):
+def _density_split(index: BitileIndex, nums, codes, sel: np.ndarray, E: LevelSet, q, L: int):
     """The density lemma's split of the positions sel, by the run's
-    numerators over scale and witness cells (_lookup): the sparse positions,
-    the trees as (top key, member positions), the certificates, the density.
+    numerators over 2^L and witness codes in the grid of depth L
+    (DensityCounter.gather): the sparse positions, the trees as (top key,
+    member positions), the certificates, the density.
 
     The tops are the maximal witnesses of the dense bitiles, and each
     dense bitile joins the first top above it in canonical order.  That is
     the first witness above it: a witness with a strict tile-order
     ancestor among the witnesses is not, since the ancestor is coarser and
-    so comes first."""
+    so comes first.  A dense bitile lies in the table, so in the grid."""
+    scale = 1 << L
     num = nums[sel]
     dens = Fraction(int(num.max()) if len(sel) else 0, scale)
     threshold = dens * _two_pow(-q) if dens else Fraction(0)
@@ -153,23 +137,20 @@ def _density_split(index: BitileIndex, nums, codes, sel: np.ndarray, E: LevelSet
     dense = num > cut
     rest, tops, members = sel[dense], [], []
     if len(rest):
-        # d scales up, the witnesses above (k, pos, m) are the cells of
-        # (k - d, pos >> d, [m 2^d, (m + 1) 2^d)): one search per scale
-        cells, D = codes[rest], index.depth
-        cells = cells[np.argsort(cells, kind="stable")]
-        up = np.arange(D + 1)[:, None]
-        d = index.k[rest] - up
-        shift = np.maximum(d, 0)
-        lo = (up << D) + ((index.pos[rest] >> shift) << (D - up)) + (index.m[rest] << shift)
+        # the witnesses above each dense bitile: one search per scale up
+        cells = np.sort(codes[rest], kind="stable")
+        k = index.k[rest]
+        d = np.arange(L + 1)[:, None]
+        lo, hi = cells_above(k, index.pos[rest], index.m[rest], np.minimum(d, k), L)
         at = cells[np.minimum(np.searchsorted(cells, lo), len(cells) - 1)]
         none = np.iinfo(np.int64).max
-        first = np.where((d >= 0) & (at >= lo) & (at < lo + (1 << shift)), at, none).min(axis=0)
+        first = np.where((d <= k) & (at >= lo) & (at < hi), at, none).min(axis=0)
         if (first == none).any():
             raise RuntimeError("density split failed to assign every dense bitile")
         order = np.argsort(first, kind="stable")
         rest, first = rest[order], first[order]
         starts = [0, *(np.flatnonzero(first[1:] != first[:-1]) + 1).tolist()]
-        tops = [_cell_key(int(first[a]), D) for a in starts]
+        tops = [cell_keys(int(first[a]), L) for a in starts]
         members = [rest[a:b] for a, b in zip(starts, [*starts[1:], len(rest)])]
 
     sparse = num[~dense]
@@ -203,9 +184,9 @@ def density_decompose(
     index = BitileIndex(coll)
     if counter is None:
         counter = DensityCounter(E, Nfun)
-    nums, codes = _lookup(index, counter)
+    nums, codes = counter.gather(index.k, index.pos, index.m)
     sel = np.arange(len(index.keys))
-    sparse, trees, certs, dens = _density_split(index, nums, codes, sel, E, q, 1 << counter.L)
+    sparse, trees, certs, dens = _density_split(index, nums, codes, sel, E, q, counter.L)
     return DensityDecomposition(
         tuple(index.bitiles(sparse)), tuple(_trees(index, trees)), tuple(certs), dens
     )
@@ -216,30 +197,25 @@ def density_decompose(
 
 @lru_cache(maxsize=2)
 def _center_keys(D: int) -> np.ndarray:
-    """The cells of a grid of depth D (see timefreq.up_sum_grids), flat, as
+    """The cells of a grid of depth D (see dyadic), flat, as
     ((2m + 1) 2^k 2^D) | pos: an odd multiple of 2^k, the frequency center
     fixes (k, m), so the keys sort as the centers, ties by key."""
-    k = np.arange(D + 1)[:, None]
-    cols = np.arange(1 << D)
-    pos, m = cols >> (D - k), cols & ((1 << (D - k)) - 1)
-    return (((((2 * m + 1) << k) << D) | pos)).ravel()
+    k, pos, m = cell_keys(np.arange((D + 1) << D), D)
+    return (((2 * m + 1) << k) << D) | pos
 
 
 def first_maximal_top(mask: np.ndarray) -> tuple[int, int, int] | None:
-    """The key of the cell of a boolean grid (see timefreq.up_sum_grids)
-    that is set, lies below no other set cell in the tile order, and has the
-    least frequency center (2m + 1) 2^k, ties by key; None when no cell is
-    set.  The set cells are tried in that order; d scales up, the cells
-    above (k, pos, m) are the columns [m 2^d, (m + 1) 2^d) of
-    (k - d, pos >> d), a slice of one row."""
+    """The key of the cell of a boolean grid (see dyadic) that is set, lies
+    below no other set cell in the tile order, and has the least frequency
+    center (2m + 1) 2^k, ties by key; None when no cell is set.  The set
+    cells are tried in that order, each against the cells above it
+    (dyadic.cells_above), a slice of one row per scale."""
     D = mask.shape[0] - 1
-    cells = np.flatnonzero(mask)
+    flat = mask.reshape(-1)
+    cells = np.flatnonzero(flat)
     for i in cells[_center_keys(D)[cells].argsort(kind="stable")].tolist():
-        k, pos, m = _cell_key(i, D)
-        if not any(
-            mask[k - d, ((pos >> d) << (D - k + d)) + (m << d) :][: 1 << d].any()
-            for d in range(1, k + 1)
-        ):
+        k, pos, m = cell_keys(i, D)
+        if not any(flat[slice(*cells_above(k, pos, m, d, D))].any() for d in range(1, k + 1)):
             return k, pos, m
     return None
 
@@ -352,7 +328,7 @@ def full_decompose(
     index = sizes.index
     sel = index.select(coll)
     counter = DensityCounter(E, Nfun)
-    nums, codes = _lookup(index, counter)
+    nums, codes = counter.gather(index.k, index.pos, index.m)
     scale = 1 << counter.L
     dens0 = Fraction(int(nums[sel].max()) if len(sel) else 0, scale)
     size0_pow = sizes.grid(sel).pow()
@@ -365,7 +341,7 @@ def full_decompose(
     levels = []
     n = n_max
     while sizes.nonzero[sel].any():
-        sparse, dtrees, certs, _ = _density_split(index, nums, codes, sel, E, q, scale)
+        sparse, dtrees, certs, _ = _density_split(index, nums, codes, sel, E, q, counter.L)
         sel, strees, scerts, _ = _size_split(sizes, sparse, q)
         trees = dtrees + strees
         members = [ms for _, ms in trees]

@@ -11,7 +11,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, lru_cache
 from itertools import chain
-from typing import Iterable, Iterator
+from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -240,6 +240,41 @@ def universe_size(L: int) -> int:
     return L * (1 << (L - 1)) + (1 << L)
 
 
+# A grid of depth D has a row for each scale k <= D and 2^D columns: the
+# bitile (k, pos, m), m < 2^(D-k), is the cell (k, pos 2^(D-k) + m), at the
+# flat code k 2^D + pos 2^(D-k) + m.  Codes sort as the keys do.
+
+def key_arrays(keys: Sequence[tuple[int, int, int]]) -> np.ndarray:
+    """The keys (k, pos, m) as the int64 arrays k, pos and m."""
+    return np.fromiter(chain.from_iterable(keys), np.int64, 3 * len(keys)).reshape(-1, 3).T
+
+
+def in_grid(k, pos, m, depth: int):
+    """Whether the keys (k, pos, m), arrays, are cells of a grid of the
+    given depth: k <= depth, the interval inside [0, 1), m < 2^(depth-k)."""
+    return (k <= depth) & (pos >> k == 0) & (m >> np.maximum(depth - k, 0) == 0)
+
+
+def cell_codes(k, pos, m, depth: int):
+    """The flat codes of the cells (k, pos, m), integers or arrays, of a
+    grid of the given depth."""
+    return (k << depth) + (pos << (depth - k)) + m
+
+
+def cell_keys(code, depth: int):
+    """The keys (k, pos, m) of flat codes of a grid of the given depth."""
+    k, col = code >> depth, code & ((1 << depth) - 1)
+    return k, col >> (depth - k), col & ((1 << (depth - k)) - 1)
+
+
+def cells_above(k, pos, m, d, depth: int):
+    """The flat codes [lo, hi) of the cells d <= k scales above the cell
+    (k, pos, m) in the tile order: the columns [m 2^d, (m + 1) 2^d) of row
+    k - d in block pos >> d."""
+    lo = cell_codes(k - d, pos >> d, m << d, depth)
+    return lo, lo + (1 << d)
+
+
 class BitileIndex:
     """The distinct bitiles of a collection in canonical order, with their
     keys as integer arrays k, pos and m: every collection of a run is a
@@ -249,36 +284,50 @@ class BitileIndex:
         found = sorted({P.key(): P for P in coll}.items())
         self.keys = [key for key, _ in found]
         self.items = [P for _, P in found]
-        self.at = {key: i for i, key in enumerate(self.keys)}
-        flat = np.fromiter(chain.from_iterable(self.keys), np.int64, 3 * len(self.keys))
-        self.k, self.pos, self.m = flat.reshape(-1, 3).T
+        self.k, self.pos, self.m = key_arrays(self.keys)
         # k + m.bit_length(): the least grid depth that holds the key
         self.extent = np.array([k + m.bit_length() for k, _, m in self.keys], np.int64)
         self.depth = int(self.extent.max(initial=0))
 
+    @cached_property
+    def code(self) -> np.ndarray:
+        """The keys' flat codes in a grid of the index's depth, ascending."""
+        return self.cells(np.arange(len(self.keys)), self.depth)
+
     def select(self, coll) -> np.ndarray:
-        """The sorted positions of coll's bitiles; positions are kept."""
+        """The sorted positions of coll's bitiles; positions are kept.
+        KeyError for a bitile not in the index."""
         if isinstance(coll, np.ndarray):
             return coll
-        return np.array(sorted({self.at[P.key()] for P in coll}), np.int64)
+        k, pos, m = key_arrays([P.key() for P in coll])
+        # a key past the index's grid could share a code with one inside it
+        if not in_grid(k, pos, m, self.depth).all():
+            raise KeyError("bitile not in the index")
+        code = cell_codes(k, pos, m, self.depth)
+        at = np.searchsorted(self.code, code)
+        if (at == len(self.code)).any() or (self.code[at] != code).any():
+            raise KeyError("bitile not in the index")
+        at.sort(kind="stable")
+        return at[np.diff(at, prepend=-1) != 0]
 
     def bitiles(self, sel: np.ndarray) -> list[Bitile]:
         return [self.items[i] for i in sel.tolist()]
 
-    def cells(self, sel: np.ndarray, depth: int) -> tuple[np.ndarray, np.ndarray]:
-        """timefreq.grid_cells of the positions sel in a grid of the given depth."""
-        k, pos = self.k[sel], self.pos[sel]
-        if (pos >> k).any():
-            raise ValueError("bitile outside [0, 1)")
-        return k, (pos << (depth - k)) + self.m[sel]
+    def cells(self, sel: np.ndarray, depth: int) -> np.ndarray:
+        """The flat codes of the positions sel in a grid of the given depth."""
+        k, pos, m = self.k[sel], self.pos[sel], self.m[sel]
+        if not in_grid(k, pos, m, depth).all():
+            raise ValueError("bitile outside the grid")
+        return cell_codes(k, pos, m, depth)
 
     @cached_property
     def at_cell(self) -> np.ndarray:
         """The position of each cell of a grid of the index's depth, -1
         where the index has no bitile."""
-        at = np.full((self.depth + 1, 1 << self.depth), -1, np.int32)
-        at[self.cells(np.arange(len(self.keys)), self.depth)] = np.arange(len(self.keys))
-        return at
+        D = self.depth
+        at = np.full((D + 1) << D, -1, np.int32)
+        at[self.code] = np.arange(len(self.keys))
+        return at.reshape(D + 1, 1 << D)
 
     def below(self, top: tuple[int, int, int]) -> np.ndarray:
         """The positions below top in the tile order, in canonical order:

@@ -153,7 +153,7 @@ def value_norm(v, plugin: NormPlugin) -> float:
 
 def value_norm_exact(v, plugin: NormPlugin) -> Fraction | None:
     """Exact norm when available: any 1-dimensional value (all plugins agree
-    on |x|), otherwise None.  Even powers are handled by value_norm_pow."""
+    on |x|), otherwise None."""
     flat = flatten_value(v)
     if len(flat) == 1 and isinstance(flat[0], Fraction):
         return abs(flat[0])
@@ -163,25 +163,6 @@ def value_norm_exact(v, plugin: NormPlugin) -> Fraction | None:
 def _frobenius_like(plugin: NormPlugin) -> bool:
     """The norm of a value is the Euclidean norm of its entries."""
     return plugin.name == "euclidean" or (plugin.name == "schatten" and plugin.p == 2)
-
-
-def value_norm_pow(v, plugin: NormPlugin, q) -> Fraction | None:
-    """Exact q-th power of the norm when representable as a rational:
-    1-dimensional values with integer q, or euclidean/schatten-2 with q = 2."""
-    if not (isinstance(q, int) or (isinstance(q, Fraction) and q.denominator == 1)):
-        return None
-    qi = int(q)
-    flat = flatten_value(v)
-    if any(not isinstance(x, Fraction) for x in flat):
-        return None
-    if len(flat) == 1:
-        return abs(flat[0]) ** qi
-    if _frobenius_like(plugin) and qi == 2:
-        acc = Fraction(0)
-        for x in flat:
-            acc += x * x
-        return acc
-    return None
 
 
 # ---------------------------------------------------------------------------
@@ -376,26 +357,21 @@ def _columns(values: Sequence, d: int, kind: str) -> tuple:
 
 
 def lq_norm_pow(f: Signal, q, plugin: NormPlugin) -> Fraction | None:
-    """Exact q-th power of the L^q norm, when representable (see
-    value_norm_pow); else None.  An exact signal sums integer powers of its
-    numerators and makes one Fraction."""
+    """Exact q-th power of the L^q norm, when representable as a rational:
+    an exact signal with integer q >= 0 whose values are 1-dimensional, or
+    with q = 2 and a euclidean/schatten-2 norm; else None.  It sums integer
+    powers of the numerators and makes one Fraction."""
     whole = isinstance(q, int) or (isinstance(q, Fraction) and q.denominator == 1)
-    if f.den is not None and whole and q >= 0:
-        qi = int(q)
-        if len(f.cols) == 1:
-            total = sum(abs(n) ** qi for n in f.cols[0])
-        elif qi == 2 and _frobenius_like(plugin):
-            total = sum(n * n for c in f.cols for n in c)
-        else:
-            return None
-        return Fraction(total, f.den**qi << f.L)
-    acc = Fraction(0)
-    for v in f.samples:
-        nv = value_norm_pow(v, plugin, q)
-        if nv is None:
-            return None
-        acc += nv
-    return acc * Fraction(1, f.cells)
+    if f.den is None or not whole or q < 0:
+        return None
+    qi = int(q)
+    if len(f.cols) == 1:
+        total = sum(abs(n) ** qi for n in f.cols[0])
+    elif qi == 2 and _frobenius_like(plugin):
+        total = sum(n * n for c in f.cols for n in c)
+    else:
+        return None
+    return Fraction(total, f.den**qi << f.L)
 
 def lq_norm(f: Signal, q, plugin: NormPlugin) -> float:
     """(2^-L sum_j |f_j|^q)^(1/q); q may be math.inf for the sup norm."""

@@ -22,6 +22,10 @@ from .dyadic import (
     bitile_le,
     bitile_le_d,
     bitile_le_u,
+    cell_codes,
+    cell_keys,
+    in_grid,
+    key_arrays,
 )
 from .signal import (
     FrequencyChoice,
@@ -254,70 +258,69 @@ def down_coefficients_inf(f: Signal, members: Sequence[Bitile]) -> dict[Bitile, 
 
 class DensityCounter:
     """Local density of every grid bitile relative to a set E and a cutoff
-    choice N, as a dynamic-programming table built in O(L 2^L).
-
-    The table covers the grid bitiles (k, pos, m) whose window starts at or
-    below the top cutoff, 2m 2^k <= 2^L.  The occupied fraction of a bitile
-    is an integer numerator over 2^L,
+    choice N, as one table on the cell grid of depth L (see dyadic), built
+    in O(L 2^L).  The occupied fraction of a bitile is an integer numerator
+    over 2^L,
 
         own(k, pos, m) = #{j in E : j >> (L-k) = pos, N(j) >> (k+1) = m} << k,
 
-    filled by one pass over the cells of E per scale.  The ancestors of a
-    bitile are itself and the ancestors of its two coarser parents
+    one bincount of the cells of E per scale; it is 0 where the window
+    starts above the top cutoff, 2m 2^k > 2^L.  The ancestors of a bitile
+    are itself and the ancestors of its two coarser parents
     (k-1, pos>>1, 2m) and (k-1, pos>>1, 2m+1), which split its window in
     halves; so, scale by scale from the coarsest,
 
         best(k, pos, m) = max(own(k, pos, m), best of the two parents).
 
-    Entries are tuples (numerator, -k', -m') naming the witness (k', m');
-    its position is pos >> (k - k').  Taking the tuple maximum breaks ties
-    towards the smaller (k', m'), which is the first strict maximum of a
-    walk over the ancestors with coarse scales first and m ascending.
+    A cell packs the numerator and the witness's flat code as
+    num << B | (C - code), C = 2^B - 1.  The ancestors of one bitile have
+    one pos' per scale, so a smaller code is a smaller (k', m'), and the
+    maximum breaks ties towards it: the first strict maximum of a walk over
+    the ancestors with coarse scales first and m ascending.  num has at
+    most L + 1 bits and code at most B = L + 5, so L is at most 28.
     """
 
     def __init__(self, E: LevelSet, Nfun: FrequencyChoice) -> None:
         if E.L != Nfun.L:
             raise ValueError("resolution mismatch between set and cutoff choice")
         L = self.L = E.L
-        self.E, self.Nfun = E, Nfun
-        cells = E.cells()
-        # scale k holds 2^k rows of width[k] entries, at pos * width[k] + m
-        self.width = [((1 << L) >> (k + 1)) + 1 for k in range(L + 1)]
-        self.table: list[list[tuple[int, int, int]]] = []
-        for k, w in enumerate(self.width):
-            own = [0] * (w << k)
-            for j in cells:
-                own[(j >> (L - k)) * w + (Nfun[j] >> (k + 1))] += 1
-            best = [(c << k, -k, -(i % w)) for i, c in enumerate(own)]
+        if 2 * L + 6 > 63:
+            raise ValueError(f"density table of L={L} does not fit int64: 2L + 6 > 63 bits")
+        B = self.bits = L + 5
+        j = np.array(E.cells(), np.int64)
+        n = np.array(Nfun.values, np.int64)[j]
+        cols = np.arange(1 << L)
+        self.table = np.empty((L + 1, 1 << L), np.int64)
+        for k in range(L + 1):
+            own = np.bincount(((j >> (L - k)) << (L - k)) + (n >> (k + 1)), minlength=1 << L)
+            best = (own << (k + B)) | (((1 << B) - 1 - (k << L)) - cols)
             if k:
-                above, pw = self.table[-1], self.width[k - 1]
-                for i in range(len(best)):
-                    pos, m = divmod(i, w)
-                    row = (pos >> 1) * pw
-                    for pm in (2 * m, 2 * m + 1):
-                        if pm < pw and above[row + pm] > best[i]:
-                            best[i] = above[row + pm]
-            self.table.append(best)
+                pairs = self.table[k - 1].reshape(1 << (k - 1), 1 << (L - k), 2).max(axis=2)
+                np.maximum(best, np.repeat(pairs, 2, axis=0).reshape(-1), out=best)
+            self.table[k] = best
 
-    def count(self, I: DyadicInterval, freq_lo: int, freq_hi: int) -> int:
-        """Number of cells of I in E whose cutoff lies in [freq_lo, freq_hi)."""
-        E, N = self.E, self.Nfun
-        return sum(1 for j in I.cells(self.L) if j in E and freq_lo <= N[j] < freq_hi)
+    def gather(self, k: np.ndarray, pos: np.ndarray, m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """(numerators over 2^L, witness codes in the grid of depth L) of
+        the local densities of the bitiles with key arrays k, pos and m.
+        The numerator is 0 for a bitile outside the table, whose interval
+        lies outside [0,1) or whose m is past the grid, and a witness code
+        means nothing where its numerator is 0."""
+        L = self.L
+        if (k > L).any():
+            raise ValueError(f"bitile finer than the grid: k={int(k.max())} > L={L}")
+        inside = in_grid(k, pos, m, L)
+        packed = np.zeros(k.shape, np.int64)
+        packed[inside] = self.table.reshape(-1)[cell_codes(k[inside], pos[inside], m[inside], L)]
+        low = (1 << self.bits) - 1
+        return packed >> self.bits, low - (packed & low)
 
     def lookup(self, k: int, pos: int, m: int) -> tuple[int, tuple[int, int, int]]:
         """(numerator over 2^L, witness key) of the local density of the
-        bitile (k, pos, m); (0, its own key) when every ancestor is empty,
-        as for a bitile outside the table, whose window starts above 2^L or
-        whose interval lies outside [0,1)."""
-        if k > self.L:
-            raise ValueError(f"bitile finer than the grid: k={k} > L={self.L}")
-        w = self.width[k]
-        if pos >> k or m >= w:
-            return 0, (k, pos, m)
-        num, nk, nm = self.table[k][pos * w + m]
-        if not num:
-            return 0, (k, pos, m)
-        return num, (-nk, pos >> (k + nk), -nm)
+        bitile (k, pos, m) (gather); (0, its own key) when every ancestor
+        is empty, as for a bitile outside the table."""
+        nums, codes = self.gather(*key_arrays([(k, pos, m)]))
+        num = int(nums[0])
+        return (num, cell_keys(int(codes[0]), self.L)) if num else (0, (k, pos, m))
 
 
 def local_density(
@@ -338,11 +341,11 @@ def density(
     counter: DensityCounter | None = None,
 ) -> Fraction:
     """Density of a bitile collection relative to the set E and cutoff N:
-    the largest table numerator, made a Fraction once."""
+    the largest numerator of one gather, made a Fraction once."""
     if counter is None:
         counter = DensityCounter(E, Nfun)
-    best = max((counter.lookup(*P.key())[0] for P in coll), default=0)
-    return Fraction(best, 1 << counter.L)
+    nums, _ = counter.gather(*key_arrays([P.key() for P in coll]))
+    return Fraction(int(nums.max(initial=0)), 1 << counter.L)
 
 
 # ---------------------------------------------------------------------------
@@ -484,18 +487,11 @@ def up_sum_grids(mass: np.ndarray) -> np.ndarray:
     return sums
 
 
-def grid_cells(keys: Sequence[tuple[int, int, int]], depth: int) -> tuple[list, list]:
-    """(rows, columns) of the keys (k, pos, m) in a grid of the given depth."""
-    if any(pos >> k for k, pos, _ in keys):
-        raise ValueError("bitile outside [0, 1)")
-    return [k for k, _, _ in keys], [(pos << (depth - k)) + m for k, pos, m in keys]
-
-
 def top_mask(tops: Sequence[tuple[int, int, int]], depth: int) -> np.ndarray:
     """Boolean grid of the given depth with the cells of the keys tops set."""
-    mask = np.zeros((depth + 1, 1 << depth), bool)
-    mask[grid_cells(tops, depth)] = True
-    return mask
+    mask = np.zeros((depth + 1) << depth, bool)
+    mask[cell_codes(*key_arrays(tops), depth)] = True
+    return mask.reshape(depth + 1, 1 << depth)
 
 
 class UpSumGrid:
@@ -518,21 +514,20 @@ class UpSumGrid:
     def __init__(self, index: BitileIndex, sel: np.ndarray, weights: HilbertWeights, masses):
         self.index, self.weights = index, weights
         self.depth = D = int(index.extent[sel].max(initial=0))
-        rows, cols = index.cells(sel, D)
         if masses is None:
             # sorted, and kept so as members leave
             self.keys = dict.fromkeys(index.keys[i] for i in sel.tolist())
             self.mass, self.sums = None, _up_sums(self.keys, weights.num)
             return
         self.mass = np.zeros((1, D + 1, 1 << D), masses.dtype)
-        self.mass[0, rows, cols] = masses[sel]
+        self.mass.reshape(-1)[index.cells(sel, D)] = masses[sel]
         self.sums = up_sum_grids(self.mass)[0]
 
     def remove(self, members) -> None:
         """Take members out of the collection."""
         sel = self.index.select(members)
         if self.mass is not None:
-            self.mass[(0, *self.index.cells(sel, self.depth))] = 0
+            self.mass.reshape(-1)[self.index.cells(sel, self.depth)] = 0
             self.sums = up_sum_grids(self.mass)[0]
             return
         for i in sel.tolist():
@@ -615,7 +610,7 @@ def hilbert_tree_pows(trees: Sequence[Tree], weights: HilbertWeights) -> list:
         return [_sweep_pow(sorted(P.key() for P in t.members), weights) for t in trees]
     out = [Fraction(0)] * len(trees)
     keys = [P.key() for t in trees for P in t.members]
-    k, pos, m = np.array(keys, np.int64).reshape(-1, 3).T
+    k, pos, m = key_arrays(keys)
     masses = weights.masses(keys)
     owner = np.repeat(np.arange(len(trees)), [len(t.members) for t in trees])
     top_k = [t.top.time.k for t in trees]

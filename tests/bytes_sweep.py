@@ -12,7 +12,10 @@ by 3 as floats; `rwt` and `tiletype` take seeded input only.  Then
 forests have many levels: euclidean with q = 2 on the three kinds of
 input, and lp:3 with q = 3 at L = 6.  Last, `decompose` runs on an empty
 level set (`gen --measure 0`, its sparse-only mode) at L = 4 for every
-shape, norm, q and kind of input.  Every file
+shape, norm, q and kind of input, and on a full level set
+(`gen --measure 1`, where many density numerators tie) at L = 4, 5 and 6
+on d = 1 vectors, euclidean with q = 2 and lp:3 with q = 3, exact input.
+Every file
 goes under OUT; the commands run from inside OUT with paths relative to
 it, as decompose echoes its input paths.  The script prints one line per
 run with its exit code and then one `sha256  path` line per output file,
@@ -51,6 +54,9 @@ INPUTS = ("exact", "third", "float")
 DEEP = {6: (("euclidean", "2"), ("lp:3", "3")), 7: (("euclidean", "2"),), 8: (("euclidean", "2"),)}
 # the L of the sparse-only decompose runs
 EMPTY_LEVEL = 4
+# the L and (norm, q) pairs of the decompose runs on a full level set
+FULL_LEVELS = (4, 5, 6)
+FULL_RUNS = (("euclidean", "2"), ("lp:3", "3"))
 
 
 def _rescaled(values, how: str):
@@ -151,6 +157,15 @@ def _run_matrix() -> list[str]:
                     run(["decompose", "--in", files["signal"], "--set", files["set"], "--nfun", files["nfun"],
                          "--norm", norm, "--q", q, "--seed", seed,
                          "--out", files["signal"].parent / f"decompose-q{q}.json"])
+    for L in FULL_LEVELS:
+        for norm, q in FULL_RUNS:
+            seed += 1
+            gen_dir = Path(f"L{L}-d1-vector-{norm.replace(':', '')}-full", "gen")
+            run(["gen", "--levels", L, "--norm", norm, "--measure", "1", "--seed", seed, "--out", gen_dir])
+            files = _input_files(gen_dir, "exact")
+            run(["decompose", "--in", files["signal"], "--set", files["set"], "--nfun", files["nfun"],
+                 "--norm", norm, "--q", q, "--seed", seed,
+                 "--out", files["signal"].parent / f"decompose-q{q}.json"])
     return lines
 
 

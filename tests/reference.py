@@ -23,9 +23,9 @@ and helpers that only the tests use.
   timefreq.member_masses on the packet table's integers replaced.
 - starting_level: full_decompose's starting level by a scan over the whole
   range of levels, which a bit-length estimate replaced for integer q.
-- lq_norm_pow: |f|_q^q summed cell by cell in Fractions, which integer
-  sums over an exact signal's numerators replaced; the oracles here use
-  it.
+- lq_norm_pow / value_norm_pow: |f|_q^q summed cell by cell in
+  Fractions, one exact norm power per value, which integer sums over an
+  exact signal's numerators replaced; the oracles here use it.
 - sweep_pow: the q = 2 size power from the dictionary sweep over
   up_ancestor_keys that the dense up-sum grids replaced for exact masses,
   taking the first largest sum in the sweep's key order.
@@ -105,9 +105,10 @@ from tilewalsh.signal import (
     exact_terms,
     lq_norm,
     num_from_json,
+    _frobenius_like,
+    flatten_value,
     num_to_json,
     value_norm,
-    value_norm_pow,
 )
 from tilewalsh.timefreq import (
     DensityCounter,
@@ -754,6 +755,26 @@ def starting_level(dens0, size0_pow, fq_pow, measure, q, L):
         if ok_d and ok_s:
             return n
     raise RuntimeError("could not locate a starting level")
+
+
+def value_norm_pow(v, plugin, q):
+    """Exact q-th power of the norm of one value when representable as a
+    rational: 1-dimensional values with integer q, or euclidean/schatten-2
+    with q = 2; else None."""
+    if not (isinstance(q, int) or (isinstance(q, Fraction) and q.denominator == 1)):
+        return None
+    qi = int(q)
+    flat = flatten_value(v)
+    if any(not isinstance(x, Fraction) for x in flat):
+        return None
+    if len(flat) == 1:
+        return abs(flat[0]) ** qi
+    if _frobenius_like(plugin) and qi == 2:
+        acc = Fraction(0)
+        for x in flat:
+            acc += x * x
+        return acc
+    return None
 
 
 def lq_norm_pow(f, q, plugin):

@@ -62,7 +62,6 @@ from tilewalsh.timefreq import (
     down_coefficients_inf,
     gap_set,
     gj_certificate,
-    grid_cells,
     hilbert_top_sums,
     hilbert_tree_pows,
     local_density,
@@ -103,7 +102,7 @@ class TestDensityTable:
             Bitile(DyadicInterval(k, pos), m)
             for k in range(L + 1)
             for pos in (0, (1 << k) - 1)
-            for m in (table.width[k], table.width[k] + 3)
+            for m in (((1 << L) >> (k + 1)) + 1, ((1 << L) >> (k + 1)) + 4, 1 << (L - k))
         ]
         for P in list(bitile_universe(L).items) + beyond:
             assert local_density(P, table) == reference.local_density_walk(P, ref)
@@ -637,8 +636,10 @@ class TestSizeEvaluator:
             sigma = reference.resynthesized_pow(left, f, q, plugin)
             assert repr(grid.pow()) == repr(sigma)
             for bound in (Fraction(0), sigma * Fraction(rng.below(8), 7)):
-                expected = np.zeros_like(grid.exceeding(bound))
-                expected[grid_cells([T.key() for T, v in tops.items() if _pow_gt(v, bound)], grid.depth)] = True
+                expected, D = np.zeros_like(grid.exceeding(bound)), grid.depth
+                for T, v in tops.items():
+                    if _pow_gt(v, bound):
+                        expected[T.time.k, (T.time.pos << (D - T.time.k)) + T.m] = True
                 assert np.array_equal(grid.exceeding(bound), expected)
 
 

@@ -8,12 +8,18 @@ from hypothesis import given, strategies as st
 
 from tilewalsh.dyadic import (
     Bitile,
+    BitileIndex,
     DyadicInterval,
     Tile,
     bitile_le,
     bitile_le_d,
     bitile_le_u,
     bitile_universe,
+    cell_codes,
+    cell_keys,
+    cells_above,
+    in_grid,
+    key_arrays,
     tile_le,
     unit_intervals,
     universe_size,
@@ -172,3 +178,40 @@ class TestUniverse:
     @given(bitiles(max_k=3), bitiles(max_k=3))
     def test_lt_strict(self, a, b):
         assert bitile_lt(a, b) == (bitile_le(a, b) and a != b)
+
+
+class TestCellGrid:
+    @pytest.mark.parametrize("L", range(1, 6))
+    def test_codes_sort_as_keys(self, L):
+        U = bitile_universe(L).items
+        codes = [cell_codes(*P.key(), L) for P in U]
+        assert codes == sorted(codes) and len(set(codes)) == len(codes)
+        assert all(cell_keys(c, L) == P.key() for c, P in zip(codes, U))
+        assert in_grid(*key_arrays([P.key() for P in U]), L).all()
+        past = [(L + 1, 0, 0), *((k, 1 << k, 0) for k in range(L + 1)), *((k, 0, 1 << (L - k)) for k in range(L + 1))]
+        assert not in_grid(*key_arrays(past), L).any()
+
+    @given(st.integers(1, 5), st.data())
+    def test_cells_above_are_the_tile_order_ancestors(self, L, data):
+        U = bitile_universe(L).items
+        P = data.draw(st.sampled_from(U))
+        k, pos, m = P.key()
+        above = [c for d in range(k + 1) for c in range(*cells_above(k, pos, m, d, L))]
+        assert len(above) == len(set(above))
+        # the cells of the ranges are the grid's bitiles above P
+        assert all(bitile_le(P, Bitile.from_key(cell_keys(c, L))) for c in above)
+        for T in U:
+            assert (cell_codes(*T.key(), L) in above) == bitile_le(P, T)
+
+    def test_select_rejects_keys_past_the_grid(self):
+        # depth 1: (1, 0, 0) and (1, 1, 0) at the codes 2 and 3
+        coll = [Bitile(DyadicInterval(1, 0), 0), Bitile(DyadicInterval(1, 1), 0)]
+        index = BitileIndex(coll)
+        assert index.depth == 1
+        assert index.select(coll[::-1] + coll).tolist() == [0, 1]
+        assert index.select([]).tolist() == []
+        # (1, 0, 1) and (0, 0, 2) would share the codes 3 and 2; the rest
+        # lie past the grid or outside the index
+        for key in [(1, 0, 1), (0, 0, 2), (2, 0, 0), (1, 2, 0), (0, 0, 0)]:
+            with pytest.raises(KeyError):
+                index.select([coll[0], Bitile.from_key(key)])

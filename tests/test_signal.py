@@ -25,8 +25,8 @@ from tilewalsh.signal import (
     signal_from_json,
     signal_to_json,
     value_norm,
-    value_norm_pow,
 )
+from reference import value_norm_pow
 
 rationals = st.fractions(min_value=-4, max_value=4, max_denominator=1 << 10)
 
