@@ -23,10 +23,9 @@ from .signal import (
     LevelSet,
     NormPlugin,
     Signal,
-    dual_pair,
     lq_norm,
     lq_norm_pow,
-    maximal_function,
+    maximal_numerators,
     value_norms,
 )
 from .timefreq import (
@@ -616,12 +615,10 @@ def restricted_weak_type(
     eF, eE = F.measure, E.measure
     if eE > eF:
         # M 1_F > thresh, compared in integers over M's denominator
-        M = maximal_function(F.indicator(), plugin)
+        M, den = maximal_numerators(F.indicator())
         thresh = 2 * eF / eE
-        bound = thresh.numerator * M.den
-        G = LevelSet.from_cells(
-            E.L, (j for j, n in enumerate(M.cols[0]) if n * thresh.denominator > bound)
-        )
+        bound = thresh.numerator * den
+        G = LevelSet.from_cells(E.L, (j for j, n in enumerate(M) if n * thresh.denominator > bound))
         Etilde = E.minus(G)
         certs.append(
             Certificate.make(
@@ -644,15 +641,9 @@ def restricted_weak_type(
 
     U = bitile_universe(f.L)
     Cf = carleson_bitile(f, Nfun, U)
-    if Cf.den is not None and gt.den is not None:
-        # one integer dot product over every entry
-        dot = sum(map(mul, chain.from_iterable(Cf.cols), chain.from_iterable(gt.cols)))
-        form = Fraction(abs(dot), Cf.den * gt.den * f.cells)
-    else:
-        form = Fraction(0)
-        for a, b in zip(zip(*Cf.comps), zip(*gt.comps)):
-            form += dual_pair(a, b)
-        form = abs(form * Fraction(1, f.cells))
+    # one integer dot product over every entry
+    dot = sum(map(mul, chain.from_iterable(Cf.cols), chain.from_iterable(gt.cols)))
+    form = Fraction(abs(dot), Cf.den * gt.den * f.cells)
 
     pf = float(p)
     pprime = pf / (pf - 1.0)

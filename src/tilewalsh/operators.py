@@ -20,13 +20,13 @@ from .signal import (
     nest,
     value_norm,
 )
-from .walsh import bit_reverse, cutoff_hits, fwht, ifwht, packet_coefficients, packet_rows, packet_synthesis
+from .walsh import bit_reverse, cutoff_hits, fwht, ifwht, packet_coefficients, packet_synthesis, packet_table
 
 
 def walsh_coefficients(f: Signal) -> Signal:
     """The Walsh coefficients of every component, as a signal of f's shape
-    whose cell n holds coefficient n: exact for rational signals, as
-    integer butterfly sums over den 2^L."""
+    whose cell n holds coefficient n, exact: integer butterfly sums over
+    den 2^L."""
     return f.rebuild([fwht(c, normalize=False) for c in f.cols], f.cells)
 
 
@@ -35,8 +35,7 @@ def partial_sum(f: Signal, N: int) -> Signal:
     if not 0 <= N <= f.cells:
         raise ValueError(f"partial sum cutoff N={N} outside [0, 2^{f.L}]")
     coef = walsh_coefficients(f)
-    cols, zero, _ = coef.terms()
-    return coef.rebuild([ifwht(list(c[:N]) + [zero] * (f.cells - N)) for c in cols])
+    return coef.rebuild([ifwht(list(c[:N]) + [0] * (f.cells - N)) for c in coef.cols])
 
 
 def carleson_direct(f: Signal, Nfun: FrequencyChoice) -> Signal:
@@ -44,27 +43,27 @@ def carleson_direct(f: Signal, Nfun: FrequencyChoice) -> Signal:
     coefficient: output(cell) = S_{N(cell)} f (cell).
 
     The oracle for carleson_bitile, so it shares no packet arithmetic with
-    it.  Integer coefficient numerators are summed row by row in int64
-    numpy blocks when |numerator| 2^L stays below 2^62; floats and larger
-    numerators take the Python loop."""
+    it.  The coefficient numerators are summed row by row in int64 numpy
+    blocks when |numerator| 2^L stays below 2^62; larger numerators take
+    the Python loop."""
     if Nfun.L != f.L:
         raise ValueError("resolution mismatch between signal and cutoff choice")
     L = f.L
     coef = walsh_coefficients(f)
-    cols, zero, _ = coef.terms()
-    if coef.den is not None and max(abs(c) for col in cols for c in col).bit_length() + L < 62:
+    cols = coef.cols
+    if max(abs(c) for col in cols for c in col).bit_length() + L < 62:
         sums = _cutoff_row_sums(cols, Nfun.values, L)
     else:
-        sums = [_cutoff_row_sums_python(c, zero, Nfun.values, L) for c in cols]
+        sums = [_cutoff_row_sums_python(c, Nfun.values, L) for c in cols]
     return coef.rebuild(sums)
 
 
-def _cutoff_row_sums_python(terms: Sequence, zero, cutoffs: Sequence[int], L: int) -> list:
+def _cutoff_row_sums_python(terms: Sequence[int], cutoffs: Sequence[int], L: int) -> list[int]:
     """sum_{n < N(j)} terms[n] w_n(j) for every cell j, term by term."""
     out = []
     for j, cutoff in enumerate(cutoffs):
         rj = bit_reverse(j, L)
-        acc = zero
+        acc = 0
         for n in range(cutoff):
             if (n & rj).bit_count() & 1:
                 acc = acc - terms[n]
@@ -113,9 +112,8 @@ def carleson_bitile(f: Signal, Nfun: FrequencyChoice, U: BitileUniverse) -> Sign
     A cell j meets at most one bitile (k, j >> l, m) per scale k, with
     l = L - k (walsh.cutoff_hits); it contributes
     rows[k][(j >> l << l) + 2m] 2^k w_2m(j mod 2^l) from the component's
-    packet table (walsh.packet_rows), O(L 2^L) in all.  The
-    contributions are added scale by scale from the coarsest, the order in
-    which the universe lists the bitiles, so float sums keep their bits."""
+    packet table (walsh.packet_table), O(L 2^L) integer additions in all,
+    scale by scale from the coarsest."""
     if Nfun.L != f.L or U.L != f.L:
         raise ValueError("resolution mismatch between signal, cutoff and universe")
     L = f.L
@@ -125,14 +123,13 @@ def carleson_bitile(f: Signal, Nfun: FrequencyChoice, U: BitileUniverse) -> Sign
         [(k, (j & masks[k]) + 2 * m, 1 << k, neg) for k, m, neg in cell]
         for j, cell in enumerate(cutoff_hits(Nfun.values, L))
     ]
-    cols, zero, _ = f.terms()
     out_cols = []
-    for col in cols:
-        # sums of signed samples, scaled by 2^k, finished with the 2^-L weight
-        rows = packet_rows(col, zero, L)
+    for col in f.cols:
+        # sums of signed numerators, scaled by 2^k, over den 2^L
+        rows = packet_table(col, L)
         out = []
         for cell in hits:
-            acc = zero
+            acc = 0
             for k, i, scale, neg in cell:
                 c = rows[k][i]
                 if c:
@@ -143,29 +140,30 @@ def carleson_bitile(f: Signal, Nfun: FrequencyChoice, U: BitileUniverse) -> Sign
     return f.rebuild(out_cols, f.cells)
 
 
-def maximal_partial_sum(f: Signal, plugin: NormPlugin) -> Signal:
-    """Per cell, the largest norm of any partial sum S_N f, N in [0, 2^L]."""
-    coefs = walsh_coefficients(f).comps
-    ncomp = len(coefs)
-    exact = f.d == 1 and f.kind == "vector"
+def maximal_partial_sum(f: Signal, plugin: NormPlugin) -> list:
+    """Per cell, the largest norm of any partial sum S_N f, N in [0, 2^L]:
+    exact Fractions for one coordinate, floats otherwise; the running sums
+    are integer numerators over the coefficients' den."""
+    coef = walsh_coefficients(f)
+    cols, den = coef.cols, coef.den
+    one = len(cols) == 1
     out = []
     for j in range(f.cells):
         rj = bit_reverse(j, f.L)
-        running = [Fraction(0)] * ncomp
-        best = Fraction(0) if exact else 0.0
+        running = [0] * len(cols)
+        best = 0 if one else 0.0
         for n in range(f.cells):
             neg = (n & rj).bit_count() & 1
-            for i in range(ncomp):
-                c = coefs[i][n]
-                running[i] = running[i] - c if neg else running[i] + c
-            if exact:
+            for i, col in enumerate(cols):
+                running[i] = running[i] - col[n] if neg else running[i] + col[n]
+            if one:
                 norm = abs(running[0])
             else:
-                norm = value_norm(nest(running, f.d, f.kind), plugin)
+                norm = value_norm(nest([x / den for x in running], f.d, f.kind), plugin)
             if norm > best:
                 best = norm
-        out.append(best)
-    return Signal(f.L, 1, "vector", (tuple(out),))
+        out.append(Fraction(best, den) if one else best)
+    return out
 
 
 def haar_intervals(L: int) -> list[DyadicInterval]:
@@ -224,7 +222,7 @@ def stopped_haar_sum(
     """
     if not lam > 0:
         raise ValueError("threshold lam must be positive")
-    Mf = maximal_function(f, plugin).scalar_samples()
+    Mf = maximal_function(f, plugin)
     admitted = []
     for I in haar_intervals(f.L):
         if not K.contains(I):

@@ -4,14 +4,15 @@ pairings, L^q norms, the dyadic maximal function and dyadic BMO.
 A signal is piecewise constant on the 2^L cells of [0,1).  It is stored
 component-major: one column of 2^L entries per coordinate of the value
 space, d columns for a vector and d^2 for a matrix (entries row by row).
-An exact signal stores Python-int numerator columns over one positive
+Every signal is exact: Python-int numerator columns over one positive
 common denominator, made canonical (its gcd with all the numerators is 1)
 so that equal signals store equal integers; its kernels (JSON, the Walsh
 transform, the Carleson operators, the maximal function) read and write
-those integers and make no Fraction per entry.  A signal holding any float
-keeps the columns it was given, so float sums keep their bits.
+those integers and make no Fraction per entry.  A float given to a signal
+becomes its exact binary value, Fraction(x); a decimal read from JSON
+becomes its exact decimal value (num_from_json).
 
-`Signal.comps` (the entries as Fractions, floats as given) and
+`Signal.comps` (the entries as Fractions) and
 `Signal.samples` (the nested per-cell value: a length-d tuple for a
 vector, d rows of d for a matrix) are read-only views, built on first use
 for the norms, which need a whole value, and for the certificates.
@@ -22,6 +23,7 @@ from __future__ import annotations
 
 import json
 import math
+import sys
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
@@ -32,7 +34,7 @@ import numpy as np
 
 from .dyadic import DyadicInterval, unit_intervals
 
-Number = Fraction  # canonical exact scalar; floats are accepted everywhere
+Number = Fraction  # canonical exact scalar
 
 
 # ---------------------------------------------------------------------------
@@ -52,18 +54,19 @@ def value_is_zero(a) -> bool:
 
 
 def exact_terms(values: Sequence, scale: int = 1):
-    """(terms, zero, finish) for signed sums of values divided by scale.
-
-    When every value is a Fraction the terms are integer numerators over
-    the lcm of their denominators, sums stay in integers and finish(sum)
-    makes the only Fraction.  Otherwise the terms are the values and
-    finish(sum) = sum / scale.
-    """
-    if all(isinstance(x, Fraction) for x in values):
-        den = math.lcm(*(x.denominator for x in values))
-        terms = [x.numerator * (den // x.denominator) for x in values]
-        return terms, 0, lambda acc: Fraction(acc, den * scale)
-    return list(values), Fraction(0), _divide_by(scale)
+    """(terms, finish) for signed sums of exact values (ints and
+    Fractions) divided by scale: the terms are integer numerators over the
+    lcm of the values' denominators, sums stay in integers and finish(sum)
+    makes the only Fraction, or leaves the int when lcm scale is 1."""
+    try:
+        # a TypeError unless every value is an int
+        math.gcd(*values)
+        terms, lcm = list(values), 1
+    except TypeError:
+        lcm = math.lcm(*(x.denominator for x in values))
+        terms = [x.numerator * (lcm // x.denominator) for x in values]
+    den = lcm * scale
+    return terms, (lambda acc: acc) if den == 1 else (lambda acc: Fraction(acc, den))
 
 
 def flatten_value(a) -> list:
@@ -151,15 +154,6 @@ def value_norm(v, plugin: NormPlugin) -> float:
     return sum(abs(x) ** p for x in flat) ** (1.0 / p)
 
 
-def value_norm_exact(v, plugin: NormPlugin) -> Fraction | None:
-    """Exact norm when available: any 1-dimensional value (all plugins agree
-    on |x|), otherwise None."""
-    flat = flatten_value(v)
-    if len(flat) == 1 and isinstance(flat[0], Fraction):
-        return abs(flat[0])
-    return None
-
-
 def _frobenius_like(plugin: NormPlugin) -> bool:
     """The norm of a value is the Euclidean norm of its entries."""
     return plugin.name == "euclidean" or (plugin.name == "schatten" and plugin.p == 2)
@@ -180,60 +174,52 @@ def _check_shape(L: int, d: int, kind: str, cols: Sequence[Sequence]) -> None:
         )
 
 
-def _divide_by(scale: int):
-    """x -> x / scale for exact values or floats, the identity for 1."""
-    if scale == 1:
-        return lambda acc: acc
-    weight = Fraction(1, scale)
-    return lambda acc: acc * weight
-
-
 @dataclass(frozen=True, eq=False, repr=False)
 class Signal:
     """A function constant on each cell [j 2^-L, (j+1) 2^-L), j < 2^L.
 
-    cols[i][j] is entry i of the value on cell j: d columns for a vector,
-    d^2 for a matrix with its entries row by row.  Built as
-    Signal(L, d, kind, columns of exact numbers or floats), or as
-    Signal(L, d, kind, integer numerator columns, den > 0).  An exact
-    signal then holds Python-int numerators over den, reduced until the gcd
-    of den and all of them is 1; a signal holding a float keeps the entries
-    it was given and has den None."""
+    cols[i][j] / den is entry i of the value on cell j: d columns for a
+    vector, d^2 for a matrix with its entries row by row.  Built as
+    Signal(L, d, kind, integer numerator columns, den > 0), or with den
+    left at 1 from columns of numbers: ints, Fractions, or floats, each
+    its exact binary value Fraction(x).  A signal holds Python-int
+    numerators over den, reduced until the gcd of den and all of them is
+    1."""
 
     L: int
     d: int
     kind: str  # "vector" | "matrix"
     cols: tuple
-    den: int | None = None
+    den: int = 1
 
     def __post_init__(self) -> None:
         cols, den = tuple(tuple(c) for c in self.cols), self.den
         _check_shape(self.L, self.d, self.kind, cols)
-        if den is not None:
+        try:
+            # a TypeError unless every entry is an int
             g = math.gcd(den, *(math.gcd(*c) for c in cols))
-            if g > 1:
-                den //= g
-                cols = tuple(tuple(n // g for n in c) for c in cols)
-        elif all(isinstance(x, (int, Fraction)) for c in cols for x in c):
-            # reduced Fractions over the lcm of their denominators: canonical
-            dens = {x.denominator for c in cols for x in c}
-            den = math.lcm(*dens)
-            mult = {q: den // q for q in dens}
-            cols = tuple(tuple(x.numerator * mult[x.denominator] for x in c) for c in cols)
+        except TypeError:
+            # numbers: numerators over the lcm of their reduced denominators
+            cols = tuple(tuple(map(Fraction, c)) for c in cols)
+            lcm = math.lcm(*{x.denominator for c in cols for x in c})
+            cols = tuple(tuple(x.numerator * (lcm // x.denominator) for x in c) for c in cols)
+            den *= lcm
+            g = math.gcd(den, *(math.gcd(*c) for c in cols))
+        if g > 1:
+            den //= g
+            cols = tuple(tuple(n // g for n in c) for c in cols)
         object.__setattr__(self, "cols", cols)
         object.__setattr__(self, "den", den)
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, Signal):
             return NotImplemented
-        if (self.L, self.d, self.kind) != (other.L, other.d, other.kind):
-            return False
-        if self.den is not None and other.den is not None:
-            return self.den == other.den and self.cols == other.cols
-        return self.comps == other.comps
+        return (self.L, self.d, self.kind, self.den, self.cols) == (
+            other.L, other.d, other.kind, other.den, other.cols
+        )
 
     def __hash__(self) -> int:
-        return hash((self.L, self.d, self.kind, self.comps))
+        return hash((self.L, self.d, self.kind, self.den, self.cols))
 
     def __repr__(self) -> str:
         return f"Signal(L={self.L!r}, d={self.d!r}, kind={self.kind!r}, comps={self.comps!r})"
@@ -244,9 +230,7 @@ class Signal:
 
     @cached_property
     def comps(self) -> tuple:
-        """The entries as Fractions (floats as given), column by column."""
-        if self.den is None:
-            return self.cols
+        """The entries as Fractions, column by column."""
         den = self.den
         return tuple(tuple(Fraction(n, den) for n in c) for c in self.cols)
 
@@ -255,36 +239,21 @@ class Signal:
         """The nested value on each cell (see nest)."""
         return tuple(nest(flat, self.d, self.kind) for flat in zip(*self.comps))
 
-    def terms(self, scale: int = 1):
-        """(columns, zero, finish), as exact_terms gives them, for kernels
-        that add and subtract entries from zero and divide the sums by
-        scale: the integer numerators from 0 with finish(sum) =
-        Fraction(sum, den scale), or, holding a float, the entries as given
-        from Fraction(0).  rebuild(sums, scale) finishes whole columns."""
-        if self.den is not None:
-            den = self.den * scale
-            return self.cols, 0, lambda acc: Fraction(acc, den)
-        return self.cols, Fraction(0), _divide_by(scale)
-
     def rebuild(self, sums: Sequence[Sequence], scale: int = 1) -> "Signal":
-        """The signal of this shape whose columns are sums of terms()
-        divided by scale: exact over den scale, with no Fraction per entry,
-        when this signal is exact."""
-        if self.den is not None:
-            return Signal(self.L, self.d, self.kind, sums, self.den * scale)
-        finish = _divide_by(scale)
-        return self.with_components([[finish(x) for x in c] for c in sums])
+        """The signal of this shape whose columns are integer sums of the
+        numerators, divided by scale: exact over den scale, with no
+        Fraction per entry."""
+        return Signal(self.L, self.d, self.kind, sums, self.den * scale)
 
     @staticmethod
     def scalar(values: Iterable) -> "Signal":
-        col = tuple(x if isinstance(x, (Fraction, float)) else Fraction(x) for x in values)
+        col = tuple(values)
         return Signal(len(col).bit_length() - 1, 1, "vector", (col,))
 
     @staticmethod
     def from_values(values: Sequence, kind: str = "vector") -> "Signal":
-        vals = [_canon_value(v) for v in values]
-        d = len(vals[0])
-        return Signal(len(vals).bit_length() - 1, d, kind, _columns(vals, d, kind))
+        d = len(values[0])
+        return Signal(len(values).bit_length() - 1, d, kind, _columns(values, d, kind))
 
     def scalar_samples(self) -> list:
         if self.d != 1 or self.kind != "vector":
@@ -292,24 +261,23 @@ class Signal:
         return list(self.comps[0])
 
     def with_components(self, comps: Sequence[Sequence]) -> "Signal":
-        """A signal of the same shape with the given columns."""
+        """A signal of the same shape with the given columns of numbers."""
         return Signal(self.L, self.d, self.kind, comps)
 
     def zero_like(self) -> "Signal":
-        return Signal(self.L, self.d, self.kind, [[0] * self.cells for _ in self.cols], 1)
+        return Signal(self.L, self.d, self.kind, [[0] * self.cells for _ in self.cols])
 
     def restrict(self, E: "LevelSet") -> "Signal":
         """The signal times the indicator of E: zero on the cells outside E."""
         keep = [j in E for j in range(self.cells)]
-        cols, zero, _ = self.terms()
-        return self.rebuild([[x if k else zero for x, k in zip(c, keep)] for c in cols])
+        return self.rebuild([[x if k else 0 for x, k in zip(c, keep)] for c in self.cols])
 
     def refine(self, L2: int) -> "Signal":
         """Same function sampled on a finer grid."""
         if L2 < self.L:
             raise ValueError("refinement must not lose resolution")
         rep = 1 << (L2 - self.L)
-        return Signal(L2, self.d, self.kind, [[x for x in c for _ in range(rep)] for c in self.comps])
+        return Signal(L2, self.d, self.kind, [[x for x in c for _ in range(rep)] for c in self.cols], self.den)
 
     def average(self, I: DyadicInterval | None = None):
         """Mean value over a dyadic interval (default: all of [0,1))."""
@@ -323,12 +291,6 @@ class Signal:
                 acc = acc + c[j]
             means.append(acc * Fraction(1, len(cells)))
         return nest(means, self.d, self.kind)
-
-
-def _canon_value(v):
-    if isinstance(v, (list, tuple)):
-        return tuple(_canon_value(x) for x in v)
-    return v if isinstance(v, float) else Fraction(v)
 
 
 def _columns(values: Sequence, d: int, kind: str) -> tuple:
@@ -358,11 +320,11 @@ def _columns(values: Sequence, d: int, kind: str) -> tuple:
 
 def lq_norm_pow(f: Signal, q, plugin: NormPlugin) -> Fraction | None:
     """Exact q-th power of the L^q norm, when representable as a rational:
-    an exact signal with integer q >= 0 whose values are 1-dimensional, or
-    with q = 2 and a euclidean/schatten-2 norm; else None.  It sums integer
+    integer q >= 0 with 1-dimensional values, or q = 2 with a
+    euclidean/schatten-2 norm; else None.  It sums integer
     powers of the numerators and makes one Fraction."""
     whole = isinstance(q, int) or (isinstance(q, Fraction) and q.denominator == 1)
-    if f.den is None or not whole or q < 0:
+    if not whole or q < 0:
         return None
     qi = int(q)
     if len(f.cols) == 1:
@@ -387,13 +349,10 @@ def lq_norm(f: Signal, q, plugin: NormPlugin) -> float:
 
 def value_norms(f: Signal, plugin: NormPlugin) -> list[float]:
     """value_norm of every cell's value, bit for bit, from one stacked SVD
-    for a schatten norm on matrices larger than 1x1.  Exact entries become
+    for a schatten norm on matrices larger than 1x1.  The entries become
     floats as n / den, which is correctly rounded like float(Fraction)."""
-    if f.den is not None:
-        den = f.den
-        cols = [[n / den for n in c] for c in f.cols]
-    else:
-        cols = [[float(x) for x in c] for c in f.cols]
+    den = f.den
+    cols = [[n / den for n in c] for c in f.cols]
     if plugin.name == "schatten" and f.kind == "matrix" and f.d > 1:
         stack = np.array(cols, dtype=float).T.reshape(f.cells, f.d, f.d)
         p = float(plugin.p)
@@ -405,33 +364,41 @@ def value_norms(f: Signal, plugin: NormPlugin) -> list[float]:
 
 
 def cell_norms(f: Signal, plugin: NormPlugin) -> list:
-    """Per-cell norms; exact Fractions for 1-dimensional values, else floats."""
-    out = []
-    for v in f.samples:
-        e = value_norm_exact(v, plugin)
-        out.append(e if e is not None else value_norm(v, plugin))
-    return out
+    """Per-cell norms: exact Fractions |x| for 1-dimensional values, else
+    the floats of value_norms."""
+    if len(f.cols) == 1:
+        return [abs(x) for x in f.comps[0]]
+    return value_norms(f, plugin)
 
 
-def maximal_function(f: Signal, plugin: NormPlugin) -> Signal:
+def maximal_numerators(f: Signal) -> tuple[list[int], int]:
+    """The dyadic maximal function of a one-coordinate f (see
+    maximal_function) as integer numerators over den 2^L: each cell starts
+    at |n| 2^L, and a block of 2^t cells averages to a multiple of
+    2^(L-t), so halving a pair's sum stays exact."""
+    if len(f.cols) != 1:
+        raise ValueError("integer maximal function of a one-coordinate signal only")
+    best = _maximal_averages([abs(n) << f.L for n in f.cols[0]], lambda a, b: (a + b) >> 1)
+    return best, f.den << f.L
+
+
+def maximal_function(f: Signal, plugin: NormPlugin) -> list:
     """Dyadic maximal function of |f|: per cell, the largest average of the
     pointwise norm over dyadic intervals inside [0,1) containing the cell.
 
-    Averages are taken pairwise bottom-up, then each cell keeps the first
-    largest of its own norm and its ancestors' averages, fine to coarse:
-    O(2^L).  An exact signal with one coordinate, whose norm is |x| under
-    every plugin, is averaged in integers over den 2^L; otherwise the cell
-    norms are those of cell_norms."""
-    exact = f.den is not None and len(f.cols) == 1
-    if exact:
-        # |n| 2^L over den 2^L; a block of 2^t cells averages to a multiple
-        # of 2^(L-t), so halving a pair's sum stays exact
-        level = [abs(n) << f.L for n in f.cols[0]]
-        halve = lambda a, b: (a + b) >> 1
-    else:
-        level = cell_norms(f, plugin)
-        half = Fraction(1, 2)
-        halve = lambda a, b: (a + b) * half
+    One coordinate, whose norm is |x| under every plugin, gives exact
+    Fractions averaged in integers (maximal_numerators); other values give
+    floats from the cell norms of value_norms."""
+    if len(f.cols) == 1:
+        nums, den = maximal_numerators(f)
+        return [Fraction(n, den) for n in nums]
+    return _maximal_averages(value_norms(f, plugin), lambda a, b: (a + b) / 2)
+
+
+def _maximal_averages(level: list, halve) -> list:
+    """Per cell, the first largest of level's value and the averages
+    halve(a, b) of the dyadic blocks above the cell, taken pairwise
+    bottom-up and compared fine to coarse: O(2^L)."""
     levels = [level]
     while len(level) > 1:
         level = [halve(a, b) for a, b in zip(level[::2], level[1::2])]
@@ -439,9 +406,7 @@ def maximal_function(f: Signal, plugin: NormPlugin) -> Signal:
     best = level
     for avgs in reversed(levels[:-1]):
         best = [b if b > a else a for a, b in zip(avgs, (b for b in best for _ in (0, 1)))]
-    if exact:
-        return Signal(f.L, 1, "vector", [best], f.den << f.L)
-    return Signal(f.L, 1, "vector", (best,))
+    return best
 
 
 def bmo_norm(f: Signal, plugin: NormPlugin) -> float:
@@ -496,7 +461,11 @@ class LevelSet:
         return bool((self.mask >> cell) & 1)
 
     def cells(self) -> list[int]:
-        return [j for j in range(1 << self.L) if (self.mask >> j) & 1]
+        """The cells of the set, ascending: the set bits of the mask's
+        bytes, O(2^L)."""
+        size = ((1 << self.L) + 7) >> 3
+        bits = np.unpackbits(np.frombuffer(self.mask.to_bytes(size, "little"), np.uint8), bitorder="little")
+        return np.flatnonzero(bits).tolist()
 
     @property
     def count(self) -> int:
@@ -553,25 +522,33 @@ def num_to_json(x) -> str:
     return repr(float(x))
 
 
-def num_from_json(s) -> Fraction | float:
-    """Inverse of num_to_json; JSON numbers and bare integers pass too."""
-    if isinstance(s, (int, float)):
-        return Fraction(s) if isinstance(s, int) else float(s)
-    text = str(s)
-    if "/" in text:
-        num, den = text.split("/")
+def num_from_json(s) -> Fraction:
+    """Inverse of num_to_json, exact: an "n/d" string, an integer or
+    decimal string (Fraction("0.1") is 1/10), or a number, a float as its
+    exact binary value.  ValueError for a zero denominator, a non-finite
+    value, or a decimal exponent past sys.get_int_max_str_digits(), the
+    limit Python puts on the digits of an integer."""
+    if type(s) is not str:
+        return Fraction(s)
+    if "/" in s:
+        num, den = s.split("/")
         if int(den) == 0:
-            raise ValueError(f"zero denominator in {text!r}")
+            raise ValueError(f"zero denominator in {s!r}")
         return Fraction(int(num), int(den))
-    if "." in text or "e" in text or "E" in text:
-        return float(text)
-    return Fraction(int(text))
+    _, e, exp = s.lower().partition("e")
+    limit = sys.get_int_max_str_digits()
+    if e and limit and abs(int(exp)) > limit:
+        raise ValueError(f"exponent of {s!r} exceeds {limit} digits")
+    return Fraction(s)
 
 
-def _exact_numbers(entries: Sequence):
-    """(numerators, den) of JSON numbers ("n/d" or integer strings, JSON
-    integers) over their least common denominator, or None when any entry
-    is a float."""
+def _non_finite(name: str):
+    raise ValueError(f"non-finite number {name}")
+
+
+def _exact_numbers(entries: Sequence) -> tuple[list[int], int]:
+    """(numerators, den) of JSON numbers (num_from_json) over their least
+    common denominator."""
     nums, dens = [], []
     for s in entries:
         if type(s) is str:
@@ -580,10 +557,8 @@ def _exact_numbers(entries: Sequence):
                 nums.append(int(n))
                 dens.append(int(q))
                 continue
-        # JSON numbers, integer and float strings, signed or zero denominators
+        # JSON numbers, integer and decimal strings, signed or zero denominators
         x = num_from_json(s)
-        if isinstance(x, float):
-            return None
         nums.append(x.numerator)
         dens.append(x.denominator)
     distinct = set(dens)
@@ -595,10 +570,8 @@ def _exact_numbers(entries: Sequence):
 
 
 def columns_to_json(f: Signal) -> list[list[str]]:
-    """Each column's entries in the one number encoding (num_to_json); an
-    exact entry n / den is reduced by gcd(n, den)."""
-    if f.den is None:
-        return [[num_to_json(x) for x in c] for c in f.cols]
+    """Each column's entries in the one number encoding (num_to_json), each
+    n / den reduced by gcd(n, den)."""
     den = f.den
     out = []
     for c in f.cols:
@@ -611,14 +584,10 @@ def columns_to_json(f: Signal) -> list[list[str]]:
 
 
 def columns_from_json(L: int, d: int, kind: str, columns: Sequence[Sequence]) -> Signal:
-    """Inverse of columns_to_json: integer columns over one denominator
-    unless some entry is a float, when the signal keeps the parsed entries."""
+    """Inverse of columns_to_json: integer columns over one denominator."""
     cols = [list(c) for c in columns]
     _check_shape(L, d, kind, cols)
-    parsed = _exact_numbers([x for c in cols for x in c])
-    if parsed is None:
-        return Signal(L, d, kind, [[num_from_json(x) for x in c] for c in cols])
-    nums, den = parsed
+    nums, den = _exact_numbers([x for c in cols for x in c])
     n = 1 << L
     return Signal(L, d, kind, [nums[i : i + n] for i in range(0, len(nums), n)], den)
 
@@ -679,13 +648,16 @@ def nfun_from_json(obj: dict) -> FrequencyChoice:
 
 
 def load_json(path) -> dict:
+    """The JSON file at path with every number exact: a decimal is read by
+    num_from_json, and NaN or an infinity raises ValueError."""
     with open(path) as fh:
-        return json.load(fh)
+        return json.load(fh, parse_float=num_from_json, parse_constant=_non_finite)
 
 
 def dump_json(obj: dict, path) -> None:
     with open(path, "w") as fh:
-        fh.write(json_text(obj) + "\n")
+        fh.write(json_text(obj))
+        fh.write("\n")
 
 
 def json_text(obj) -> str:
@@ -697,9 +669,11 @@ def json_text(obj) -> str:
     sorted; any other object as what its to_json() returns.  Anything else,
     a key that is no string included, raises TypeError.
 
-    One call per container: strings are quoted with the C-level
-    encode_basestring_ascii and the pieces joined with str.join; a list of
-    plain strings is one join."""
+    One call per container, which copies its items' text at most twice: a
+    dict's keys, values and separators go through one str.join; a list's
+    items through the separator's join, and that with the brackets through
+    a five-piece join.  Strings are quoted with the C-level
+    encode_basestring_ascii, a list of plain strings by one map."""
     return _json_value(obj, "\n")
 
 
@@ -714,12 +688,15 @@ def _json_value(o, newline: str) -> str:
         if not o:
             return "{}"
         inner = newline + "  "
+        sep = "," + inner
         parts = []
         for k, v in sorted(o.items()):
             if type(k) is not str:
                 raise TypeError(f"keys must be str, not {k.__class__.__name__}")
-            parts.append(_quote(k) + ": " + _json_value(v, inner))
-        return "{" + inner + ("," + inner).join(parts) + newline + "}"
+            parts += (sep, _quote(k), ": ", _json_value(v, inner))
+        parts[0] = "{" + inner
+        parts.append(newline + "}")
+        return "".join(parts)
     if t is list or t is tuple:
         if not o:
             return "[]"
@@ -728,10 +705,10 @@ def _json_value(o, newline: str) -> str:
         if type(o[0]) is str:
             try:
                 # _quote takes str (and its subclasses) only
-                return "[" + inner + sep.join(map(_quote, o)) + newline + "]"
+                return "".join(("[", inner, sep.join(map(_quote, o)), newline, "]"))
             except TypeError:
                 pass
-        return "[" + inner + sep.join([_json_value(x, inner) for x in o]) + newline + "]"
+        return "".join(("[", inner, sep.join([_json_value(x, inner) for x in o]), newline, "]"))
     if o is None:
         return "null"
     if o is True:

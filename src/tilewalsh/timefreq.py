@@ -226,12 +226,11 @@ def verify_tree_identity(P: Bitile, T: Bitile, L: int) -> bool:
 # ---------------------------------------------------------------------------
 # wave packet sums over member sets
 
-def down_coefficients(f: Signal, members: Sequence[Bitile]) -> tuple[dict[tuple[int, int, int], list], int | None]:
+def down_coefficients(f: Signal, members: Sequence[Bitile]) -> tuple[dict[tuple[int, int, int], list[int]], int]:
     """Sup-normalized pairings of every component of f with each member's
     down packet, keyed by (k, pos, m), as the pair (values, den) of
     walsh.packet_coefficients: the entry (k, pos 2^(L-k) + 2m) of each
-    component's packet table, Python-int numerators over den = f.den 2^L
-    for an exact f, else the values themselves with den None."""
+    component's packet table, Python-int numerators over den = f.den 2^L."""
     L = f.L
     keys = [P.key() for P in members]
     for P, (k, _, m) in zip(members, keys):
@@ -241,10 +240,9 @@ def down_coefficients(f: Signal, members: Sequence[Bitile]) -> tuple[dict[tuple[
     return dict(zip(keys, values)), den
 
 
-def coefficient_values(cs: Sequence, den: int | None) -> list:
-    """Coefficients of a (values, den) pair as numbers: Fractions over den,
-    or the values themselves when den is None."""
-    return cs if den is None else [Fraction(n, den) for n in cs]
+def coefficient_values(cs: Sequence[int], den: int) -> list[Fraction]:
+    """Coefficients of a (values, den) pair as Fractions over den."""
+    return [Fraction(n, den) for n in cs]
 
 
 def down_coefficients_inf(f: Signal, members: Sequence[Bitile]) -> dict[Bitile, list[Fraction]]:
@@ -367,12 +365,12 @@ def tree_delta_pow(
     f: Signal,
     q,
     plugin: NormPlugin,
-    coeffs: tuple[dict, int | None] | None = None,
+    coeffs: tuple[dict, int] | None = None,
 ):
     """q-th power of the normalized L^q mass of the up-part packet sum:
     the sum vanishes off I_T, so it is synthesized on the 2^l cells of I_T,
     l = L - k_T, from the down_coefficients pair coeffs (integers over its
-    den for an exact f), and its mass is the mean over them; exact
+    den), and its mass is the mean over them; exact
     (lq_norm_pow) where representable, else float norms added in cell
     order."""
     up = tree.up_part()
@@ -402,31 +400,26 @@ class HilbertWeights:
     coefficients c_i of P, keyed by (k, pos, m); the building block of the
     q = 2 Parseval evaluation Delta(T)^2 = 2^k_T sum_{P <=_u T} w_P.
 
-    With exact coefficients each mass is a Python-int numerator over one
-    common denominator den, the squared lcm of the reduced coefficient
-    denominators, so that sums and comparisons stay in integers; the up-sums
-    come from dense grids (UpSumGrid).  With float coefficients the masses
-    are the plain numbers, den is 1 and exact is False; their up-sums keep
-    the canonical-order sweep, whose bits another order would change.
+    Each mass is a Python-int numerator over one common denominator den,
+    the squared lcm of the reduced coefficient denominators, so that sums
+    and comparisons stay in integers; the up-sums come from dense grids
+    (UpSumGrid).
     """
 
-    num: dict[tuple[int, int, int], int | Fraction | float]
+    num: dict[tuple[int, int, int], int]
     den: int
-    exact: bool = True
 
-    def value(self, x):
-        """x / den; a Fraction for an integer numerator."""
-        return Fraction(x, self.den) if isinstance(x, int) else x
+    def value(self, x: int) -> Fraction:
+        """x / den."""
+        return Fraction(x, self.den)
 
-    def pow_of(self, best):
+    def pow_of(self, best: int) -> Fraction:
         """A largest S(T) 2^k_T as the size power best / den; Fraction(0)
         unless it is positive."""
         return self.value(best) if best > 0 else Fraction(0)
 
-    def masses(self, keys: Sequence[tuple[int, int, int]]) -> np.ndarray | None:
-        """The exact masses of keys in an array of their total's _mass_dtype."""
-        if not self.exact:
-            return None
+    def masses(self, keys: Sequence[tuple[int, int, int]]) -> np.ndarray:
+        """The masses of keys in an array of their total's _mass_dtype."""
         num = [self.num[key] for key in keys]
         return np.array(num, _mass_dtype(sum(num)))
 
@@ -441,16 +434,6 @@ def member_masses(coeffs: dict[tuple[int, int, int], list[int]], den: int) -> Hi
     gg = g * g
     num = {key: (sum(c * c for c in cs) // gg) << key[0] for key, cs in coeffs.items()}
     return HilbertWeights(num, (den // g) ** 2)
-
-
-def float_masses(coeffs: dict[tuple[int, int, int], list]) -> HilbertWeights:
-    """The masses of float down coefficients (down_coefficients with den
-    None) as the plain numbers, summed from Fraction(0); den 1, not exact."""
-    return HilbertWeights(
-        {key: sum((c * c for c in cs), Fraction(0)) * (1 << key[0]) for key, cs in coeffs.items()},
-        1,
-        exact=False,
-    )
 
 
 def _mass_dtype(total: int):
@@ -500,25 +483,16 @@ class UpSumGrid:
     BitileIndex.extent); Delta(T)^2 = S(T) 2^k_T / den is the q = 2
     Hilbert size of the complete up-tree below T.
 
-    Exact masses sit in int64 cells when the total mass has at most 62
+    The masses sit in int64 cells when the total mass has at most 62
     bits, so that no partial sum overflows, and in Python ints (dtype
     object) otherwise (HilbertWeights.masses); both run the same code, and
-    removing members zeroes their cells and sums again.  Float masses keep
-    the dictionary of the canonical-order sweep (_up_sums) and lose removed
-    members one by one, in canonical order, so that every sum has the bits
-    of the same sweep and decrements done on dictionaries; their size power
-    is a fresh sweep over the keys left, whose bits decremented sums do not
-    keep.  It holds the positions sel of a BitileIndex, with masses in
-    index order (HilbertWeights.masses), and loses bitiles or positions."""
+    removing members zeroes their cells and sums again.  It holds the
+    positions sel of a BitileIndex, with masses in index order
+    (HilbertWeights.masses), and loses bitiles or positions."""
 
-    def __init__(self, index: BitileIndex, sel: np.ndarray, weights: HilbertWeights, masses):
+    def __init__(self, index: BitileIndex, sel: np.ndarray, weights: HilbertWeights, masses: np.ndarray):
         self.index, self.weights = index, weights
         self.depth = D = int(index.extent[sel].max(initial=0))
-        if masses is None:
-            # sorted, and kept so as members leave
-            self.keys = dict.fromkeys(index.keys[i] for i in sel.tolist())
-            self.mass, self.sums = None, _up_sums(self.keys, weights.num)
-            return
         self.mass = np.zeros((1, D + 1, 1 << D), masses.dtype)
         self.mass.reshape(-1)[index.cells(sel, D)] = masses[sel]
         self.sums = up_sum_grids(self.mass)[0]
@@ -526,34 +500,19 @@ class UpSumGrid:
     def remove(self, members) -> None:
         """Take members out of the collection."""
         sel = self.index.select(members)
-        if self.mass is not None:
-            self.mass.reshape(-1)[self.index.cells(sel, self.depth)] = 0
-            self.sums = up_sum_grids(self.mass)[0]
-            return
-        for i in sel.tolist():
-            key = self.index.keys[i]
-            del self.keys[key]
-            w = self.weights.num[key]
-            if w:
-                for T in up_ancestor_keys(*key):
-                    self.sums[T] -= w
+        self.mass.reshape(-1)[self.index.cells(sel, self.depth)] = 0
+        self.sums = up_sum_grids(self.mass)[0]
 
-    def pow(self):
+    def pow(self) -> Fraction:
         """The q = 2 size power max_T S(T) 2^k_T / den of the members left;
         Fraction(0) when no sum is positive."""
-        if self.mass is None:
-            return _sweep_pow(self.keys, self.weights)
         best = max(x << k for k, x in enumerate(self.sums.max(axis=1).tolist()))
         return self.weights.pow_of(best)
 
     def exceeding(self, bound) -> np.ndarray:
-        """Boolean grid of the tops T with S(T) 2^k_T / den > bound: for
-        float masses, whose den is 1, by _pow_gt; exact sums are compared
-        per scale with the integer floor(bound den / 2^k), so that no
-        product S 2^k is formed in int64."""
-        if self.mass is None:
-            tops = [T for T, x in self.sums.items() if x != 0 and _pow_gt(x * (1 << T[0]), bound)]
-            return top_mask(tops, self.depth)
+        """Boolean grid of the tops T with S(T) 2^k_T / den > bound, the
+        sums compared per scale with the integer floor(bound den / 2^k), so
+        that no product S 2^k is formed in int64."""
         cuts = [
             bound.numerator * self.weights.den // (bound.denominator << k)
             for k in range(self.depth + 1)
@@ -566,35 +525,23 @@ class UpSumGrid:
 
 def hilbert_top_sums(
     coll: Sequence[Bitile], weights: HilbertWeights
-) -> dict[tuple[int, int, int], int | Fraction | float]:
+) -> dict[tuple[int, int, int], int]:
     """For every candidate top T, keyed by (k, pos, m), the sum S(T) of the
     member masses below it in the up-tile order, as a numerator over
     weights.den.  Delta(T)^2 of the complete up-tree is S(T) 2^k_T / den.
 
     The candidate tops are the up-ancestors of the members, zero sums
-    included, from the canonical-order sweep (_up_sums); the library's own
-    sizes come from UpSumGrid."""
-    return _up_sums(sorted(P.key() for P in coll), weights.num)
-
-
-def _up_sums(keys, num) -> dict[tuple[int, int, int], int | Fraction | float]:
-    """The canonical-order sweep: the masses num of the sorted keys added,
-    one member after another, to each of its up_ancestor_keys."""
-    sums: dict[tuple[int, int, int], int | Fraction | float] = {}
-    for key in keys:
-        w = num[key]
+    included, from a sweep over the members in canonical order; the
+    library's own sizes come from UpSumGrid."""
+    sums: dict[tuple[int, int, int], int] = {}
+    for key in sorted(P.key() for P in coll):
+        w = weights.num[key]
         for T in up_ancestor_keys(*key):
             sums[T] = sums.get(T, 0) + w
     return sums
 
 
-def _sweep_pow(keys, weights: HilbertWeights):
-    """The q = 2 size power of the sorted keys off a fresh _up_sums sweep."""
-    sums = _up_sums(keys, weights.num)
-    return weights.pow_of(max((s * (1 << T[0]) for T, s in sums.items()), default=0))
-
-
-def hilbert_tree_pows(trees: Sequence[Tree], weights: HilbertWeights) -> list:
+def hilbert_tree_pows(trees: Sequence[Tree], weights: HilbertWeights) -> list[Fraction]:
     """size_pow(tree.members) of each tree in the Hilbert case.
 
     The members of a tree with top (k_T, pos_T, m_T) lie d scales below it
@@ -604,10 +551,7 @@ def hilbert_tree_pows(trees: Sequence[Tree], weights: HilbertWeights) -> list:
     with m >> u = x, has at most the up-sum of (k_T, pos_T, x) and a
     smaller 2^k.  So each tree takes a grid of depth D of its own, the cell
     (k_T + d, pos, m) at (d, pos - pos_T 2^d, m mod 2^(D-d)), and the trees
-    of one depth go through up_sum_grids together.  Float masses keep one
-    canonical-order sweep per tree."""
-    if not weights.exact:
-        return [_sweep_pow(sorted(P.key() for P in t.members), weights) for t in trees]
+    of one depth go through up_sum_grids together."""
     out = [Fraction(0)] * len(trees)
     keys = [P.key() for t in trees for P in t.members]
     k, pos, m = key_arrays(keys)
@@ -636,10 +580,9 @@ def hilbert_tree_pows(trees: Sequence[Tree], weights: HilbertWeights) -> list:
     return out
 
 
-def nonzero_keys(coeffs: dict[tuple[int, int, int], list]) -> set:
+def nonzero_keys(coeffs: dict[tuple[int, int, int], list[int]]) -> set:
     """The keys of the members with a nonzero down coefficient, from
-    coefficients keyed by (k, pos, m).  From the coefficients, not the
-    masses: a float c c can underflow to 0.0."""
+    coefficients keyed by (k, pos, m)."""
     return {key for key, cs in coeffs.items() if any(cs)}
 
 
@@ -714,19 +657,15 @@ class SizeEvaluator:
     top.
 
     The coefficients are the one map of down_coefficients, keyed by
-    (k, pos, m): Python-int numerators over den = f.den 2^L for an exact
-    f, else the values themselves with den None.  The masses, the nonzero
-    keys, the resynthesis, the form products and tree_form_sum's split
-    sums all read it."""
+    (k, pos, m): Python-int numerators over den = f.den 2^L.  The masses,
+    the nonzero keys, the resynthesis, the form products and
+    tree_form_sum's split sums all read it."""
 
     def __init__(self, coll: Sequence[Bitile], f: Signal, q, plugin: NormPlugin) -> None:
-        self.coll, self.f, self.q, self.plugin = coll, f, q, plugin
+        self.f, self.q, self.plugin = f, q, plugin
         self.coeffs, self.den = down_coefficients(f, coll)
         self.index = BitileIndex(coll)
-        self.weights = None
-        if _is_hilbert_case(q, plugin):
-            den = self.den
-            self.weights = float_masses(self.coeffs) if den is None else member_masses(self.coeffs, den)
+        self.weights = member_masses(self.coeffs, self.den) if _is_hilbert_case(q, plugin) else None
         self.masses = None if self.weights is None else self.weights.masses(self.index.keys)
         nonzero = nonzero_keys(self.coeffs)
         self.nonzero = np.array([key in nonzero for key in self.index.keys], bool)
@@ -749,23 +688,15 @@ class SizeEvaluator:
             return [self.grid(t.members).pow() for t in trees]
         return hilbert_tree_pows(trees, self.weights)
 
-    def form_products(self, g: Signal, E: LevelSet, Nfun: FrequencyChoice) -> tuple[dict, int | None]:
+    def form_products(self, g: Signal, E: LevelSet, Nfun: FrequencyChoice) -> tuple[dict, int]:
         """(products, den): member_form_products over the evaluator's
         collection keyed by (k, pos, m), as Python-int numerators over den
-        when f and g are exact (member_form_ints), else the values
-        themselves with den None."""
-        if self.den is not None and g.den is not None:
-            return member_form_ints(self.coeffs, g, E, Nfun), self.den * (g.den << g.L)
-        products = member_form_products(self.coll, self.f, g, E, Nfun, coeffs=(self.coeffs, self.den))
-        return {P.key(): v for P, v in products.items()}, None
+        (member_form_ints)."""
+        return member_form_ints(self.coeffs, g, E, Nfun), self.den * (g.den << g.L)
 
 
-def abs_sum(values, den: int | None):
-    """sum |v| of form_products values: one Fraction over den for integer
-    numerators, else summed from Fraction(0) in the given order, so that
-    float sums keep their bits."""
-    if den is None:
-        return sum(map(abs, values), Fraction(0))
+def abs_sum(values, den: int) -> Fraction:
+    """sum |v| of form_products numerators, as one Fraction over den."""
     return Fraction(sum(map(abs, values)), den)
 
 
@@ -780,14 +711,12 @@ def size_pow(coll: Sequence[Bitile], f: Signal, q, plugin: NormPlugin):
 # tree-lemma machinery
 
 def _hit_sums(keys: Container, g: Signal, E: LevelSet, Nfun: FrequencyChoice) -> dict:
-    """Per key (k, pos, m) in keys, the signed sums of g's
-    terms (Signal.terms) over the cells of E in the bitile's up-window
-    against its down packet, from terms' zero.  One pass over the cells of E:
-    cell j lies in the up-window of the bitile (k, j >> (L - k), m) exactly
-    when it is hit there (walsh.cutoff_hits), and the down packet is w_2m
-    there.  Cells are visited in ascending order, so each sum adds its
-    samples in cell order."""
-    gcomps, zero, _ = g.terms()
+    """Per key (k, pos, m) in keys, the signed sums of g's numerators over
+    the cells of E in the bitile's up-window against its down packet.  One
+    pass over the cells of E: cell j lies in the up-window of the bitile
+    (k, j >> (L - k), m) exactly when it is hit there (walsh.cutoff_hits),
+    and the down packet is w_2m there."""
+    gcomps = g.cols
     L = g.L
     hits = cutoff_hits(Nfun.values, L)
     sums: dict[tuple[int, int, int], list] = {}
@@ -796,7 +725,7 @@ def _hit_sums(keys: Container, g: Signal, E: LevelSet, Nfun: FrequencyChoice) ->
             key = (k, j >> (L - k), m)
             if key not in keys:
                 continue
-            acc = sums.setdefault(key, [zero] * len(gcomps))
+            acc = sums.setdefault(key, [0] * len(gcomps))
             for i, comp in enumerate(gcomps):
                 acc[i] = acc[i] - comp[j] if neg else acc[i] + comp[j]
     return sums
@@ -826,22 +755,19 @@ def member_form_products(
     g: Signal,
     E: LevelSet,
     Nfun: FrequencyChoice,
-    coeffs: tuple[dict, int | None] | None = None,
 ) -> dict[Bitile, Fraction]:
     """Signed per-member bilinear terms
     < <f, down packet>, <down packet, g restricted to E_{P_u}> >; exact.
 
-    The down coefficients (the down_coefficients pair coeffs when given)
-    as Fractions, times g's pairings summed in cell order (_hit_sums);
-    SizeEvaluator.form_products has them in integers when f and g are
-    exact."""
-    values, den = coeffs if coeffs is not None else down_coefficients(f, tree_members)
+    The down coefficients as Fractions, times g's pairings (_hit_sums)
+    over g.den 2^L; SizeEvaluator.form_products has them in integers."""
+    values, den = down_coefficients(f, tree_members)
     sums = _hit_sums({P.key() for P in tree_members}, g, E, Nfun)
-    _, zero, finish = g.terms(g.cells)
-    empty = [zero] * len(g.cols)
+    gden = g.den << g.L
+    empty = [0] * len(g.cols)
     terms: dict[Bitile, Fraction] = {}
     for P in tree_members:
-        gvec = [finish(acc) for acc in sums.get(P.key(), empty)]
+        gvec = [Fraction(acc, gden) for acc in sums.get(P.key(), empty)]
         prod = Fraction(0)
         for a, b in zip(coefficient_values(values[P.key()], den), gvec):
             prod += a * b
@@ -975,7 +901,6 @@ def tree_form_sum(
     ncomp = len(f.cols)
     # signed coefficients of the one map, numerators over sizes.den
     den = sizes.den
-    zero = Fraction(0) if den is None else 0
     coefs = {
         key: [c * ((1 if products[key] >= 0 else -1) << key[0]) for c in cs]
         for key, cs in sizes.coeffs.items()
@@ -994,7 +919,7 @@ def tree_form_sum(
                 continue
             l1 = 0.0
             for j in J.cells(L):
-                acc = [zero] * ncomp
+                acc = [0] * ncomp
                 for k, m, neg in hits[j] if j in E else ():
                     key = (k, j >> (L - k), m)
                     if k >= J.k or key not in keys:

@@ -5,7 +5,7 @@ the fast Walsh-Hadamard transform in Walsh-Paley ordering.
 All +-1 sign patterns are exact integers.  A packet of the dyadic interval
 (k, pos) with frequency index n is w_n on the 2^(L-k) cells of the
 interval, zero elsewhere; the Haar pattern of the interval is the packet
-with n = 1.  Analysis reads the packet table (packet_table / packet_rows;
+with n = 1.  Analysis reads the packet table (packet_table;
 packet_coefficients for a signal's coefficients over one denominator),
 synthesis adds coefficient times packet cell by cell (packet_synthesis),
 and cutoff_hits names, per cell, the bitile of each scale whose up-tile
@@ -14,7 +14,6 @@ window holds the cell's cutoff.
 
 from __future__ import annotations
 
-from fractions import Fraction
 from functools import lru_cache
 from typing import Sequence
 
@@ -105,50 +104,12 @@ def packet_table(terms: Sequence[int], L: int) -> list[list[int]]:
     return rows
 
 
-class _CellOrderRow:
-    """One row of packet sums for non-integer terms, each entry summed on
-    demand from `zero`, cell by cell in ascending order, and memoized.  A
-    float sum depends on its order, so every entry adds its samples in cell
-    order whichever kernel reads it."""
-
-    def __init__(self, terms: Sequence, zero, levels: int) -> None:
-        self.terms, self.zero, self.levels = terms, zero, levels
-        self.memo: dict[int, object] = {}
-
-    def __getitem__(self, idx: int):
-        acc = self.memo.get(idx)
-        if acc is None:
-            l = self.levels
-            base, n = idx >> l << l, idx & ((1 << l) - 1)
-            terms = self.terms
-            acc = self.zero
-            for jl, s in enumerate(walsh(n, l) if l else (1,)):
-                acc = acc + terms[base + jl] if s > 0 else acc - terms[base + jl]
-            self.memo[idx] = acc
-        return acc
-
-
-def packet_rows(terms: Sequence, zero, L: int):
-    """Rows indexed like packet_table: the table itself for Python-int
-    terms (see signal.exact_terms), otherwise rows that sum in cell order
-    on demand (see _CellOrderRow)."""
-    if all(type(x) is int for x in terms):
-        return packet_table(terms, L)
-    return [_CellOrderRow(terms, zero, L - k) for k in range(L + 1)]
-
-
-def packet_coefficients(f: Signal, cells: Sequence[tuple[int, int]]) -> tuple[list[list], int | None]:
+def packet_coefficients(f: Signal, cells: Sequence[tuple[int, int]]) -> tuple[list[list[int]], int]:
     """f's packet coefficients at the table cells (k, i): rows[k][i] 2^-L
-    of every component's packet table (packet_rows), as the pair (values,
-    den).  An exact f gives the Python-int entries, numerators over den =
-    f.den 2^L; other signals give the entries divided by 2^L, summed in
-    cell order, with den None."""
-    comps, zero, finish = f.terms(f.cells)
-    tables = [packet_rows(c, zero, f.L) for c in comps]
-    values = [[rows[k][i] for rows in tables] for k, i in cells]
-    if f.den is not None:
-        return values, f.den << f.L
-    return [[finish(x) for x in cs] for cs in values], None
+    of every component's packet table, as the pair (values, den) of the
+    Python-int entries, numerators over den = f.den 2^L."""
+    tables = [packet_table(c, f.L) for c in f.cols]
+    return [[rows[k][i] for rows in tables] for k, i in cells], f.den << f.L
 
 
 def packet_synthesis(entries: Sequence, ncomp: int, L: int) -> list[list]:
@@ -156,13 +117,10 @@ def packet_synthesis(entries: Sequence, ncomp: int, L: int) -> list[list]:
     interval (k, pos), for entries (k, pos, n, coefs) with ncomp
     coefficients each: the inverse of reading the packet table.
 
-    Each cell adds its entries in the given order, skipping zero
-    coefficients, so float sums keep their bits.  When every coefficient
-    is a Python int (numerators over a common denominator) the cells are
-    summed from 0 and hold ints; other coefficients are summed from
-    Fraction(0)."""
-    zero = 0 if all(type(c) is int for *_, coefs in entries for c in coefs) else Fraction(0)
-    out = [[zero] * (1 << L) for _ in range(ncomp)]
+    Each cell adds its entries from 0 in the given order, skipping zero
+    coefficients: integer coefficients (numerators over a common
+    denominator) give integer cells."""
+    out = [[0] * (1 << L) for _ in range(ncomp)]
     for k, pos, n, coefs in entries:
         l = L - k
         base = pos << l
@@ -204,15 +162,15 @@ def fwht(samples: Sequence, normalize: bool = True) -> list:
     """Walsh coefficients of a sample vector, in Walsh-Paley order.
 
     coefficient[n] = 2^-L sum_j samples[j] * w_n(cell j), computed by an
-    in-place butterfly after a bit-reversal permutation; exact for rational
-    input.  With normalize=False the 2^-L weight is skipped, and Python-int
+    in-place butterfly after a bit-reversal permutation; exact on ints and
+    Fractions.  With normalize=False the 2^-L weight is skipped, and Python-int
     samples (an exact signal's numerators) give their Python-int sums.
     """
     size = len(samples)
     if size == 0 or size & (size - 1):
         raise ValueError(f"sample count {size} is not a power of two")
     L = size.bit_length() - 1
-    terms, _, finish = exact_terms(samples, size if normalize else 1)
+    terms, finish = exact_terms(samples, size if normalize else 1)
     buf = [terms[r] for r in bit_reversal(L)]
     _butterflies(buf)
     return [finish(x) for x in buf]
@@ -224,7 +182,7 @@ def ifwht(coefficients: Sequence) -> list:
     if size == 0 or size & (size - 1):
         raise ValueError(f"coefficient count {size} is not a power of two")
     L = size.bit_length() - 1
-    buf, _, finish = exact_terms(coefficients)
+    buf, finish = exact_terms(coefficients)
     _butterflies(buf)
     return [finish(buf[r]) for r in bit_reversal(L)]
 

@@ -26,16 +26,13 @@ and helpers that only the tests use.
 - lq_norm_pow / value_norm_pow: |f|_q^q summed cell by cell in
   Fractions, one exact norm power per value, which integer sums over an
   exact signal's numerators replaced; the oracles here use it.
-- sweep_pow: the q = 2 size power from the dictionary sweep over
-  up_ancestor_keys that the dense up-sum grids replaced for exact masses,
-  taking the first largest sum in the sweep's key order.
 - size_decompose_hilbert: the greedy size split of the Hilbert case on
   those Fraction sums.
 - packet_sum: one entry of the Walsh packet table, summed sample by
   sample against the packet's sign pattern.
 - carleson_direct / carleson_bitile / member_form_products: the
   per-cell, per-bitile and per-member loops the packet table replaced,
-  summing each packet's samples in cell order from exact_terms' zero.
+  summing each packet's samples in cell order from 0 (exact_terms).
 - down_packet_sum (with per-member signs and cell masks) /
   haar_packet_sum / martingale_transform / split_sums /
   tile_type_constant: the synthesis loops that walsh.packet_synthesis and
@@ -66,6 +63,9 @@ and helpers that only the tests use.
   Fraction per coefficient, per JSON number and per maximal average, a
   support test per cell, one value_norm per cell and the form summed by
   dual_pair; dump_json streams through json.dump.
+- levelset_cells: the cells of a LevelSet by a test of its mask per
+  cell, O(4^L / 64) word operations, which the set bits of the mask's
+  bytes replaced.
 - jsonable: a report copied into the values json.dumps takes (objects as
   their to_json, tuples as lists, dict keys as strings, Fractions and
   floats in the num_to_json encoding), the walk that ran before the
@@ -439,19 +439,9 @@ def member_weights(coll, coeffs) -> dict[Bitile, Fraction]:
 
 
 def hilbert_member_weights(coll, coeffs) -> HilbertWeights:
-    """The masses w_P of the members of coll from their Fraction (or float)
-    down coefficients: exact ones as numerators over the squared lcm of the
-    coefficient denominators, each coefficient taken apart again; float
-    ones as the plain numbers over den 1."""
-    if not all(isinstance(c, Fraction) for P in coll for c in coeffs[P]):
-        return HilbertWeights(
-            {
-                P.key(): sum((c * c for c in coeffs[P]), Fraction(0)) * (1 << P.time.k)
-                for P in coll
-            },
-            1,
-            exact=False,
-        )
+    """The masses w_P of the members of coll from their Fraction down
+    coefficients, as numerators over the squared lcm of the coefficient
+    denominators, each coefficient taken apart again."""
     lcm = math.lcm(*(c.denominator for P in coll for c in coeffs[P]))
     num = {
         P.key(): sum((c.numerator * (lcm // c.denominator)) ** 2 for c in coeffs[P])
@@ -468,18 +458,6 @@ def hilbert_top_sums(coll, weights) -> dict[Bitile, Fraction]:
         for T in up_ancestors(P):
             sums[T] = sums.get(T, Fraction(0)) + w
     return sums
-
-
-def sweep_pow(coll, weights):
-    """max_T S(T) 2^k_T / den over a dictionary of up-sums filled member by
-    member in canonical order; Fraction(0) when no sum is positive."""
-    sums = {}
-    for key in sorted(P.key() for P in coll):
-        w = weights.num[key]
-        for T in up_ancestor_keys(*key):
-            sums[T] = sums.get(T, 0) + w
-    best = max((s * (1 << T[0]) for T, s in sums.items()), default=0)
-    return weights.value(best) if best > 0 else Fraction(0)
 
 
 def size_decompose_hilbert(coll, f):
@@ -530,11 +508,11 @@ def packet_sum(terms, L, k, pos, n):
 def carleson_direct(f, Nfun):
     out_comps = []
     for coef in (fwht(comp) for comp in f.comps):
-        terms, zero, finish = exact_terms(coef)
+        terms, finish = exact_terms(coef)
         comp = []
         for j in range(f.cells):
             rj = bit_reverse(j, f.L)
-            acc = zero
+            acc = 0
             for n in range(Nfun[j]):
                 if (n & rj).bit_count() & 1:
                     acc = acc - terms[n]
@@ -549,8 +527,8 @@ def carleson_bitile(f, Nfun):
     """Every universe bitile in canonical order adds its scaled down-packet
     sum on the cells whose cutoff lies in its up-tile window."""
     L = f.L
-    comps, zeros, finishes = zip(*(exact_terms(comp, f.cells) for comp in f.comps))
-    out_comps = [[zero] * f.cells for zero in zeros]
+    comps, finishes = zip(*(exact_terms(comp, f.cells) for comp in f.comps))
+    out_comps = [[0] * f.cells for _ in comps]
     for P in bitile_universe(L).items:
         k = P.time.k
         local = L - k
@@ -560,8 +538,8 @@ def carleson_bitile(f, Nfun):
         hit = [jl for jl in range(1 << local) if lo <= Nfun[base + jl] < hi]
         if not hit:
             continue
-        for comp, zero, out in zip(comps, zeros, out_comps):
-            acc = zero
+        for comp, out in zip(comps, out_comps):
+            acc = 0
             for jl, s in enumerate(pattern):
                 acc = acc + comp[base + jl] if s > 0 else acc - comp[base + jl]
             if acc == 0:
@@ -577,7 +555,7 @@ def carleson_bitile(f, Nfun):
 
 def member_form_products(members, f, g, E, Nfun):
     fco = down_coefficients(f, members)
-    flat, zero, finish = exact_terms([x for comp in g.comps for x in comp], g.cells)
+    flat, finish = exact_terms([x for comp in g.comps for x in comp], g.cells)
     gcomps = [flat[i : i + g.cells] for i in range(0, len(flat), g.cells)]
     terms = {}
     for P in members:
@@ -587,7 +565,7 @@ def member_form_products(members, f, g, E, Nfun):
         lo, hi = P.up.freq_lo, P.up.freq_hi
         gvec = []
         for comp in gcomps:
-            acc = zero
+            acc = 0
             for jl, s in enumerate(pattern):
                 j = base + jl
                 if j in E and lo <= Nfun[j] < hi:
@@ -1057,6 +1035,10 @@ def dump_json(obj, path):
         fh.write("\n")
 
 
+def levelset_cells(E):
+    return [j for j in range(1 << E.L) if (E.mask >> j) & 1]
+
+
 _LEAVES = frozenset({str, int, bool, type(None)})
 
 
@@ -1097,7 +1079,7 @@ def maximal_function(f, plugin):
                     best[j] = avg
         level = nxt
         size //= 2
-    return Signal(f.L, 1, "vector", (tuple(best),))
+    return best
 
 
 def restricted_weak_type(F, E, f, g, Nfun, p, q, plugin):
@@ -1118,7 +1100,7 @@ def restricted_weak_type(F, E, f, g, Nfun, p, q, plugin):
     certs = []
     eF, eE = F.measure, E.measure
     if eE > eF:
-        M = maximal_function(F.indicator(), plugin).scalar_samples()
+        M = maximal_function(F.indicator(), plugin)
         thresh = 2 * eF / eE
         G = LevelSet.from_cells(E.L, (j for j in range(len(M)) if M[j] > thresh))
         Etilde = E.minus(G)

@@ -125,16 +125,16 @@ class TestCarleson:
         sig = json.loads((inst / "signal.json").read_text())
         assert obj["direct"]["values"] == sig["values"]
 
-    def test_float_forms_may_differ(self, runner, tmp_path):
-        """The two forms add the same float terms in different orders, so
-        their last bits may differ; that is no failed check."""
+    def test_decimal_forms_must_agree(self, runner, tmp_path):
+        """Decimals are read as their exact values, so the two forms agree
+        on them as on any other input."""
         values = ["-0.21256001790364584", "-0.025517781575520832", "-0.22217814127604166", "-0.07155863444010417"]
         sig, nf, out = tmp_path / "signal.json", tmp_path / "nfun.json", tmp_path / "c.json"
         sig.write_text(json.dumps({"levels": 2, "dim": 1, "kind": "vector", "values": values}))
         nf.write_text(json.dumps({"levels": 2, "N": [0, 4, 2, 1]}))
         r = invoke(runner, ["carleson", "--in", str(sig), "--nfun", str(nf), "--out", str(out)])
         assert r.exit_code == 0
-        assert json.loads(out.read_text())["identical"] is False
+        assert json.loads(out.read_text())["identical"] is True
 
     def test_exact_forms_must_agree(self, runner, tmp_path, monkeypatch):
         files = _l2_files(tmp_path)
@@ -377,6 +377,28 @@ class TestInputErrors:
         what = "coefficient" if inverse else "signal"
         assert r.exit_code == 2 and f"malformed {what}" in r.output and "zero denominator" in r.output
         assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "entry",
+        ["NaN", "Infinity", "-Infinity", "1e-10000000", '"1e-10000000"', '"-2.5E+4301"'],
+    )
+    def test_bad_numbers(self, runner, tmp_path, entry):
+        # non-finite JSON constants, and decimal exponents past
+        # sys.get_int_max_str_digits() (4300), which would take seconds
+        # to read and millions of bits to hold
+        path, out = tmp_path / "signal.json", tmp_path / "x.json"
+        path.write_text('{"levels": 1, "dim": 1, "kind": "vector", "values": [%s, "1"]}' % entry)
+        r = runner.invoke(main, ["transform", "--in", str(path), "--out", str(out)])
+        assert r.exit_code == 2 and f"malformed signal file {path}" in r.output
+        assert not out.exists()
+
+    def test_huge_decimals_are_exact(self, runner, tmp_path):
+        path, out = tmp_path / "signal.json", tmp_path / "x.json"
+        path.write_text('{"levels": 2, "dim": 1, "kind": "vector", "values": ["1e400", 0.5, -1e400, "0.25"]}')
+        invoke(runner, ["transform", "--in", str(path), "--out", str(out)])
+        coefs = json.loads(out.read_text())["coefficients"][0]
+        # (1e400 + 1/2 - 1e400 + 1/4) / 4
+        assert coefs[0] == "3/16" and all("/" in c for c in coefs)
 
     @pytest.mark.parametrize(
         "command, what, field, value",

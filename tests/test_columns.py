@@ -1,6 +1,7 @@
 """Exact signals as integer columns over one canonical denominator: every
 kernel that reads or writes them against its Fraction-per-entry form in
-tests/reference.py, on exact, float and mixed signals; exact |f|_q^q in
+tests/reference.py, on signals built from exact numbers, floats (their
+exact binary values) or both; exact |f|_q^q in
 integers against the cell-by-cell sum; and the report writer against
 json.dump of the report copied into plain JSON values."""
 
@@ -54,9 +55,9 @@ LEVELS = pytest.mark.parametrize("L", range(1, 8))
 
 @st.composite
 def signals(draw, L, modes=("exact", "float", "mixed"), kinds=("vector", "matrix")):
-    """(signal, mode) on 2^L cells: random kind and dimension; exact
-    entries over assorted denominators, floats, or both mixed cell by
-    cell."""
+    """(signal, mode) on 2^L cells: random kind and dimension; built from
+    exact entries over assorted denominators, floats, or both mixed cell
+    by cell."""
     kind = draw(st.sampled_from(kinds))
     d = draw(st.integers(1, 2 if kind == "matrix" else 3))
     mode = draw(st.sampled_from(modes))
@@ -91,14 +92,17 @@ class TestCanonicalColumns:
     @LEVELS
     @given(data=st.data())
     @settings(max_examples=8, deadline=None)
-    def test_floats_keep_their_columns(self, L, data):
-        f, _ = data.draw(signals(L, modes=("float", "mixed")))
-        if f.den is None:
-            assert f.comps == f.cols
-            assert all(type(x) in (float, Fraction) for c in f.cols for x in c)
-        # value-based equality across representations
-        exact = Signal(f.L, f.d, f.kind, [[Fraction(x) for x in c] for c in f.comps])
-        assert exact == f and f == exact
+    def test_floats_become_binary_fractions(self, L, data):
+        rng = random.Random(data.draw(st.integers(0, 2**32)))
+        mode = data.draw(st.sampled_from(["float", "mixed"]))
+        cols = [[_entry(rng, mode) for _ in range(1 << L)] for _ in range(2)]
+        f = Signal(L, 2, "vector", cols)
+        # a float entry is its exact binary value, Fraction(x)
+        assert f.comps == tuple(tuple(map(Fraction, c)) for c in cols)
+        assert all(type(n) is int for c in f.cols for n in c)
+        assert Signal(L, 2, "vector", f.comps) == f
+        with pytest.raises((ValueError, OverflowError)):
+            Signal(L, 2, "vector", [[math.inf] + c[1:] for c in cols])
 
 
 class TestJsonColumns:
@@ -155,8 +159,7 @@ class TestCarlesonColumns:
         bitile = carleson_bitile(f, N, bitile_universe(f.L))
         assert repr(direct) == repr(reference.carleson_direct(f, N))
         assert repr(bitile) == repr(reference.carleson_bitile(f, N))
-        if f.den is not None:
-            assert direct == bitile and direct.den is not None
+        assert direct == bitile
 
 
 class TestRwtColumns:
@@ -193,8 +196,8 @@ class TestMaximalColumns:
         plugin = NormPlugin("lp", Fraction(3)) if generic else NormPlugin("euclidean")
         M = maximal_function(f, plugin)
         assert repr(M) == repr(reference.maximal_function(f, plugin))
-        if f.den is not None and f.d == 1:
-            assert M.den is not None
+        # exact for one coordinate, float norms otherwise
+        assert {type(x) for x in M} == {Fraction if f.d == 1 else float}
 
 
 class TestBatchedNorms:

@@ -8,6 +8,7 @@ with bare input file names, as when recorded, so the paths that decompose
 echoes (--in, --set, --nfun) do not depend on where the repository lives.
 """
 
+from fractions import Fraction
 from pathlib import Path
 
 import json
@@ -123,10 +124,10 @@ def test_gen_bytes(config, tmp_path):
 
 
 # config -> (`tilewalsh gen` flags, how signal.json and dual.json were then
-# rescaled): every entry x became float(x) / 3 ("float") or the exact
-# x / 3 ("third"), so these configs pin certify and decompose on float and
-# on non-dyadic exact input, the Hilbert case and the resynthesized sizes
-# of schatten:3 with q = 3
+# rescaled): every entry x became the decimal repr of float(x) / 3
+# ("float") or the exact x / 3 ("third"), so these configs pin certify and
+# decompose on decimal and on non-dyadic exact input, the Hilbert case and
+# the resynthesized sizes of schatten:3 with q = 3
 DERIVED_RUNS = {
     "float-vector-L4": (["--levels", "4", "--dim", "2", "--seed", "16"], "float"),
     "third-matrix-L4": (
@@ -158,3 +159,60 @@ def test_derived_input_bytes(config, tmp_path):
             obj["values"] = _thirds(obj["values"], how)
         text = json.dumps(obj, indent=2, sort_keys=True) + "\n"
         assert text == (GOLDEN / config / name).read_text(), name
+
+
+def _rational_twin(values):
+    """values with every decimal entry x written as the "n/d" string of
+    Fraction(x)."""
+    if isinstance(values, list):
+        return [_rational_twin(v) for v in values]
+    x = Fraction(values)
+    return f"{x.numerator}/{x.denominator}"
+
+
+# config -> the command lines (without --out) run on its decimal input and
+# on the rational twin, and the files each writes; coef.json holds
+# signal.json's values as coefficient columns
+DECIMAL_RUNS = {
+    "float-vector-L4": [
+        ([command, *INPUTS[command], "--norm", "euclidean", "--q", "2", "--seed", "16"],
+         [f"{command}.json", f"{command}.csv"])
+        for command in sorted(INPUTS)
+    ],
+    "float-L3": [
+        (["transform", "--in", "signal.json"], ["transform.json"]),
+        (["transform", "--inverse", "--in", "coef.json"], ["inverse.json"]),
+    ],
+}
+
+
+@pytest.mark.parametrize("config", sorted(DECIMAL_RUNS))
+def test_decimals_read_as_their_rationals(config, tmp_path, monkeypatch):
+    """A decimal entry and the "n/d" string of its exact value give the
+    same report bytes; both forms run from files of the same names, since
+    decompose echoes its input paths."""
+    reports = {}
+    for form in ("decimal", "rational"):
+        d = tmp_path / form
+        d.mkdir()
+        for path in sorted((GOLDEN / config).iterdir()):
+            if path.name in ("signal.json", "dual.json", "set.json", "nfun.json"):
+                obj = json.loads(path.read_text())
+                if path.name in ("signal.json", "dual.json") and form == "rational":
+                    obj["values"] = _rational_twin(obj["values"])
+                (d / path.name).write_text(json.dumps(obj))
+        sig = json.loads((d / "signal.json").read_text())
+        coef = {k: sig[k] for k in ("levels", "dim", "kind")}
+        coef["coefficients"] = [list(c) for c in zip(*sig["values"])]
+        (d / "coef.json").write_text(json.dumps(coef))
+        monkeypatch.chdir(d)
+        for args, outputs in DECIMAL_RUNS[config]:
+            out = d / "out" / outputs[0]
+            out.parent.mkdir(exist_ok=True)
+            result = CliRunner().invoke(main, [*args, "--out", str(out)], catch_exceptions=False)
+            assert result.exit_code == 0
+            for name in outputs:
+                reports[form, name] = (d / "out" / name).read_bytes()
+    names = [name for _, outputs in DECIMAL_RUNS[config] for name in outputs]
+    for name in names:
+        assert reports["decimal", name] == reports["rational", name], name

@@ -116,7 +116,7 @@ class TestCarleson:
 class TestMaximalPartialSum:
     @given(scalar_signal(3))
     def test_dominates_every_cutoff(self, f):
-        M = maximal_partial_sum(f, NormPlugin("euclidean")).scalar_samples()
+        M = maximal_partial_sum(f, NormPlugin("euclidean"))
         for N in range(f.cells + 1):
             s = partial_sum(f, N).scalar_samples()
             for m, v in zip(M, s):
@@ -124,7 +124,7 @@ class TestMaximalPartialSum:
 
     @given(scalar_signal(3))
     def test_attained(self, f):
-        M = maximal_partial_sum(f, NormPlugin("euclidean")).scalar_samples()
+        M = maximal_partial_sum(f, NormPlugin("euclidean"))
         attained = [max(abs(partial_sum(f, N).scalar_samples()[j]) for N in range(f.cells + 1)) for j in range(f.cells)]
         assert M == attained
 

@@ -17,16 +17,31 @@ from tilewalsh.signal import (
     dual_pair,
     levelset_from_json,
     levelset_to_json,
+    load_json,
     lq_norm,
     lq_norm_pow,
     maximal_function,
     nfun_from_json,
     nfun_to_json,
+    num_from_json,
     signal_from_json,
     signal_to_json,
     value_norm,
 )
-from reference import value_norm_pow
+from reference import levelset_cells, value_norm_pow
+
+# JSON number literals: an optional minus, digits without leading zeros,
+# optional fraction digits ("7.0" among them) and an optional exponent
+json_numbers = st.builds(
+    "".join,
+    st.tuples(
+        st.sampled_from(["", "-"]),
+        st.integers(0, 10**20).map(str),
+        st.sampled_from(["", ".0", ".5"]) | st.integers(0, 10**12).map(".{}".format),
+        st.sampled_from(["", "e0"])
+        | st.tuples(st.sampled_from("eE"), st.sampled_from(["", "+", "-"]), st.integers(0, 500).map(str)).map("".join),
+    ),
+)
 
 rationals = st.fractions(min_value=-4, max_value=4, max_denominator=1 << 10)
 
@@ -122,21 +137,21 @@ class TestSignal:
 class TestMaximalFunction:
     @given(scalar_signal(3))
     def test_dominates_pointwise(self, f):
-        M = maximal_function(f, NormPlugin("euclidean")).scalar_samples()
+        M = maximal_function(f, NormPlugin("euclidean"))
         for m, v in zip(M, f.scalar_samples()):
             assert m >= abs(v)
 
     @given(scalar_signal(3))
     def test_bounded_by_sup(self, f):
         sup = max(abs(v) for v in f.scalar_samples())
-        M = maximal_function(f, NormPlugin("euclidean")).scalar_samples()
+        M = maximal_function(f, NormPlugin("euclidean"))
         assert all(m <= sup for m in M)
 
     def test_indicator_weak_one_one(self):
         # dyadic maximal function: |{M 1_F > lam}| <= |F| / lam, constant 1
         L = 4
         F = LevelSet.from_cells(L, [0, 3, 5, 6, 12])
-        M = maximal_function(F.indicator(), NormPlugin("euclidean")).scalar_samples()
+        M = maximal_function(F.indicator(), NormPlugin("euclidean"))
         for num in range(1, 16):
             lam = Fraction(num, 16)
             above = sum(1 for m in M if m > lam) * Fraction(1, 1 << L)
@@ -146,7 +161,7 @@ class TestMaximalFunction:
     def test_exact_values_brute_force(self, f):
         # oracle: max average over all dyadic intervals containing the cell
         vals = f.scalar_samples()
-        M = maximal_function(f, NormPlugin("euclidean")).scalar_samples()
+        M = maximal_function(f, NormPlugin("euclidean"))
         for j in range(f.cells):
             best = Fraction(0)
             for k in range(f.L + 1):
@@ -173,6 +188,12 @@ class TestLevelSet:
         assert E.intersect(E.complement()).count == 0
         assert E.minus(E).count == 0
         assert sorted(E.cells()) == sorted(set(cells))
+
+    @given(st.integers(0, 10), st.data())
+    def test_cells_match_mask_scan(self, L, data):
+        full = (1 << (1 << L)) - 1
+        E = LevelSet(L, data.draw(st.sampled_from([0, full]) | st.integers(0, full)))
+        assert E.cells() == levelset_cells(E)
 
     def test_indicator(self):
         E = LevelSet.from_cells(2, [1, 3])
@@ -209,6 +230,18 @@ class TestJson:
     def test_nfun_roundtrip(self):
         N = FrequencyChoice(2, (0, 1, 4, 2))
         assert nfun_from_json(nfun_to_json(N)) == N
+
+    @given(json_numbers, st.sampled_from(["", "+"]))
+    def test_decimals_read_exactly(self, text, plus):
+        # a string may carry a plus sign, a JSON number not
+        text = text if text.startswith("-") else plus + text
+        assert num_from_json(text) == Fraction(text)
+
+    @given(texts=st.lists(json_numbers, min_size=1, max_size=4))
+    def test_bare_json_numbers_read_exactly(self, texts, tmp_path_factory):
+        path = tmp_path_factory.mktemp("numbers") / "n.json"
+        path.write_text("[" + ", ".join(texts) + "]")
+        assert load_json(path) == [Fraction(t) for t in texts]
 
     def test_numbers_are_strings(self):
         obj = signal_to_json(Signal.scalar([Fraction(1, 3), Fraction(2, 3)]))
