@@ -10,8 +10,9 @@ ambiguity.  Exit code 0 means every theorem-backed certificate passed and
 input (flags, environment, files, non-finite numbers) exits 2 before any
 work.
 
-The TILEWALSH_THREADS environment variable caps worker parallelism; the
-library is sequential, so any cap yields identical output.
+The TILEWALSH_THREADS environment variable is validated (a positive
+integer, else exit 2) and reserved: nothing in the library runs in
+parallel, so it changes no output.
 """
 
 from __future__ import annotations

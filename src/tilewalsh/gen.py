@@ -4,6 +4,12 @@ All randomness flows through a splitmix64 stream so that instances are
 reproducible bit-for-bit from a seed, independently of Python's hash
 randomization or platform.  Signal values are rationals with denominator
 2^16.
+
+splitmix64 is counter-based: output i of a stream at state s is
+mix(s + i gamma) modulo 2^64.  So a block of draws is one wrapping uint64
+array expression (SplitMix64.below_each), and it gives the same values,
+and leaves the same state, as the same draws made one at a time with
+next_u64 and below.
 """
 
 from __future__ import annotations
@@ -11,10 +17,13 @@ from __future__ import annotations
 from fractions import Fraction
 from math import ceil, lcm
 
+import numpy as np
+
 from .dyadic import Bitile, bitile_universe
 from .signal import FrequencyChoice, LevelSet, NormPlugin, Signal, value_norms
 
 MASK64 = (1 << 64) - 1
+GAMMA = 0x9E3779B97F4A7C15
 VALUE_DENOM_BITS = 16
 
 
@@ -25,38 +34,65 @@ class SplitMix64:
         self.state = seed & MASK64
 
     def next_u64(self) -> int:
-        self.state = (self.state + 0x9E3779B97F4A7C15) & MASK64
+        self.state = (self.state + GAMMA) & MASK64
         z = self.state
         z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & MASK64
         z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & MASK64
         return z ^ (z >> 31)
 
     def below(self, n: int) -> int:
-        """Uniform integer in [0, n) by rejection."""
-        if n <= 0:
-            raise ValueError("need a positive bound")
+        """Uniform integer in [0, n) by rejection, for n in [1, 2^64): the
+        rule rejects every draw of a larger bound."""
+        if not 0 < n <= MASK64:
+            raise ValueError("bounds must lie in [1, 2^64)")
         limit = MASK64 - (MASK64 % n)
         while True:
             x = self.next_u64()
             if x < limit:
                 return x % n
 
-    def numerator(self) -> int:
-        """Numerator of a uniform rational in [-1, 1) with denominator 2^16."""
-        return self.below(1 << (VALUE_DENOM_BITS + 1)) - (1 << VALUE_DENOM_BITS)
+    def below_each(self, bounds) -> np.ndarray:
+        """below(n) for each bound n in turn, as a uint64 array, drawn in
+        blocks.  A block draws one output per bound left and accepts the
+        prefix before its first rejected draw x >= limit; that draw is
+        consumed, and the next block starts at the bound it rejected."""
+        try:
+            bounds = np.asarray(bounds, np.uint64).reshape(-1)
+        except OverflowError:
+            raise ValueError("bounds must lie in [1, 2^64)") from None
+        if not bounds.all():
+            raise ValueError("bounds must lie in [1, 2^64)")
+        limits = MASK64 - np.uint64(MASK64) % bounds
+        out = np.empty_like(bounds)
+        done = 0
+        while done < len(bounds):
+            z = np.arange(1, len(bounds) - done + 1, dtype=np.uint64) * GAMMA + np.uint64(self.state)
+            z = (z ^ (z >> 30)) * 0xBF58476D1CE4E5B9
+            z = (z ^ (z >> 27)) * 0x94D049BB133111EB
+            z ^= z >> 31
+            rejected = np.flatnonzero(z >= limits[done:])
+            take = int(rejected[0]) if len(rejected) else len(z)
+            out[done : done + take] = z[:take] % bounds[done : done + take]
+            used = take + 1 if len(rejected) else take
+            self.state = (self.state + used * GAMMA) & MASK64
+            done += take
+        return out
 
     def shuffle(self, items: list) -> None:
-        for i in range(len(items) - 1, 0, -1):
-            j = self.below(i + 1)
+        """Fisher-Yates from the last position down, item i swapped with
+        item below(i + 1)."""
+        picks = self.below_each(range(len(items), 1, -1)).tolist()
+        for i, j in zip(range(len(items) - 1, 0, -1), picks):
             items[i], items[j] = items[j], items[i]
 
 
 def gen_signal(L: int, d: int, kind: str, rng: SplitMix64) -> Signal:
-    """Drawn cell by cell, each value's entries in column order (a matrix
-    row by row)."""
+    """Uniform rationals in [-1, 1) with denominator 2^16, drawn cell by
+    cell, each value's entries in column order (a matrix row by row)."""
     width = d * d if kind == "matrix" else d
-    cells = [[rng.numerator() for _ in range(width)] for _ in range(1 << L)]
-    return Signal(L, d, kind, list(zip(*cells)), 1 << VALUE_DENOM_BITS)
+    top = 1 << VALUE_DENOM_BITS
+    draws = rng.below_each(np.full(width << L, 2 * top, np.uint64)).astype(np.int64) - top
+    return Signal(L, d, kind, draws.reshape(1 << L, width).T.tolist(), top)
 
 
 def gen_dual_function(
@@ -87,8 +123,8 @@ def gen_levelset(L: int, measure, rng: SplitMix64) -> LevelSet:
 
 def gen_nfun(L: int, rng: SplitMix64) -> FrequencyChoice:
     """Uniform cutoffs over the closed range [0, 2^L]."""
-    top = (1 << L) + 1
-    return FrequencyChoice(L, tuple(rng.below(top) for _ in range(1 << L)))
+    draws = rng.below_each(np.full(1 << L, (1 << L) + 1, np.uint64))
+    return FrequencyChoice(L, tuple(draws.tolist()))
 
 
 def gen_collection(L: int, count: int, rng: SplitMix64) -> list[Bitile]:

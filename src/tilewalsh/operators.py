@@ -15,17 +15,18 @@ from .signal import (
     FrequencyChoice,
     NormPlugin,
     Signal,
+    int_dtype,
     lq_norm,
     maximal_function,
     nest,
     value_norm,
 )
-from .walsh import bit_reverse, cutoff_hits, fwht, ifwht, packet_coefficients, packet_synthesis, packet_table
+from .walsh import bit_reverse, cutoff_scales, fwht, ifwht, packet_coefficients, packet_rows, packet_synthesis
 
 
 def walsh_coefficients(f: Signal) -> Signal:
     """The Walsh coefficients of every component, as a signal of f's shape
-    whose cell n holds coefficient n, exact: integer butterfly sums over
+    whose cell n holds coefficient n, exact: integer packet-table sums over
     den 2^L."""
     return f.rebuild([fwht(c, normalize=False) for c in f.cols], f.cells)
 
@@ -44,14 +45,14 @@ def carleson_direct(f: Signal, Nfun: FrequencyChoice) -> Signal:
 
     The oracle for carleson_bitile, so it shares no packet arithmetic with
     it.  The coefficient numerators are summed row by row in int64 numpy
-    blocks when |numerator| 2^L stays below 2^62; larger numerators take
-    the Python loop."""
+    blocks when |numerator| 2^L fits int64 (int_dtype); larger numerators
+    take the Python loop."""
     if Nfun.L != f.L:
         raise ValueError("resolution mismatch between signal and cutoff choice")
     L = f.L
     coef = walsh_coefficients(f)
     cols = coef.cols
-    if max(abs(c) for col in cols for c in col).bit_length() + L < 62:
+    if int_dtype(max(abs(c) for col in cols for c in col).bit_length() + L) is np.int64:
         sums = _cutoff_row_sums(cols, Nfun.values, L)
     else:
         sums = [_cutoff_row_sums_python(c, Nfun.values, L) for c in cols]
@@ -82,7 +83,7 @@ def _cutoff_row_sums(columns: list[list[int]], cutoffs: Sequence[int], L: int) -
     """_cutoff_row_sums_python for several integer columns at once, in
     int64: blocks of rows of the masked Walsh matrix times the columns.
     w_n(j) = (-1)^parity(n & rev(j)), read from a parity table; the caller
-    guarantees |column entry| 2^L < 2^62."""
+    guarantees that |column entry| 2^L fits int64 (int_dtype)."""
     size = 1 << L
     idx = np.arange(size, dtype=np.int64)
     parity = np.zeros(size, dtype=np.int64)
@@ -110,34 +111,22 @@ def carleson_bitile(f: Signal, Nfun: FrequencyChoice, U: BitileUniverse) -> Sign
     frequency window.  Equals carleson_direct exactly on rational input.
 
     A cell j meets at most one bitile (k, j >> l, m) per scale k, with
-    l = L - k (walsh.cutoff_hits); it contributes
-    rows[k][(j >> l << l) + 2m] 2^k w_2m(j mod 2^l) from the component's
-    packet table (walsh.packet_table), O(L 2^L) integer additions in all,
-    scale by scale from the coarsest."""
+    l = L - k (walsh.cutoff_scales); it contributes
+    rows[k][(j >> l << l) + 2m] 2^k w_2m(j mod 2^l) from the components'
+    packet tables (walsh.packet_rows): one array pass per scale, adding
+    the signed, scaled entries of every cell hit there.  The L + 1 terms
+    of a cell, each below 2^L max|numerator| in size, fit the table's
+    headroom of (L + 1).bit_length() bits."""
     if Nfun.L != f.L or U.L != f.L:
         raise ValueError("resolution mismatch between signal, cutoff and universe")
     L = f.L
-    # per cell: (scale, table index, 2^scale, sign) of every bitile it meets
-    masks = [-1 << (L - k) for k in range(L + 1)]
-    hits = [
-        [(k, (j & masks[k]) + 2 * m, 1 << k, neg) for k, m, neg in cell]
-        for j, cell in enumerate(cutoff_hits(Nfun.values, L))
-    ]
-    out_cols = []
-    for col in f.cols:
-        # sums of signed numerators, scaled by 2^k, over den 2^L
-        rows = packet_table(col, L)
-        out = []
-        for cell in hits:
-            acc = 0
-            for k, i, scale, neg in cell:
-                c = rows[k][i]
-                if c:
-                    c = c * scale
-                    acc = acc - c if neg else acc + c
-            out.append(acc)
-        out_cols.append(out)
-    return f.rebuild(out_cols, f.cells)
+    # sums of signed numerators, scaled by 2^k, over den 2^L
+    rows = packet_rows(f.cols, L, (L + 1).bit_length())
+    out = np.zeros_like(rows[L])
+    for k, cells, m, neg in cutoff_scales(Nfun.values, L):
+        l = L - k
+        out[:, cells] += rows[k][:, (cells >> l << l) + 2 * m] * ((1 - 2 * neg) << k)
+    return f.rebuild(out.tolist(), f.cells)
 
 
 def maximal_partial_sum(f: Signal, plugin: NormPlugin) -> list:

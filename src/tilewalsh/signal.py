@@ -69,6 +69,13 @@ def exact_terms(values: Sequence, scale: int = 1):
     return terms, (lambda acc: acc) if den == 1 else (lambda acc: Fraction(acc, den))
 
 
+def int_dtype(bits: int):
+    """The array dtype for integers of at most `bits` bits: int64 up to 62
+    bits, so that one more addition cannot overflow; Python ints (dtype
+    object) past that, running the same array code exactly."""
+    return np.int64 if bits <= 62 else object
+
+
 def flatten_value(a) -> list:
     if isinstance(a, tuple):
         out = []
@@ -269,7 +276,7 @@ class Signal:
 
     def restrict(self, E: "LevelSet") -> "Signal":
         """The signal times the indicator of E: zero on the cells outside E."""
-        keep = [j in E for j in range(self.cells)]
+        keep = E.bits().tolist()
         return self.rebuild([[x if k else 0 for x, k in zip(c, keep)] for c in self.cols])
 
     def refine(self, L2: int) -> "Signal":
@@ -442,12 +449,15 @@ class LevelSet:
 
     @staticmethod
     def from_cells(L: int, cells: Iterable[int]) -> "LevelSet":
-        mask = 0
-        for j in cells:
-            if not 0 <= j < (1 << L):
-                raise ValueError(f"cell index {j} out of range")
-            mask |= 1 << j
-        return LevelSet(L, mask)
+        """The set of the given cells, repeats allowed: the mask's bytes
+        packed from one flag per cell, O(2^L + #cells)."""
+        cells = list(cells)
+        bad = [j for j in cells if not 0 <= j < (1 << L)]
+        if bad:
+            raise ValueError(f"cell index {bad[0]} out of range")
+        bits = np.zeros(1 << L, np.uint8)
+        bits[cells] = 1
+        return LevelSet(L, int.from_bytes(np.packbits(bits, bitorder="little").tobytes(), "little"))
 
     @staticmethod
     def full(L: int) -> "LevelSet":
@@ -460,12 +470,16 @@ class LevelSet:
     def __contains__(self, cell: int) -> bool:
         return bool((self.mask >> cell) & 1)
 
-    def cells(self) -> list[int]:
-        """The cells of the set, ascending: the set bits of the mask's
-        bytes, O(2^L)."""
+    def bits(self) -> np.ndarray:
+        """One 0/1 uint8 flag per cell: the bits of the mask's bytes,
+        O(2^L)."""
         size = ((1 << self.L) + 7) >> 3
-        bits = np.unpackbits(np.frombuffer(self.mask.to_bytes(size, "little"), np.uint8), bitorder="little")
-        return np.flatnonzero(bits).tolist()
+        raw = np.frombuffer(self.mask.to_bytes(size, "little"), np.uint8)
+        return np.unpackbits(raw, count=1 << self.L, bitorder="little")
+
+    def cells(self) -> list[int]:
+        """The cells of the set, ascending."""
+        return np.flatnonzero(self.bits()).tolist()
 
     @property
     def count(self) -> int:
@@ -485,7 +499,7 @@ class LevelSet:
         return LevelSet(self.L, self.mask & other.mask)
 
     def indicator(self) -> Signal:
-        return Signal(self.L, 1, "vector", [[(self.mask >> j) & 1 for j in range(1 << self.L)]], 1)
+        return Signal(self.L, 1, "vector", [self.bits().tolist()], 1)
 
 
 @dataclass(frozen=True)

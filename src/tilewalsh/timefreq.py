@@ -33,6 +33,7 @@ from .signal import (
     NormPlugin,
     Signal,
     _frobenius_like,
+    int_dtype,
     lq_norm,
     lq_norm_pow,
     nest,
@@ -437,9 +438,9 @@ def member_masses(coeffs: dict[tuple[int, int, int], list[int]], den: int) -> Hi
 
 
 def _mass_dtype(total: int):
-    """int64 when a total mass, and so every partial sum of it, has at most
-    62 bits; Python ints (dtype object) otherwise."""
-    return np.int64 if total.bit_length() <= 62 else object
+    """The int_dtype of a total mass, which bounds every partial sum of
+    it."""
+    return int_dtype(total.bit_length())
 
 
 def up_sum_grids(mass: np.ndarray) -> np.ndarray:

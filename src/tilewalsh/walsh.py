@@ -5,19 +5,24 @@ the fast Walsh-Hadamard transform in Walsh-Paley ordering.
 All +-1 sign patterns are exact integers.  A packet of the dyadic interval
 (k, pos) with frequency index n is w_n on the 2^(L-k) cells of the
 interval, zero elsewhere; the Haar pattern of the interval is the packet
-with n = 1.  Analysis reads the packet table (packet_table;
-packet_coefficients for a signal's coefficients over one denominator),
-synthesis adds coefficient times packet cell by cell (packet_synthesis),
-and cutoff_hits names, per cell, the bitile of each scale whose up-tile
-window holds the cell's cutoff.
-"""
+with n = 1.  Analysis reads the packet table, one recurrence over integer
+arrays (packet_rows; packet_coefficients for a signal's coefficients over
+one denominator), in int64 behind a bit-length guard and in Python ints
+past it.  The transforms are the table's coarsest row (walsh_sums): the
+Walsh-Paley matrix is symmetric, so on integers
+fwht(t, normalize=False) == ifwht(t) == packet_table(t, L)[0].  Synthesis
+adds coefficient times packet cell by cell (packet_synthesis), and
+cutoff_scales names, scale by scale, the bitile whose up-tile window holds
+each cell's cutoff (cutoff_hits lists them per cell)."""
 
 from __future__ import annotations
 
 from functools import lru_cache
-from typing import Sequence
+from typing import Iterator, Sequence
 
-from .signal import Signal, exact_terms
+import numpy as np
+
+from .signal import Signal, exact_terms, int_dtype
 
 
 def bit_reverse(x: int, bits: int) -> int:
@@ -57,59 +62,89 @@ def walsh(n: int, L: int) -> tuple[int, ...]:
 
 
 @lru_cache(maxsize=32)
-def bit_reversal(L: int) -> tuple[int, ...]:
-    """bit_reverse(j, L) for every cell j of the 2^L grid."""
-    rev = [0] * (1 << L)
-    for j in range(1, 1 << L):
-        rev[j] = (rev[j >> 1] >> 1) | ((j & 1) << (L - 1))
-    return tuple(rev)
+def bit_reversal(L: int) -> np.ndarray:
+    """bit_reverse(j, L) for every cell j of the 2^L grid, as a read-only
+    int64 array."""
+    j = np.arange(1 << L, dtype=np.int64)
+    rev = np.zeros_like(j)
+    for b in range(L):
+        rev |= ((j >> b) & 1) << (L - 1 - b)
+    rev.flags.writeable = False
+    return rev
 
 
-def packet_table(terms: Sequence[int], L: int) -> list[list[int]]:
-    """Walsh wave-packet table of one grid component (Coifman and
+def _int_array(cols: Sequence[Sequence[int]], headroom: int) -> np.ndarray:
+    """Integer columns as an array of shape (ncols, len), in int64 when
+    sums that grow them by headroom bits still fit (int_dtype), and in
+    Python ints (dtype object) otherwise."""
+    top = max((max(max(c), -min(c)) for c in cols if len(c)), default=0)
+    return np.array(cols, int_dtype(top.bit_length() + headroom))
+
+
+def _coarsen(row: np.ndarray, k: int, out: np.ndarray | None = None) -> np.ndarray:
+    """Row k of the packet tables from row k + 1, shape (ncols, 2^L):
+    the two halves of each interval of scale k side by side,
+    (left, right) -> (left + right, left - right) at offsets 2a, 2a + 1."""
+    ncols, size = row.shape
+    half = size >> (k + 1)
+    pairs = row.reshape(ncols, 1 << k, 2, half)
+    if out is None:
+        out = np.empty_like(row)
+    blocks = out.reshape(ncols, 1 << k, half, 2)
+    np.add(pairs[:, :, 0], pairs[:, :, 1], out=blocks[..., 0])
+    np.subtract(pairs[:, :, 0], pairs[:, :, 1], out=blocks[..., 1])
+    return out
+
+
+def packet_rows(cols: Sequence[Sequence[int]], L: int, headroom: int = 0) -> np.ndarray:
+    """Walsh wave-packet tables of integer columns (Coifman and
     Wickerhauser, "Entropy-based algorithms for best basis selection",
-    IEEE Trans. IT 1992).
+    IEEE Trans. IT 1992), as one array of shape (L + 1, ncols, 2^L).
 
-    With l = L - k, rows[k][pos * 2^l + n] is the signed sum of the terms
-    over the 2^l cells of the dyadic interval (k, pos) against w_n on l
-    levels.  rows[L] holds the terms; a coarser row pairs the two halves
+    With l = L - k, rows[k, c, pos * 2^l + n] is the signed sum of column
+    c over the 2^l cells of the dyadic interval (k, pos) against w_n on l
+    levels.  rows[L] holds the columns; a coarser row pairs the two halves
     of each interval, splitting n = 2a + b:
 
         rows[k][pos 2^l + 2a + b] = rows[k+1][2pos 2^(l-1) + a]
                                     +- rows[k+1][(2pos+1) 2^(l-1) + a],
 
-    + for b = 0 and - for b = 1.  O(L 2^L) additions, exact on Python ints.
-    """
-    row = list(terms)
-    size = len(row)
-    rows = [row]
+    + for b = 0 and - for b = 1: L array passes of O(2^L) additions.  The
+    entries are int64 when |entry| 2^(L + headroom) stays below 2^62 and
+    Python ints otherwise (_int_array), so a caller can sum up to
+    2^headroom entries, each times at most 2^k at scale k, in place."""
+    row = _int_array(cols, L + headroom)
+    rows = np.empty((L + 1, *row.shape), row.dtype)
+    rows[L] = row
     for k in range(L - 1, -1, -1):
-        half = 1 << (L - k - 1)
-        width = 2 * half
-        nxt = [0] * size
-        # walk whichever is shorter: offsets inside a block, or blocks
-        if half <= size // width:
-            for a in range(half):
-                left, right = row[a::width], row[a + half :: width]
-                nxt[2 * a :: width] = [x + y for x, y in zip(left, right)]
-                nxt[2 * a + 1 :: width] = [x - y for x, y in zip(left, right)]
-        else:
-            for start in range(0, size, width):
-                left, right = row[start : start + half], row[start + half : start + width]
-                nxt[start : start + width : 2] = [x + y for x, y in zip(left, right)]
-                nxt[start + 1 : start + width : 2] = [x - y for x, y in zip(left, right)]
-        rows.append(nxt)
-        row = nxt
-    rows.reverse()
+        _coarsen(rows[k + 1], k, rows[k])
     return rows
+
+
+def packet_table(terms: Sequence[int], L: int) -> list[list[int]]:
+    """The packet table of one column (packet_rows) as lists of Python
+    ints, rows[k][pos * 2^(L-k) + n]."""
+    return packet_rows([terms], L)[:, 0].tolist()
+
+
+def walsh_sums(cols: Sequence[Sequence[int]], L: int) -> np.ndarray:
+    """Row 0 of the packet tables alone, shape (ncols, 2^L): entry n of a
+    column is sum_j column[j] w_n(cell j).  The finer rows are dropped as
+    the recurrence passes them."""
+    row = _int_array(cols, L)
+    for k in range(L - 1, -1, -1):
+        row = _coarsen(row, k)
+    return row
 
 
 def packet_coefficients(f: Signal, cells: Sequence[tuple[int, int]]) -> tuple[list[list[int]], int]:
     """f's packet coefficients at the table cells (k, i): rows[k][i] 2^-L
     of every component's packet table, as the pair (values, den) of the
     Python-int entries, numerators over den = f.den 2^L."""
-    tables = [packet_table(c, f.L) for c in f.cols]
-    return [[rows[k][i] for rows in tables] for k, i in cells], f.den << f.L
+    rows = packet_rows(f.cols, f.L)
+    ks = np.fromiter((k for k, _ in cells), np.int64, len(cells))
+    idx = np.fromiter((i for _, i in cells), np.int64, len(cells))
+    return rows[ks, :, idx].tolist(), f.den << f.L
 
 
 def packet_synthesis(entries: Sequence, ncomp: int, L: int) -> list[list]:
@@ -134,68 +169,58 @@ def packet_synthesis(entries: Sequence, ncomp: int, L: int) -> list[list]:
     return out
 
 
+def cutoff_scales(cutoffs: Sequence[int], L: int) -> Iterator[tuple[int, np.ndarray, np.ndarray, np.ndarray]]:
+    """The bitiles a cutoff lands in, one scale at a time: for k = 0, ...,
+    L, the int64 arrays (cells, m, neg) of the cells j at which
+    N(j) >> k = 2m + 1 is odd, N(j) = cutoffs[j] in [0, 2^L].  The bitile
+    (k, j >> (L - k), m) is then the one of scale k whose up-tile window
+    holds N(j), and neg is the sign bit of its down packet w_2m at j: the
+    parity of 2m & (rev(j) >> k), rev(j) >> k being the reversed offset of
+    j in its interval of scale k."""
+    n = np.asarray(cutoffs, np.int64)
+    rev = bit_reversal(L)
+    for k in range(L + 1):
+        nk = n >> k
+        cells = np.flatnonzero(nk & 1)
+        even = nk[cells] - 1
+        neg = (np.bitwise_count(even & (rev[cells] >> k)) & 1).astype(np.int64)
+        yield k, cells, even >> 1, neg
+
+
 def cutoff_hits(cutoffs: Sequence[int], L: int) -> list[list[tuple[int, int, int]]]:
     """Per cell j, the bitiles whose up-tile window holds the cutoff
-    N(j) = cutoffs[j] in [0, 2^L]: (k, m, neg) for every scale k,
-    ascending, at which N(j) >> k = 2m + 1 is odd.  The bitile is
-    (k, j >> (L - k), m), at most one per scale, and neg is the sign bit of
-    its down packet w_2m at j."""
-    rev = bit_reversal(L)
-    hits = []
-    for j, n in enumerate(cutoffs):
-        # n = N(j) >> k and r = rev(j) >> k, the reversed offset of j in
-        # its interval of scale k
-        cell = []
-        r = rev[j]
-        k = 0
-        while n:
-            if n & 1:
-                cell.append((k, n >> 1, ((n - 1) & r).bit_count() & 1))
-            n >>= 1
-            r >>= 1
-            k += 1
-        hits.append(cell)
+    N(j): (k, m, neg) for every scale k, ascending, at which the cell is
+    hit (cutoff_scales).  The bitile is (k, j >> (L - k), m), at most one
+    per scale."""
+    hits: list[list[tuple[int, int, int]]] = [[] for _ in cutoffs]
+    for k, cells, m, neg in cutoff_scales(cutoffs, L):
+        for j, mj, s in zip(cells.tolist(), m.tolist(), neg.tolist()):
+            hits[j].append((k, mj, s))
     return hits
 
 
 def fwht(samples: Sequence, normalize: bool = True) -> list:
     """Walsh coefficients of a sample vector, in Walsh-Paley order.
 
-    coefficient[n] = 2^-L sum_j samples[j] * w_n(cell j), computed by an
-    in-place butterfly after a bit-reversal permutation; exact on ints and
-    Fractions.  With normalize=False the 2^-L weight is skipped, and Python-int
-    samples (an exact signal's numerators) give their Python-int sums.
+    coefficient[n] = 2^-L sum_j samples[j] * w_n(cell j): the coarsest row
+    of the packet table (walsh_sums), exact on ints and Fractions.  With
+    normalize=False the 2^-L weight is skipped, and Python-int samples (an
+    exact signal's numerators) give their Python-int sums.
     """
-    size = len(samples)
-    if size == 0 or size & (size - 1):
-        raise ValueError(f"sample count {size} is not a power of two")
-    L = size.bit_length() - 1
-    terms, finish = exact_terms(samples, size if normalize else 1)
-    buf = [terms[r] for r in bit_reversal(L)]
-    _butterflies(buf)
-    return [finish(x) for x in buf]
+    return _walsh_matrix_product(samples, len(samples) if normalize else 1, "sample")
 
 
 def ifwht(coefficients: Sequence) -> list:
-    """Inverse of fwht: samples[j] = sum_n coefficient[n] * w_n(cell j)."""
-    size = len(coefficients)
+    """Inverse of fwht: samples[j] = sum_n coefficient[n] * w_n(cell j).
+    The Walsh-Paley matrix is symmetric, so this is the unnormalized
+    forward sum."""
+    return _walsh_matrix_product(coefficients, 1, "coefficient")
+
+
+def _walsh_matrix_product(values: Sequence, scale: int, what: str) -> list:
+    """sum_j values[j] w_n(cell j) / scale for every n, exact."""
+    size = len(values)
     if size == 0 or size & (size - 1):
-        raise ValueError(f"coefficient count {size} is not a power of two")
-    L = size.bit_length() - 1
-    buf, finish = exact_terms(coefficients)
-    _butterflies(buf)
-    return [finish(buf[r]) for r in bit_reversal(L)]
-
-
-def _butterflies(buf: list) -> None:
-    """Unnormalized Walsh-Hadamard butterflies on a power-of-two list, in
-    place: (a, b) -> (a + b, a - b) at spans 1, 2, 4, ..."""
-    size = len(buf)
-    h = 1
-    while h < size:
-        for start in range(0, size, 2 * h):
-            for j in range(start, start + h):
-                a, b = buf[j], buf[j + h]
-                buf[j], buf[j + h] = a + b, a - b
-        h *= 2
-
+        raise ValueError(f"{what} count {size} is not a power of two")
+    terms, finish = exact_terms(values, scale)
+    return [finish(x) for x in walsh_sums([terms], size.bit_length() - 1)[0].tolist()]

@@ -15,7 +15,10 @@ level set (`gen --measure 0`, its sparse-only mode) at L = 4 for every
 shape, norm, q and kind of input, and on a full level set
 (`gen --measure 1`, where many density numerators tie) at L = 4, 5 and 6
 on d = 1 vectors, euclidean with q = 2 and lp:3 with q = 3, exact input.
-Every file
+Then come the shapes of the operators-mix benchmark, two seeds each:
+`gen`, `transform` and its inverse, `carleson` and `rwt` at L = 9 on 2x2
+matrices (schatten:3, q = 3) and at L = 8 on d = 1 vectors (lp:3,
+q = 3), and one `tiletype` at L = 9 on 2x2 matrices.  Every file
 goes under OUT; the commands run from inside OUT with paths relative to
 it, as decompose echoes its input paths.  The script prints one line per
 run with its exit code and then one `sha256  path` line per output file,
@@ -57,6 +60,9 @@ EMPTY_LEVEL = 4
 # the L and (norm, q) pairs of the decompose runs on a full level set
 FULL_LEVELS = (4, 5, 6)
 FULL_RUNS = (("euclidean", "2"), ("lp:3", "3"))
+# (L, d, kind, norm, q) of the benchmark-shaped operator runs
+BENCH_SHAPES = ((9, 2, "matrix", "schatten:3", "3"), (8, 1, "vector", "lp:3", "3"))
+BENCH_SEEDS = 2
 
 
 def _rescaled(values, how: str):
@@ -166,6 +172,21 @@ def _run_matrix() -> list[str]:
             run(["decompose", "--in", files["signal"], "--set", files["set"], "--nfun", files["nfun"],
                  "--norm", norm, "--q", q, "--seed", seed,
                  "--out", files["signal"].parent / f"decompose-q{q}.json"])
+    for L, d, kind, norm, q in BENCH_SHAPES:
+        for _ in range(BENCH_SEEDS):
+            seed += 1
+            shape = ["--levels", L, "--dim", d, "--kind", kind, "--norm", norm]
+            d_in = Path(f"bench-L{L}-d{d}-{kind}-{norm.replace(':', '')}-s{seed}")
+            run(["gen", *shape, "--seed", seed, "--out", d_in])
+            run(["transform", "--in", d_in / "signal.json", "--out", d_in / "transform.json"])
+            run(["transform", "--inverse", "--in", d_in / "transform.json", "--out", d_in / "inverse.json"])
+            run(["carleson", "--in", d_in / "signal.json", "--nfun", d_in / "nfun.json",
+                 "--out", d_in / "carleson.json"])
+            run(["rwt", *shape, "--q", q, "--seed", seed, "--out", d_in / f"rwt-q{q}.json"])
+    L, d, kind, norm, q = BENCH_SHAPES[0]
+    seed += 1
+    run(["tiletype", "--levels", L, "--dim", d, "--kind", kind, "--norm", norm, "--q", q,
+         "--seed", seed, "--out", Path(f"bench-L{L}-tiletype-q{q}.json")])
     return lines
 
 

@@ -66,6 +66,16 @@ and helpers that only the tests use.
 - levelset_cells: the cells of a LevelSet by a test of its mask per
   cell, O(4^L / 64) word operations, which the set bits of the mask's
   bytes replaced.
+- bit_reversal / butterfly_fwht / butterfly_ifwht / packet_table /
+  cutoff_hits: the list kernels that walsh's array recurrence replaced:
+  the transforms by a bit-reversal permutation and in-place butterflies,
+  the packet table by list slices, and the bitiles a cutoff lands in by a
+  walk over the bits of each cell's cutoff.
+- levelset_from_cells / levelset_indicator / signal_restrict: the level
+  set operations by a test or a set of one mask bit per cell, O(4^L / 64)
+  word operations, which the mask's bytes replaced.
+- numerator / shuffle / gen_signal / gen_nfun: the draws one below() at
+  a time, which SplitMix64.below_each's blocks replaced.
 - jsonable: a report copied into the values json.dumps takes (objects as
   their to_json, tuples as lists, dict keys as strings, Fractions and
   floats in the num_to_json encoding), the walk that ran before the
@@ -95,8 +105,9 @@ from tilewalsh.decompose import (
     _two_pow,
 )
 from tilewalsh.dyadic import Bitile, DyadicInterval, Tile, bitile_le, bitile_le_u, bitile_universe
-from tilewalsh.gen import SplitMix64
+from tilewalsh.gen import VALUE_DENOM_BITS, SplitMix64
 from tilewalsh.signal import (
+    FrequencyChoice,
     LevelSet,
     Signal,
     _columns,
@@ -1365,3 +1376,133 @@ def first_maximal_top(mask):
     pos, m = cols >> shift, cols & ((1 << shift) - 1)
     i = ((((2 * m + 1) << rows) << D) | pos).argmin()
     return int(rows[i]), int(pos[i]), int(m[i])
+
+
+# ---------------------------------------------------------------------------
+# the list kernels that walsh's packet-table recurrence, LevelSet's mask
+# bytes and the block draws of SplitMix64 replaced
+
+
+def bit_reversal(L):
+    rev = [0] * (1 << L)
+    for j in range(1, 1 << L):
+        rev[j] = (rev[j >> 1] >> 1) | ((j & 1) << (L - 1))
+    return tuple(rev)
+
+
+def _butterflies(buf):
+    """Unnormalized Walsh-Hadamard butterflies on a power-of-two list, in
+    place: (a, b) -> (a + b, a - b) at spans 1, 2, 4, ..."""
+    size = len(buf)
+    h = 1
+    while h < size:
+        for start in range(0, size, 2 * h):
+            for j in range(start, start + h):
+                a, b = buf[j], buf[j + h]
+                buf[j], buf[j + h] = a + b, a - b
+        h *= 2
+
+
+def butterfly_fwht(samples, normalize=True):
+    """fwht by a bit-reversal permutation and in-place butterflies."""
+    size = len(samples)
+    terms, finish = exact_terms(samples, size if normalize else 1)
+    buf = [terms[r] for r in bit_reversal(size.bit_length() - 1)]
+    _butterflies(buf)
+    return [finish(x) for x in buf]
+
+
+def butterfly_ifwht(coefficients):
+    """ifwht by in-place butterflies and a bit-reversal permutation."""
+    size = len(coefficients)
+    buf, finish = exact_terms(coefficients)
+    _butterflies(buf)
+    return [finish(buf[r]) for r in bit_reversal(size.bit_length() - 1)]
+
+
+def packet_table(terms, L):
+    """The packet table as lists, each coarser row from the finer one by
+    list slices: whichever is shorter of the offsets inside a block and
+    the blocks."""
+    row = list(terms)
+    size = len(row)
+    rows = [row]
+    for k in range(L - 1, -1, -1):
+        half = 1 << (L - k - 1)
+        width = 2 * half
+        nxt = [0] * size
+        if half <= size // width:
+            for a in range(half):
+                left, right = row[a::width], row[a + half :: width]
+                nxt[2 * a :: width] = [x + y for x, y in zip(left, right)]
+                nxt[2 * a + 1 :: width] = [x - y for x, y in zip(left, right)]
+        else:
+            for start in range(0, size, width):
+                left, right = row[start : start + half], row[start + half : start + width]
+                nxt[start : start + width : 2] = [x + y for x, y in zip(left, right)]
+                nxt[start + 1 : start + width : 2] = [x - y for x, y in zip(left, right)]
+        rows.append(nxt)
+        row = nxt
+    rows.reverse()
+    return rows
+
+
+def cutoff_hits(cutoffs, L):
+    """The hit rule cell by cell: (k, m, neg) for every scale k at which
+    N(j) >> k = 2m + 1 is odd, neg the parity of 2m & (rev(j) >> k)."""
+    rev = bit_reversal(L)
+    hits = []
+    for j, n in enumerate(cutoffs):
+        cell = []
+        r = rev[j]
+        k = 0
+        while n:
+            if n & 1:
+                cell.append((k, n >> 1, ((n - 1) & r).bit_count() & 1))
+            n >>= 1
+            r >>= 1
+            k += 1
+        hits.append(cell)
+    return hits
+
+
+def levelset_from_cells(L, cells):
+    mask = 0
+    for j in cells:
+        if not 0 <= j < (1 << L):
+            raise ValueError(f"cell index {j} out of range")
+        mask |= 1 << j
+    return LevelSet(L, mask)
+
+
+def levelset_indicator(E):
+    return Signal(E.L, 1, "vector", [[(E.mask >> j) & 1 for j in range(1 << E.L)]], 1)
+
+
+def signal_restrict(f, E):
+    keep = [j in E for j in range(f.cells)]
+    return f.rebuild([[x if k else 0 for x, k in zip(c, keep)] for c in f.cols])
+
+
+def numerator(rng):
+    """Numerator of a uniform rational in [-1, 1) with denominator 2^16."""
+    return rng.below(1 << (VALUE_DENOM_BITS + 1)) - (1 << VALUE_DENOM_BITS)
+
+
+def shuffle(rng, items):
+    for i in range(len(items) - 1, 0, -1):
+        j = rng.below(i + 1)
+        items[i], items[j] = items[j], items[i]
+
+
+def gen_signal(L, d, kind, rng):
+    """gen.gen_signal with one below() per value entry."""
+    width = d * d if kind == "matrix" else d
+    cells = [[numerator(rng) for _ in range(width)] for _ in range(1 << L)]
+    return Signal(L, d, kind, list(zip(*cells)), 1 << VALUE_DENOM_BITS)
+
+
+def gen_nfun(L, rng):
+    """gen.gen_nfun with one below() per cell."""
+    top = (1 << L) + 1
+    return FrequencyChoice(L, tuple(rng.below(top) for _ in range(1 << L)))

@@ -71,7 +71,8 @@ from tilewalsh.timefreq import (
     size_pow,
     tree_form_sum,
 )
-from tilewalsh.walsh import packet_synthesis, packet_table
+from tilewalsh import walsh as walsh_module
+from tilewalsh.walsh import cutoff_hits, fwht, ifwht, packet_synthesis, packet_table, walsh
 from reference import bitile_lt, gen_tree_members, hilbert_member_weights, tiles_disjoint
 
 EUCL = NormPlugin("euclidean")
@@ -215,6 +216,96 @@ class TestPacketTable:
                 reference.packet_sum(terms, L, k, i >> local, i & ((1 << local) - 1))
                 for i in range(1 << L)
             ]
+
+
+
+def _terms(rng, L, bits):
+    """2^L integers of at most `bits` bits, either sign."""
+    return [rng.getrandbits(bits) * rng.choice((-1, 1)) for _ in range(1 << L)]
+
+
+# numerator widths: int64 with room to spare, at the int64 edge of the
+# transforms (62 - L) and one bit past it, and Python ints
+def _widths(L):
+    return st.sampled_from([16, 40, 61 - L, 62 - L, 80])
+
+
+ALL_LEVELS = pytest.mark.parametrize("L", range(1, 10))
+
+
+class TestArrayKernels:
+    """walsh's packet-table recurrence on int64 and object arrays against
+    the list kernels it replaced."""
+
+    @ALL_LEVELS
+    @given(st.data(), st.integers(0, 10**6))
+    @settings(max_examples=6, deadline=None)
+    def test_transforms_and_table_match_list_kernels(self, L, data, seed):
+        rng = random.Random(seed)
+        bits = data.draw(_widths(L))
+        # a random vector, and one whose coefficient n is 2^L (2^bits - 1),
+        # the largest sum of these widths
+        n = rng.randrange(1 << L)
+        extreme = [((1 << bits) - 1) * s for s in walsh(n, L)]
+        for terms in (_terms(rng, L, bits), extreme):
+            assert fwht(terms, normalize=False) == reference.butterfly_fwht(terms, normalize=False)
+            assert fwht(terms) == reference.butterfly_fwht(terms)
+            assert ifwht(terms) == reference.butterfly_ifwht(terms)
+            assert packet_table(terms, L) == reference.packet_table(terms, L)
+        assert fwht(extreme, normalize=False)[n] == ((1 << bits) - 1) << L
+
+    @ALL_LEVELS
+    @given(st.data(), st.integers(0, 10**6), st.sampled_from([1, 4]))
+    @settings(max_examples=4, deadline=None)
+    def test_carleson_bitile_matches_direct(self, L, data, seed, ncols):
+        rng = random.Random(seed)
+        bits = data.draw(_widths(L) | st.sampled_from([60 - L - (L + 1).bit_length(), 61 - L - (L + 1).bit_length()]))
+        kind = "matrix" if ncols == 4 else "vector"
+        f = Signal(L, 2 if ncols == 4 else 1, kind, [_terms(rng, L, bits) for _ in range(ncols)], 1)
+        N = FrequencyChoice(L, tuple(rng.randint(0, 1 << L) for _ in range(1 << L)))
+        assert carleson_bitile(f, N, bitile_universe(L)) == carleson_direct(f, N)
+
+    @ALL_LEVELS
+    @given(st.integers(0, 10**6))
+    @settings(max_examples=5, deadline=None)
+    def test_cutoff_hits_match_cell_walk(self, L, seed):
+        rng = random.Random(seed)
+        cutoffs = [rng.randint(0, 1 << L) for _ in range(1 << L)]
+        assert cutoff_hits(cutoffs, L) == reference.cutoff_hits(cutoffs, L)
+
+    def _dtypes(self, monkeypatch):
+        chosen = []
+        choose = walsh_module.int_dtype
+
+        def record(bits):
+            chosen.append(choose(bits))
+            return chosen[-1]
+
+        monkeypatch.setattr(walsh_module, "int_dtype", record)
+        return chosen
+
+    def test_benchmark_shaped_input_takes_int64(self, monkeypatch):
+        chosen = self._dtypes(monkeypatch)
+        rng = SplitMix64(7)
+        f = gen_signal(9, 2, "matrix", rng)
+        N = gen_nfun(9, rng)
+        coef = operators.walsh_coefficients(f)
+        carleson_bitile(f, N, bitile_universe(9))
+        for c in coef.cols:
+            walsh_module.ifwht(c)
+        # four columns forward and back, and carleson_bitile's table
+        assert len(chosen) == 9 and all(dtype is np.int64 for dtype in chosen)
+
+    @pytest.mark.parametrize("L", [3, 9])
+    def test_wide_numerators_take_python_ints(self, L, monkeypatch):
+        chosen = self._dtypes(monkeypatch)
+        rng = random.Random(L)
+        f = Signal(L, 1, "vector", [_terms(rng, L, 63 - L)], 1)
+        N = FrequencyChoice(L, tuple(rng.randint(0, 1 << L) for _ in range(1 << L)))
+        assert carleson_bitile(f, N, bitile_universe(L)) == carleson_direct(f, N)
+        assert walsh_module.ifwht(list(f.cols[0])) == reference.butterfly_ifwht(f.cols[0])
+        # fwht in carleson_direct, carleson_bitile's table and ifwht
+        assert chosen == [object] * 3
 
 
 def _instance(L, shape, seed):

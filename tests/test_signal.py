@@ -4,7 +4,7 @@ import math
 
 import pytest
 from fractions import Fraction
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from tilewalsh.dyadic import DyadicInterval
 from tilewalsh.signal import (
@@ -28,6 +28,7 @@ from tilewalsh.signal import (
     signal_to_json,
     value_norm,
 )
+import reference
 from reference import levelset_cells, value_norm_pow
 
 # JSON number literals: an optional minus, digits without leading zeros,
@@ -198,6 +199,35 @@ class TestLevelSet:
     def test_indicator(self):
         E = LevelSet.from_cells(2, [1, 3])
         assert E.indicator().scalar_samples() == [0, 1, 0, 1]
+
+    @given(st.integers(0, 12), st.data())
+    @settings(max_examples=60, deadline=None)
+    def test_mask_bytes_match_cell_loops(self, L, data):
+        full = (1 << (1 << L)) - 1
+        E = LevelSet(L, data.draw(st.sampled_from([0, full]) | st.integers(0, full)))
+        cells = E.cells()
+        assert LevelSet.from_cells(L, cells) == reference.levelset_from_cells(L, cells) == E
+        # repeats and any order
+        shuffled = data.draw(st.permutations(cells + cells[: len(cells) // 2]))
+        assert LevelSet.from_cells(L, iter(shuffled)) == E
+        assert E.indicator() == reference.levelset_indicator(E)
+        f = Signal(L, 1, "matrix", [[3 * j - 7 for j in range(1 << L)]], 5)
+        assert f.restrict(E) == reference.signal_restrict(f, E)
+
+    @pytest.mark.parametrize("L", [0, 1, 3, 12])
+    def test_empty_and_full_sets(self, L):
+        f = Signal(L, 2, "vector", [[j + 1 for j in range(1 << L)], [-j for j in range(1 << L)]], 3)
+        for E in (LevelSet.empty(L), LevelSet.full(L)):
+            assert LevelSet.from_cells(L, E.cells()) == E
+            assert E.indicator() == reference.levelset_indicator(E)
+            assert f.restrict(E) == reference.signal_restrict(f, E)
+        assert f.restrict(LevelSet.full(L)) == f
+        assert f.restrict(LevelSet.empty(L)) == f.zero_like()
+
+    @pytest.mark.parametrize("cells", [[4], [-1], [0, 1 << 70]])
+    def test_from_cells_rejects_cells_off_the_grid(self, cells):
+        with pytest.raises(ValueError):
+            LevelSet.from_cells(2, cells)
 
 
 class TestFrequencyChoice:
