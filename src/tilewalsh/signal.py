@@ -23,10 +23,13 @@ from __future__ import annotations
 
 import json
 import math
+import operator
+import re
 import sys
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
+from itertools import chain, repeat
 from json.encoder import encode_basestring_ascii as _quote
 from typing import Iterable, Sequence
 
@@ -363,11 +366,27 @@ def value_norms(f: Signal, plugin: NormPlugin) -> list[float]:
     if plugin.name == "schatten" and f.kind == "matrix" and f.d > 1:
         stack = np.array(cols, dtype=float).T.reshape(f.cells, f.d, f.d)
         p = float(plugin.p)
-        return [
-            sum(s**p for s in row) ** (1.0 / p)
-            for row in np.linalg.svd(stack, compute_uv=False)
-        ]
+        sv = np.linalg.svd(stack, compute_uv=False)
+        norms = _power_sum_roots(sv.T.tolist(), p)
+        if norms is not None:
+            return list(np.array(norms))
+        return [sum(s**p for s in row) ** (1.0 / p) for row in sv]
     return [value_norm(nest(flat, f.d, f.kind), plugin) for flat in zip(*cols)]
+
+
+def _power_sum_roots(columns: list[list[float]], p: float) -> list[float] | None:
+    """Per cell, (sum of x**p over the columns) ** (1/p) on Python floats,
+    one C-level map per column: the bits of the same loop on numpy
+    scalars, which add in the same order.  None on an overflow, where
+    numpy's scalars give inf with a RuntimeWarning but a float's ** raises
+    and its + gives inf silently."""
+    try:
+        acc = list(map(pow, columns[0], repeat(p)))
+        for col in columns[1:]:
+            acc = list(map(operator.add, acc, map(pow, col, repeat(p))))
+    except OverflowError:
+        return None
+    return None if math.inf in acc else list(map(pow, acc, repeat(1.0 / p)))
 
 
 def cell_norms(f: Signal, plugin: NormPlugin) -> list:
@@ -562,7 +581,11 @@ def _non_finite(name: str):
 
 def _exact_numbers(entries: Sequence) -> tuple[list[int], int]:
     """(numerators, den) of JSON numbers (num_from_json) over their least
-    common denominator."""
+    common denominator: in bulk (_int64_ratios) when they are all short
+    "n/d" strings, else entry by entry."""
+    bulk = _int64_ratios(entries)
+    if bulk is not None:
+        return bulk
     nums, dens = [], []
     for s in entries:
         if type(s) is str:
@@ -583,25 +606,57 @@ def _exact_numbers(entries: Sequence) -> tuple[list[int], int]:
     return nums, den
 
 
+# "n/d" with ASCII digits, at most 18 of them in n and in d (so both fit
+# int64) and d > 0; a joined list of such entries, one space between two,
+# matched possessively, which keeps no backtracking state per entry
+_RATIO = "-?[0-9]{1,18}/0*[1-9][0-9]{0,17}"
+_RATIOS = re.compile(f"{_RATIO}(?: {_RATIO})*+")
+
+
+def _int64_ratios(entries: Sequence) -> tuple[list[int], int] | None:
+    """_exact_numbers of entries that are all "n/d" strings matching
+    _RATIO, in one pass: their text joined by spaces is checked by one
+    full match and parsed by one np.fromstring, and the numerators are
+    scaled to the lcm in int64 (int_dtype); None for any other entries."""
+    if not entries:
+        return None
+    try:
+        text = " ".join(entries)
+    except TypeError:  # an entry that is no string
+        return None
+    # an entry holding a space would pass for two
+    if text.count(" ") != len(entries) - 1 or _RATIOS.fullmatch(text) is None:
+        return None
+    ints = np.fromstring(text.replace("/", " "), dtype=np.int64, sep=" ")
+    nums, dens = ints[0::2], ints[1::2]
+    distinct = set(dens.tolist())
+    den = math.lcm(*distinct)
+    if len(distinct) > 1:
+        top = int(np.abs(nums).max())
+        dtype = int_dtype(max(den.bit_length(), top.bit_length() + (den // min(distinct)).bit_length()))
+        nums = nums.astype(dtype) * (den // dens.astype(dtype))
+    return nums.tolist(), den
+
+
 def columns_to_json(f: Signal) -> list[list[str]]:
     """Each column's entries in the one number encoding (num_to_json), each
-    n / den reduced by gcd(n, den)."""
+    n / den reduced by gcd(n, den): the gcds in one array call, in int64
+    when den and every n fit (int_dtype)."""
     den = f.den
-    out = []
-    for c in f.cols:
-        row = []
-        for n in c:
-            g = math.gcd(n, den)
-            row.append(f"{n // g}/{den // g}")
-        out.append(row)
-    return out
+    top = max([den, *(max(max(c), -min(c)) for c in f.cols)])
+    nums = np.array(f.cols, int_dtype(top.bit_length()))
+    g = np.gcd(nums, den)
+    return [
+        [f"{n}/{q}" for n, q in zip(row, dens)]
+        for row, dens in zip((nums // g).tolist(), (den // g).tolist())
+    ]
 
 
 def columns_from_json(L: int, d: int, kind: str, columns: Sequence[Sequence]) -> Signal:
     """Inverse of columns_to_json: integer columns over one denominator."""
     cols = [list(c) for c in columns]
     _check_shape(L, d, kind, cols)
-    nums, den = _exact_numbers([x for c in cols for x in c])
+    nums, den = _exact_numbers(list(chain.from_iterable(cols)))
     n = 1 << L
     return Signal(L, d, kind, [nums[i : i + n] for i in range(0, len(nums), n)], den)
 
@@ -625,9 +680,10 @@ def signal_to_json(f: Signal) -> dict:
     cols = columns_to_json(f)
     if f.kind == "matrix":
         d = f.d
-        values = [[list(v[r * d : (r + 1) * d]) for r in range(d)] for v in zip(*cols)]
+        rows = [map(list, zip(*cols[r * d : (r + 1) * d])) for r in range(d)]
+        values = list(map(list, zip(*rows)))
     else:
-        values = [list(v) for v in zip(*cols)]
+        values = list(map(list, zip(*cols)))
     return {"levels": f.L, "dim": f.d, "kind": f.kind, "values": values}
 
 
@@ -635,8 +691,29 @@ def signal_from_json(obj: dict) -> Signal:
     L = json_int(obj["levels"], "levels")
     d = json_int(obj["dim"], "dim")
     kind = obj["kind"]
-    values = [v if isinstance(v, list) else [v] for v in obj["values"]]
-    return columns_from_json(L, d, kind, _columns(values, d, kind))
+    values = obj["values"]
+    cols = _string_columns(values, d, kind)
+    if cols is None:
+        values = [v if isinstance(v, list) else [v] for v in values]
+        cols = _columns(values, d, kind)
+    return columns_from_json(L, d, kind, cols)
+
+
+def _string_columns(values, d: int, kind: str) -> list | None:
+    """_columns of values that are lists of d strings (a vector) or of d
+    such lists (a matrix), by whole-list type and length tests and one
+    transpose; None for any other values."""
+    if type(values) is not list:
+        return None
+    rows = values
+    if kind == "matrix":
+        if set(map(type, values)) != {list} or set(map(len, values)) != {d}:
+            return None
+        rows = list(chain.from_iterable(values))
+    if set(map(type, rows)) != {list} or set(map(len, rows)) != {d}:
+        return None
+    cols = [c for r in zip(*values) for c in zip(*r)] if kind == "matrix" else list(zip(*values))
+    return cols if set(map(type, chain.from_iterable(cols))) == {str} else None
 
 
 def levelset_to_json(E: LevelSet) -> dict:
@@ -687,7 +764,10 @@ def json_text(obj) -> str:
     dict's keys, values and separators go through one str.join; a list's
     items through the separator's join, and that with the brackets through
     a five-piece join.  Strings are quoted with the C-level
-    encode_basestring_ascii, a list of plain strings by one map."""
+    encode_basestring_ascii.  A uniform array of strings, as a signal's
+    values or a coefficient file's columns, is written whole by
+    _string_array; the test is on its first item, so a list of dicts pays
+    nothing."""
     return _json_value(obj, "\n")
 
 
@@ -714,15 +794,12 @@ def _json_value(o, newline: str) -> str:
     if t is list or t is tuple:
         if not o:
             return "[]"
+        if type(o[0]) is str or type(o[0]) is list:
+            text = _string_array(o, newline)
+            if text is not None:
+                return text
         inner = newline + "  "
-        sep = "," + inner
-        if type(o[0]) is str:
-            try:
-                # _quote takes str (and its subclasses) only
-                return "".join(("[", inner, sep.join(map(_quote, o)), newline, "]"))
-            except TypeError:
-                pass
-        return "".join(("[", inner, sep.join([_json_value(x, inner) for x in o]), newline, "]"))
+        return "".join(("[", inner, ("," + inner).join([_json_value(x, inner) for x in o]), newline, "]"))
     if o is None:
         return "null"
     if o is True:
@@ -735,3 +812,39 @@ def _json_value(o, newline: str) -> str:
     if to_json is None:
         raise TypeError(f"Object of type {t.__name__} is not JSON serializable")
     return _json_value(to_json(), newline)
+
+
+def _string_array(o, newline: str) -> str | None:
+    """o as JSON (see _json_value) when it is a uniform array of strings:
+    strings, or lists of one length holding strings, or lists of one
+    length holding such lists, and so on, with no empty list; None for any
+    other o.  The strings are quoted by one map, each innermost list is
+    one join, and the joins fill one template of the brackets, commas and
+    indents around them (_array_template)."""
+    shape = [len(o)]
+    x = o[0]
+    while type(x) is list and x:
+        shape.append(len(x))
+        x = x[0]
+    leaves = o
+    for n in shape[1:]:
+        if set(map(type, leaves)) != {list} or set(map(len, leaves)) != {n}:
+            return None
+        leaves = list(chain.from_iterable(leaves))
+    *outer, width = shape
+    sep = "," + newline + "  " * len(shape)
+    try:
+        # _quote takes str (and its subclasses) only
+        return _array_template(outer, newline).format(*map(sep.join, zip(*[map(_quote, leaves)] * width)))
+    except TypeError:
+        return None
+
+
+def _array_template(shape: list, newline: str) -> str:
+    """The text of arrays nested to the given shape at the depth of
+    newline, with "{}" for the items of each innermost array."""
+    inner = newline + "  "
+    if not shape:
+        return "[" + inner + "{}" + newline + "]"
+    item = _array_template(shape[1:], inner)
+    return "".join(("[", inner, ("," + inner).join([item] * shape[0]), newline, "]"))

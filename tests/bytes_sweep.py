@@ -18,7 +18,14 @@ on d = 1 vectors, euclidean with q = 2 and lp:3 with q = 3, exact input.
 Then come the shapes of the operators-mix benchmark, two seeds each:
 `gen`, `transform` and its inverse, `carleson` and `rwt` at L = 9 on 2x2
 matrices (schatten:3, q = 3) and at L = 8 on d = 1 vectors (lp:3,
-q = 3), and one `tiletype` at L = 9 on 2x2 matrices.  Every file
+q = 3), and one `tiletype` at L = 9 on 2x2 matrices.  Then come
+hand-written signal files that the reader must take entry by entry, at
+L = 3 on d = 1 vectors and 2x2 matrices: each entry as a decimal string,
+a bare JSON number, an unreduced or a sign-flipped "n/d", or an "n/d"
+scaled past 18 digits, one form per file and all forms cycled in one
+file, each through `transform` and its inverse, `carleson` and
+`certify`.  Last, one `transform` round trip at L = 12 on 2x2
+matrices.  Every file
 goes under OUT; the commands run from inside OUT with paths relative to
 it, as decompose echoes its input paths.  The script prints one line per
 run with its exit code and then one `sha256  path` line per output file,
@@ -36,6 +43,8 @@ import json
 import sys
 import warnings
 from contextlib import chdir
+from fractions import Fraction
+from itertools import count
 from pathlib import Path
 
 from click.testing import CliRunner
@@ -63,6 +72,11 @@ FULL_RUNS = (("euclidean", "2"), ("lp:3", "3"))
 # (L, d, kind, norm, q) of the benchmark-shaped operator runs
 BENCH_SHAPES = ((9, 2, "matrix", "schatten:3", "3"), (8, 1, "vector", "lp:3", "3"))
 BENCH_SEEDS = 2
+# the shapes and L of the hand-written input files, and the L of the
+# large transform round trip
+HAND_SHAPES = ((1, "vector"), (2, "matrix"))
+HAND_LEVEL = 3
+LARGE_LEVEL = 12
 
 
 def _rescaled(values, how: str):
@@ -70,6 +84,48 @@ def _rescaled(values, how: str):
         return [_rescaled(v, how) for v in values]
     x = num_from_json(values)
     return num_to_json(float(x) / 3 if how == "float" else x / 3)
+
+
+def _hand_entry(x: Fraction, form: str):
+    """x written in one of the forms the bulk reader leaves to the
+    per-entry one, x's "n/d" where the form cannot hold x exactly."""
+    n, d = x.numerator, x.denominator
+    if form == "unreduced":
+        return f"{6 * n}/{6 * d}"
+    if form == "signed":
+        return f"{-n}/{-d}"
+    if form == "long":
+        return f"{n * 10**20}/{d * 10**20}"
+    if form == "bare" and d == 1:
+        return n
+    if form == "bare" and Fraction(repr(float(x))) == x:
+        # a JSON number that load_json reads back as x
+        return float(x)
+    if form == "decimal" and d & (d - 1) == 0:
+        # n / 2^m = n 5^m / 10^m
+        m = d.bit_length() - 1
+        digits = str(abs(n) * 5**m).rjust(m + 1, "0")
+        return ("-" if n < 0 else "") + digits[: len(digits) - m] + "." + (digits[len(digits) - m :] or "0")
+    return f"{n}/{d}"
+
+
+HAND_FORMS = ("decimal", "bare", "unreduced", "signed", "long")
+
+
+def _write_hand_signal(src: Path, dst: Path, form: str) -> None:
+    """gen's signal at src rewritten to dst with every entry in form, or
+    with the forms cycled entry by entry for form "mixed"."""
+    obj = json.loads(src.read_text())
+    position = count()
+
+    def rewrite(v):
+        if isinstance(v, list):
+            return [rewrite(x) for x in v]
+        k = next(position)
+        return _hand_entry(num_from_json(v), HAND_FORMS[k % len(HAND_FORMS)] if form == "mixed" else form)
+
+    obj["values"] = rewrite(obj["values"])
+    dst.write_text(json.dumps(obj, indent=2, sort_keys=True) + "\n")
 
 
 def _write_input(src: Path, dst: Path, how: str) -> None:
@@ -187,6 +243,27 @@ def _run_matrix() -> list[str]:
     seed += 1
     run(["tiletype", "--levels", L, "--dim", d, "--kind", kind, "--norm", norm, "--q", q,
          "--seed", seed, "--out", Path(f"bench-L{L}-tiletype-q{q}.json")])
+    for d, kind in HAND_SHAPES:
+        seed += 1
+        gen_dir = Path(f"hand-L{HAND_LEVEL}-d{d}-{kind}", "gen")
+        run(["gen", "--levels", HAND_LEVEL, "--dim", d, "--kind", kind, "--seed", seed, "--out", gen_dir])
+        for form in (*HAND_FORMS, "mixed"):
+            d_in = gen_dir.parent / form
+            d_in.mkdir()
+            _write_hand_signal(gen_dir / "signal.json", d_in / "signal.json", form)
+            run(["transform", "--in", d_in / "signal.json", "--out", d_in / "transform.json"])
+            run(["transform", "--inverse", "--in", d_in / "transform.json", "--out", d_in / "inverse.json"])
+            run(["carleson", "--in", d_in / "signal.json", "--nfun", gen_dir / "nfun.json",
+                 "--out", d_in / "carleson.json"])
+            run(["certify", "--in", d_in / "signal.json", "--dual", gen_dir / "dual.json",
+                 "--set", gen_dir / "set.json", "--nfun", gen_dir / "nfun.json", "--seed", seed,
+                 "--out", d_in / "certify.json"])
+    seed += 1
+    d_in = Path(f"large-L{LARGE_LEVEL}-d2-matrix")
+    run(["gen", "--levels", LARGE_LEVEL, "--dim", 2, "--kind", "matrix", "--norm", "schatten:3",
+         "--seed", seed, "--out", d_in])
+    run(["transform", "--in", d_in / "signal.json", "--out", d_in / "transform.json"])
+    run(["transform", "--inverse", "--in", d_in / "transform.json", "--out", d_in / "inverse.json"])
     return lines
 
 

@@ -57,6 +57,10 @@ and helpers that only the tests use.
   every collection, a density lookup per member and level and again per
   tree, witnesses held per interval in sorted lists, trees taken out by
   dictionary pops, and two tree size batches per level.
+- _columns / _exact_numbers / columns_from_json / signal_from_json_entries:
+  the signal reader that checks each value's shape and parses each JSON
+  number on its own, which the library keeps for any file its bulk
+  parse of "n/d" strings does not take.
 - walsh_coefficients / signal_from_coefficients / signal_to_json /
   signal_from_json / dump_json / maximal_function / restricted_weak_type:
   the Fraction-per-entry forms that integer signal columns replaced: a
@@ -110,10 +114,11 @@ from tilewalsh.signal import (
     FrequencyChoice,
     LevelSet,
     Signal,
-    _columns,
+    _check_shape,
     cell_norms,
     dual_pair,
     exact_terms,
+    json_int,
     lq_norm,
     num_from_json,
     _frobenius_like,
@@ -1031,6 +1036,73 @@ def signal_to_json(f):
         "kind": f.kind,
         "values": [_value_to_json(v) for v in f.samples],
     }
+
+
+def _columns(values, d, kind):
+    """Columns of nested per-cell values (tuples or lists); ValueError
+    unless every value is d numbers (vector) or d rows of d numbers
+    (matrix)."""
+
+    def is_row(r):
+        return (
+            isinstance(r, (tuple, list))
+            and len(r) == d
+            and not any(isinstance(x, (tuple, list)) for x in r)
+        )
+
+    def has_shape(v):
+        if kind == "matrix":
+            return len(v) == d and all(is_row(r) for r in v)
+        return is_row(v)
+
+    for j, v in enumerate(values):
+        if not has_shape(v):
+            raise ValueError(f"value {j} is not a {d}-dimensional {kind}")
+    if kind == "matrix":
+        values = [[x for row in v for x in row] for v in values]
+    return tuple(zip(*values))
+
+
+def _exact_numbers(entries):
+    """(numerators, den) of JSON numbers (num_from_json) over their least
+    common denominator, one entry at a time."""
+    nums, dens = [], []
+    for s in entries:
+        if type(s) is str:
+            n, slash, q = s.partition("/")
+            if slash and int(q) > 0:
+                nums.append(int(n))
+                dens.append(int(q))
+                continue
+        x = num_from_json(s)
+        nums.append(x.numerator)
+        dens.append(x.denominator)
+    distinct = set(dens)
+    den = math.lcm(*distinct)
+    if len(distinct) > 1:
+        mult = {q: den // q for q in distinct}
+        nums = [n * mult[q] for n, q in zip(nums, dens)]
+    return nums, den
+
+
+def columns_from_json(L, d, kind, columns):
+    """signal.columns_from_json with every number read by _exact_numbers."""
+    cols = [list(c) for c in columns]
+    _check_shape(L, d, kind, cols)
+    nums, den = _exact_numbers([x for c in cols for x in c])
+    n = 1 << L
+    return Signal(L, d, kind, [nums[i : i + n] for i in range(0, len(nums), n)], den)
+
+
+def signal_from_json_entries(obj):
+    """signal.signal_from_json checked and read value by value and entry
+    by entry (_columns, columns_from_json): the same signal, or the same
+    error, as the library's reader."""
+    L = json_int(obj["levels"], "levels")
+    d = json_int(obj["dim"], "dim")
+    kind = obj["kind"]
+    values = [v if isinstance(v, list) else [v] for v in obj["values"]]
+    return columns_from_json(L, d, kind, _columns(values, d, kind))
 
 
 def signal_from_json(obj):

@@ -2,7 +2,9 @@
 kernel that reads or writes them against its Fraction-per-entry form in
 tests/reference.py, on signals built from exact numbers, floats (their
 exact binary values) or both; exact |f|_q^q in
-integers against the cell-by-cell sum; and the report writer against
+integers against the cell-by-cell sum; the bulk reader of signal and
+coefficient files against the per-entry one on adversarial entries; and
+the report writer, with its branch for uniform arrays of strings, against
 json.dump of the report copied into plain JSON values."""
 
 import json
@@ -16,6 +18,7 @@ import numpy as np
 from hypothesis import example, given, settings, strategies as st
 
 import reference
+from tilewalsh import signal as signal_module
 from tilewalsh.certificates import Certificate
 from tilewalsh.cli import _signal_from_coefficients
 from tilewalsh.decompose import restricted_weak_type
@@ -130,6 +133,193 @@ class TestJsonColumns:
         assert signal_to_json(f)["values"] == [["1/2"], ["-1/2"]]
 
 
+# entries of signal and coefficient files: "n/d" strings the bulk parse
+# takes, next to everything it must hand to the per-entry reader unread:
+# signs and spaces around the digits, leading zeros, digits int() takes
+# that are no ASCII digits, integers at and past the 18-digit bound of
+# int64, zero and signed denominators, more or fewer slashes, decimals
+# and bare JSON numbers (ints, and Fractions as load_json reads decimals)
+edge_ints = st.sampled_from(
+    [0, 1, 7, 10**17, 10**18 - 1, 10**18, 2**63 - 1, 2**63, 10**19 - 1, 10**19, 10**40 + 3]
+)
+digit_strings = st.one_of(
+    st.integers(0, 10**20).map(str),
+    edge_ints.map(str),
+    st.tuples(st.integers(1, 20), st.integers(0, 10**18)).map(lambda t: "0" * t[0] + str(t[1])),
+)
+ratio_entries = st.builds(
+    "{}{}/{}".format, st.sampled_from(["", "-"]), digit_strings, digit_strings
+)
+short_ratios = st.builds(
+    "{}/{}".format, st.integers(-(10**18) + 1, 10**18 - 1), st.integers(1, 10**18 - 1)
+)
+odd_entries = st.sampled_from(
+    [
+        "+1/2", " 1/2", "1/2 ", "1 /2", "1/ 2", "1/2 3/4", "-0/5", "007/0003", "0/0001",
+        "1_0/3", "1/1_0", "\u0661/2", "1/\u0663", "\uff11/2", "\u0661\u0662/\u0663",
+        "3/-6", "-3/-6", "1/+2", "1/0", "0/0", "-1/000", "--1/2", "-/2", "/2", "1/", "1//2",
+        "1/2/3", "", " ", "-", "1.5", "-0.25", "1e3", "1E-2", "7", "-7", "0x10/2", "1/2\n",
+    ]
+)
+json_entries = st.one_of(
+    short_ratios,
+    ratio_entries,
+    odd_entries,
+    st.integers(-(10**20), 10**20),
+    st.fractions(max_denominator=10**6),
+    st.text(alphabet="0123456789-/ +._e", max_size=8),
+)
+
+
+def _outcome(read, obj):
+    """The signal read (its shape, columns and den), or the error raised."""
+    try:
+        f = read(obj)
+    except Exception as exc:
+        return type(exc), str(exc)
+    return f.L, f.d, f.kind, f.cols, f.den
+
+
+@st.composite
+def signal_files(draw, entries):
+    """A signal file's object on 2^L cells, L <= 3: short "n/d" strings,
+    which the bulk parse takes, with up to three of them replaced by
+    draws from entries."""
+    L = draw(st.integers(0, 3))
+    kind = draw(st.sampled_from(["vector", "matrix"]))
+    d = draw(st.integers(1, 2))
+    width = d * d if kind == "matrix" else d
+    flat = draw(st.lists(short_ratios, min_size=width << L, max_size=width << L))
+    for _ in range(draw(st.integers(0, 3))):
+        flat[draw(st.integers(0, len(flat) - 1))] = draw(entries)
+    values = [flat[j : j + width] for j in range(0, len(flat), width)]
+    if kind == "matrix":
+        values = [[v[r * d : (r + 1) * d] for r in range(d)] for v in values]
+    return {"levels": L, "dim": d, "kind": kind, "values": values}
+
+
+class TestBulkReader:
+    """signal_from_json and columns_from_json, which parse short "n/d"
+    strings in bulk, against the reader that takes each value and each
+    entry on its own (reference): the same signal, or the same error."""
+
+    @given(obj=signal_files(json_entries))
+    @example(obj={"levels": 1, "dim": 1, "kind": "vector", "values": [["3/-6"], ["1/2"]]})
+    @example(obj={"levels": 1, "dim": 1, "kind": "vector", "values": [["1/2"], ["1/0"]]})
+    @example(obj={"levels": 1, "dim": 1, "kind": "vector", "values": [["1/2 3/4"], ["1/2"]]})
+    @example(obj={"levels": 0, "dim": 1, "kind": "vector", "values": [["9" * 18 + "/" + "9" * 18]]})
+    @example(obj={"levels": 0, "dim": 1, "kind": "vector", "values": [["9" * 19 + "/1"]]})
+    @example(obj={"levels": 1, "dim": 1, "kind": "vector",
+                  "values": [["999999999999999989/2"], ["1/999999999999999989"]]})
+    @settings(max_examples=400, deadline=None)
+    def test_same_signal_or_error(self, obj):
+        assert _outcome(signal_from_json, obj) == _outcome(reference.signal_from_json_entries, obj)
+
+    @given(obj=signal_files(json_entries), data=st.data())
+    @settings(max_examples=150, deadline=None)
+    def test_same_shape_errors(self, obj, data):
+        # one value, row or entry of the wrong shape or kind
+        values = obj["values"]
+        j = data.draw(st.integers(0, len(values) - 1))
+        values[j] = data.draw(
+            st.sampled_from(
+                [
+                    "1/2",
+                    [],
+                    ["1/2"],
+                    ["1/2", "1/3", "1/4"],
+                    [["1/2"], ["1/3"]],
+                    [["1/2", "1/3"], "1/4"],
+                    [["1/2", ["1/3"]], ["1/4", "1/5"]],
+                    ("1/2", "1/3"),
+                    {"a": "1/2"},
+                    None,
+                ]
+            )
+        )
+        assert _outcome(signal_from_json, obj) == _outcome(reference.signal_from_json_entries, obj)
+
+    @given(obj=signal_files(json_entries))
+    @settings(max_examples=150, deadline=None)
+    def test_coefficient_columns(self, obj):
+        L, d, kind = obj["levels"], obj["dim"], obj["kind"]
+        cols = [list(c) for c in zip(*[_flat(v) for v in obj["values"]])]
+
+        def read(module):
+            return lambda cols: module.columns_from_json(L, d, kind, cols)
+
+        assert _outcome(read(signal_module), cols) == _outcome(read(reference), cols)
+
+    def test_int64_edges(self):
+        # products past int64 after scaling to the lcm fall back to Python ints
+        big = 999999999999999989  # prime, 18 digits
+        obj = {"levels": 1, "dim": 1, "kind": "vector", "values": [[f"{big}/2"], [f"1/{big}"]]}
+        f = signal_from_json(obj)
+        assert (f.cols, f.den) == (((big * big, 2),), 2 * big)
+        assert all(type(n) is int for n in f.cols[0])
+
+
+def _flat(v):
+    return [x for row in v for x in row] if v and isinstance(v[0], list) else v
+
+
+class TestArrayWriter:
+    """json_text's branch for uniform arrays of strings against json.dump,
+    and every array it must leave to the item-by-item writer."""
+
+    @pytest.mark.parametrize("L", [0, 1, 4, 9])
+    @pytest.mark.parametrize("d", [1, 2, 3])
+    @pytest.mark.parametrize("kind", ["vector", "matrix"])
+    def test_signal_and_coefficient_files(self, L, d, kind, tmp_path):
+        rng = random.Random(L * 100 + d * 10 + len(kind))
+        width = d * d if kind == "matrix" else d
+        f = Signal(L, d, kind, [[_entry(rng, "mixed") for _ in range(1 << L)] for _ in range(width)])
+        for obj in (signal_to_json(f), {"levels": L, "coefficients": columns_to_json(f)}):
+            dump_json(obj, tmp_path / "new.json")
+            reference.dump_json(obj, tmp_path / "old.json")
+            assert (tmp_path / "new.json").read_bytes() == (tmp_path / "old.json").read_bytes()
+
+    @pytest.mark.parametrize(
+        "obj",
+        [
+            [["a", "b"], ["c"]],
+            [["a"], []],
+            [[], []],
+            [[], ["a"]],
+            [[[]], [[]]],
+            [("a", "b"), ("c", "d")],
+            [["a", "b"], ("c", "d")],
+            (["a", "b"], ["c", "d"]),
+            [["a", 1], ["b", "c"]],
+            [["a", "b"], ["c", None]],
+            [["a", "b"], ["c", ["d"]]],
+            [[["a"]], ["b"]],
+            [[["a", "b"]], [["c"]]],
+            ["a", ["b"]],
+            [["a"], "b"],
+            ["a", 1],
+            [["a", "b"], {"c": "d"}],
+            [["a", "é\n\"{}"], ["{0}", "\ud800"]],
+            {"values": [[["{}", "}"], ["{", "{{"]]]},
+        ],
+        ids=repr,
+    )
+    def test_irregular_arrays_match_json_dump(self, obj):
+        assert json_text(obj) == json.dumps(reference.jsonable(obj), indent=2, sort_keys=True)
+
+    @given(
+        shape=st.lists(st.integers(1, 3), min_size=1, max_size=4),
+        text=st.text(alphabet='ab{}"\\/\n é😀', max_size=3),
+    )
+    @settings(max_examples=100, deadline=None)
+    def test_uniform_arrays_match_json_dump(self, shape, text):
+        obj = text
+        for n in reversed(shape):
+            obj = [obj] * n
+        assert json_text(obj) == json.dumps(obj, indent=2)
+        assert json_text({"k": [obj]}) == json.dumps({"k": [obj]}, indent=2)
+
+
 class TestWalshColumns:
     @LEVELS
     @given(data=st.data())
@@ -208,6 +398,33 @@ class TestBatchedNorms:
         f, _ = data.draw(signals(L))
         plugin = data.draw(st.sampled_from(_plugins(f.kind)))
         assert repr(value_norms(f, plugin)) == repr([value_norm(v, plugin) for v in f.samples])
+
+    @pytest.mark.parametrize("p", ["3/2", "3"])
+    @pytest.mark.parametrize("d", [2, 3])
+    @given(data=st.data())
+    @settings(max_examples=25, deadline=None)
+    def test_schatten_bits(self, p, d, data):
+        L = data.draw(st.integers(0, 6))
+        rng = random.Random(data.draw(st.integers(0, 2**32)))
+        mode = data.draw(st.sampled_from(["exact", "float", "mixed"]))
+        f = Signal(L, d, "matrix", [[_entry(rng, mode) for _ in range(1 << L)] for _ in range(d * d)])
+        plugin = NormPlugin("schatten", Fraction(p))
+        assert repr(value_norms(f, plugin)) == repr([value_norm(v, plugin) for v in f.samples])
+
+    def test_schatten_overflow(self):
+        # cell 0: s**3 past the largest float; cell 1: two powers whose
+        # sum is past it; both give inf with numpy's RuntimeWarnings
+        big, near = 10**110, 56 * 10**101
+        f = Signal(1, 2, "matrix", [[big, near], [1, 0], [0, 0], [5, near]])
+        plugin = NormPlugin("schatten", Fraction(3))
+        with warnings.catch_warnings(record=True) as got:
+            warnings.simplefilter("always")
+            norms = value_norms(f, plugin)
+        with warnings.catch_warnings(record=True) as want:
+            warnings.simplefilter("always")
+            ref = [value_norm(v, plugin) for v in f.samples]
+        assert repr(norms) == repr(ref) and norms == [math.inf, math.inf]
+        assert [str(w.message) for w in got] == [str(w.message) for w in want] != []
 
 
 class TestExactNormPowers:

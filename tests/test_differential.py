@@ -170,6 +170,7 @@ class TestHilbertSums:
         assert sums == _reference_sums(coll, f)
 
     @given(st.integers(1, 4), st.integers(0, 10**6))
+    @example(1, 526)
     @settings(max_examples=15, deadline=None)
     def test_decimal_signal_sums_identical(self, L, seed):
         rng = SplitMix64(seed)
@@ -177,7 +178,9 @@ class TestHilbertSums:
         coll = gen_collection(L, rng.below(20) + 1, rng)
         assert down_coefficients_inf(f, coll) == reference.down_coefficients(f, coll)
         weights, sums = _fraction_sums(coll, f)
-        assert weights.den % 5 == 0
+        # the decimals' factor 5 reaches the masses; a draw whose values
+        # all divide by 3 (seed 526 at L = 1) reads back dyadic, with no 5
+        assert (weights.den % 5 == 0) == (f.den % 5 == 0)
         assert sums == _reference_sums(coll, f)
 
 
