@@ -44,7 +44,7 @@ from .gen import (
     gen_signal,
     gen_tree_family,
 )
-from .operators import carleson_bitile, carleson_direct, walsh_coefficients
+from .operators import carleson_bitile, carleson_direct, walsh_coefficients, walsh_synthesis
 from .signal import (
     NormPlugin,
     Signal,
@@ -62,7 +62,6 @@ from .signal import (
     signal_to_json,
     value_is_zero,
 )
-from .walsh import ifwht
 
 
 class InputError(click.ClickException):
@@ -177,8 +176,7 @@ def transform(infile, inverse, out):
 
 def _signal_from_coefficients(obj: dict) -> Signal:
     L, d = json_int(obj["levels"], "levels"), json_int(obj["dim"], "dim")
-    coef = columns_from_json(L, d, obj["kind"], obj["coefficients"])
-    return coef.rebuild([ifwht(c) for c in coef.cols])
+    return walsh_synthesis(columns_from_json(L, d, obj["kind"], obj["coefficients"]))
 
 
 @main.command()

@@ -204,16 +204,10 @@ class BitileUniverse:
     items: tuple[Bitile, ...]
 
     def __contains__(self, P: Bitile) -> bool:
-        return P in self._index
-
-    @property
-    def _index(self) -> frozenset:
-        # frozen dataclass: cache via object.__setattr__ on first use
-        cached = self.__dict__.get("_index_cache")
-        if cached is None:
-            cached = frozenset(self.items)
-            object.__setattr__(self, "_index_cache", cached)
-        return cached
+        """The rule bitile_universe enumerates by: k <= L, pos < 2^k and
+        (2m + 1) 2^k <= 2^L."""
+        k, pos, m = P.key()
+        return k <= self.L and pos < 1 << k and (2 * m + 1) << k <= 1 << self.L
 
 
 @lru_cache(maxsize=8)

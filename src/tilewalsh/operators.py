@@ -1,5 +1,7 @@
-"""Partial sums, the linearized Carleson operator (direct and bitile forms),
-the maximal partial-sum operator, and Haar martingale transforms."""
+"""A signal's Walsh transform and its inverse, each one walsh_sums call
+over all of its columns; partial sums, the linearized Carleson operator
+(direct and bitile forms), the maximal partial-sum operator, and Haar
+martingale transforms."""
 
 from __future__ import annotations
 
@@ -21,14 +23,21 @@ from .signal import (
     nest,
     value_norm,
 )
-from .walsh import bit_reverse, cutoff_scales, fwht, ifwht, packet_coefficients, packet_rows, packet_synthesis
+from .walsh import bit_reverse, cutoff_scales, packet_coefficients, packet_rows, packet_synthesis, walsh_sums
 
 
 def walsh_coefficients(f: Signal) -> Signal:
     """The Walsh coefficients of every component, as a signal of f's shape
-    whose cell n holds coefficient n, exact: integer packet-table sums over
-    den 2^L."""
-    return f.rebuild([fwht(c, normalize=False) for c in f.cols], f.cells)
+    whose cell n holds coefficient n, exact: integer sums (walsh_sums) of
+    the numerators over den 2^L."""
+    return f.rebuild(walsh_sums(f.cols, f.L).tolist(), f.cells)
+
+
+def walsh_synthesis(coef: Signal) -> Signal:
+    """The inverse of walsh_coefficients: cell j holds
+    sum_n coefficient[n] w_n(cell j), the same integer sums without the
+    2^-L weight, since the Walsh-Paley matrix is symmetric."""
+    return coef.rebuild(walsh_sums(coef.cols, coef.L).tolist())
 
 
 def partial_sum(f: Signal, N: int) -> Signal:
@@ -36,7 +45,7 @@ def partial_sum(f: Signal, N: int) -> Signal:
     if not 0 <= N <= f.cells:
         raise ValueError(f"partial sum cutoff N={N} outside [0, 2^{f.L}]")
     coef = walsh_coefficients(f)
-    return coef.rebuild([ifwht(list(c[:N]) + [0] * (f.cells - N)) for c in coef.cols])
+    return walsh_synthesis(coef.rebuild([c[:N] + (0,) * (f.cells - N) for c in coef.cols]))
 
 
 def carleson_direct(f: Signal, Nfun: FrequencyChoice) -> Signal:
@@ -44,46 +53,28 @@ def carleson_direct(f: Signal, Nfun: FrequencyChoice) -> Signal:
     coefficient: output(cell) = S_{N(cell)} f (cell).
 
     The oracle for carleson_bitile, so it shares no packet arithmetic with
-    it.  The coefficient numerators are summed row by row in int64 numpy
-    blocks when |numerator| 2^L fits int64 (int_dtype); larger numerators
-    take the Python loop."""
+    it: the coefficient numerators are summed against the masked Walsh
+    matrix in blocks of rows, in int64 when |numerator| 2^L fits and in
+    Python ints (dtype object) past that (int_dtype)."""
     if Nfun.L != f.L:
         raise ValueError("resolution mismatch between signal and cutoff choice")
     L = f.L
     coef = walsh_coefficients(f)
-    cols = coef.cols
-    if int_dtype(max(abs(c) for col in cols for c in col).bit_length() + L) is np.int64:
-        sums = _cutoff_row_sums(cols, Nfun.values, L)
-    else:
-        sums = [_cutoff_row_sums_python(c, Nfun.values, L) for c in cols]
-    return coef.rebuild(sums)
+    top = max(max(max(c), -min(c)) for c in coef.cols)
+    columns = np.array(coef.cols, int_dtype(top.bit_length() + L))
+    return coef.rebuild(_cutoff_row_sums(columns, Nfun.values, L))
 
 
-def _cutoff_row_sums_python(terms: Sequence[int], cutoffs: Sequence[int], L: int) -> list[int]:
-    """sum_{n < N(j)} terms[n] w_n(j) for every cell j, term by term."""
-    out = []
-    for j, cutoff in enumerate(cutoffs):
-        rj = bit_reverse(j, L)
-        acc = 0
-        for n in range(cutoff):
-            if (n & rj).bit_count() & 1:
-                acc = acc - terms[n]
-            else:
-                acc = acc + terms[n]
-        out.append(acc)
-    return out
-
-
-# int64 entries of the Walsh sign block held at once (rows x 2^L): 64 KiB
-# per temporary, so the oracle's peak memory stays that of the Python loop
+# entries of the Walsh sign block held at once (rows x 2^L): 64 KiB per
+# int64 temporary, so the oracle's peak memory stays small at every L
 _DIRECT_BLOCK = 1 << 13
 
 
-def _cutoff_row_sums(columns: list[list[int]], cutoffs: Sequence[int], L: int) -> list[list[int]]:
-    """_cutoff_row_sums_python for several integer columns at once, in
-    int64: blocks of rows of the masked Walsh matrix times the columns.
-    w_n(j) = (-1)^parity(n & rev(j)), read from a parity table; the caller
-    guarantees that |column entry| 2^L fits int64 (int_dtype)."""
+def _cutoff_row_sums(columns: np.ndarray, cutoffs: Sequence[int], L: int) -> list[list[int]]:
+    """sum_{n < N(j)} columns[c, n] w_n(j) for every column c and cell j:
+    blocks of rows of the masked Walsh matrix times the columns, in the
+    columns' dtype.  w_n(j) = (-1)^parity(n & rev(j)), read from a parity
+    table."""
     size = 1 << L
     idx = np.arange(size, dtype=np.int64)
     parity = np.zeros(size, dtype=np.int64)
@@ -93,9 +84,9 @@ def _cutoff_row_sums(columns: list[list[int]], cutoffs: Sequence[int], L: int) -
         parity ^= bit
         rev |= bit << (L - 1 - b)
     sign = 1 - 2 * parity
-    coef = np.array(columns, dtype=np.int64).T
+    coef = columns.T
     limit = np.asarray(cutoffs, dtype=np.int64)
-    out = np.empty((size, len(columns)), dtype=np.int64)
+    out = np.empty((size, len(columns)), dtype=columns.dtype)
     step = max(1, _DIRECT_BLOCK >> L)
     for lo in range(0, size, step):
         rows = slice(lo, lo + step)

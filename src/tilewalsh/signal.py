@@ -56,22 +56,6 @@ def value_is_zero(a) -> bool:
     return a == 0
 
 
-def exact_terms(values: Sequence, scale: int = 1):
-    """(terms, finish) for signed sums of exact values (ints and
-    Fractions) divided by scale: the terms are integer numerators over the
-    lcm of the values' denominators, sums stay in integers and finish(sum)
-    makes the only Fraction, or leaves the int when lcm scale is 1."""
-    try:
-        # a TypeError unless every value is an int
-        math.gcd(*values)
-        terms, lcm = list(values), 1
-    except TypeError:
-        lcm = math.lcm(*(x.denominator for x in values))
-        terms = [x.numerator * (lcm // x.denominator) for x in values]
-    den = lcm * scale
-    return terms, (lambda acc: acc) if den == 1 else (lambda acc: Fraction(acc, den))
-
-
 def int_dtype(bits: int):
     """The array dtype for integers of at most `bits` bits: int64 up to 62
     bits, so that one more addition cannot overflow; Python ints (dtype
@@ -175,6 +159,8 @@ def _frobenius_like(plugin: NormPlugin) -> bool:
 def _check_shape(L: int, d: int, kind: str, cols: Sequence[Sequence]) -> None:
     if kind not in ("vector", "matrix"):
         raise ValueError(f"unknown signal kind {kind!r}")
+    if d < 1:
+        raise ValueError(f"signal dimension d={d} must be at least 1")
     width = d * d if kind == "matrix" else d
     if len(cols) != width or any(len(c) != 1 << L for c in cols):
         raise ValueError(
@@ -724,7 +710,9 @@ def levelset_from_json(obj: dict) -> LevelSet:
     L = json_int(obj["levels"], "levels")
     if "cells" in obj:
         return LevelSet.from_cells(L, json_ints(obj["cells"], "cells"))
-    bits = str(obj["bits"])
+    bits = obj["bits"]
+    if type(bits) is not str or not set(bits) <= {"0", "1"}:
+        raise ValueError("bits must be a string of '0' and '1' characters")
     if len(bits) != 1 << L:
         raise ValueError("bitstring length must equal the cell count")
     return LevelSet.from_cells(L, (j for j, b in enumerate(bits) if b == "1"))

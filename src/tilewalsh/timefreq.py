@@ -760,20 +760,12 @@ def member_form_products(
     """Signed per-member bilinear terms
     < <f, down packet>, <down packet, g restricted to E_{P_u}> >; exact.
 
-    The down coefficients as Fractions, times g's pairings (_hit_sums)
-    over g.den 2^L; SizeEvaluator.form_products has them in integers."""
-    values, den = down_coefficients(f, tree_members)
-    sums = _hit_sums({P.key() for P in tree_members}, g, E, Nfun)
-    gden = g.den << g.L
-    empty = [0] * len(g.cols)
-    terms: dict[Bitile, Fraction] = {}
-    for P in tree_members:
-        gvec = [Fraction(acc, gden) for acc in sums.get(P.key(), empty)]
-        prod = Fraction(0)
-        for a, b in zip(coefficient_values(values[P.key()], den), gvec):
-            prod += a * b
-        terms[P] = prod * (1 << P.time.k)
-    return terms
+    member_form_ints as one Fraction per member, its numerator over
+    f.den g.den 4^L."""
+    coeffs, den = down_coefficients(f, tree_members)
+    products = member_form_ints(coeffs, g, E, Nfun)
+    den *= g.den << g.L
+    return {P: Fraction(products[P.key()], den) for P in tree_members}
 
 
 def maximal_gap_intervals(members: Sequence[Bitile], L: int) -> list[DyadicInterval]:

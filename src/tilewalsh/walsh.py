@@ -8,21 +8,24 @@ interval, zero elsewhere; the Haar pattern of the interval is the packet
 with n = 1.  Analysis reads the packet table, one recurrence over integer
 arrays (packet_rows; packet_coefficients for a signal's coefficients over
 one denominator), in int64 behind a bit-length guard and in Python ints
-past it.  The transforms are the table's coarsest row (walsh_sums): the
-Walsh-Paley matrix is symmetric, so on integers
-fwht(t, normalize=False) == ifwht(t) == packet_table(t, L)[0].  Synthesis
-adds coefficient times packet cell by cell (packet_synthesis), and
-cutoff_scales names, scale by scale, the bitile whose up-tile window holds
-each cell's cutoff (cutoff_hits lists them per cell)."""
+past it.  The transforms are the table's coarsest row (walsh_sums) over
+all of a signal's columns at once: the Walsh-Paley matrix is symmetric,
+so the inverse is the same sum without the 2^-L weight, and fwht and
+ifwht are that sum on one column, fwht(t, normalize=False) == ifwht(t) ==
+packet_table(t, L)[0] on integers.  Synthesis adds coefficient times
+packet cell by cell (packet_synthesis), and cutoff_scales names, scale by
+scale, the bitile whose up-tile window holds each cell's cutoff
+(cutoff_hits lists them per cell)."""
 
 from __future__ import annotations
 
+from fractions import Fraction
 from functools import lru_cache
 from typing import Iterator, Sequence
 
 import numpy as np
 
-from .signal import Signal, exact_terms, int_dtype
+from .signal import Signal, int_dtype
 
 
 def bit_reverse(x: int, bits: int) -> int:
@@ -71,6 +74,17 @@ def bit_reversal(L: int) -> np.ndarray:
         rev |= ((j >> b) & 1) << (L - 1 - b)
     rev.flags.writeable = False
     return rev
+
+
+@lru_cache(maxsize=32)
+def bit_parity(L: int) -> np.ndarray:
+    """The parity of the set bits of every j < 2^L, as a read-only int64
+    array."""
+    par = np.zeros(1, dtype=np.int64)
+    for _ in range(L):
+        par = np.concatenate((par, 1 - par))
+    par.flags.writeable = False
+    return par
 
 
 def _int_array(cols: Sequence[Sequence[int]], headroom: int) -> np.ndarray:
@@ -175,15 +189,15 @@ def cutoff_scales(cutoffs: Sequence[int], L: int) -> Iterator[tuple[int, np.ndar
     N(j) >> k = 2m + 1 is odd, N(j) = cutoffs[j] in [0, 2^L].  The bitile
     (k, j >> (L - k), m) is then the one of scale k whose up-tile window
     holds N(j), and neg is the sign bit of its down packet w_2m at j: the
-    parity of 2m & (rev(j) >> k), rev(j) >> k being the reversed offset of
-    j in its interval of scale k."""
+    parity (bit_parity) of 2m & (rev(j) >> k), rev(j) >> k being the
+    reversed offset of j in its interval of scale k."""
     n = np.asarray(cutoffs, np.int64)
-    rev = bit_reversal(L)
+    rev, parity = bit_reversal(L), bit_parity(L)
     for k in range(L + 1):
         nk = n >> k
         cells = np.flatnonzero(nk & 1)
         even = nk[cells] - 1
-        neg = (np.bitwise_count(even & (rev[cells] >> k)) & 1).astype(np.int64)
+        neg = parity[even & (rev[cells] >> k)]
         yield k, cells, even >> 1, neg
 
 
@@ -202,25 +216,29 @@ def cutoff_hits(cutoffs: Sequence[int], L: int) -> list[list[tuple[int, int, int
 def fwht(samples: Sequence, normalize: bool = True) -> list:
     """Walsh coefficients of a sample vector, in Walsh-Paley order.
 
-    coefficient[n] = 2^-L sum_j samples[j] * w_n(cell j): the coarsest row
-    of the packet table (walsh_sums), exact on ints and Fractions.  With
-    normalize=False the 2^-L weight is skipped, and Python-int samples (an
-    exact signal's numerators) give their Python-int sums.
+    coefficient[n] = 2^-L sum_j samples[j] * w_n(cell j): walsh_sums of
+    the samples read as a one-column Signal (ints, Fractions, or floats at
+    their exact binary value).  With normalize=False the 2^-L weight is
+    skipped, and Python-int samples (an exact signal's numerators) give
+    their Python-int sums; every other result is a list of Fractions.
     """
-    return _walsh_matrix_product(samples, len(samples) if normalize else 1, "sample")
+    return _column_sums(samples, normalize, "sample")
 
 
 def ifwht(coefficients: Sequence) -> list:
     """Inverse of fwht: samples[j] = sum_n coefficient[n] * w_n(cell j).
     The Walsh-Paley matrix is symmetric, so this is the unnormalized
     forward sum."""
-    return _walsh_matrix_product(coefficients, 1, "coefficient")
+    return _column_sums(coefficients, False, "coefficient")
 
 
-def _walsh_matrix_product(values: Sequence, scale: int, what: str) -> list:
-    """sum_j values[j] w_n(cell j) / scale for every n, exact."""
+def _column_sums(values: Sequence, normalize: bool, what: str) -> list:
+    """sum_j values[j] w_n(cell j), times 2^-L when normalize, for every n."""
     size = len(values)
     if size == 0 or size & (size - 1):
         raise ValueError(f"{what} count {size} is not a power of two")
-    terms, finish = exact_terms(values, scale)
-    return [finish(x) for x in walsh_sums([terms], size.bit_length() - 1)[0].tolist()]
+    L = size.bit_length() - 1
+    f = Signal(L, 1, "vector", (values,))
+    sums = walsh_sums(f.cols, L)[0].tolist()
+    den = f.den << L if normalize else f.den
+    return sums if den == 1 else [Fraction(x, den) for x in sums]

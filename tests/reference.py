@@ -32,7 +32,12 @@ and helpers that only the tests use.
   sample against the packet's sign pattern.
 - carleson_direct / carleson_bitile / member_form_products: the
   per-cell, per-bitile and per-member loops the packet table replaced,
-  summing each packet's samples in cell order from 0 (exact_terms).
+  summing each packet's samples in cell order from 0 (exact_terms);
+  carleson_direct's per-cell loop is also the Python-int loop that
+  operators.carleson_direct's object-dtype blocks replaced past 62 bits.
+- exact_terms: signed sums of ints and Fractions over the lcm of their
+  denominators, with one Fraction per result; the library's transforms
+  read their values as a Signal instead.
 - down_packet_sum (with per-member signs and cell masks) /
   haar_packet_sum / martingale_transform / split_sums /
   tile_type_constant: the synthesis loops that walsh.packet_synthesis and
@@ -72,9 +77,11 @@ and helpers that only the tests use.
   bytes replaced.
 - bit_reversal / butterfly_fwht / butterfly_ifwht / packet_table /
   cutoff_hits: the list kernels that walsh's array recurrence replaced:
-  the transforms by a bit-reversal permutation and in-place butterflies,
-  the packet table by list slices, and the bitiles a cutoff lands in by a
-  walk over the bits of each cell's cutoff.
+  the transforms one column at a time (the library sums all of a
+  signal's columns in one walsh_sums call) by a bit-reversal permutation
+  and in-place butterflies, the packet table by list slices, and the
+  bitiles a cutoff lands in by a walk over the bits of each cell's
+  cutoff.
 - levelset_from_cells / levelset_indicator / signal_restrict: the level
   set operations by a test or a set of one mask bit per cell, O(4^L / 64)
   word operations, which the mask's bytes replaced.
@@ -117,7 +124,6 @@ from tilewalsh.signal import (
     _check_shape,
     cell_norms,
     dual_pair,
-    exact_terms,
     json_int,
     lq_norm,
     num_from_json,
@@ -147,6 +153,22 @@ from tilewalsh.walsh import bit_reverse, fwht, ifwht, walsh, walsh_value
 
 # ---------------------------------------------------------------------------
 # helpers only the tests use
+
+
+def exact_terms(values, scale=1):
+    """(terms, finish) for signed sums of exact values (ints and
+    Fractions) divided by scale: the terms are integer numerators over the
+    lcm of the values' denominators, sums stay in integers and finish(sum)
+    makes the only Fraction, or leaves the int when lcm scale is 1."""
+    try:
+        # a TypeError unless every value is an int
+        math.gcd(*values)
+        terms, lcm = list(values), 1
+    except TypeError:
+        lcm = math.lcm(*(x.denominator for x in values))
+        terms = [x.numerator * (lcm // x.denominator) for x in values]
+    den = lcm * scale
+    return terms, (lambda acc: acc) if den == 1 else (lambda acc: Fraction(acc, den))
 
 
 def bitile_lt(P: Bitile, P2: Bitile) -> bool:

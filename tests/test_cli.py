@@ -364,6 +364,44 @@ class TestInputErrors:
         r = runner.invoke(main, ["transform", "--in", str(sig), "--out", str(tmp_path / "x.json")])
         assert r.exit_code == 2 and "malformed signal" in r.output
 
+    @pytest.mark.parametrize("command", ["transform", "inverse", "carleson"])
+    def test_zero_dimension(self, runner, tmp_path, command):
+        head = {"levels": 1, "dim": 0, "kind": "vector"}
+        sig, coef, nfun = tmp_path / "s.json", tmp_path / "c.json", tmp_path / "n.json"
+        sig.write_text(json.dumps({**head, "values": [[], []]}))
+        coef.write_text(json.dumps({**head, "coefficients": []}))
+        nfun.write_text(json.dumps({"levels": 1, "N": [0, 2]}))
+        path, what, args = {
+            "transform": (sig, "signal", ["transform", "--in", sig]),
+            "inverse": (coef, "coefficient", ["transform", "--inverse", "--in", coef]),
+            "carleson": (sig, "signal", ["carleson", "--in", sig, "--nfun", nfun]),
+        }[command]
+        out = tmp_path / "x.json"
+        r = runner.invoke(main, [*map(str, args), "--out", str(out)])
+        assert r.exit_code == 2 and f"malformed {what} file {path}" in r.output and "d=0" in r.output
+        assert not out.exists()
+
+    @pytest.mark.parametrize("bits", ["1x01", 1010, "10 1"])
+    def test_level_set_bits_must_be_a_bitstring(self, runner, tmp_path, bits):
+        files = _l2_files(tmp_path)
+        files["set"].write_text(json.dumps({"levels": 2, "bits": bits}))
+        out = tmp_path / "x.json"
+        args = ["decompose", "--in", files["signal"], "--set", files["set"], "--nfun", files["nfun"]]
+        r = runner.invoke(main, [*map(str, args), "--out", str(out)])
+        assert r.exit_code == 2 and f"malformed level set file {files['set']}" in r.output and "bits" in r.output
+        assert not out.exists()
+
+    def test_level_set_bits_read_as_cells(self, runner, tmp_path):
+        files = _l2_files(tmp_path)
+        outs = []
+        for name, obj in (("cells", {"levels": 2, "cells": [0, 3]}), ("bits", {"levels": 2, "bits": "1001"})):
+            files["set"].write_text(json.dumps(obj))
+            out = tmp_path / f"{name}.json"
+            args = ["decompose", "--in", files["signal"], "--set", files["set"], "--nfun", files["nfun"]]
+            assert invoke(runner, [*map(str, args), "--out", str(out)]).exit_code == 0
+            outs.append(out.read_bytes())
+        assert outs[0] == outs[1]
+
     @pytest.mark.parametrize("inverse", [False, True])
     def test_zero_denominator(self, runner, tmp_path, inverse):
         path, out = tmp_path / "in.json", tmp_path / "x.json"

@@ -276,39 +276,51 @@ class TestArrayKernels:
         cutoffs = [rng.randint(0, 1 << L) for _ in range(1 << L)]
         assert cutoff_hits(cutoffs, L) == reference.cutoff_hits(cutoffs, L)
 
-    def _dtypes(self, monkeypatch):
-        chosen = []
-        choose = walsh_module.int_dtype
-
-        def record(bits):
-            chosen.append(choose(bits))
-            return chosen[-1]
-
-        monkeypatch.setattr(walsh_module, "int_dtype", record)
-        return chosen
-
     def test_benchmark_shaped_input_takes_int64(self, monkeypatch):
-        chosen = self._dtypes(monkeypatch)
+        chosen = _record_dtypes(monkeypatch, walsh_module)
         rng = SplitMix64(7)
         f = gen_signal(9, 2, "matrix", rng)
         N = gen_nfun(9, rng)
         coef = operators.walsh_coefficients(f)
         carleson_bitile(f, N, bitile_universe(9))
-        for c in coef.cols:
-            walsh_module.ifwht(c)
-        # four columns forward and back, and carleson_bitile's table
-        assert len(chosen) == 9 and all(dtype is np.int64 for dtype in chosen)
+        assert operators.walsh_synthesis(coef) == f
+        # the four columns forward in one call, carleson_bitile's table and
+        # the four columns back in one call
+        assert chosen == [np.int64] * 3
 
     @pytest.mark.parametrize("L", [3, 9])
     def test_wide_numerators_take_python_ints(self, L, monkeypatch):
-        chosen = self._dtypes(monkeypatch)
+        chosen = _record_dtypes(monkeypatch, walsh_module)
         rng = random.Random(L)
         f = Signal(L, 1, "vector", [_terms(rng, L, 63 - L)], 1)
         N = FrequencyChoice(L, tuple(rng.randint(0, 1 << L) for _ in range(1 << L)))
         assert carleson_bitile(f, N, bitile_universe(L)) == carleson_direct(f, N)
         assert walsh_module.ifwht(list(f.cols[0])) == reference.butterfly_ifwht(f.cols[0])
-        # fwht in carleson_direct, carleson_bitile's table and ifwht
+        # walsh_coefficients in carleson_direct, carleson_bitile's table and ifwht
         assert chosen == [object] * 3
+
+    @pytest.mark.parametrize("L", [1, 5, 9])
+    def test_cutoff_kernels_need_no_bitwise_count(self, L, monkeypatch):
+        # np.bitwise_count is numpy 2.0 and later; the project takes 1.24
+        monkeypatch.delattr(np, "bitwise_count", raising=False)
+        rng = SplitMix64(L)
+        f = gen_signal(L, 2, "vector", rng)
+        N = gen_nfun(L, rng)
+        assert cutoff_hits(N.values, L) == reference.cutoff_hits(N.values, L)
+        assert carleson_bitile(f, N, bitile_universe(L)).samples == reference.carleson_bitile(f, N).samples
+
+
+def _record_dtypes(monkeypatch, module):
+    """The dtypes that module.int_dtype picks from now on, in call order."""
+    chosen = []
+    choose = module.int_dtype
+
+    def record(bits):
+        chosen.append(choose(bits))
+        return chosen[-1]
+
+    monkeypatch.setattr(module, "int_dtype", record)
+    return chosen
 
 
 def _instance(L, shape, seed):
@@ -379,26 +391,20 @@ class TestCarlesonKernels:
 
     @pytest.mark.parametrize("L", [3, 6])
     def test_wide_numerators_take_python_path(self, L, monkeypatch):
+        chosen = _record_dtypes(monkeypatch, operators)
         rng = SplitMix64(L)
         f = Signal.scalar([Fraction((1 << 70) + rng.below(1 << 20), 3) for _ in range(1 << L)])
         N = gen_nfun(L, rng)
-
-        def refuse(*args):
-            raise AssertionError("int64 path taken for numerators past 2^62")
-
-        monkeypatch.setattr(operators, "_cutoff_row_sums", refuse)
         ref = reference.carleson_direct(f, N).samples
         assert carleson_direct(f, N).samples == ref
+        assert chosen == [object]
         assert carleson_bitile(f, N, bitile_universe(L)).samples == ref
 
     def test_narrow_numerators_take_int64_path(self, monkeypatch):
-        f, _, _, N = _instance(5, (2, "matrix"), 3)
-
-        def refuse(*args):
-            raise AssertionError("Python loop taken for int64-sized numerators")
-
-        monkeypatch.setattr(operators, "_cutoff_row_sums_python", refuse)
+        chosen = _record_dtypes(monkeypatch, operators)
+        f, _, _, N = _instance(9, (2, "matrix"), 3)
         assert carleson_direct(f, N).samples == reference.carleson_direct(f, N).samples
+        assert chosen == [np.int64]
 
 
 class TestMemberFormProducts:

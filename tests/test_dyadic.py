@@ -165,6 +165,16 @@ class TestUniverse:
         assert U.items[0] in U
         assert Bitile(DyadicInterval(0, 0), 1 << 10) not in U
 
+    @given(st.integers(1, 6), st.data())
+    def test_membership_is_the_enumeration_rule(self, L, data):
+        U = bitile_universe(L)
+        # keys inside the universe and one past it in each of k, pos and m
+        k = data.draw(st.integers(0, L + 1))
+        pos = data.draw(st.integers(0, 1 << k))
+        m = data.draw(st.integers(0, (((1 << L) >> k) + 1) // 2))
+        P = Bitile(DyadicInterval(k, pos), m)
+        assert (P in U) == (P in set(U.items))
+
     def test_l1_example(self):
         U = bitile_universe(1)
         assert [P.key() for P in U.items] == [(0, 0, 0), (1, 0, 0), (1, 1, 0)]
