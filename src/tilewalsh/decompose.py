@@ -37,7 +37,6 @@ from .timefreq import (
     _is_hilbert_case,
     _lq_pow,
     _pow_gt,
-    abs_sum,
     down_coefficients,
     meeting_tile_pairs,
 )
@@ -82,6 +81,8 @@ class LeveledForest:
     levels: tuple[LevelRecord, ...]
     residual: tuple[Bitile, ...]
     certificates: tuple[Certificate, ...]
+    # each tree's member positions in the run's SizeEvaluator.index
+    members: tuple[np.ndarray, ...] = field(default=(), repr=False, compare=False)
 
     def all_certificates(self) -> list[Certificate]:
         out = list(self.certificates)
@@ -284,13 +285,12 @@ def size_decompose(
         sizes = SizeEvaluator(coll, f, q, plugin)
     small, trees, certs, sigma_pow = _size_split(sizes, sizes.index.select(coll), q)
     mass = _length_sum([top for top, _ in trees])
-    trees = _trees(sizes.index, trees)
     fq = float(sizes.fq_pow)
     mass_constant = float(mass) * float(sigma_pow) / fq if fq > 0 else 0.0
     stats = {"top_length_sum": mass, "size_pow": sigma_pow, "mass_constant": mass_constant,
              "trees": len(trees)}
     return SizeDecomposition(
-        tuple(sizes.index.bitiles(small)), tuple(trees), tuple(certs), sigma_pow,
+        tuple(sizes.index.bitiles(small)), tuple(_trees(sizes.index, trees)), tuple(certs), sigma_pow,
         tuple(sizes.tree_pows(trees)), stats,
     )
 
@@ -350,7 +350,8 @@ def full_decompose(
         n -= 1
 
     forest = [_trees(index, trees) for _, trees, _, _ in levels]
-    pows = iter(sizes.tree_pows([t for trees in forest for t in trees]))
+    pairs = [pair for _, trees, _, _ in levels for pair in trees]
+    pows = iter(sizes.tree_pows(pairs))
     records = []
     for (n, trees, certs, densities), level_trees in zip(levels, forest):
         tag = _two_pow(n * q)
@@ -387,7 +388,7 @@ def full_decompose(
             theorem_backed=False, context={"n_max": n_max, "levels": len(records)},
         ),
     ]
-    return LeveledForest(tuple(records), residual, tuple(top_certs))
+    return LeveledForest(tuple(records), residual, tuple(top_certs), tuple(ms for _, ms in pairs))
 
 
 def starting_level(dens0, size0_pow, fq_pow, measure: Fraction, q, L: int) -> int:
@@ -455,13 +456,18 @@ def carleson_form_certificate(
     |E|^(1/q') |f|_q together with per-tree tree-lemma ratios."""
     if any(x > 1 + 1e-9 for x in value_norms(g, plugin.dual())):
         warnings.warn("dual function exceeds pointwise norm one", stacklevel=2)
-    coll = list(bitile_universe(f.L).items)
+    coll = bitile_universe(f.L).items
     sizes = SizeEvaluator(coll, f, q, plugin)
     forest = full_decompose(coll, f, E, Nfun, q, plugin, sizes=sizes)
     products, den = sizes.form_products(g, E, Nfun)
     fq_pow = sizes.fq_pow
 
-    total = abs_sum(products.values(), den)
+    size = np.abs(products)
+    total = Fraction(int(size.sum()), den)
+    # each tree's form, numerators over den in the order of all_trees()
+    members = forest.members
+    starts = list(accumulate(map(len, members[:-1]), initial=0))
+    forms = iter(np.add.reduceat(size[np.concatenate(members)], starts).tolist() if members else [])
     qf = float(q)
     qprime = qf / (qf - 1.0)
     # the same bits as lq_norm on the exact path
@@ -476,7 +482,7 @@ def carleson_form_certificate(
         tree_rows = []
         level_mass = 0.0
         for tree, spow, dens in zip(rec.trees, rec.size_pows, rec.densities):
-            form = abs_sum([products[P.key()] for P in tree.members], den)
+            form = Fraction(next(forms), den)
             size_val = float(spow) ** (1.0 / qf)
             # 2^-k_T, the float of |I_T|
             rhs = size_val * float(dens) * 2.0 ** -tree.time.k

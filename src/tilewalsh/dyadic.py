@@ -282,6 +282,8 @@ class BitileIndex:
         # k + m.bit_length(): the least grid depth that holds the key
         self.extent = np.array([k + m.bit_length() for k, _, m in self.keys], np.int64)
         self.depth = int(self.extent.max(initial=0))
+        # a tuple cannot change, so it selects every position again
+        self.source = coll if isinstance(coll, tuple) else None
 
     @cached_property
     def code(self) -> np.ndarray:
@@ -293,6 +295,8 @@ class BitileIndex:
         KeyError for a bitile not in the index."""
         if isinstance(coll, np.ndarray):
             return coll
+        if coll is self.source:
+            return np.arange(len(self.keys))
         k, pos, m = key_arrays([P.key() for P in coll])
         # a key past the index's grid could share a code with one inside it
         if not in_grid(k, pos, m, self.depth).all():

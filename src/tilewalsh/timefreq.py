@@ -9,7 +9,6 @@ from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from operator import mul
 from typing import Container, Iterable, Iterator, Sequence
 
 import numpy as np
@@ -41,9 +40,11 @@ from .signal import (
     value_norms,
 )
 from .walsh import (
+    _int_array,
     bit_reverse,
     cutoff_hits,
-    packet_coefficients,
+    cutoff_scales,
+    packet_rows,
     packet_synthesis,
     walsh_value,
 )
@@ -227,29 +228,31 @@ def verify_tree_identity(P: Bitile, T: Bitile, L: int) -> bool:
 # ---------------------------------------------------------------------------
 # wave packet sums over member sets
 
-def down_coefficients(f: Signal, members: Sequence[Bitile]) -> tuple[dict[tuple[int, int, int], list[int]], int]:
-    """Sup-normalized pairings of every component of f with each member's
-    down packet, keyed by (k, pos, m), as the pair (values, den) of
-    walsh.packet_coefficients: the entry (k, pos 2^(L-k) + 2m) of each
-    component's packet table, Python-int numerators over den = f.den 2^L."""
+def down_coefficient_rows(f: Signal, k: np.ndarray, pos: np.ndarray, m: np.ndarray) -> tuple[np.ndarray, int]:
+    """Sup-normalized pairings of every component of f with the down
+    packets of the bitiles with key arrays k, pos and m, as (rows, den):
+    row i holds entry (k, pos 2^(L-k) + 2m) of each component's packet
+    table (walsh.packet_rows, one fancy index), over den = f.den 2^L."""
     L = f.L
+    bad = np.flatnonzero((k > L) | ((2 * m) >> np.maximum(L - k, 0) != 0))
+    if len(bad):
+        P = Bitile.from_key((int(k[bad[0]]), int(pos[bad[0]]), int(m[bad[0]])))
+        raise ValueError(f"down packet of {P} oscillates below cell scale at L={L}")
+    return packet_rows(f.cols, L)[k, :, (pos << (L - k)) + 2 * m], f.den << L
+
+
+def down_coefficients(f: Signal, members: Sequence[Bitile]) -> tuple[dict[tuple[int, int, int], list[int]], int]:
+    """down_coefficient_rows of members keyed by (k, pos, m), as the pair
+    (values, den) of Python-int numerators over den."""
     keys = [P.key() for P in members]
-    for P, (k, _, m) in zip(members, keys):
-        if (2 * m) >> (L - k):
-            raise ValueError(f"down packet of {P} oscillates below cell scale at L={L}")
-    values, den = packet_coefficients(f, [(k, (pos << (L - k)) + 2 * m) for k, pos, m in keys])
-    return dict(zip(keys, values)), den
-
-
-def coefficient_values(cs: Sequence[int], den: int) -> list[Fraction]:
-    """Coefficients of a (values, den) pair as Fractions over den."""
-    return [Fraction(n, den) for n in cs]
+    rows, den = down_coefficient_rows(f, *key_arrays(keys))
+    return dict(zip(keys, rows.tolist())), den
 
 
 def down_coefficients_inf(f: Signal, members: Sequence[Bitile]) -> dict[Bitile, list[Fraction]]:
     """down_coefficients keyed by member, exact values as Fractions."""
     values, den = down_coefficients(f, members)
-    return {P: coefficient_values(values[P.key()], den) for P in members}
+    return {P: [Fraction(n, den) for n in values[P.key()]] for P in members}
 
 
 # ---------------------------------------------------------------------------
@@ -395,46 +398,44 @@ def tree_delta_pow(
     return total / g.cells
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class HilbertWeights:
     """Per-member quadratic masses w_P = 2^k_P sum_i c_i^2 over the down
-    coefficients c_i of P, keyed by (k, pos, m); the building block of the
-    q = 2 Parseval evaluation Delta(T)^2 = 2^k_T sum_{P <=_u T} w_P.
+    coefficients c_i of P, in index order, for the q = 2 Parseval
+    evaluation Delta(T)^2 = 2^k_T sum_{P <=_u T} w_P (UpSumGrid): integer
+    numerators in the _mass_dtype of their total, over one den, the
+    squared lcm of the reduced coefficient denominators."""
 
-    Each mass is a Python-int numerator over one common denominator den,
-    the squared lcm of the reduced coefficient denominators, so that sums
-    and comparisons stay in integers; the up-sums come from dense grids
-    (UpSumGrid).
-    """
-
-    num: dict[tuple[int, int, int], int]
+    index: BitileIndex
+    masses: np.ndarray
     den: int
-
-    def value(self, x: int) -> Fraction:
-        """x / den."""
-        return Fraction(x, self.den)
 
     def pow_of(self, best: int) -> Fraction:
         """A largest S(T) 2^k_T as the size power best / den; Fraction(0)
         unless it is positive."""
-        return self.value(best) if best > 0 else Fraction(0)
-
-    def masses(self, keys: Sequence[tuple[int, int, int]]) -> np.ndarray:
-        """The masses of keys in an array of their total's _mass_dtype."""
-        num = [self.num[key] for key in keys]
-        return np.array(num, _mass_dtype(sum(num)))
+        return Fraction(best, self.den) if best > 0 else Fraction(0)
 
 
-def member_masses(coeffs: dict[tuple[int, int, int], list[int]], den: int) -> HilbertWeights:
-    """The exact masses of the members whose down coefficients are the
-    numerators coeffs over den (down_coefficients): (sum_i n_i^2) 2^k over
-    den^2, with the gcd g of den and every numerator divided out.  den / g
-    is the lcm of the reduced coefficient denominators, since
+def _bits(a: np.ndarray) -> int:
+    """The bit length of the largest magnitude in an integer array."""
+    return int(np.abs(a).max(initial=0)).bit_length()
+
+
+def member_masses(index: BitileIndex, rows: np.ndarray, den: int) -> HilbertWeights:
+    """The exact masses of the members of index whose down coefficients
+    are the numerators rows over den (down_coefficient_rows):
+    (sum_i n_i^2) 2^k over den^2, with the gcd g of den and every
+    numerator divided out, summed in int64 when their total has room.
+    den / g is the lcm of the reduced coefficient denominators, since
     lcm(den / a, den / b) = den / gcd(a, b) for divisors a, b of den."""
-    g = math.gcd(den, *(math.gcd(*cs) for cs in coeffs.values()))
-    gg = g * g
-    num = {key: (sum(c * c for c in cs) // gg) << key[0] for key, cs in coeffs.items()}
-    return HilbertWeights(num, (den // g) ** 2)
+    common = int(np.gcd.reduce(rows, axis=None, initial=0))
+    g = math.gcd(den, common)
+    # all zero: g = den, which need not fit the rows' dtype
+    n, k = rows // g if common else rows, index.k
+    if 2 * _bits(n) + int(k.max(initial=0)) + rows.size.bit_length() > 62:
+        n, k = n.astype(object), k.astype(object)
+    masses = (n * n).sum(axis=1) << k
+    return HilbertWeights(index, masses.astype(_mass_dtype(int(masses.sum()))), (den // g) ** 2)
 
 
 def _mass_dtype(total: int):
@@ -486,22 +487,24 @@ class UpSumGrid:
 
     The masses sit in int64 cells when the total mass has at most 62
     bits, so that no partial sum overflows, and in Python ints (dtype
-    object) otherwise (HilbertWeights.masses); both run the same code, and
-    removing members zeroes their cells and sums again.  It holds the
-    positions sel of a BitileIndex, with masses in index order
-    (HilbertWeights.masses), and loses bitiles or positions."""
+    object) otherwise (HilbertWeights.masses); both run the same code.  It
+    holds the positions sel of the weights' index with their cells, and
+    removing bitiles or positions of sel zeroes their cells and sums
+    again."""
 
-    def __init__(self, index: BitileIndex, sel: np.ndarray, weights: HilbertWeights, masses: np.ndarray):
-        self.index, self.weights = index, weights
+    def __init__(self, weights: HilbertWeights, sel: np.ndarray):
+        self.weights, index = weights, weights.index
         self.depth = D = int(index.extent[sel].max(initial=0))
-        self.mass = np.zeros((1, D + 1, 1 << D), masses.dtype)
-        self.mass.reshape(-1)[index.cells(sel, D)] = masses[sel]
+        self.codes = np.zeros(len(index.keys), np.int64)
+        self.codes[sel] = index.cells(sel, D)
+        self.mass = np.zeros((1, D + 1, 1 << D), weights.masses.dtype)
+        self.mass.reshape(-1)[self.codes[sel]] = weights.masses[sel]
         self.sums = up_sum_grids(self.mass)[0]
+        self.cuts = (None, None)
 
     def remove(self, members) -> None:
-        """Take members out of the collection."""
-        sel = self.index.select(members)
-        self.mass.reshape(-1)[self.index.cells(sel, self.depth)] = 0
+        """Take members of the collection out of it."""
+        self.mass.reshape(-1)[self.codes[self.weights.index.select(members)]] = 0
         self.sums = up_sum_grids(self.mass)[0]
 
     def pow(self) -> Fraction:
@@ -513,37 +516,40 @@ class UpSumGrid:
     def exceeding(self, bound) -> np.ndarray:
         """Boolean grid of the tops T with S(T) 2^k_T / den > bound, the
         sums compared per scale with the integer floor(bound den / 2^k), so
-        that no product S 2^k is formed in int64."""
-        cuts = [
-            bound.numerator * self.weights.den // (bound.denominator << k)
-            for k in range(self.depth + 1)
-        ]
-        if self.sums.dtype != object:
-            # sums stay below 2^62
-            cuts = [min(c, 1 << 62) for c in cuts]
-        return self.sums > np.array(cuts, self.sums.dtype)[:, None]
+        that no product S 2^k is formed in int64; the cuts are made once
+        per bound."""
+        if self.cuts[0] != bound:
+            cuts = [
+                bound.numerator * self.weights.den // (bound.denominator << k)
+                for k in range(self.depth + 1)
+            ]
+            if self.sums.dtype != object:
+                # sums stay below 2^62
+                cuts = [min(c, 1 << 62) for c in cuts]
+            self.cuts = (bound, np.array(cuts, self.sums.dtype)[:, None])
+        return self.sums > self.cuts[1]
 
 
 def hilbert_top_sums(
     coll: Sequence[Bitile], weights: HilbertWeights
 ) -> dict[tuple[int, int, int], int]:
-    """For every candidate top T, keyed by (k, pos, m), the sum S(T) of the
-    member masses below it in the up-tile order, as a numerator over
-    weights.den.  Delta(T)^2 of the complete up-tree is S(T) 2^k_T / den.
-
-    The candidate tops are the up-ancestors of the members, zero sums
-    included, from a sweep over the members in canonical order; the
+    """For every candidate top T, an up-ancestor of a bitile of coll (in
+    the weights' index), keyed by (k, pos, m), the sum S(T) of the masses
+    below it in the up-tile order over weights.den, zero sums included,
+    from a sweep in canonical order; Delta(T)^2 = S(T) 2^k_T / den.  The
     library's own sizes come from UpSumGrid."""
+    index = weights.index
+    sel = index.select(coll)
     sums: dict[tuple[int, int, int], int] = {}
-    for key in sorted(P.key() for P in coll):
-        w = weights.num[key]
-        for T in up_ancestor_keys(*key):
+    for i, w in zip(sel.tolist(), weights.masses[sel].tolist()):
+        for T in up_ancestor_keys(*index.keys[i]):
             sums[T] = sums.get(T, 0) + w
     return sums
 
 
-def hilbert_tree_pows(trees: Sequence[Tree], weights: HilbertWeights) -> list[Fraction]:
-    """size_pow(tree.members) of each tree in the Hilbert case.
+def hilbert_tree_pows(trees: Sequence[tuple], weights: HilbertWeights) -> list[Fraction]:
+    """size_pow of the members of each tree in the Hilbert case, the trees
+    as (top key, member positions in the weights' index).
 
     The members of a tree with top (k_T, pos_T, m_T) lie d scales below it
     at m_T >> d.  Their up-ancestors e scales below the top lie under pos_T
@@ -554,15 +560,16 @@ def hilbert_tree_pows(trees: Sequence[Tree], weights: HilbertWeights) -> list[Fr
     (k_T + d, pos, m) at (d, pos - pos_T 2^d, m mod 2^(D-d)), and the trees
     of one depth go through up_sum_grids together."""
     out = [Fraction(0)] * len(trees)
-    keys = [P.key() for t in trees for P in t.members]
-    k, pos, m = key_arrays(keys)
-    masses = weights.masses(keys)
-    owner = np.repeat(np.arange(len(trees)), [len(t.members) for t in trees])
-    top_k = [t.top.time.k for t in trees]
-    d = k - np.array(top_k, np.int64)[owner]
-    pos -= np.array([t.top.time.pos for t in trees], np.int64)[owner] << d
+    if not trees:
+        return out
+    index, members = weights.index, np.concatenate([ms for _, ms in trees])
+    owner = np.repeat(np.arange(len(trees)), [len(ms) for _, ms in trees])
+    top_k, top_pos, _ = key_arrays([top for top, _ in trees])
+    d = index.k[members] - top_k[owner]
+    pos, m, masses = index.pos[members] - (top_pos[owner] << d), index.m[members], weights.masses[members]
     depth = np.full(len(trees), -1)
     np.maximum.at(depth, owner, d)
+    top_k = top_k.tolist()
     for D in sorted(set(depth.tolist()) - {-1}):
         group = np.flatnonzero(depth == D)
         # at most 2^20 cells at once
@@ -579,12 +586,6 @@ def hilbert_tree_pows(trees: Sequence[Tree], weights: HilbertWeights) -> list[Fr
             for row, i in zip(up_sum_grids(mass).max(axis=2).tolist(), batch.tolist()):
                 out[i] = weights.pow_of(max(x << (top_k[i] + e) for e, x in enumerate(row)))
     return out
-
-
-def nonzero_keys(coeffs: dict[tuple[int, int, int], list[int]]) -> set:
-    """The keys of the members with a nonzero down coefficient, from
-    coefficients keyed by (k, pos, m)."""
-    return {key for key, cs in coeffs.items() if any(cs)}
 
 
 def _lq_pow(f: Signal, q, plugin: NormPlugin):
@@ -650,30 +651,27 @@ class TreeDeltaGrid:
 
 class SizeEvaluator:
     """The sizes of one run, built once from a collection, the signal f,
-    q and the norm: it holds the members' down coefficients, their
-    BitileIndex with a mask of those with a nonzero coefficient (nonzero),
-    |f|_q^q and, in the q = 2 Hilbert case, the member masses (weights, and
-    as an array in index order, masses), whose Parseval up-sums give every
-    size there; other norms and q resynthesize the packet sum below each
-    top.
-
-    The coefficients are the one map of down_coefficients, keyed by
-    (k, pos, m): Python-int numerators over den = f.den 2^L.  The masses,
-    the nonzero keys, the resynthesis, the form products and
-    tree_form_sum's split sums all read it."""
+    q and the norm: the members' BitileIndex and, in index order, their
+    down coefficients (coef, numerators over den), the mask of those with
+    one nonzero (nonzero) and, in the q = 2 Hilbert case, their masses
+    (weights), whose Parseval up-sums give every size there; other norms
+    and q resynthesize the packet sum below each top (coeffs)."""
 
     def __init__(self, coll: Sequence[Bitile], f: Signal, q, plugin: NormPlugin) -> None:
         self.f, self.q, self.plugin = f, q, plugin
-        self.coeffs, self.den = down_coefficients(f, coll)
-        self.index = BitileIndex(coll)
-        self.weights = member_masses(self.coeffs, self.den) if _is_hilbert_case(q, plugin) else None
-        self.masses = None if self.weights is None else self.weights.masses(self.index.keys)
-        nonzero = nonzero_keys(self.coeffs)
-        self.nonzero = np.array([key in nonzero for key in self.index.keys], bool)
+        self.index = index = BitileIndex(coll)
+        self.coef, self.den = down_coefficient_rows(f, index.k, index.pos, index.m)
+        self.nonzero = (self.coef != 0).any(axis=1)
+        self.weights = member_masses(index, self.coef, self.den) if _is_hilbert_case(q, plugin) else None
 
     @cached_property
     def fq_pow(self):
         return _lq_pow(self.f, self.q, self.plugin)
+
+    @cached_property
+    def coeffs(self) -> dict[tuple[int, int, int], list[int]]:
+        """The coefficients as Python-int lists keyed by (k, pos, m)."""
+        return dict(zip(self.index.keys, self.coef.tolist()))
 
     def grid(self, coll) -> UpSumGrid | TreeDeltaGrid:
         """The sizes of the complete up-trees of coll, bitiles or positions
@@ -681,24 +679,19 @@ class SizeEvaluator:
         remove(members)."""
         if self.weights is None:
             return TreeDeltaGrid(coll, self)
-        return UpSumGrid(self.index, self.index.select(coll), self.weights, self.masses)
+        return UpSumGrid(self.weights, self.index.select(coll))
 
-    def tree_pows(self, trees: Sequence[Tree]) -> list:
-        """The size power of each tree's members."""
+    def tree_pows(self, trees: Sequence[tuple]) -> list:
+        """The size power of the members of each tree, the trees as (top
+        key, member positions in the index)."""
         if self.weights is None:
-            return [self.grid(t.members).pow() for t in trees]
+            return [self.grid(ms).pow() for _, ms in trees]
         return hilbert_tree_pows(trees, self.weights)
 
-    def form_products(self, g: Signal, E: LevelSet, Nfun: FrequencyChoice) -> tuple[dict, int]:
-        """(products, den): member_form_products over the evaluator's
-        collection keyed by (k, pos, m), as Python-int numerators over den
-        (member_form_ints)."""
-        return member_form_ints(self.coeffs, g, E, Nfun), self.den * (g.den << g.L)
-
-
-def abs_sum(values, den: int) -> Fraction:
-    """sum |v| of form_products numerators, as one Fraction over den."""
-    return Fraction(sum(map(abs, values)), den)
+    def form_products(self, g: Signal, E: LevelSet, Nfun: FrequencyChoice) -> tuple[np.ndarray, int]:
+        """(products, den): member_form_products of the index's members in
+        index order, integer numerators over den (member_form_ints)."""
+        return member_form_ints(self.index, self.coef, g, E, Nfun), self.den * (g.den << g.L)
 
 
 def size_pow(coll: Sequence[Bitile], f: Signal, q, plugin: NormPlugin):
@@ -711,43 +704,38 @@ def size_pow(coll: Sequence[Bitile], f: Signal, q, plugin: NormPlugin):
 # ---------------------------------------------------------------------------
 # tree-lemma machinery
 
-def _hit_sums(keys: Container, g: Signal, E: LevelSet, Nfun: FrequencyChoice) -> dict:
-    """Per key (k, pos, m) in keys, the signed sums of g's numerators over
-    the cells of E in the bitile's up-window against its down packet.  One
-    pass over the cells of E: cell j lies in the up-window of the bitile
-    (k, j >> (L - k), m) exactly when it is hit there (walsh.cutoff_hits),
-    and the down packet is w_2m there."""
-    gcomps = g.cols
-    L = g.L
-    hits = cutoff_hits(Nfun.values, L)
-    sums: dict[tuple[int, int, int], list] = {}
-    for j in E.cells():
-        for k, m, neg in hits[j]:
-            key = (k, j >> (L - k), m)
-            if key not in keys:
-                continue
-            acc = sums.setdefault(key, [0] * len(gcomps))
-            for i, comp in enumerate(gcomps):
-                acc[i] = acc[i] - comp[j] if neg else acc[i] + comp[j]
-    return sums
-
-
 def member_form_ints(
-    coeffs: dict[tuple[int, int, int], list[int]],
+    index: BitileIndex,
+    coef: np.ndarray,
     g: Signal,
     E: LevelSet,
     Nfun: FrequencyChoice,
-) -> dict[tuple[int, int, int], int]:
-    """member_form_products of an exact f and g in integers: per key of
-    coeffs, f's down coefficient numerators over D_f (down_coefficients),
-    the product (sum_i F_i G_i) 2^k as a numerator over D_f g.den 2^L, G_i
-    the integer sum of g's cells (_hit_sums)."""
-    sums = _hit_sums(coeffs, g, E, Nfun)
-    out = {}
-    for key, cs in coeffs.items():
-        acc = sums.get(key)
-        out[key] = sum(map(mul, cs, acc)) << key[0] if acc else 0
-    return out
+) -> np.ndarray:
+    """member_form_products in integers, in index order: with f's down
+    coefficient numerators F = coef over D_f, the product
+    (sum_i F_i G_i) 2^k over D_f g.den 2^L, G_i the signed sum of g's
+    numerators over the cells of E in the up-window against the down
+    packet.  Cell j is in the up-window of (k, j >> (L - k), m) exactly
+    when hit there (walsh.cutoff_scales), where the down packet is w_2m:
+    one add.at per scale.  int64 when the magnitudes' sum fits."""
+    L, D = g.L, index.depth
+    cols = _int_array(g.cols, L)
+    in_E = E.bits().astype(bool)
+    at_cell = index.at_cell.reshape(-1)
+    G = np.zeros((len(index.keys), len(cols)), cols.dtype)
+    for k, cells, m, neg in cutoff_scales(Nfun.values, L):
+        if k > D:
+            break
+        keep = in_E[cells] & (m >> (D - k) == 0)
+        cells, m, neg = cells[keep], m[keep], neg[keep]
+        at = at_cell[cell_codes(k, cells >> (L - k), m, D)]
+        hit = at >= 0
+        terms = cols[:, cells[hit]].T
+        np.negative(terms, out=terms, where=neg[hit, None] == 1)
+        np.add.at(G, at[hit], terms)
+    k = index.k
+    dtype = int_dtype(_bits(coef) + _bits(G) + len(cols).bit_length() + L + len(k).bit_length())
+    return (coef.astype(dtype) * G.astype(dtype)).sum(axis=1) << k.astype(dtype)
 
 
 def member_form_products(
@@ -762,8 +750,9 @@ def member_form_products(
 
     member_form_ints as one Fraction per member, its numerator over
     f.den g.den 4^L."""
-    coeffs, den = down_coefficients(f, tree_members)
-    products = member_form_ints(coeffs, g, E, Nfun)
+    index = BitileIndex(tree_members)
+    coef, den = down_coefficient_rows(f, index.k, index.pos, index.m)
+    products = dict(zip(index.keys, member_form_ints(index, coef, g, E, Nfun).tolist()))
     den *= g.den << g.L
     return {P: Fraction(products[P.key()], den) for P in tree_members}
 
@@ -877,7 +866,7 @@ def tree_form_sum(
         warnings.warn("dual function exceeds pointwise norm one", stacklevel=2)
     sizes = SizeEvaluator(tree.members, f, q, plugin)
     products, den = sizes.form_products(g, E, Nfun)
-    lhs = abs_sum(products.values(), den)
+    lhs = Fraction(int(np.abs(products).sum()), den)
 
     dens = density(tree.members, E, Nfun)
     size_val = float(sizes.grid(tree.members).pow()) ** (1.0 / float(q))
@@ -895,8 +884,8 @@ def tree_form_sum(
     # signed coefficients of the one map, numerators over sizes.den
     den = sizes.den
     coefs = {
-        key: [c * ((1 if products[key] >= 0 else -1) << key[0]) for c in cs]
-        for key, cs in sizes.coeffs.items()
+        key: [c * ((1 if p >= 0 else -1) << key[0]) for c in cs]
+        for (key, cs), p in zip(sizes.coeffs.items(), products.tolist())
     }
     parts = [
         (label, part, {P.key() for P in part})
@@ -920,7 +909,7 @@ def tree_form_sum(
                     for i, c in enumerate(coefs[key]):
                         if c:
                             acc[i] = acc[i] - c if neg else acc[i] + c
-                l1 += value_norm(nest(coefficient_values(acc, den), f.d, f.kind), plugin)
+                l1 += value_norm(nest([Fraction(n, den) for n in acc], f.d, f.kind), plugin)
             row[f"{label}_l1"] = l1 / f.cells
         split_norms.append(row)
 

@@ -24,8 +24,11 @@ L = 3 on d = 1 vectors and 2x2 matrices: each entry as a decimal string,
 a bare JSON number, an unreduced or a sign-flipped "n/d", or an "n/d"
 scaled past 18 digits, one form per file and all forms cycled in one
 file, each through `transform` and its inverse, `carleson` and
-`certify`.  Last, one `transform` round trip at L = 12 on 2x2
-matrices.  Every file
+`certify`.  Then one `transform` round trip at L = 12 on 2x2
+matrices.  Last, seeded `certify` runs of the Hilbert q = 2 case on
+larger forests: at L = 10 and 12 on d = 1 vectors (euclidean, seed 1),
+and at L = 8 on d = 2 vectors (euclidean) and on 2x2 matrices
+(schatten:2).  Every file
 goes under OUT; the commands run from inside OUT with paths relative to
 it, as decompose echoes its input paths.  The script prints one line per
 run with its exit code and then one `sha256  path` line per output file,
@@ -77,6 +80,13 @@ BENCH_SEEDS = 2
 HAND_SHAPES = ((1, "vector"), (2, "matrix"))
 HAND_LEVEL = 3
 LARGE_LEVEL = 12
+# (L, d, kind, norm, seed) of the seeded Hilbert-case certify runs
+LARGE_CERTIFY = (
+    (10, 1, "vector", "euclidean", 1),
+    (12, 1, "vector", "euclidean", 1),
+    (8, 2, "vector", "euclidean", 1),
+    (8, 2, "matrix", "schatten:2", 1),
+)
 
 
 def _rescaled(values, how: str):
@@ -264,6 +274,9 @@ def _run_matrix() -> list[str]:
          "--seed", seed, "--out", d_in])
     run(["transform", "--in", d_in / "signal.json", "--out", d_in / "transform.json"])
     run(["transform", "--inverse", "--in", d_in / "transform.json", "--out", d_in / "inverse.json"])
+    for L, d, kind, norm, s in LARGE_CERTIFY:
+        run(["certify", "--levels", L, "--dim", d, "--kind", kind, "--norm", norm, "--q", "2",
+             "--seed", s, "--out", Path(f"certify-L{L}-d{d}-{kind}-{norm.replace(':', '')}-s{s}.json")])
     return lines
 
 

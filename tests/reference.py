@@ -18,9 +18,13 @@ and helpers that only the tests use.
   float) arithmetic, sample by sample.
 - member_weights / hilbert_top_sums: the q = 2 Parseval masses and their
   up-sums in Fraction arithmetic, keyed by Bitile.
-- hilbert_member_weights: the masses from the Fraction down coefficients,
-  taken apart into numerators over their lcm, which
-  timefreq.member_masses on the packet table's integers replaced.
+- HilbertWeights / hilbert_member_weights / int_top_sums / nonzero_keys:
+  the masses from the Fraction down coefficients, taken apart into
+  numerators over their lcm and keyed by (k, pos, m), their integer
+  up-sums and the keys of the members with a nonzero coefficient, which
+  timefreq.member_masses and SizeEvaluator.nonzero on the packet table's
+  integers, in index order, replaced; index_weights puts such masses in
+  the order of an index, as timefreq.HilbertWeights.
 - starting_level: full_decompose's starting level by a scan over the whole
   range of levels, which a bit-length estimate replaced for integer q.
 - lq_norm_pow / value_norm_pow: |f|_q^q summed cell by cell in
@@ -134,7 +138,6 @@ from tilewalsh.signal import (
 )
 from tilewalsh.timefreq import (
     DensityCounter,
-    HilbertWeights,
     SizeEvaluator,
     Tree,
     _is_hilbert_case,
@@ -142,8 +145,6 @@ from tilewalsh.timefreq import (
     density,
     down_coefficients_inf,
     meeting_tile_pairs,
-    nonzero_keys,
-    hilbert_top_sums as int_top_sums,
     local_density,
     size_pow,
     up_ancestor_keys,
@@ -474,6 +475,47 @@ def member_weights(coll, coeffs) -> dict[Bitile, Fraction]:
         P: sum((c * c for c in coeffs[P]), Fraction(0)) * (1 << P.time.k)
         for P in coll
     }
+
+
+@dataclass(frozen=True)
+class HilbertWeights:
+    """The masses as integer numerators over one den, keyed by (k, pos, m)."""
+
+    num: dict
+    den: int
+
+    def value(self, x: int) -> Fraction:
+        return Fraction(x, self.den)
+
+
+def index_weights(coll, weights: HilbertWeights) -> timefreq.HilbertWeights:
+    """The masses of coll in the order of its BitileIndex, in the array of
+    the total's mass dtype."""
+    index = timefreq.BitileIndex(coll)
+    num = [weights.num[key] for key in index.keys]
+    return timefreq.HilbertWeights(index, np.array(num, timefreq._mass_dtype(sum(num))), weights.den)
+
+
+def int_top_sums(coll, weights: HilbertWeights) -> dict:
+    """The up-sums S(T) of the masses of coll keyed by (k, pos, m), zero
+    sums included, as numerators over weights.den."""
+    sums = {}
+    for key in sorted(P.key() for P in coll):
+        w = weights.num[key]
+        for T in up_ancestor_keys(*key):
+            sums[T] = sums.get(T, 0) + w
+    return sums
+
+
+def nonzero_keys(coeffs) -> set:
+    """The keys of the coefficients keyed by (k, pos, m) with a nonzero
+    entry."""
+    return {key for key, cs in coeffs.items() if any(cs)}
+
+
+def tree_positions(index, trees) -> list:
+    """Trees as (top key, member positions in a BitileIndex)."""
+    return [(t.top.key(), index.select(t.members)) for t in trees]
 
 
 def hilbert_member_weights(coll, coeffs) -> HilbertWeights:
@@ -1373,7 +1415,8 @@ def bitile_size_decompose(coll, f, q, plugin, sizes=None):
     stats = {"top_length_sum": mass, "size_pow": sigma_pow, "mass_constant": mass_constant,
              "trees": len(trees)}
     return SizeDecomposition(
-        tuple(small), tuple(trees), tuple(certs), sigma_pow, tuple(sizes.tree_pows(trees)), stats
+        tuple(small), tuple(trees), tuple(certs), sigma_pow, tuple(sizes.tree_pows(tree_positions(sizes.index, trees))),
+        stats,
     )
 
 
@@ -1409,7 +1452,7 @@ def full_decompose(coll, f, E, Nfun, q, plugin, sizes=None):
                 theorem_backed=True, context={"n": n},
             )
         )
-        tree_pows = tuple(sizes.tree_pows(dres.trees)) + sres.tree_pows
+        tree_pows = tuple(sizes.tree_pows(tree_positions(sizes.index, dres.trees))) + sres.tree_pows
         level_size_pow = Fraction(0)
         for v in tree_pows:
             if _pow_gt(v, level_size_pow):

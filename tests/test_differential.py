@@ -29,7 +29,6 @@ from tilewalsh.decompose import (
 )
 from tilewalsh.dyadic import (
     Bitile,
-    BitileIndex,
     DyadicInterval,
     Tile,
     bitile_le,
@@ -121,7 +120,7 @@ class TestDensityTable:
 def _fraction_sums(coll, f):
     coeffs = down_coefficients_inf(f, coll)
     weights = hilbert_member_weights(coll, coeffs)
-    sums = hilbert_top_sums(coll, weights)
+    sums = hilbert_top_sums(coll, reference.index_weights(coll, weights))
     return weights, {Bitile.from_key(T): weights.value(s) for T, s in sums.items()}
 
 
@@ -640,12 +639,14 @@ class TestGreedySplits:
     def test_per_run_inputs_computed_once(self, monkeypatch, tmp_path):
         calls = _count_calls(
             monkeypatch,
-            ["down_coefficients", "member_masses", "lq_norm_pow", "nonzero_keys"],
+            ["down_coefficient_rows", "member_masses", "member_form_ints", "lq_norm_pow"],
         )
         counted = _counted(calls, "DensityCounter.__init__", DensityCounter.__init__)
         monkeypatch.setattr(DensityCounter, "__init__", counted)
-        # the exact path makes no Fraction per member
-        views = _count_calls(monkeypatch, ["down_coefficients_inf", "member_form_products"])
+        # the exact path makes no Fraction per member, and no map by key
+        views = _count_calls(
+            monkeypatch, ["down_coefficients", "down_coefficients_inf", "member_form_products"]
+        )
         _certify_l6(tmp_path)
         assert calls == dict.fromkeys(calls, 1)
         assert views == dict.fromkeys(views, 0)
@@ -682,10 +683,15 @@ def _certify_l6(tmp_path):
     return out
 
 
-def _up_sum_grid(coll, weights):
-    """The UpSumGrid of the whole collection coll."""
-    index = BitileIndex(coll)
-    return UpSumGrid(index, np.arange(len(index.keys)), weights, weights.masses(index.keys))
+def _up_sum_grid(weights):
+    """The UpSumGrid of every member of the weights' index."""
+    return UpSumGrid(weights, np.arange(len(weights.index.keys)))
+
+
+def _mass_map(weights):
+    """timefreq.HilbertWeights as (masses keyed by (k, pos, m), den), the
+    fields of reference.HilbertWeights."""
+    return dict(zip(weights.index.keys, weights.masses.tolist())), weights.den
 
 
 class _Resynthesizing(SizeEvaluator):
@@ -703,7 +709,7 @@ class TestSizeEvaluator:
         f, _, _ = _split_signal(L, shape, seed, variant, pool)
         coll = _collection(L, seed, whole and L <= 4)
         sizes = SizeEvaluator(coll, f, 2, EUCL)
-        parseval, resynthesis = _up_sum_grid(coll, sizes.weights), TreeDeltaGrid(coll, sizes)
+        parseval, resynthesis = _up_sum_grid(sizes.weights), TreeDeltaGrid(coll, sizes)
         sigma = parseval.pow()
         assert resynthesis.pow() == sigma
         frac = Fraction(SplitMix64(seed + 7).below(8), 7)
@@ -773,9 +779,10 @@ class TestIntegerTail:
         f, g = _rescaled(f, variant, pool), _rescaled(g, variant, pool, 5)
         coll = list(bitile_universe(L).items)
         ref = reference.member_form_products(coll, f, g, E, N)
-        nums, den = SizeEvaluator(coll, f, 2, EUCL).form_products(g, E, N)
-        assert list(nums) == [P.key() for P in coll]
-        assert [Fraction(nums[P.key()], den) for P in coll] == [ref[P] for P in coll]
+        sizes = SizeEvaluator(coll, f, 2, EUCL)
+        nums, den = sizes.form_products(g, E, N)
+        assert sizes.index.items == coll
+        assert [Fraction(int(x), den) for x in nums] == [ref[P] for P in coll]
         if E.count == 0 or value_is_zero(f.cols):
             return
         with warnings.catch_warnings():
@@ -803,11 +810,11 @@ class TestIntegerTail:
         ref = hilbert_member_weights(coll, coeffs)
         # the same numerators over the same den: the squared lcm of the
         # reduced coefficient denominators
-        assert weights == ref
+        assert _mass_map(weights) == (ref.num, ref.den)
         masses = reference.member_weights(coll, coeffs)
-        assert {Bitile.from_key(k): weights.value(x) for k, x in weights.num.items()} == masses
+        assert {P: Fraction(x, weights.den) for P, x in zip(weights.index.items, weights.masses.tolist())} == masses
         sums = reference.hilbert_top_sums(coll, masses)
-        grid = _up_sum_grid(coll, weights)
+        grid = _up_sum_grid(weights)
         sigma = grid.pow()
         assert sigma == _fraction_pow(sums)
         for bound in (sigma / 4, Fraction(0), sigma * Fraction(SplitMix64(seed).below(8), 7)):
@@ -823,7 +830,8 @@ class TestIntegerTail:
         f = Signal.scalar([Fraction(1, 3)] * (1 << L))
         coll = [P for P in bitile_universe(L).items if P.time.k < L]
         weights = SizeEvaluator(coll, f, 2, EUCL).weights
-        assert weights == hilbert_member_weights(coll, reference.down_coefficients(f, coll))
+        ref = hilbert_member_weights(coll, reference.down_coefficients(f, coll))
+        assert _mass_map(weights) == (ref.num, ref.den)
         assert weights.den == (3 << (L - 1)) ** 2
 
     def test_seeded_certify_takes_int64(self, monkeypatch, tmp_path):
@@ -842,6 +850,52 @@ class TestIntegerTail:
         )
         assert result.exit_code == 0
         assert chosen and all(dtype is np.int64 for dtype in chosen)
+
+
+index_shapes = st.sampled_from([(1, "vector"), (2, "vector"), (1, "matrix"), (2, "matrix")])
+
+
+class TestIndexEvaluator:
+    @given(st.integers(1, 7), index_shapes, st.integers(0, 10**6),
+           st.sampled_from(["exact", "third", "non-dyadic", "wide"]), fractions_pool)
+    @example(5, (2, "vector"), 7, "wide", [Fraction(1)] * 16)
+    @settings(max_examples=20, deadline=None)
+    def test_arrays_match_reference(self, L, shape, seed, variant, pool):
+        """The certify run's per-member arrays in index order against the
+        Fraction oracles: masses by value and den, the nonzero mask, the
+        form products, each tree's form and the form total, and each
+        tree's size power."""
+        f, g, E, N = _instance(L, shape, seed)
+        if variant == "wide":
+            f = _wide(f)
+        else:
+            f, g = _rescaled(f, variant, pool), _rescaled(g, variant, pool, 5)
+        coll = bitile_universe(L).items
+        sizes = SizeEvaluator(coll, f, 2, EUCL)
+        assert sizes.index.items == list(coll)
+        coeffs = reference.down_coefficients(f, coll)
+        ref = hilbert_member_weights(coll, coeffs)
+        assert _mass_map(sizes.weights) == (ref.num, ref.den)
+        if variant == "wide" and any(ref.num.values()):
+            assert sizes.weights.masses.dtype == object
+        assert sizes.nonzero.tolist() == [any(c != 0 for c in coeffs[P]) for P in coll]
+        products = reference.member_form_products(coll, f, g, E, N)
+        nums, den = sizes.form_products(g, E, N)
+        assert [Fraction(int(x), den) for x in nums] == [products[P] for P in coll]
+        if E.count == 0 or value_is_zero(f.cols):
+            return
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            rep = decompose.carleson_form_certificate(f, g, E, N, 2, EUCL)
+        assert rep["form_total"] == sum((abs(v) for v in products.values()), Fraction(0))
+        forest = full_decompose(coll, f, E, N, 2, EUCL)
+        forms = [
+            [sum((abs(products[P]) for P in t.members), Fraction(0)) for t in rec.trees]
+            for rec in forest.levels
+        ]
+        assert [[t["form"] for t in row["trees"]] for row in rep["levels"]] == forms
+        for rec in forest.levels:
+            assert list(rec.size_pows) == [_fraction_tree_pow(t.members, f) for t in rec.trees]
 
 
 # starting levels: exact and float sizes, |f|_q^q over wide ranges, and
@@ -960,8 +1014,8 @@ class TestUpSumGrids:
         f, E, N = _split_signal(L, shape, seed, variant, pool)
         rng = SplitMix64(seed + 7)
         coll = _collection(L, seed, whole and L <= 6)
-        weights = hilbert_member_weights(coll, down_coefficients_inf(f, coll))
-        grid = _up_sum_grid(coll, weights)
+        weights = reference.index_weights(coll, hilbert_member_weights(coll, down_coefficients_inf(f, coll)))
+        grid = _up_sum_grid(weights)
         ref = reference.hilbert_top_sums(
             coll, reference.member_weights(coll, reference.down_coefficients(f, coll))
         )
@@ -987,9 +1041,11 @@ class TestUpSumGrids:
             assert first_maximal_top(mask) == (expected.key() if expected else None)
 
         trees = _trees_over(coll, L, rng, 6)
-        assert hilbert_tree_pows(trees, weights) == [_fraction_tree_pow(t.members, f) for t in trees]
+        assert hilbert_tree_pows(reference.tree_positions(weights.index, trees), weights) == [
+            _fraction_tree_pow(t.members, f) for t in trees
+        ]
         dres = density_decompose(coll, E, N, 2)
-        assert hilbert_tree_pows(dres.trees, weights) == [
+        assert hilbert_tree_pows(reference.tree_positions(weights.index, dres.trees), weights) == [
             _fraction_tree_pow(t.members, f) for t in dres.trees
         ]
 
@@ -1039,7 +1095,7 @@ class TestUpSumGrids:
         assert min(w for w in weights.num.values() if w).bit_length() > 62
         assert sums == _reference_sums(coll, f)
         # the integer masses from the packet table, as the Fraction ones
-        assert SizeEvaluator(coll, f, 2, EUCL).weights == weights
+        assert _mass_map(SizeEvaluator(coll, f, 2, EUCL).weights) == (weights.num, weights.den)
         res = size_decompose(coll, f, 2, EUCL)
         trees, small = reference.size_decompose_hilbert(coll, f)
         assert (list(res.trees), list(res.small)) == (trees, small)

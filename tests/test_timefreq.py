@@ -44,6 +44,7 @@ from tilewalsh.timefreq import (
 from reference import (
     bitile_ancestors,
     hilbert_member_weights,
+    index_weights,
     candidate_tops,
     complete_up_tree,
     down_packet_sum,
@@ -206,7 +207,7 @@ class TestSizeFunctional:
         coll = gen_collection(L, 10, rng)
         coeffs = down_coefficients_inf(f, coll)
         weights = hilbert_member_weights(coll, coeffs)
-        sums = hilbert_top_sums(coll, weights)
+        sums = hilbert_top_sums(coll, index_weights(coll, weights))
         for T in candidate_tops(coll):
             tree = complete_up_tree(T, coll)
             g = down_packet_sum(tree.up_part(), f, coeffs)
