@@ -120,7 +120,15 @@ def _load(path: str, parse, what: str):
 
 
 def _load_signal(path: str) -> Signal:
-    return _load(path, signal_from_json, "signal")
+    """A signal file for the commands that take its bitile universe, so
+    its L must lie in [1, MAX_LEVELS] (bitile_universe)."""
+
+    def parse(obj: dict) -> Signal:
+        f = signal_from_json(obj)
+        bitile_universe(f.L)
+        return f
+
+    return _load(path, parse, "signal")
 
 
 def _same_resolution(**inputs) -> None:
@@ -182,7 +190,7 @@ def transform(infile, inverse, out):
         g = _load(infile, _signal_from_coefficients, "coefficient")
         _write(signal_to_json(g), out)
         return
-    f = _load_signal(infile)
+    f = _load(infile, signal_from_json, "signal")
     _write(
         {
             "levels": f.L,
@@ -212,11 +220,13 @@ def carleson(infile, nfun, out):
     direct = carleson_direct(f, N)
     bitile = carleson_bitile(f, N, bitile_universe(f.L))
     identical = direct == bitile
+    values = signal_to_json(direct)
     _write(
         {
             "levels": f.L,
-            "direct": signal_to_json(direct),
-            "bitile": signal_to_json(bitile),
+            "direct": values,
+            # equal signals write equal bytes
+            "bitile": values if identical else signal_to_json(bitile),
             "identical": identical,
         },
         out,

@@ -54,27 +54,30 @@ def carleson_direct(f: Signal, Nfun: FrequencyChoice) -> Signal:
 
     The oracle for carleson_bitile, so it shares no packet arithmetic with
     it: the coefficient numerators are summed against the masked Walsh
-    matrix in blocks of rows, in int64 when |numerator| 2^L fits and in
-    Python ints (dtype object) past that (int_dtype)."""
+    matrix in blocks of rows.  Every partial sum is below |numerator| 2^L
+    in size, so the blocks run exactly in float64 while that fits 53 bits,
+    in int64 to 62 bits and in Python ints (dtype object) past that
+    (int_dtype)."""
     if Nfun.L != f.L:
         raise ValueError("resolution mismatch between signal and cutoff choice")
     L = f.L
     coef = walsh_coefficients(f)
     top = max(max(max(c), -min(c)) for c in coef.cols)
-    columns = np.array(coef.cols, int_dtype(top.bit_length() + L))
+    bits = top.bit_length() + L
+    columns = np.array(coef.cols, np.float64 if bits <= 53 else int_dtype(bits))
     return coef.rebuild(_cutoff_row_sums(columns, Nfun.values, L))
 
 
 # entries of the Walsh sign block held at once (rows x 2^L): 64 KiB per
-# int64 temporary, so the oracle's peak memory stays small at every L
+# 8-byte temporary, so the oracle's peak memory stays small at every L
 _DIRECT_BLOCK = 1 << 13
 
 
 def _cutoff_row_sums(columns: np.ndarray, cutoffs: Sequence[int], L: int) -> list[list[int]]:
     """sum_{n < N(j)} columns[c, n] w_n(j) for every column c and cell j:
     blocks of rows of the masked Walsh matrix times the columns, in the
-    columns' dtype.  w_n(j) = (-1)^parity(n & rev(j)), read from a parity
-    table."""
+    columns' dtype, the sums as Python ints.  w_n(j) =
+    (-1)^parity(n & rev(j)), read from a parity table."""
     size = 1 << L
     idx = np.arange(size, dtype=np.int64)
     parity = np.zeros(size, dtype=np.int64)
@@ -83,7 +86,7 @@ def _cutoff_row_sums(columns: np.ndarray, cutoffs: Sequence[int], L: int) -> lis
         bit = (idx >> b) & 1
         parity ^= bit
         rev |= bit << (L - 1 - b)
-    sign = 1 - 2 * parity
+    sign = (1 - 2 * parity).astype(columns.dtype)
     coef = columns.T
     limit = np.asarray(cutoffs, dtype=np.int64)
     out = np.empty((size, len(columns)), dtype=columns.dtype)
@@ -93,6 +96,8 @@ def _cutoff_row_sums(columns: np.ndarray, cutoffs: Sequence[int], L: int) -> lis
         block = sign[idx & rev[rows, None]]
         block[idx >= limit[rows, None]] = 0
         out[rows] = block @ coef
+    if out.dtype == np.float64:
+        out = out.astype(np.int64)
     return out.T.tolist()
 
 

@@ -624,31 +624,19 @@ def _int64_ratios(entries: Sequence) -> tuple[list[int], int] | None:
     return nums.tolist(), den
 
 
-def columns_to_json(f: Signal) -> list[list[str]]:
-    """Each column's entries in the one number encoding (num_to_json)."""
+def columns_to_json(f: Signal) -> Ratios:
+    """The columns as one exact array, column by column."""
     top = max([f.den, *(max(max(c), -min(c)) for c in f.cols)])
-    return fraction_strings(np.array(f.cols, int_dtype(top.bit_length())), f.den)
-
-
-def fraction_strings(nums: np.ndarray, den: int) -> list:
-    """num_to_json of each n / den, nums an integer array of one or two
-    dimensions, as (nested) lists: each n / den reduced by gcd(n, den),
-    the gcds in one array call, in int64 when den and every n fit
-    (int_dtype), else in Python ints."""
-    if nums.dtype != object and den.bit_length() > 62:
-        nums = nums.astype(object)
-    g = np.gcd(nums, den)
-    pairs = zip((nums // g).tolist(), (den // g).tolist())
-    if nums.ndim == 1:
-        return [f"{n}/{q}" for n, q in pairs]
-    return [[f"{n}/{q}" for n, q in zip(row, dens)] for row, dens in pairs]
+    return Ratios(np.array(f.cols, int_dtype(top.bit_length())), f.den)
 
 
 @dataclass(frozen=True, eq=False)
 class Ratios:
-    """A column of exact numbers: integer numerators nums, an int64 or
-    object array, over one positive den.  An entry reads as its Fraction
-    and is written as fraction_strings does."""
+    """An array of exact numbers: integer numerators nums, an int64 or
+    object array of any shape, over one positive den.  Indexing its first
+    axis gives an entry's Fraction, or the Ratios of a sub-array;
+    json_text writes it as nested arrays of "n/d" strings, each entry
+    reduced by its gcd with den (_ratio_pairs)."""
 
     nums: np.ndarray
     den: int
@@ -656,8 +644,10 @@ class Ratios:
     def __len__(self) -> int:
         return len(self.nums)
 
-    def __getitem__(self, i: int) -> Fraction:
-        return Fraction(int(self.nums[i]), self.den)
+    def __getitem__(self, i: int):
+        if self.nums.ndim == 1:
+            return Fraction(int(self.nums[i]), self.den)
+        return Ratios(self.nums[i], self.den)
 
 
 class Records:
@@ -703,11 +693,16 @@ class Groups:
         return [self.records[j] for j in range(self.bounds[i], self.bounds[i + 1])]
 
 
-def columns_from_json(L: int, d: int, kind: str, columns: Sequence[Sequence]) -> Signal:
-    """Inverse of columns_to_json: integer columns over one denominator."""
-    cols = [list(c) for c in columns]
-    _check_shape(L, d, kind, cols)
-    nums, den = _exact_numbers(list(chain.from_iterable(cols)))
+def columns_from_json(L: int, d: int, kind: str, columns) -> Signal:
+    """Inverse of columns_to_json: integer columns over one denominator,
+    from a Ratios or from a JSON array of arrays of numbers."""
+    if isinstance(columns, Ratios):
+        return Signal(L, d, kind, columns.nums.tolist(), columns.den)
+    # JSON arrays, or the tuples of signal_from_json's transpose
+    if type(columns) not in (list, tuple) or not set(map(type, columns)) <= {list, tuple}:
+        raise ValueError("coefficients must be an array of arrays of numbers")
+    _check_shape(L, d, kind, columns)
+    nums, den = _exact_numbers(list(chain.from_iterable(columns)))
     n = 1 << L
     return Signal(L, d, kind, [nums[i : i + n] for i in range(0, len(nums), n)], den)
 
@@ -728,13 +723,10 @@ def json_ints(values, field: str) -> list[int]:
 
 
 def signal_to_json(f: Signal) -> dict:
+    """The signal file's object: its values one Ratios, cell by cell."""
     cols = columns_to_json(f)
-    if f.kind == "matrix":
-        d = f.d
-        rows = [map(list, zip(*cols[r * d : (r + 1) * d])) for r in range(d)]
-        values = list(map(list, zip(*rows)))
-    else:
-        values = list(map(list, zip(*cols)))
+    shape = (f.cells, f.d, f.d) if f.kind == "matrix" else (f.cells, f.d)
+    values = Ratios(cols.nums.T.reshape(shape), f.den)
     return {"levels": f.L, "dim": f.d, "kind": f.kind, "values": values}
 
 
@@ -743,10 +735,13 @@ def signal_from_json(obj: dict) -> Signal:
     d = json_int(obj["dim"], "dim")
     kind = obj["kind"]
     values = obj["values"]
+    if isinstance(values, Ratios):
+        return columns_from_json(L, d, kind, Ratios(values.nums.reshape(len(values), -1).T, values.den))
+    if type(values) is not list:
+        raise ValueError("values must be an array")
     cols = _string_columns(values, d, kind)
     if cols is None:
-        values = [v if isinstance(v, list) else [v] for v in values]
-        cols = _columns(values, d, kind)
+        cols = _columns([v if isinstance(v, list) else [v] for v in values], d, kind)
     return columns_from_json(L, d, kind, cols)
 
 
@@ -754,8 +749,6 @@ def _string_columns(values, d: int, kind: str) -> list | None:
     """_columns of values that are lists of d strings (a vector) or of d
     such lists (a matrix), by whole-list type and length tests and one
     transpose; None for any other values."""
-    if type(values) is not list:
-        return None
     rows = values
     if kind == "matrix":
         if set(map(type, values)) != {list} or set(map(len, values)) != {d}:
@@ -810,18 +803,16 @@ def json_text(obj) -> str:
     Strings, ints, bools and None are written as JSON; Fractions and floats
     (numpy's float64 too) as the quoted num_to_json string; lists and
     tuples as arrays; dicts, whose keys must be strings, with their keys
-    sorted; a Records as the array of its rows, from one template
-    (_records_text); any other object as what its to_json() returns.
+    sorted; a Ratios as its nested arrays of "n/d" strings and a Records
+    as the array of its rows, each from one template (_ratios_text,
+    _records_text); any other object as what its to_json() returns.
     Anything else, a key that is no string included, raises TypeError.
 
     One call per container, which copies its items' text at most twice: a
     dict's keys, values and separators go through one str.join; a list's
     items through the separator's join, and that with the brackets through
     a five-piece join.  Strings are quoted with the C-level
-    encode_basestring_ascii.  A uniform array of strings, as a signal's
-    values or a coefficient file's columns, is written whole by
-    _string_array; the test is on its first item, so a list of dicts pays
-    nothing."""
+    encode_basestring_ascii."""
     return _json_value(obj, "\n")
 
 
@@ -848,10 +839,6 @@ def _json_value(o, newline: str) -> str:
     if t is list or t is tuple:
         if not o:
             return "[]"
-        if type(o[0]) is str or type(o[0]) is list:
-            text = _string_array(o, newline)
-            if text is not None:
-                return text
         inner = newline + "  "
         return "".join(("[", inner, ("," + inner).join([_json_value(x, inner) for x in o]), newline, "]"))
     if o is None:
@@ -862,6 +849,8 @@ def _json_value(o, newline: str) -> str:
         return "false"
     if isinstance(o, (Fraction, float)):
         return _quote(num_to_json(o))
+    if isinstance(o, Ratios):
+        return _ratios_text(o, newline)
     if isinstance(o, Records):
         return _records_text(o, newline)
     to_json = getattr(o, "to_json", None)
@@ -870,45 +859,43 @@ def _json_value(o, newline: str) -> str:
     return _json_value(to_json(), newline)
 
 
-def _string_array(o, newline: str) -> str | None:
-    """o as JSON (see _json_value) when it is a uniform array of strings:
-    strings, or lists of one length holding strings, or lists of one
-    length holding such lists, and so on, with no empty list; None for any
-    other o.  The strings are quoted by one map, each innermost list is
-    one join, and the joins fill one template of the brackets, commas and
-    indents around them (_array_template)."""
-    shape = [len(o)]
-    x = o[0]
-    while type(x) is list and x:
-        shape.append(len(x))
-        x = x[0]
-    leaves = o
-    for n in shape[1:]:
-        if set(map(type, leaves)) != {list} or set(map(len, leaves)) != {n}:
-            return None
-        leaves = list(chain.from_iterable(leaves))
-    *outer, width = shape
-    sep = "," + newline + "  " * len(shape)
-    try:
-        # _quote takes str (and its subclasses) only
-        return _array_template(outer, newline).format(*map(sep.join, zip(*[map(_quote, leaves)] * width)))
-    except TypeError:
-        return None
+# the slot of one exact entry, filled by its reduced numerator and denominator
+_RATIO_SLOT = '"%d/%d"'
 
 
-def _array_template(shape: list, newline: str) -> str:
+def _ratio_pairs(o: Ratios) -> np.ndarray:
+    """Each entry n / den of o reduced by gcd(n, den), as the array of
+    o's shape with one more axis holding (numerator, denominator): one
+    np.gcd, in int64 when den and every n fit (int_dtype), else in Python
+    ints."""
+    nums, den = o.nums, o.den
+    if nums.dtype != object and den.bit_length() > 62:
+        nums = nums.astype(object)
+    g = np.gcd(nums, den)
+    return np.stack((nums // g, den // g), axis=-1)
+
+
+def _ratios_text(o: Ratios, newline: str) -> str:
+    """o as JSON (see _json_value): one template of its brackets, commas
+    and indents with a _RATIO_SLOT per entry (_array_template), filled by
+    one % over the reduced pairs."""
+    return _array_template(o.nums.shape, newline, _RATIO_SLOT) % tuple(_ratio_pairs(o).ravel().tolist())
+
+
+def _array_template(shape: Sequence[int], newline: str, item: str) -> str:
     """The text of arrays nested to the given shape at the depth of
-    newline, with "{}" for the items of each innermost array."""
-    inner = newline + "  "
-    if not shape:
-        return "[" + inner + "{}" + newline + "]"
-    item = _array_template(shape[1:], inner)
-    return "".join(("[", inner, ("," + inner).join([item] * shape[0]), newline, "]"))
+    newline, with item for each entry."""
+    for depth in reversed(range(len(shape))):
+        outer = newline + "  " * depth
+        inner = outer + "  "
+        n = shape[depth]
+        item = "".join(("[", inner, ("," + inner).join([item] * n), outer, "]")) if n else "[]"
+    return item
 
 
 def _records_text(o: Records, newline: str) -> str:
     """o as JSON (see _json_value), as a Groups of one array."""
-    return _column_slot(Groups(o, [0, len(o)]), newline)[1][0]
+    return _column_slot(Groups(o, [0, len(o)]), newline)[1][0][0]
 
 
 def _record_template(o: Records, newline: str) -> tuple[str, list[list]]:
@@ -930,33 +917,34 @@ def _record_template(o: Records, newline: str) -> tuple[str, list[list]]:
         else:
             slot, values = _column_slot(col, inner)
             parts.append(name + slot)
-            columns.append(values)
+            columns += values
     return "".join(("{", inner, ("," + inner).join(parts), newline, "}")), columns
 
 
-def _column_slot(col, newline: str) -> tuple[str, list]:
+def _column_slot(col, newline: str) -> tuple[str, list[list]]:
     """The template slot of a leaf column at the depth of newline and the
-    values that fill it, as json_text writes them: a Ratios entry as its
-    quoted fraction_strings; a list of ints, of Python floats or of
-    strings as JSON ints, quoted reprs or quoted strings; a Groups entry
-    as the text of the array of its objects, all of whose objects fill
-    one template; any other list value by value (_json_value)."""
+    columns of values that fill it, as json_text writes them: an entry of
+    a one-axis Ratios as its _RATIO_SLOT, from two columns (_ratio_pairs);
+    a list of ints, of Python floats or of strings as JSON ints, quoted
+    reprs or quoted strings; a Groups entry as the text of the array of
+    its objects, all of whose objects fill one template; any other column
+    value by value (_json_value)."""
     if isinstance(col, Groups):
         inner = newline + "  "
         template, cols = _record_template(col.records, inner)
         rows = list(map(template.__mod__, zip(*cols)))
         sep = "," + inner
-        return "%s", [
+        return "%s", [[
             "".join(("[", inner, sep.join(rows[a:b]), newline, "]")) if b > a else "[]"
             for a, b in zip(col.bounds, col.bounds[1:])
-        ]
-    if isinstance(col, Ratios):
-        return '"%s"', fraction_strings(col.nums, col.den)
+        ]]
+    if isinstance(col, Ratios) and col.nums.ndim == 1:
+        return _RATIO_SLOT, _ratio_pairs(col).T.tolist()
     kinds = set(map(type, col))
     if kinds <= {int}:
-        return "%d", col
+        return "%d", [col]
     if kinds == {float}:
-        return '"%r"', col
+        return '"%r"', [col]
     if kinds == {str}:
-        return "%s", list(map(_quote, col))
-    return "%s", [_json_value(x, newline) for x in col]
+        return "%s", [list(map(_quote, col))]
+    return "%s", [[_json_value(x, newline) for x in col]]

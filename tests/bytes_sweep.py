@@ -24,23 +24,27 @@ L = 3 on d = 1 vectors and 2x2 matrices: each entry as a decimal string,
 a bare JSON number, an unreduced or a sign-flipped "n/d", or an "n/d"
 scaled past 18 digits, one form per file and all forms cycled in one
 file, each through `transform` and its inverse, `carleson` and
-`certify`.  Then one `transform` round trip at L = 12 on 2x2
-matrices.  Last, seeded `certify` runs of the Hilbert q = 2 case on
-larger forests: at L = 10 and 12 on d = 1 vectors (euclidean, seed 1),
-and at L = 8 on d = 2 vectors (euclidean) and on 2x2 matrices
-(schatten:2).  Then the shape of the certify-hilbert benchmark (L = 7,
-d = 1 vectors, euclidean, q = 2, `gen --measure 1/2`), two seeds, and
-one `certify` of such an instance with the entries of the signal and
-the dual function divided in turn by two 32-bit primes, whose form
-numerators pass 64 bits.  Last,
-three runs on bad input, each of which should exit 2: `certify` with
-`--out` under a regular file, `rwt --levels 1` and `certify` with a
-Schatten norm on vector values.  Every file
-goes under OUT; the commands run from inside OUT with paths relative to
-it, as decompose echoes its input paths.  The script prints one line per
-run with its exit code and then one `sha256  path` line per output file,
-path relative to OUT.  Run it at two commits into two directories and
-diff the printed lines.
+`certify`.  Then one `transform` round trip and one `carleson` at
+L = 12 on 2x2 matrices, and one `carleson` at L = 4 on a d = 1 signal of
+integers near 2^52, whose direct form's sums need 61 bits (the oracle's
+int64 tier; the L = 12 one runs in float64).  Then seeded `certify` runs
+of the Hilbert q = 2 case on larger forests: at L = 10 and 12 on d = 1
+vectors (euclidean, seed 1), and at L = 8 on d = 2 vectors (euclidean)
+and on 2x2 matrices (schatten:2).  Then the shape of the certify-hilbert
+benchmark (L = 7, d = 1 vectors, euclidean, q = 2, `gen --measure 1/2`),
+two seeds, and one `certify` of such an instance with the entries of the
+signal and the dual function divided in turn by two 32-bit primes, whose
+form numerators pass 64 bits.  Last, runs on bad input, each of which
+should exit 2: `certify` with `--out` under a regular file,
+`rwt --levels 1` and `certify` with a Schatten norm on vector values;
+`transform` of signal files whose `values` is a string or an object, and
+`transform --inverse` of coefficient files with a string column;
+`carleson`, `decompose` and `certify` of an L = 0 signal file, which
+`transform` takes (exit 0).  Every file goes under OUT; the commands run
+from inside OUT with paths relative to it, as decompose echoes its input
+paths.  The script prints one line per run with its exit code and then
+one `sha256  path` line per output file, path relative to OUT.  Run it
+at two commits into two directories and diff the printed lines.
 
 Not collected by pytest (its name lacks the test_ prefix); a full sweep
 takes a few minutes.
@@ -291,6 +295,12 @@ def _run_matrix() -> list[str]:
          "--seed", seed, "--out", d_in])
     run(["transform", "--in", d_in / "signal.json", "--out", d_in / "transform.json"])
     run(["transform", "--inverse", "--in", d_in / "transform.json", "--out", d_in / "inverse.json"])
+    run(["carleson", "--in", d_in / "signal.json", "--nfun", d_in / "nfun.json", "--out", d_in / "carleson.json"])
+    seed += 1
+    d_in = Path("wide-sums-L4")
+    run(["gen", "--levels", 4, "--seed", seed, "--out", d_in])
+    _write_json(d_in / "signal.json", _signal_file(4, 1, "vector", [[f"{(1 << 52) + 7 * j + 1}/1"] for j in range(16)]))
+    run(["carleson", "--in", d_in / "signal.json", "--nfun", d_in / "nfun.json", "--out", d_in / "carleson.json"])
     for L, d, kind, norm, s in LARGE_CERTIFY:
         run(["certify", "--levels", L, "--dim", d, "--kind", kind, "--norm", norm, "--q", "2",
              "--seed", s, "--out", Path(f"certify-L{L}-d{d}-{kind}-{norm.replace(':', '')}-s{s}.json")])
@@ -309,7 +319,35 @@ def _run_matrix() -> list[str]:
     run(["rwt", "--levels", 1, "--out", Path("bad-rwt-L1.json")])
     run(["certify", "--levels", 3, "--kind", "vector", "--norm", "schatten:3",
          "--out", Path("bad-certify-schatten-vector.json")])
+    bad = Path("bad-files")
+    bad.mkdir()
+    for name, values in (("string", "12"), ("object", {"3": 0, "5": 1})):
+        _write_json(bad / f"values-{name}.json", _signal_file(1, 1, "vector", values))
+        run(["transform", "--in", bad / f"values-{name}.json", "--out", bad / f"values-{name}-out.json"])
+    for name, (L, d, kind) in (("L1", (1, 1, "vector")), ("L3-matrix", (3, 2, "matrix"))):
+        columns = [["0/1"] * (1 << L)] * (d * d if kind == "matrix" else d)
+        columns[-1] = "12345678"[: 1 << L]
+        obj = {"levels": L, "dim": d, "kind": kind, "coefficients": columns}
+        _write_json(bad / f"column-{name}.json", obj)
+        run(["transform", "--inverse", "--in", bad / f"column-{name}.json", "--out", bad / f"column-{name}-out.json"])
+    _write_json(bad / "L0.json", _signal_file(0, 1, "vector", [["1/2"]]))
+    _write_json(bad / "L0-nfun.json", {"levels": 0, "N": [1]})
+    _write_json(bad / "L0-set.json", {"levels": 0, "cells": [0]})
+    run(["transform", "--in", bad / "L0.json", "--out", bad / "L0-transform.json"])
+    run(["carleson", "--in", bad / "L0.json", "--nfun", bad / "L0-nfun.json", "--out", bad / "L0-carleson.json"])
+    run(["decompose", "--in", bad / "L0.json", "--set", bad / "L0-set.json", "--nfun", bad / "L0-nfun.json",
+         "--out", bad / "L0-decompose.json"])
+    run(["certify", "--in", bad / "L0.json", "--dual", bad / "L0.json", "--set", bad / "L0-set.json",
+         "--nfun", bad / "L0-nfun.json", "--out", bad / "L0-certify.json"])
     return lines
+
+
+def _signal_file(L: int, d: int, kind: str, values) -> dict:
+    return {"levels": L, "dim": d, "kind": kind, "values": values}
+
+
+def _write_json(path: Path, obj) -> None:
+    path.write_text(json.dumps(obj, indent=2, sort_keys=True) + "\n")
 
 
 if __name__ == "__main__":

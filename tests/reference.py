@@ -127,6 +127,7 @@ from tilewalsh.gen import VALUE_DENOM_BITS, SplitMix64
 from tilewalsh.signal import (
     FrequencyChoice,
     LevelSet,
+    Ratios,
     Records,
     Signal,
     _check_shape,
@@ -1170,6 +1171,8 @@ def _exact_numbers(entries):
 
 def columns_from_json(L, d, kind, columns):
     """signal.columns_from_json with every number read by _exact_numbers."""
+    if type(columns) not in (list, tuple) or any(type(c) not in (list, tuple) for c in columns):
+        raise ValueError("coefficients must be an array of arrays of numbers")
     cols = [list(c) for c in columns]
     _check_shape(L, d, kind, cols)
     nums, den = _exact_numbers([x for c in cols for x in c])
@@ -1184,6 +1187,8 @@ def signal_from_json_entries(obj):
     L = json_int(obj["levels"], "levels")
     d = json_int(obj["dim"], "dim")
     kind = obj["kind"]
+    if type(obj["values"]) is not list:
+        raise ValueError("values must be an array")
     values = [v if isinstance(v, list) else [v] for v in obj["values"]]
     return columns_from_json(L, d, kind, _columns(values, d, kind))
 
@@ -1211,19 +1216,29 @@ _LEAVES = frozenset({str, int, bool, type(None)})
 def jsonable(obj):
     """obj ready for json.dump: objects with a to_json as what it returns,
     tuples and Records (their rows as dicts) as lists, dict keys as
-    strings, and Fractions and floats (numpy's too) in the num_to_json
-    encoding; ints, bools, None and strings stay."""
+    strings, Fractions and floats (numpy's too) in the num_to_json
+    encoding, and a Ratios as the nested lists of its entries'
+    Fraction(n, den) in that encoding; ints, bools, None and strings
+    stay."""
     if type(obj) in _LEAVES:
         return obj
     if isinstance(obj, dict):
         return {str(k): jsonable(v) for k, v in obj.items()}
     if isinstance(obj, (list, tuple, Records)):
         return [jsonable(x) for x in obj]
+    if isinstance(obj, Ratios):
+        return _ratio_lists(obj.nums.tolist(), obj.den)
     if isinstance(obj, (Fraction, float)):
         return num_to_json(obj)
     if hasattr(obj, "to_json"):
         return jsonable(obj.to_json())
     return obj
+
+
+def _ratio_lists(nums, den):
+    if isinstance(nums, list):
+        return [_ratio_lists(n, den) for n in nums]
+    return num_to_json(Fraction(nums, den))
 
 
 def maximal_function(f, plugin):

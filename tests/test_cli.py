@@ -572,3 +572,46 @@ class TestInputErrors:
         r = runner.invoke(main, [*args, "--norm", norm, "--out", str(out)])
         assert r.exit_code == 2 and "needs matrix values" in r.output
         assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("values", ["12", {"3": 0, "5": 1}], ids=repr)
+    def test_values_must_be_an_array(self, runner, tmp_path, values):
+        sig, out = tmp_path / "s.json", tmp_path / "x.json"
+        sig.write_text(json.dumps({"levels": 1, "dim": 1, "kind": "vector", "values": values}))
+        r = runner.invoke(main, ["transform", "--in", str(sig), "--out", str(out)])
+        assert r.exit_code == 2 and f"malformed signal file {sig}" in r.output and "must be an array" in r.output
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "levels, dim, kind, coefficients",
+        [
+            (0, 2, "vector", "12"),  # the field a string, one digit per cell
+            (1, 1, "vector", ["12"]),  # a column a string
+            (3, 2, "matrix", [["0/1"] * 8] * 3 + ["12345678"]),
+            (1, 1, "vector", [{"1": 0, "2": 1}]),  # a column an object
+        ],
+        ids=repr,
+    )
+    def test_coefficient_columns_must_be_arrays(self, runner, tmp_path, levels, dim, kind, coefficients):
+        coef, out = tmp_path / "c.json", tmp_path / "x.json"
+        coef.write_text(json.dumps({"levels": levels, "dim": dim, "kind": kind, "coefficients": coefficients}))
+        r = runner.invoke(main, ["transform", "--inverse", "--in", str(coef), "--out", str(out)])
+        assert r.exit_code == 2 and f"malformed coefficient file {coef}" in r.output
+        assert "must be an array of arrays" in r.output
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command", ["carleson", "decompose", "certify"])
+    def test_bitile_commands_need_a_level(self, runner, tmp_path, command):
+        """An L = 0 signal file, which transform takes, has no bitile
+        universe."""
+        sig, nfun, cells = tmp_path / "s.json", tmp_path / "n.json", tmp_path / "e.json"
+        sig.write_text(json.dumps({"levels": 0, "dim": 1, "kind": "vector", "values": [["1/2"]]}))
+        nfun.write_text(json.dumps({"levels": 0, "N": [1]}))
+        cells.write_text(json.dumps({"levels": 0, "cells": [0]}))
+        extra = {"carleson": [], "decompose": ["--set", cells], "certify": ["--set", cells, "--dual", sig]}[command]
+        out = tmp_path / "x.json"
+        r = runner.invoke(main, [*map(str, [command, "--in", sig, "--nfun", nfun, *extra]), "--out", str(out)])
+        assert r.exit_code == 2 and f"malformed signal file {sig}" in r.output
+        assert "L=0 outside [1, 20]" in r.output
+        assert not out.exists()
+        assert invoke(runner, ["transform", "--in", str(sig), "--out", str(out)]).exit_code == 0
+        assert json.loads(out.read_text())["coefficients"] == [["1/2"]]

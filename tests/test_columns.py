@@ -4,8 +4,9 @@ tests/reference.py, on signals built from exact numbers, floats (their
 exact binary values) or both; exact |f|_q^q in
 integers against the cell-by-cell sum; the bulk reader of signal and
 coefficient files against the per-entry one on adversarial entries; and
-the report writer, with its branch for uniform arrays of strings, against
-json.dump of the report copied into plain JSON values."""
+the report writer, with its templates for exact arrays (Ratios) and rows
+(Records), against json.dump of the report copied into plain JSON values
+(reference.jsonable)."""
 
 import json
 import math
@@ -119,22 +120,23 @@ class TestJsonColumns:
     def test_round_trip_bytes(self, L, data, tmp_path_factory):
         f, _ = data.draw(signals(L))
         obj = signal_to_json(f)
-        text = json.dumps(obj, sort_keys=True)
+        assert signal_from_json(obj) == f
+        text = json.dumps(reference.jsonable(obj), sort_keys=True)
         assert text == json.dumps(reference.signal_to_json(f), sort_keys=True)
         back = signal_from_json(json.loads(text))
         ref = reference.signal_from_json(json.loads(text))
         assert back == f and repr(back) == repr(ref)
-        assert json.dumps(signal_to_json(back), sort_keys=True) == text
+        assert json.dumps(reference.jsonable(signal_to_json(back)), sort_keys=True) == text
         out = tmp_path_factory.mktemp("json")
         dump_json(obj, out / "new.json")
-        reference.dump_json(obj, out / "old.json")
+        reference.dump_json(reference.jsonable(obj), out / "old.json")
         assert (out / "new.json").read_bytes() == (out / "old.json").read_bytes()
 
     def test_unreduced_and_signed_denominators(self):
         obj = {"levels": 1, "dim": 1, "kind": "vector", "values": ["2/4", "3/-6"]}
         f = signal_from_json(obj)
         assert (f.cols, f.den) == (((1, -1),), 2)
-        assert signal_to_json(f)["values"] == [["1/2"], ["-1/2"]]
+        assert reference.jsonable(signal_to_json(f)["values"]) == [["1/2"], ["-1/2"]]
 
 
 # entries of signal and coefficient files: "n/d" strings the bulk parse
@@ -268,8 +270,9 @@ def _flat(v):
 
 
 class TestArrayWriter:
-    """json_text's branch for uniform arrays of strings against json.dump,
-    and every array it must leave to the item-by-item writer."""
+    """json_text on signal and coefficient files, whose exact arrays fill
+    one template (Ratios), and on arrays of strings, written item by item,
+    against json.dump."""
 
     @pytest.mark.parametrize("L", [0, 1, 4, 9])
     @pytest.mark.parametrize("d", [1, 2, 3])
@@ -280,7 +283,7 @@ class TestArrayWriter:
         f = Signal(L, d, kind, [[_entry(rng, "mixed") for _ in range(1 << L)] for _ in range(width)])
         for obj in (signal_to_json(f), {"levels": L, "coefficients": columns_to_json(f)}):
             dump_json(obj, tmp_path / "new.json")
-            reference.dump_json(obj, tmp_path / "old.json")
+            reference.dump_json(reference.jsonable(obj), tmp_path / "old.json")
             assert (tmp_path / "new.json").read_bytes() == (tmp_path / "old.json").read_bytes()
 
     @pytest.mark.parametrize(
@@ -334,7 +337,8 @@ class TestWalshColumns:
         ref = reference.walsh_coefficients(f)
         assert repr([list(c) for c in coef.comps]) == repr(ref)
         obj = {"levels": f.L, "dim": f.d, "kind": f.kind, "coefficients": columns_to_json(coef)}
-        text = json.dumps(obj)
+        assert _signal_from_coefficients(obj) == reference.signal_from_coefficients(json.loads(json_text(obj)))
+        text = json_text(obj)
         assert json.loads(text)["coefficients"] == [
             [num_to_json(x) for x in c] for c in ref
         ]
@@ -500,6 +504,49 @@ def _report_containers(children):
 
 
 report_values = st.recursive(report_leaves, _report_containers, max_leaves=30)
+
+
+@st.composite
+def ratios(draw):
+    """A Ratios of 1-3 axes of up to 4 entries each (one cell, d = 1 and
+    empty axes among them): int64 or object numerators, zeros and
+    negative entries among them, over a den from 1 to past 62 bits."""
+    shape = draw(st.lists(st.sampled_from([1, 1, 2, 3, 4, 0]), min_size=1, max_size=3))
+    size = math.prod(shape)
+    wide = draw(st.booleans())
+    bound = 1 << (90 if wide else 62)
+    nums = draw(st.lists(st.one_of(st.just(0), st.integers(-bound + 1, bound - 1)), min_size=size, max_size=size))
+    dtype = object if wide else draw(st.sampled_from([np.int64, object]))
+    den = draw(st.one_of(
+        st.integers(1, 1 << 40), st.integers(1 << 62, 1 << 80), st.sampled_from([1, 1 << 62, (1 << 63) - 1]),
+    ))
+    return Ratios(np.array(nums, dtype).reshape(shape), den)
+
+
+class TestRatiosWriter:
+    @given(r=ratios(), nesting=st.lists(st.sampled_from(["dict", "list", "tuple"]), max_size=3))
+    @example(r=Ratios(np.array([[0, -6, 9]]), 3), nesting=["dict"])
+    @example(r=Ratios(np.array([(1 << 70) + 1, -(1 << 70)], object), 1 << 64), nesting=[])
+    @settings(max_examples=200, deadline=None)
+    def test_bytes_match_json_dump(self, r, nesting):
+        obj = r
+        for kind in nesting:
+            obj = {"v": obj, "a": 1} if kind == "dict" else [obj, "s"] if kind == "list" else (obj,)
+        assert json_text(obj) == json.dumps(reference.jsonable(obj), indent=2, sort_keys=True)
+
+    @given(r=ratios(), nested=st.booleans())
+    @settings(max_examples=100, deadline=None)
+    def test_records_columns_match_json_dump(self, r, nested):
+        """A one-axis Ratios column fills its slots; one of more axes is
+        written entry by entry, each entry a Ratios."""
+        flat = Ratios(r.nums.reshape(-1), r.den)
+        for rec in (
+            Records({"form": flat, "i": list(range(len(flat)))}),
+            Records({"rows": r, "k": list(range(len(r)))}),
+        ):
+            obj = {"rows": rec, "x": [rec]} if nested else rec
+            assert json_text(obj) == json.dumps(reference.jsonable(obj), indent=2, sort_keys=True)
+        assert [flat[i] for i in range(len(flat))] == [Fraction(int(n), r.den) for n in r.nums.reshape(-1)]
 
 
 class TestReportWriter:

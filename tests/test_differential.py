@@ -48,6 +48,8 @@ from tilewalsh.operators import (
     carleson_direct,
     haar_intervals,
     martingale_transform,
+    walsh_coefficients,
+    walsh_synthesis,
 )
 from tilewalsh.signal import FrequencyChoice, NormPlugin, Signal, signal_from_json, value_is_zero
 from tilewalsh.timefreq import (
@@ -323,6 +325,20 @@ def _record_dtypes(monkeypatch, module):
     return chosen
 
 
+def _direct_dtypes(monkeypatch):
+    """The dtypes of the columns operators._cutoff_row_sums gets from now
+    on, in call order."""
+    chosen = []
+    run = operators._cutoff_row_sums
+
+    def record(columns, cutoffs, L):
+        chosen.append(columns.dtype)
+        return run(columns, cutoffs, L)
+
+    monkeypatch.setattr(operators, "_cutoff_row_sums", record)
+    return chosen
+
+
 def _instance(L, shape, seed):
     rng = SplitMix64(seed)
     d, kind = shape
@@ -400,11 +416,30 @@ class TestCarlesonKernels:
         assert chosen == [object]
         assert carleson_bitile(f, N, bitile_universe(L)).samples == ref
 
-    def test_narrow_numerators_take_int64_path(self, monkeypatch):
-        chosen = _record_dtypes(monkeypatch, operators)
+    def test_benchmark_shape_takes_float64_path(self, monkeypatch):
+        chosen = _direct_dtypes(monkeypatch)
         f, _, _, N = _instance(9, (2, "matrix"), 3)
         assert carleson_direct(f, N).samples == reference.carleson_direct(f, N).samples
-        assert chosen == [np.int64]
+        assert chosen == [np.float64]
+
+    @pytest.mark.parametrize("bits, dtype", [(53, np.float64), (54, np.int64), (62, np.int64), (63, object)])
+    @pytest.mark.parametrize("L", [1, 4, 7])
+    def test_dtype_tiers_at_their_bounds(self, L, bits, dtype, monkeypatch):
+        # coefficient numerators below 2^(bits - L) over den 2^L, the top
+        # one odd, so max|numerator| 2^L just fits bits; column 0 is all
+        # top, and with the full cutoff at cell 0 its sum is 2^bits - 2^L
+        chosen = _direct_dtypes(monkeypatch)
+        rng = random.Random(bits * 8 + L)
+        top = (1 << (bits - L)) - 1
+        cols = [[top] * (1 << L), [top] + [rng.randint(-top, top) for _ in range(1, 1 << L)]]
+        f = walsh_synthesis(Signal(L, 2, "vector", cols, 1 << L))
+        assert walsh_coefficients(f).cols == tuple(map(tuple, cols))
+        cutoffs = gen_nfun(L, SplitMix64(bits)).values
+        N = FrequencyChoice(L, (1 << L,) + cutoffs[1:])
+        got = carleson_direct(f, N)
+        assert got.samples == reference.carleson_direct(f, N).samples
+        assert chosen == [dtype]
+        assert got.comps[0][0] == top
 
 
 class TestMemberFormProducts:
