@@ -143,11 +143,26 @@ def _require_nonzero(f: Signal) -> None:
         raise InputError("zero signal: level exponents undefined")
 
 
-def _norm_plugin(norm: str, q) -> NormPlugin:
+# the largest --q: exact norms take q-th powers of the numerators
+MAX_Q = 64
+
+
+def _norm_plugin(norm: str, q: float) -> tuple:
+    """(q, the norm) of --q and --norm, q an int when it is integer-valued;
+    bad input unless the norm parses and 2 <= q <= MAX_Q."""
+    qv = int(q) if q.is_integer() else q
     try:
-        return NormPlugin.parse(norm, q=q)
+        plugin = NormPlugin.parse(norm, q=qv)
     except ValueError as exc:
         raise InputError(str(exc))
+    if q > MAX_Q:
+        raise InputError(f"tile-type exponent q={q:g} must be at most {MAX_Q}")
+    return qv, plugin
+
+
+def _config(command: str, L: int, d: int, kind: str, plugin: NormPlugin, q, tail: dict) -> dict:
+    """A report's params: the command, shape, norm and q, then tail's."""
+    return {"command": command, "levels": L, "dim": d, "kind": kind, "norm": plugin.spec(), "q": q, **tail}
 
 
 def _norm_fits_kind(plugin: NormPlugin, kind: str) -> None:
@@ -165,13 +180,9 @@ def opt_levels(lowest: int = 1):
 opt_dim = click.option("--dim", type=click.IntRange(min=1), default=1, show_default=True, help="value dimension d")
 opt_kind = click.option("--kind", type=click.Choice(["vector", "matrix"]), default="vector", show_default=True)
 opt_norm = click.option("--norm", default="euclidean", show_default=True, help="euclidean | lp:<p> | schatten:<p>")
-opt_q = click.option("--q", type=float, default=2.0, show_default=True, help="tile-type exponent q >= 2")
+opt_q = click.option("--q", type=float, default=2.0, show_default=True, help=f"tile-type exponent, 2 <= q <= {MAX_Q}")
 opt_seed = click.option("--seed", type=int, default=0, show_default=True)
 opt_out = click.option("--out", required=True, help="output path")
-
-
-def _q_value(q: float):
-    return int(q) if float(q).is_integer() else q
 
 
 @click.group()
@@ -253,21 +264,10 @@ def decompose(infile, setfile, nfun, norm, q, seed, out):
     E = _load(setfile, levelset_from_json, "level set")
     N = _load(nfun, nfun_from_json, "frequency choice")
     _same_resolution(signal=f, set=E, cutoff=N)
-    qv = _q_value(q)
-    plugin = _norm_plugin(norm, qv)
+    qv, plugin = _norm_plugin(norm, q)
     _norm_fits_kind(plugin, f.kind)
-    config = {
-        "command": "decompose",
-        "levels": f.L,
-        "dim": f.d,
-        "kind": f.kind,
-        "norm": plugin.spec(),
-        "q": qv,
-        "seed": seed,
-        "in": infile,
-        "set": setfile,
-        "nfun": nfun,
-    }
+    tail = {"seed": seed, "in": infile, "set": setfile, "nfun": nfun}
+    config = _config("decompose", f.L, f.d, f.kind, plugin, qv, tail)
     if E.count == 0:
         dres = density_decompose(bitile_universe(f.L), E, N, qv)
         sres = size_decompose(dres.sparse, f, qv, plugin)
@@ -311,8 +311,7 @@ def decompose(infile, setfile, nfun, norm, q, seed, out):
 def certify(infile, dualfile, setfile, nfun, levels, dim, kind, norm, q, seed, out):
     """Bilinear Carleson form over the full universe against the
     |E|^(1/q') |f|_q bound, with per-tree tree-lemma ratios."""
-    qv = _q_value(q)
-    plugin = _norm_plugin(norm, qv)
+    qv, plugin = _norm_plugin(norm, q)
     f = _load_signal(infile) if infile else None
     _norm_fits_kind(plugin, kind if f is None else f.kind)
     rng = SplitMix64(seed)
@@ -338,15 +337,7 @@ def certify(infile, dualfile, setfile, nfun, levels, dim, kind, norm, q, seed, o
     if E.count == 0:
         raise InputError("empty level set: the form bound is void")
     _require_nonzero(f)
-    config = {
-        "command": "certify",
-        "levels": f.L,
-        "dim": f.d,
-        "kind": f.kind,
-        "norm": plugin.spec(),
-        "q": qv,
-        "seed": seed,
-    }
+    config = _config("certify", f.L, f.d, f.kind, plugin, qv, {"seed": seed})
     rep = carleson_form_certificate(f, g, E, N, qv, plugin)
     certs = rep.pop("certificates")
     rows = rep["levels"].columns
@@ -376,21 +367,12 @@ def certify(infile, dualfile, setfile, nfun, levels, dim, kind, norm, q, seed, o
 @opt_out
 def tiletype(levels, dim, kind, norm, q, seed, out):
     """Empirical tile-type ratio for a seeded admissible tree family."""
-    qv = _q_value(q)
-    plugin = _norm_plugin(norm, qv)
+    qv, plugin = _norm_plugin(norm, q)
     _norm_fits_kind(plugin, kind)
     rng = SplitMix64(seed)
     family = gen_tree_family(levels, rng)
     f = gen_signal(levels, dim, kind, rng)
-    config = {
-        "command": "tiletype",
-        "levels": levels,
-        "dim": dim,
-        "kind": kind,
-        "norm": plugin.spec(),
-        "q": qv,
-        "seed": seed,
-    }
+    config = _config("tiletype", levels, dim, kind, plugin, qv, {"seed": seed})
     ratio, certs = tile_type_constant(family, f, qv, plugin)
     payload = {
         "family": family.trees,
@@ -413,8 +395,7 @@ def rwt(levels, dim, kind, norm, q, p, seed, out):
     """Restricted weak-type experiment on seeded sets and signals."""
     if not math.isfinite(p):
         raise InputError(f"--p must be finite, got {p}")
-    qv = _q_value(q)
-    plugin = _norm_plugin(norm, qv)
+    qv, plugin = _norm_plugin(norm, q)
     _norm_fits_kind(plugin, kind)
     rng = SplitMix64(seed)
     Fset = gen_levelset(levels, Fraction(1, 4), rng)
@@ -424,16 +405,7 @@ def rwt(levels, dim, kind, norm, q, p, seed, out):
     raw_g = gen_dual_function(levels, dim, kind, plugin.dual(), rng)
     f = raw_f.restrict(Fset)
     g = raw_g.restrict(Eset)
-    config = {
-        "command": "rwt",
-        "levels": levels,
-        "dim": dim,
-        "kind": kind,
-        "norm": plugin.spec(),
-        "q": qv,
-        "p": p,
-        "seed": seed,
-    }
+    config = _config("rwt", levels, dim, kind, plugin, qv, {"p": p, "seed": seed})
     rep = restricted_weak_type(Fset, Eset, f, g, N, p, qv, plugin)
     certs = rep.pop("certificates")
     payload = {
@@ -458,7 +430,7 @@ def rwt(levels, dim, kind, norm, q, p, seed, out):
 def gen(levels, dim, kind, norm, measure, seed, out):
     """Deterministic instance files: signal, dual function, level set,
     frequency choice."""
-    plugin = _norm_plugin(norm, 2)
+    _, plugin = _norm_plugin(norm, 2.0)
     try:
         frac = Fraction(measure)
     except (ValueError, ZeroDivisionError):

@@ -39,7 +39,6 @@ from .timefreq import (
     TreeView,
     _is_hilbert_case,
     _lq_pow,
-    _pow_gt,
     down_coefficients,
     meeting_tile_count,
 )
@@ -348,10 +347,8 @@ def full_decompose(
     for n, trees, certs, densities in levels:
         tag = _two_pow(n * q)
         tree_pows = tuple(next(pows) for _ in trees)
-        level_size_pow = Fraction(0)
-        for v in tree_pows:
-            if _pow_gt(v, level_size_pow):
-                level_size_pow = v
+        # the first largest; Fraction(0) unless one is positive
+        level_size_pow = max([Fraction(0), *tree_pows])
         mass = _length_sum([top for top, _ in trees])
         certs += [
             Certificate.make(

@@ -23,7 +23,7 @@ from .signal import (
     nest,
     value_norm,
 )
-from .walsh import bit_reverse, cutoff_scales, packet_coefficients, packet_rows, packet_synthesis, walsh_sums
+from .walsh import bit_reverse, cutoff_scales, packet_rows, packet_synthesis, walsh_sums
 
 
 def walsh_coefficients(f: Signal) -> Signal:
@@ -183,12 +183,14 @@ def martingale_transform(
         if eps not in (-1, 1):
             raise ValueError(f"sign for {I} must be +-1, got {eps}")
         factors.append(eps * (1 << I.k))
-    # <f, h_I> is the packet table entry of I with n = 1, the Haar pattern
-    coeffs, den = packet_coefficients(f, [(I.k, (I.pos << (L - I.k)) + 1) for I in intervals])
+    # <f, h_I> f.den 2^L is the table entry of I with n = 1, the Haar pattern
+    ks = np.array([I.k for I in intervals], np.int64)
+    cells = np.array([(I.pos << (L - I.k)) + 1 for I in intervals], np.int64)
+    coeffs = packet_rows(f.cols, L)[ks, :, cells].tolist()
     entries = [
         (I.k, I.pos, 1, [c * factor for c in cs]) for I, factor, cs in zip(intervals, factors, coeffs)
     ]
-    return Signal(L, f.d, f.kind, packet_synthesis(entries, len(f.cols), L), den)
+    return Signal(L, f.d, f.kind, packet_synthesis(entries, len(f.cols), L), f.den << L)
 
 
 def stopped_haar_sum(

@@ -121,7 +121,10 @@ class NormPlugin:
             return NormPlugin("euclidean", None, q)
         name, _, pstr = text.partition(":")
         if name in ("lp", "schatten") and pstr:
-            return NormPlugin(name, Fraction(pstr), q)
+            try:
+                return NormPlugin(name, Fraction(pstr), q)
+            except ZeroDivisionError:
+                pass
         raise ValueError(f"cannot parse norm spec {text!r}")
 
 
@@ -289,29 +292,34 @@ class Signal:
         return nest(means, self.d, self.kind)
 
 
-def _columns(values: Sequence, d: int, kind: str) -> tuple:
-    """Columns of nested per-cell values (tuples or lists); ValueError
+def _columns(values: Sequence, d: int, kind: str) -> list:
+    """Columns of nested per-cell values (lists or tuples); ValueError
     unless every value is d numbers (vector) or d rows of d numbers
-    (matrix)."""
+    (matrix).  Whole-list type and length tests and one transpose; only
+    when a test fails is the first bad value looked for."""
 
-    def is_row(r) -> bool:
-        return (
-            isinstance(r, (tuple, list))
-            and len(r) == d
-            and not any(isinstance(x, (tuple, list)) for x in r)
-        )
+    def seqs(xs) -> list[bool]:
+        return [issubclass(t, (list, tuple)) for t in set(map(type, xs))]
 
-    def has_shape(v) -> bool:
-        if kind == "matrix":
-            return len(v) == d and all(is_row(r) for r in v)
-        return is_row(v)
+    def shaped(vs, depth: int) -> bool:
+        """Every item a list or tuple of d items, depth deep."""
+        if not all(seqs(vs)) or not set(map(len, vs)) <= {d}:
+            return False
+        return depth == 1 or shaped(list(chain.from_iterable(vs)), depth - 1)
 
-    for j, v in enumerate(values):
-        if not has_shape(v):
-            raise ValueError(f"value {j} is not a {d}-dimensional {kind}")
-    if kind == "matrix":
-        values = [[x for row in v for x in row] for v in values]
-    return tuple(zip(*values))
+    def columns(vs) -> list | None:
+        """vs's columns; None unless each value has the shape and leaves that
+        are no list or tuple."""
+        if not shaped(vs, 2 if kind == "matrix" else 1):
+            return None
+        cols = [c for r in zip(*vs) for c in zip(*r)] if kind == "matrix" else list(zip(*vs))
+        return None if any(seqs(chain.from_iterable(cols))) else cols
+
+    cols = columns(values)
+    if cols is None:
+        j = next(j for j, v in enumerate(values) if columns([v]) is None)
+        raise ValueError(f"value {j} is not a {d}-dimensional {kind}")
+    return cols
 
 
 def lq_norm_pow(f: Signal, q, plugin: NormPlugin) -> Fraction | None:
@@ -739,25 +747,9 @@ def signal_from_json(obj: dict) -> Signal:
         return columns_from_json(L, d, kind, Ratios(values.nums.reshape(len(values), -1).T, values.den))
     if type(values) is not list:
         raise ValueError("values must be an array")
-    cols = _string_columns(values, d, kind)
-    if cols is None:
-        cols = _columns([v if isinstance(v, list) else [v] for v in values], d, kind)
-    return columns_from_json(L, d, kind, cols)
-
-
-def _string_columns(values, d: int, kind: str) -> list | None:
-    """_columns of values that are lists of d strings (a vector) or of d
-    such lists (a matrix), by whole-list type and length tests and one
-    transpose; None for any other values."""
-    rows = values
-    if kind == "matrix":
-        if set(map(type, values)) != {list} or set(map(len, values)) != {d}:
-            return None
-        rows = list(chain.from_iterable(values))
-    if set(map(type, rows)) != {list} or set(map(len, rows)) != {d}:
-        return None
-    cols = [c for r in zip(*values) for c in zip(*r)] if kind == "matrix" else list(zip(*values))
-    return cols if set(map(type, chain.from_iterable(cols))) == {str} else None
+    if set(map(type, values)) - {list}:
+        values = [v if type(v) is list else [v] for v in values]
+    return columns_from_json(L, d, kind, _columns(values, d, kind))
 
 
 def levelset_to_json(E: LevelSet) -> dict:

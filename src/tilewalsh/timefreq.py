@@ -5,7 +5,6 @@ from __future__ import annotations
 
 import math
 import warnings
-from bisect import bisect_left
 from collections.abc import Sequence as SequenceABC
 from dataclasses import dataclass
 from fractions import Fraction
@@ -170,51 +169,48 @@ class TreeFamily:
 def meeting_tile_pairs(tiles: Sequence[tuple[int, int, int]]) -> list[tuple[int, int]]:
     """Index pairs (a, b), a < b, in ascending order, of the tiles that meet;
     a tile is (k, pos, n), the time interval (k, pos) with frequency index n.
-
-    Two dyadic tiles meet iff the finer one lies below the coarser one in the
-    tile order: d = k - k' >= 0 scales up, its interval lies in
-    (k', pos >> d) and n' >> d == n.  So each tile looks up, per scale, the
-    range [n 2^d, (n+1) 2^d) in the tiles of (k', pos >> d) sorted by index:
-    O(n L log n) plus the pairs found."""
-    rows: dict[tuple[int, int], list[tuple[int, int]]] = {}
-    for i, (k, pos, n) in enumerate(tiles):
-        rows.setdefault((k, pos), []).append((n, i))
-    for row in rows.values():
-        row.sort()
-    pairs = []
-    for a, (k, pos, n) in enumerate(tiles):
-        for d in range(k + 1):
-            row = rows.get((k - d, pos >> d))
-            if row is None:
-                continue
-            hi = (n + 1) << d
-            for i in range(bisect_left(row, (n << d, -1)), len(row)):
-                nb, b = row[i]
-                if nb >= hi:
-                    break
-                # equal tiles (d = 0) would otherwise be found from both ends
-                if d or b > a:
-                    pairs.append((a, b) if a < b else (b, a))
-    pairs.sort()
-    return pairs
+    Every tile of a range of _meeting_ranges, at d = 0 only those after a.
+    Tiles outside [0, 1) are first dilated into it, every k raised by the
+    same amount, which keeps the order."""
+    k, pos, n = np.array(tiles, np.int64).reshape(-1, 3).T
+    order, lo, hi = _meeting_ranges(k + int((pos >> k).max(initial=0)).bit_length(), pos, n)
+    sizes = (hi - lo).ravel()
+    # range r of each entry, and the entry's place in it
+    r = np.repeat(np.arange(sizes.size), sizes)
+    a, b = r % len(k), order[lo.ravel()[r] + np.arange(len(r)) - (np.cumsum(sizes) - sizes)[r]]
+    keep = (r >= len(k)) | (a < b)
+    return sorted(zip(np.minimum(a, b)[keep].tolist(), np.maximum(a, b)[keep].tolist()))
 
 
 def meeting_tile_count(k: np.ndarray, pos: np.ndarray, n: np.ndarray) -> int:
     """len(meeting_tile_pairs) of the tiles, inside [0, 1), with int64 key
-    arrays k, pos and n, without listing the pairs.  As cells (k, pos, n)
-    of a grid deep enough for every tile (see dyadic), the tiles that meet
-    a tile d scales up are one code range (dyadic.cells_above), counted by
-    two searchsorted per scale; d = 0 counts the tile's equals and itself,
-    which finds each pair of equal tiles from both ends."""
-    if not len(k):
-        return 0
-    top = int(k.max())
-    depth = top + int(n.max()).bit_length()
-    codes = np.sort(cell_codes(k, pos, n, depth))
+    arrays k, pos and n, without listing the pairs: d = 0 counts the tile's
+    equals and itself, which finds each pair of equal tiles from both ends."""
+    _, lo, hi = _meeting_ranges(k, pos, n)
+    found = hi - lo
+    return int(found.sum()) - (int(found[0].sum()) + len(k)) // 2
+
+
+def _meeting_ranges(k: np.ndarray, pos: np.ndarray, n: np.ndarray):
+    """(order, lo, hi): order sorts the tiles inside [0, 1) (int64 key
+    arrays k, pos, n) by their codes as cells of a grid deep enough for all
+    (see dyadic), and order[lo[d, a]:hi[d, a]] are the tiles that meet
+    tile a d scales up.
+
+    Two dyadic tiles meet iff the finer one lies below the coarser one in
+    the tile order: d = k - k' >= 0 scales up, its interval lies in
+    (k', pos >> d) and n' >> d == n, one code range (dyadic.cells_above).
+    Codes past int64 are Python ints."""
+    top = int(k.max(initial=0))
+    depth = top + int(n.max(initial=0)).bit_length()
+    if (top + 1) << depth >= 1 << 63:
+        k, pos, n = k.astype(object), pos.astype(object), n.astype(object)
+    codes = cell_codes(k, pos, n, depth)
+    order = np.argsort(codes)
+    codes = codes[order]
     d = np.arange(top + 1)[:, None]
-    lo, hi = cells_above(k, pos, n, np.minimum(d, k), depth)
-    found = np.searchsorted(codes, hi) - np.searchsorted(codes, lo)
-    return int(found[d <= k].sum()) - (int(found[0].sum()) + len(k)) // 2
+    lo, hi = (np.searchsorted(codes, c) for c in cells_above(k, pos, n, np.minimum(d, k), depth))
+    return order, lo, np.where(d <= k, hi, lo)
 
 
 # ---------------------------------------------------------------------------
@@ -704,11 +700,7 @@ class TreeDeltaGrid:
 
     def pow(self):
         """The first largest value; Fraction(0) unless one is positive."""
-        best = Fraction(0)
-        for val in self.values.values():
-            if _pow_gt(val, best):
-                best = val
-        return best
+        return max([Fraction(0), *self.values.values()])
 
     def exceeding(self, bound) -> np.ndarray:
         """Boolean grid of the tops whose value exceeds bound."""

@@ -6,9 +6,8 @@ All +-1 sign patterns are exact integers.  A packet of the dyadic interval
 (k, pos) with frequency index n is w_n on the 2^(L-k) cells of the
 interval, zero elsewhere; the Haar pattern of the interval is the packet
 with n = 1.  Analysis reads the packet table, one recurrence over integer
-arrays (packet_rows; packet_coefficients for a signal's coefficients over
-one denominator), in int64 behind a bit-length guard and in Python ints
-past it.  The transforms are the table's coarsest row (walsh_sums) over
+arrays (packet_rows), in int64 behind a bit-length guard and in Python
+ints past it.  The transforms are the table's coarsest row (walsh_sums) over
 all of a signal's columns at once: the Walsh-Paley matrix is symmetric,
 so the inverse is the same sum without the 2^-L weight, and fwht and
 ifwht are that sum on one column, fwht(t, normalize=False) == ifwht(t) ==
@@ -149,16 +148,6 @@ def walsh_sums(cols: Sequence[Sequence[int]], L: int) -> np.ndarray:
     for k in range(L - 1, -1, -1):
         row = _coarsen(row, k)
     return row
-
-
-def packet_coefficients(f: Signal, cells: Sequence[tuple[int, int]]) -> tuple[list[list[int]], int]:
-    """f's packet coefficients at the table cells (k, i): rows[k][i] 2^-L
-    of every component's packet table, as the pair (values, den) of the
-    Python-int entries, numerators over den = f.den 2^L."""
-    rows = packet_rows(f.cols, f.L)
-    ks = np.fromiter((k for k, _ in cells), np.int64, len(cells))
-    idx = np.fromiter((i for _, i in cells), np.int64, len(cells))
-    return rows[ks, :, idx].tolist(), f.den << f.L
 
 
 def packet_synthesis(entries: Sequence, ncomp: int, L: int) -> list[list]:

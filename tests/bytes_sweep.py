@@ -36,7 +36,8 @@ two seeds, and one `certify` of such an instance with the entries of the
 signal and the dual function divided in turn by two 32-bit primes, whose
 form numerators pass 64 bits.  Last, runs on bad input, each of which
 should exit 2: `certify` with `--out` under a regular file,
-`rwt --levels 1` and `certify` with a Schatten norm on vector values;
+`rwt --levels 1`, `certify` with a Schatten norm on vector values,
+`tiletype --q 1000` (past the bound on q) and `certify --norm lp:1/0`;
 `transform` of signal files whose `values` is a string or an object, and
 `transform --inverse` of coefficient files with a string column;
 `carleson`, `decompose` and `certify` of an L = 0 signal file, which
@@ -319,6 +320,8 @@ def _run_matrix() -> list[str]:
     run(["rwt", "--levels", 1, "--out", Path("bad-rwt-L1.json")])
     run(["certify", "--levels", 3, "--kind", "vector", "--norm", "schatten:3",
          "--out", Path("bad-certify-schatten-vector.json")])
+    run(["tiletype", "--levels", 3, "--q", 1000, "--out", Path("bad-tiletype-q1000.json")])
+    run(["certify", "--levels", 2, "--norm", "lp:1/0", "--out", Path("bad-certify-norm-zero-den.json")])
     bad = Path("bad-files")
     bad.mkdir()
     for name, values in (("string", "12"), ("object", {"3": 0, "5": 1})):

@@ -506,6 +506,35 @@ class TestInputErrors:
         assert r.exit_code == 2 and "must be finite" in r.output
         assert not out.exists()
 
+    @pytest.mark.parametrize("q", ["65", "1000", "1e308"])
+    @pytest.mark.parametrize("command", ["decompose", "certify", "rwt", "tiletype"])
+    def test_q_past_the_bound(self, runner, tmp_path, command, q):
+        """--q above 64 exits 2 and names the bound, before any work: with
+        exact q-th powers of the numerators, q = 1000 made numbers too long
+        for the report to write and q = 1e308 ran for minutes."""
+        inst = gen_instance(runner, tmp_path, levels=2)
+        files = ["--in", str(inst / "signal.json"), "--set", str(inst / "set.json"),
+                 "--nfun", str(inst / "nfun.json")]
+        args = [command, *files] if command == "decompose" else [command, "--levels", "2"]
+        out = tmp_path / "x.json"
+        r = runner.invoke(main, [*args, "--q", q, "--out", str(out)])
+        assert r.exit_code == 2 and "must be at most 64" in r.output
+        assert not out.exists()
+
+    def test_q_at_the_bound_runs(self, runner, tmp_path):
+        out = tmp_path / "x.json"
+        r = runner.invoke(main, ["tiletype", "--levels", "2", "--q", "64", "--out", str(out)])
+        assert r.exit_code in (0, 1) and json.loads(out.read_text())["params"]["q"] == 64
+
+    @pytest.mark.parametrize("norm", ["lp:1/0", "schatten:0/0"])
+    @pytest.mark.parametrize("command", ["gen", "certify"])
+    def test_norm_with_zero_denominator(self, runner, tmp_path, command, norm):
+        out = tmp_path / "out"
+        args = ["--levels", "2", "--kind", "matrix", "--norm", norm, "--out", str(out / "x")]
+        r = runner.invoke(main, [command, *args])
+        assert r.exit_code == 2 and f"cannot parse norm spec {norm!r}" in r.output
+        assert not out.exists()
+
     @pytest.mark.parametrize("levels", ["0", "21"])
     def test_levels_out_of_range(self, runner, tmp_path, levels):
         for command in ("certify", "rwt"):

@@ -1346,6 +1346,17 @@ def _random_family(L, seed, trees):
     return TreeFamily(tuple(family))
 
 
+def _pairwise_meetings(tiles) -> list[tuple[int, int]]:
+    """meeting_tile_pairs by testing every pair of rectangles."""
+    objs = [Tile(DyadicInterval(k, pos), n) for k, pos, n in tiles]
+    return [
+        (a, b)
+        for a in range(len(objs))
+        for b in range(a + 1, len(objs))
+        if not tiles_disjoint(objs[a], objs[b])
+    ]
+
+
 class TestDownTileSweep:
     @given(st.integers(1, 5), st.integers(0, 10**6), st.integers(1, 6))
     @settings(max_examples=60, deadline=None)
@@ -1391,3 +1402,52 @@ class TestDownTileSweep:
         tiles = [(*items[i].key()[:2], 2 * items[i].m + up) for i, up in zip(picks, ups)]
         k, pos, n = np.array(tiles, np.int64).reshape(-1, 3).T
         assert meeting_tile_count(k, pos, n) == len(meeting_tile_pairs(tiles))
+
+    @given(st.integers(1, 8), st.data())
+    @settings(max_examples=80, deadline=None)
+    def test_universe_tiles_match_pairwise_scan(self, L, data):
+        """The pairs and the count against the pairwise scan, over the tiles
+        certify counts: down- and up-tiles of random picks from the
+        universe, repeats included, and of an ancestor of each pick, so
+        that many tiles meet."""
+        items = bitile_universe(L).items
+        index = {P.key(): i for i, P in enumerate(items)}
+        size = data.draw(st.integers(0, 40))
+        picks = data.draw(st.lists(st.integers(0, len(items) - 1), min_size=size, max_size=size))
+        for i in list(picks):
+            k, pos, m = items[i].key()
+            d = data.draw(st.integers(0, k))
+            above = (k - d, pos >> d, (m << d) + data.draw(st.integers(0, (1 << d) - 1)))
+            picks += [index[above]] if above in index else []
+        ups = data.draw(st.lists(st.booleans(), min_size=len(picks), max_size=len(picks)))
+        tiles = [(*items[i].key()[:2], 2 * items[i].m + up) for i, up in zip(picks, ups)]
+        expected = _pairwise_meetings(tiles)
+        assert meeting_tile_pairs(tiles) == expected
+        k, pos, n = np.array(tiles, np.int64).reshape(-1, 3).T
+        assert meeting_tile_count(k, pos, n) == len(expected)
+
+    def test_tiles_off_the_unit_interval_keep_apart(self):
+        # as cells of one grid of depth 1, (0, 1, 0) and (1, 0, 0) share a code
+        tiles = [(0, 1, 0), (1, 0, 0), (1, 2, 0)]
+        assert meeting_tile_pairs(tiles) == _pairwise_meetings(tiles) == [(0, 2)]
+
+    @given(st.data())
+    @settings(max_examples=60, deadline=None)
+    def test_meeting_pairs_off_the_unit_interval(self, data):
+        """Tiles outside [0, 1), with codes past int64, against the pairwise
+        scan: a few base tiles and tiles d scales finer or coarser that
+        meet them or miss them by a bit."""
+        base = st.tuples(st.integers(0, 70), st.integers(0, 2**40), st.integers(0, 2**40))
+        relative = st.tuples(st.integers(0, 5), st.integers(0, 63), st.booleans())
+        tiles = []
+        for k, pos, n in data.draw(st.lists(base, min_size=1, max_size=4)):
+            tiles.append((k, pos, n))
+            for d, low, fine in data.draw(st.lists(relative, max_size=6)):
+                low %= 1 << d
+                if fine:
+                    tiles.append((k + d, (pos << d) + low, (n >> d) ^ (low & 1)))
+                elif d <= k:
+                    tiles.append((k - d, pos >> d, (n << d) + low))
+        tiles = data.draw(st.permutations(tiles))
+        expected = _pairwise_meetings(tiles)
+        assert meeting_tile_pairs(tiles) == expected
